@@ -84,9 +84,8 @@ def capacity_condition(params: ChannelParams, tol: float = 1e-6) -> CapacityVerd
     cond_lower = 0.25 * math.log2(1.0 + 2.0 * p)
     cond_upper = 0.25 * math.log2(1.0 + 2.0 * (1.0 + rs) * p) + 0.25 * math.log2(1.0 / (1.0 - rs * rs))
 
-    budget = RandomnessBudget.unbounded()
-    ub = scenario_two.upper_bound(params).value
-    lb = scenario_two.bounds(params, budget).lower
+    b2 = scenario_two.bounds(params, RandomnessBudget.unbounded())
+    ub, lb = b2.upper.value, b2.lower
 
     if not cond_lower <= c <= cond_upper:
         return CapacityVerdict(

@@ -21,14 +21,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .analysis import (
-    capacity_condition,
-    detect_thresholds,
-    no_secrecy_compare,
-)
+from .analysis import capacity_condition, detect_thresholds
 from .errors import (
     AsymmetricParams,
     DiamondWiretapError,
@@ -222,36 +219,34 @@ def cmd_sweep(args) -> str:
             params = ChannelParams(v, v, base.c1, base.c2, base.g)
         else:
             params = ChannelParams(base.p1, base.p2, base.c1, base.c2, v)
-        cmp = no_secrecy_compare(params, budget)
-        b1, b2 = cmp.s1, cmp.s2
+        b1 = scenario_one.bounds(params, budget) if args.scenario in ("1", "both") else None
+        b2 = scenario_two.bounds(params, budget) if args.scenario in ("2", "both") else None
+        ns = scenario_one.bounds(replace(params, g=0.0), budget)
         row: list[tuple[str, object]] = [("swept_value", v)]
-        if args.scenario in ("1", "both"):
+        if b1 is not None:
             row += [
                 ("ub1", b1.upper.value), ("lb1_df", b1.lower_df.value),
                 ("lb1_pdf", b1.lower_pdf.value), ("lb1_pdfm", b1.lower_pdf_m.value),
                 ("lb1", b1.lower),
             ]
-        if args.scenario in ("2", "both"):
+        if b2 is not None:
             row += [
                 ("ub2", b2.upper.value), ("lb2_df", b2.lower_df.value),
                 ("lb2_pdfdfm", b2.lower_pdf_df_m.value),
                 ("lb2_pdfpdfm", b2.lower_pdf_pdf_m.value), ("lb2", b2.lower),
             ]
-        if args.scenario in ("1", "both"):
+        if b1 is not None:
             row += [
                 ("rho_ub1", b1.upper.rho), ("rho_lb1_df", b1.lower_df.rho),
                 ("rho_lb1_pdf", b1.lower_pdf.rho), ("rho_lb1_pdfm", b1.lower_pdf_m.rho),
             ]
-        if args.scenario in ("2", "both"):
+        if b2 is not None:
             row += [
                 ("rho_ub2", b2.upper.rho), ("rho_lb2_df", b2.lower_df.rho),
                 ("rho_lb2_pdfdfm", b2.lower_pdf_df_m.rho),
                 ("rho_lb2_pdfpdfm", b2.lower_pdf_pdf_m.rho),
             ]
-        row += [
-            ("nosecrecy_ub", cmp.nosecrecy_upper),
-            ("nosecrecy_lb", cmp.nosecrecy_lower),
-        ]
+        row += [("nosecrecy_ub", ns.upper.value), ("nosecrecy_lb", ns.lower)]
         rows.append(row)
     return _render(rows, args.format)
 

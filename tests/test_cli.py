@@ -130,6 +130,22 @@ def test_sweep_scenario_subset(capsys):
     assert "ub2" in header and "ub1" not in header
 
 
+def test_sweep_scenario_columns_match_both(capsys):
+    sweep = (
+        "sweep", "--param", "c", "--from", "0.2", "--to", "2.2", "--steps", "5",
+        "--p1", "4", "--p2", "1", "--g", "0.3", "--rprime", "0.6", "--format", "csv",
+    )
+    rc, both, _ = run(capsys, *sweep)
+    assert rc == 0
+    both_rows = [line.split(",") for line in both.splitlines()]
+    for scenario in ("1", "2"):
+        rc, out, _ = run(capsys, *sweep, "--scenario", scenario)
+        assert rc == 0
+        columns = [both_rows[0].index(name) for name in out.splitlines()[0].split(",")]
+        expected = "".join(",".join(row[i] for i in columns) + "\n" for row in both_rows)
+        assert out == expected
+
+
 def test_sweep_conflicts_and_ranges(capsys):
     rc, _, err = run(
         capsys, "sweep", "--param", "c", "--c", "1.0", "--from", "0.2", "--to", "0.4",
@@ -242,6 +258,17 @@ def test_dmc_missing_and_malformed_file(capsys, tmp_path):
     bad.write_text("{not json")
     rc, _, err = run(capsys, "dmc", "--file", str(bad))
     assert rc == 1
+
+
+def test_eval_extreme_power_ratio_returns():
+    # the scenario-2 T1 search at this power ratio once never returned
+    proc = subprocess.run(
+        [sys.executable, "-m", "diamond_wiretap", "eval",
+         "--p1", "1e5", "--p2", "1e-5", "--c", "1", "--g", "0.5"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ub2 = " in proc.stdout
 
 
 def test_module_entry_point():

@@ -1,4 +1,4 @@
-"""Grid + golden-section max-min optimizer and the bisection root finder."""
+"""Grid + zoom-pass max-min optimizer and the bisection root finder."""
 
 import math
 
@@ -58,7 +58,7 @@ def test_two_equal_peaks_pick_left():
 
 
 def test_refinement_beats_coarse_grid():
-    # peak at 0.35 is off the 5-point grid; golden-section must find it
+    # peak at 0.35 is off the 5-point grid; the zoom passes must find it
     res = maximize_min(
         [("up", lin(1.0, 0.0)), ("down", lin(-1.0, 0.7))], 0.0, 1.0, grid_points=5,
     )
@@ -74,6 +74,18 @@ def test_never_below_any_grid_point():
     res = maximize_min([("w", wiggle)], -2.0, 2.0)
     grid = np.linspace(-2.0, 2.0, GRID_POINTS)
     assert res.value >= float(np.max(wiggle(grid)))
+
+
+def test_refinement_ends_where_float_spacing_exceeds_the_bracket(deadline):
+    # near -12345.6 adjacent floats are 1.8e-12 apart, so the bracket cannot
+    # shrink to 1e-12 there; the pass count alone must end the refinement
+    def peak(x):
+        return -np.abs(np.asarray(x, dtype=float) + 12345.6)
+
+    with deadline(10.0):
+        res = maximize_min([("peak", peak)], -2.0e4, 0.0)
+    assert res.rho == pytest.approx(-12345.6, abs=1e-8)
+    assert res.value >= float(np.max(peak(np.linspace(-2.0e4, 0.0, GRID_POINTS))))
 
 
 def test_degenerate_interval():

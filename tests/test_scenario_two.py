@@ -133,3 +133,18 @@ def test_scenario_two_never_beats_scenario_one():
         b2 = s2.bounds(p, budget)
         assert b2.lower <= lb1 + 1e-7
         assert b2.lower <= b2.upper.value + 1e-7
+
+
+@pytest.mark.parametrize(
+    "p1, p2", [(1e5, 1e-5), (1e-2, 1e7), (3e4, 1e-4)],
+)
+def test_bounds_return_at_extreme_power_ratios(deadline, p1, p2):
+    # power ratios of 3e8 and above put the T1 optimum where adjacent floats
+    # are farther apart than 1e-12
+    p = ChannelParams(p1=p1, p2=p2, c1=1.0, c2=1.0, g=0.5)
+    with deadline(10.0):
+        b = s2.bounds(p, UNBOUNDED)
+    assert math.isfinite(b.upper.value)
+    assert b.lower <= b.upper.value + 1e-7
+    t1 = b.upper.sub_reports["T1"]
+    assert -rf.rho_bar(p) <= t1.rho <= 0.0
