@@ -132,88 +132,95 @@ class RandomnessBudget:
         return math.isinf(self.r_prime)
 
 
-def _is_scalar(rho) -> bool:
-    return np.ndim(rho) == 0
+# s(rho) below _SNAP * (P1 + P2) is round-off and snaps to 0.  The snap makes
+# f4(-rho_bar) and f5(-rho_bar) exactly 0 despite the rounding in rho_bar
+# itself, and clamps the tiny negative values that the same rounding can
+# produce just inside the domain edge.
+_SNAP = 32.0 * np.finfo(float).eps
+
+# f4 and f5 alone extend below -1, down to -rho_bar less this slack; any of
+# the others confines rho to [-1, 1].
+_EXTENDED_TOL = 1e-9
+_UNIT_DOMAIN = frozenset(("f1", "f2", "f3", "f6", "f7"))
+_USES_S = frozenset(("f4", "f5", "f6", "f7"))
+
+# Each closed form from the atoms q = 1 - rho^2 and s = s(rho).
+_FORMS = {
+    "f1": lambda p, q, s: p.c1 + 0.5 * np.log2(1.0 + q * p.p2),
+    "f2": lambda p, q, s: p.c2 + 0.5 * np.log2(1.0 + q * p.p1),
+    "f3": lambda p, q, s: p.c1 + p.c2 + 0.5 * np.log2(q),
+    "f4": lambda p, q, s: 0.5 * np.log2(1.0 + s),
+    "f5": lambda p, q, s: 0.5 * np.log2(1.0 + p.g * s),
+    "f6": lambda p, q, s: 0.5 * np.log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p2)),
+    "f7": lambda p, q, s: 0.5 * np.log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p1)),
+}
 
 
-def _unit_interval(rho):
-    # domain [-1, 1], tiny slack for endpoint round-off
-    r = np.asarray(rho, dtype=float)
-    if np.any(np.isnan(r)) or np.any(np.abs(r) > 1.0 + _DOMAIN_TOL):
-        raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
-    return np.clip(r, -1.0, 1.0)
+def rates(params: ChannelParams, rho, names) -> dict:
+    """The closed forms ``names`` (a subset of f1..f7, in order) at ``rho``.
 
-
-def _combined_power(params: ChannelParams, rho):
-    """s(rho) = P1 + P2 + 2*rho*sqrt(P1*P2), snapped to 0 at round-off scale.
-
-    The snap makes f4(-rho_bar) and f5(-rho_bar) exactly 0 despite the
-    rounding in rho_bar itself, and clamps the tiny negative values that the
-    same rounding can produce just inside the domain edge.
+    The kernel behind f1..f7 and the optimizer's branches: one domain check
+    covers all the names, on [-1, 1] if any of f1, f2, f3, f6, f7 is named,
+    else on [-rho_bar, 1]; values within round-off outside an endpoint are
+    clipped onto it.  1 - rho^2 and s(rho) are computed once.  Values are
+    numpy scalars for a scalar ``rho``.
     """
-    s = params.p1 + params.p2 + 2.0 * np.asarray(rho, dtype=float) * math.sqrt(params.p1 * params.p2)
-    snap = 32.0 * np.finfo(float).eps * (params.p1 + params.p2)
-    return np.where(np.abs(s) < snap, 0.0, np.maximum(s, 0.0))
-
-
-def _extended_interval(params: ChannelParams, rho):
-    # domain [-rho_bar, 1] used by f4 and f5 inside upper-bound optimizations
     r = np.asarray(rho, dtype=float)
-    lo = -rho_bar(params)
-    if np.any(np.isnan(r)) or np.any(r > 1.0 + _DOMAIN_TOL) or np.any(r < lo - 1e-9):
-        raise DomainError(f"correlation must lie in [{lo}, 1] for the combined-power rates, got {rho!r}")
-    return np.minimum(r, 1.0)
+    unit = not _UNIT_DOMAIN.isdisjoint(names)
+    if r.size:
+        lo, hi = r.min(), r.max()  # NaN fails both comparisons below
+        floor = -1.0 if unit else -rho_bar(params)
+        if not (lo >= floor - (_DOMAIN_TOL if unit else _EXTENDED_TOL) and hi <= 1.0 + _DOMAIN_TOL):
+            raise DomainError(f"correlation must lie in [{floor}, 1] for {', '.join(names)}, got {rho!r}")
+        if hi > 1.0 or (unit and lo < -1.0):
+            r = np.clip(r, -1.0, 1.0) if unit else np.minimum(r, 1.0)
+    q = 1.0 - np.square(r) if unit else None
+    s = None
+    if not _USES_S.isdisjoint(names):
+        s = params.p1 + params.p2 + 2.0 * r * math.sqrt(params.p1 * params.p2)
+        s = np.where(s < _SNAP * (params.p1 + params.p2), 0.0, s)
+    with np.errstate(divide="ignore"):  # f3 is -inf at |rho| = 1
+        return {name: _FORMS[name](params, q, s) for name in names}
 
 
-def _ret(value, rho):
-    return float(value) if _is_scalar(rho) else value
+def _rate(name: str, params: ChannelParams, rho) -> RateValue:
+    value = rates(params, rho, (name,))[name]
+    return float(value) if np.ndim(rho) == 0 else value
 
 
 def f1(params: ChannelParams, rho) -> RateValue:
     """Cut rate through relay 1's link plus relay 2's clean MAC contribution."""
-    r = _unit_interval(rho)
-    return _ret(params.c1 + 0.5 * np.log2(1.0 + (1.0 - np.square(r)) * params.p2), rho)
+    return _rate("f1", params, rho)
 
 
 def f2(params: ChannelParams, rho) -> RateValue:
     """Cut rate through relay 2's link plus relay 1's clean MAC contribution."""
-    r = _unit_interval(rho)
-    return _ret(params.c2 + 0.5 * np.log2(1.0 + (1.0 - np.square(r)) * params.p1), rho)
+    return _rate("f2", params, rho)
 
 
 def f3(params: ChannelParams, rho) -> RateValue:
     """Both-links cut rate net of the correlation cost; -inf at |rho| = 1."""
-    r = _unit_interval(rho)
-    with np.errstate(divide="ignore"):
-        return _ret(params.c1 + params.c2 + 0.5 * np.log2(1.0 - np.square(r)), rho)
+    return _rate("f3", params, rho)
 
 
 def f4(params: ChannelParams, rho) -> RateValue:
     """Coherent-combining rate of the main MAC; 0 at rho = -rho_bar."""
-    r = _extended_interval(params, rho)
-    return _ret(0.5 * np.log2(1.0 + _combined_power(params, r)), rho)
+    return _rate("f4", params, rho)
 
 
 def f5(params: ChannelParams, rho) -> RateValue:
     """Rate leaked to the eavesdropper from the combined transmission."""
-    r = _extended_interval(params, rho)
-    return _ret(0.5 * np.log2(1.0 + params.g * _combined_power(params, r)), rho)
+    return _rate("f5", params, rho)
 
 
 def f6(params: ChannelParams, rho) -> RateValue:
     """Eavesdropper's rate about X1 alone (X2 acting as noise)."""
-    r = _unit_interval(rho)
-    num = 1.0 + params.g * _combined_power(params, r)
-    den = 1.0 + params.g * (1.0 - np.square(r)) * params.p2
-    return _ret(0.5 * np.log2(num / den), rho)
+    return _rate("f6", params, rho)
 
 
 def f7(params: ChannelParams, rho) -> RateValue:
     """Eavesdropper's rate about X2 alone (X1 acting as noise)."""
-    r = _unit_interval(rho)
-    num = 1.0 + params.g * _combined_power(params, r)
-    den = 1.0 + params.g * (1.0 - np.square(r)) * params.p1
-    return _ret(0.5 * np.log2(num / den), rho)
+    return _rate("f7", params, rho)
 
 
 def rho_star(params: ChannelParams) -> float:

@@ -5,22 +5,23 @@ Two entry points:
 ``maximize_min`` maximizes the pointwise minimum of named terms over a closed
 interval: a uniform 4097-point grid locates the best bracket, then a fixed
 number of zoom passes re-grid the bracket around the best point, each with one
-array call per term.  A refined candidate is only accepted when it beats the
-best point so far, so the returned value never falls below the objective at
-any grid point.  Ties resolve toward the smallest argmax.  The pass count is
+call of the branch on the whole array.  A refined candidate is only accepted
+when it beats the best point so far, so the returned value never falls below
+the objective at any grid point.  Ties resolve toward the smallest argmax.  The pass count is
 fixed, so every call ends, even where float spacing is coarser than the
 bracket.  No randomness anywhere, so equal inputs give bitwise-equal results.
 
 ``bisect_root`` is plain interval bisection for monotone crossings.
 
-Term callables must broadcast over numpy arrays of evaluation points.
+A branch is one callable that maps an array of evaluation points (or one
+point) to its terms, ``{name: values}`` in binding order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -41,7 +42,7 @@ ZOOM_PASSES = 6
 # A term counts as binding when it sits within this distance of the minimum.
 _BINDING_TOL = 1e-9
 
-Term = tuple[str, Callable[[np.ndarray], np.ndarray]]
+Branch = Callable[[np.ndarray], Mapping[str, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -53,47 +54,42 @@ class OptimizationResult:
     binding: tuple[str, ...]
 
 
-def _min_of_terms(terms: Sequence[Term], rho):
+def _min_of_terms(branch: Branch, rho):
     acc = None
-    for _, fn in terms:
-        v = np.asarray(fn(rho), dtype=float)
+    for v in branch(rho).values():
         acc = v if acc is None else np.minimum(acc, v)
+    if acc is None:
+        raise EmptyInterval("maximize_min needs at least one term")
     return acc
 
 
-def _binding_terms(terms: Sequence[Term], rho: float, value: float) -> tuple[str, ...]:
+def _binding_terms(branch: Branch, rho: float, value: float) -> tuple[str, ...]:
     tol = _BINDING_TOL * max(1.0, abs(value)) if math.isfinite(value) else 0.0
-    names = []
-    for name, fn in terms:
-        v = float(fn(rho))
-        if v == value or v <= value + tol:
-            names.append(name)
-    return tuple(names)
+    terms = {name: float(v) for name, v in branch(rho).items()}
+    return tuple(name for name, v in terms.items() if v == value or v <= value + tol)
 
 
 def maximize_min(
-    terms: Sequence[Term],
+    branch: Branch,
     lo: float,
     hi: float,
     grid_points: int = GRID_POINTS,
 ) -> OptimizationResult:
-    """Maximize min over ``terms`` on [lo, hi].
+    """Maximize the minimum of the terms of ``branch`` on [lo, hi].
 
     Guarantees: the result value is never below the objective at any grid
     point; with continuous terms the argmax is located to about 1e-16 of the
     interval length within its grid bracket, or to float spacing where that
     is coarser; deterministic for identical inputs.
     """
-    if not terms:
-        raise EmptyInterval("maximize_min needs at least one term")
     if lo > hi:
         raise EmptyInterval(f"empty interval [{lo}, {hi}]")
     if lo == hi:
-        value = float(_min_of_terms(terms, lo))
-        return OptimizationResult(rho=lo, value=value, binding=_binding_terms(terms, lo, value))
+        value = float(_min_of_terms(branch, lo))
+        return OptimizationResult(rho=lo, value=value, binding=_binding_terms(branch, lo, value))
 
     grid = np.linspace(lo, hi, grid_points)
-    on_grid = _min_of_terms(terms, grid)
+    on_grid = _min_of_terms(branch, grid)
     i = int(np.argmax(on_grid))  # first occurrence: smallest argmax on plateaus
     best_x = float(grid[i])
     best_v = float(on_grid[i])
@@ -102,7 +98,7 @@ def maximize_min(
     b = float(grid[i + 1]) if i + 1 < grid_points else hi
     for _ in range(ZOOM_PASSES):
         xs = np.linspace(a, b, ZOOM_POINTS)
-        vs = _min_of_terms(terms, xs)
+        vs = _min_of_terms(branch, xs)
         j = int(np.argmax(vs))
         x, v = float(xs[j]), float(vs[j])
         if v > best_v or (v == best_v and x < best_x):
@@ -110,7 +106,7 @@ def maximize_min(
         a = float(xs[j - 1]) if j > 0 else a
         b = float(xs[j + 1]) if j + 1 < ZOOM_POINTS else b
 
-    return OptimizationResult(rho=best_x, value=best_v, binding=_binding_terms(terms, best_x, best_v))
+    return OptimizationResult(rho=best_x, value=best_v, binding=_binding_terms(branch, best_x, best_v))
 
 
 def bisect_root(
@@ -119,7 +115,8 @@ def bisect_root(
     hi: float,
     tol: float = 1e-12,
 ) -> float:
-    """Root of ``fn`` on [lo, hi] by bisection, to a bracket width of ``tol``.
+    """Root of ``fn`` on [lo, hi] by bisection, to a bracket width of ``tol``
+    or to adjacent floats where their spacing is coarser than ``tol``.
 
     Requires a sign change across the interval (an endpoint sitting exactly
     at zero counts); raises NoSignChange otherwise.
@@ -134,8 +131,8 @@ def bisect_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise NoSignChange(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
         fmid = float(fn(mid))
         if fmid == 0.0:
             return mid
@@ -143,4 +140,5 @@ def bisect_root(
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

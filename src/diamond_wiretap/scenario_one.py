@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from . import rate_functions as rf
 from .errors import BudgetInfeasible, EmptyFeasibleSet
 from .rate_functions import ChannelParams, RandomnessBudget, RateValue
@@ -77,31 +75,41 @@ class ScenarioOneBounds:
     note: str | None = None
 
 
-def _terms(params: ChannelParams):
+def _branches(params: ChannelParams) -> dict:
+    """S1..S4 and PDF-M, each as rho -> {term: values} in binding order."""
     f30 = rf.f3(params, 0.0)
-    return {
-        "f1": lambda r: rf.f1(params, r),
-        "f2": lambda r: rf.f2(params, r),
-        "f3": lambda r: rf.f3(params, r),
-        "f3(0)": lambda r: f30 + 0.0 * np.asarray(r, dtype=float),
-        "f4": lambda r: rf.f4(params, r),
-        "(f3+f4)/2": lambda r: 0.5 * (rf.f3(params, r) + rf.f4(params, r)),
-        "f4-f5": lambda r: rf.f4(params, r) - rf.f5(params, r),
-    }
+
+    def s1(r):
+        return rf.rates(params, r, ("f1", "f2", "f3", "f4"))
+
+    def s2(r):
+        a = rf.rates(params, r, ("f1", "f2", "f4"))
+        return {"f1": a["f1"], "f2": a["f2"], "f3(0)": f30, "f4": a["f4"]}
+
+    def s3(r):
+        a = rf.rates(params, r, ("f1", "f2", "f3", "f4", "f5"))
+        return {"f1": a["f1"], "f2": a["f2"], "f3(0)": f30,
+                "(f3+f4)/2": 0.5 * (a["f3"] + a["f4"]), "f4-f5": a["f4"] - a["f5"]}
+
+    def s4(r):
+        a = rf.rates(params, r, ("f1", "f2", "f4", "f5"))
+        return {"f1": a["f1"], "f2": a["f2"], "f3(0)": f30, "f4-f5": a["f4"] - a["f5"]}
+
+    def pdfm(r):
+        a = rf.rates(params, r, ("f1", "f2", "f3", "f4", "f5"))
+        return {"f1": a["f1"], "f2": a["f2"], "f3": a["f3"], "f4-f5": a["f4"] - a["f5"]}
+
+    return {"S1": s1, "S2": s2, "S3": s3, "S4": s4, "pdfm": pdfm}
 
 
 def upper_bound(params: ChannelParams) -> BoundReport:
     """Converse bound on the scenario-1 secrecy capacity."""
-    t = _terms(params)
+    b = _branches(params)
     rs = rf.rho_star(params)
-    s1 = maximize_min([("f1", t["f1"]), ("f2", t["f2"]), ("f3", t["f3"]), ("f4", t["f4"])], 0.0, rs)
-    s2 = maximize_min([("f1", t["f1"]), ("f2", t["f2"]), ("f3(0)", t["f3(0)"]), ("f4", t["f4"])], rs, 1.0)
-    s3 = maximize_min(
-        [("f1", t["f1"]), ("f2", t["f2"]), ("f3(0)", t["f3(0)"]),
-         ("(f3+f4)/2", t["(f3+f4)/2"]), ("f4-f5", t["f4-f5"])],
-        0.0, rs,
-    )
-    s4 = maximize_min([("f1", t["f1"]), ("f2", t["f2"]), ("f3(0)", t["f3(0)"]), ("f4-f5", t["f4-f5"])], rs, 1.0)
+    s1 = maximize_min(b["S1"], 0.0, rs)
+    s2 = maximize_min(b["S2"], rs, 1.0)
+    s3 = maximize_min(b["S3"], 0.0, rs)
+    s4 = maximize_min(b["S4"], rs, 1.0)
 
     left = ("S1", s1) if s1.value >= s2.value else ("S2", s2)
     right = ("S3", s3) if s3.value >= s4.value else ("S4", s4)
@@ -181,8 +189,7 @@ def _achievability(
 
     df = _df_report(params, budget, rho_max)
 
-    t = _terms(params)
-    pdfm_terms = [("f1", t["f1"]), ("f2", t["f2"]), ("f3", t["f3"]), ("f4-f5", t["f4-f5"])]
+    pdfm_terms = _branches(params)["pdfm"]
     # nonnegative correlations dominate for PDF-M, so search [0, rho_max]
     # unless the budget forces the whole feasible set below 0
     lo = 0.0 if rho_max >= 0.0 else rho_max
@@ -190,7 +197,7 @@ def _achievability(
     pdfm = BoundReport(value=max(0.0, opt.value), rho=opt.rho, binding=opt.binding, raw_value=opt.value)
 
     if rho_max >= 0.0:
-        entries = tuple((name, float(t[name](0.0))) for name in ("f1", "f2", "f3", "f4-f5"))
+        entries = tuple((name, float(v)) for name, v in pdfm_terms(0.0).items())
         raw_pdf = min(v for _, v in entries)
         pdf = BoundReport(
             value=max(0.0, raw_pdf), rho=0.0,

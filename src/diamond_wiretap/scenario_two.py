@@ -58,38 +58,34 @@ class ScenarioTwoBounds:
     note: str | None = None
 
 
+def _net_of_leakage(cuts: dict, f5) -> dict:
+    """Each cut rate less the leakage f5, named ``<cut>-f5``."""
+    return {f"{name}-f5": v - f5 for name, v in cuts.items()}
+
+
 def upper_bound(params: ChannelParams) -> BoundReport:
     """Converse bound on the scenario-2 secrecy capacity."""
     f10 = rf.f1(params, 0.0)
     f20 = rf.f2(params, 0.0)
     f30 = rf.f3(params, 0.0)
 
-    def const(v):
-        return lambda r: v + 0.0 * np.asarray(r, dtype=float)
+    def t1_terms(r):
+        a = rf.rates(params, r, ("f4", "f5"))
+        return _net_of_leakage({"f1(0)": f10, "f2(0)": f20, "f3(0)": f30, "f4": a["f4"]}, a["f5"])
 
-    def minus_f5(fn):
-        return lambda r: fn(r) - rf.f5(params, r)
+    def t2_terms(r):
+        a = rf.rates(params, r, ("f1", "f2", "f3", "f4", "f5"))
+        f5 = a.pop("f5")
+        return _net_of_leakage(a, f5)
 
-    t1 = maximize_min(
-        [("f1(0)-f5", minus_f5(const(f10))), ("f2(0)-f5", minus_f5(const(f20))),
-         ("f3(0)-f5", minus_f5(const(f30))), ("f4-f5", minus_f5(lambda r: rf.f4(params, r)))],
-        -rf.rho_bar(params), 0.0,
-    )
+    def t3_terms(r):
+        a = rf.rates(params, r, ("f1", "f2", "f4", "f5"))
+        return _net_of_leakage({"f1": a["f1"], "f2": a["f2"], "f3(0)": f30, "f4": a["f4"]}, a["f5"])
+
+    t1 = maximize_min(t1_terms, -rf.rho_bar(params), 0.0)
     rs = rf.rho_star(params)
-    t2 = maximize_min(
-        [("f1-f5", minus_f5(lambda r: rf.f1(params, r))),
-         ("f2-f5", minus_f5(lambda r: rf.f2(params, r))),
-         ("f3-f5", minus_f5(lambda r: rf.f3(params, r))),
-         ("f4-f5", minus_f5(lambda r: rf.f4(params, r)))],
-        0.0, rs,
-    )
-    t3 = maximize_min(
-        [("f1-f5", minus_f5(lambda r: rf.f1(params, r))),
-         ("f2-f5", minus_f5(lambda r: rf.f2(params, r))),
-         ("f3(0)-f5", minus_f5(const(f30))),
-         ("f4-f5", minus_f5(lambda r: rf.f4(params, r)))],
-        rs, 1.0,
-    )
+    t2 = maximize_min(t2_terms, 0.0, rs)
+    t3 = maximize_min(t3_terms, rs, 1.0)
 
     branch, opt = max(
         (("T1", t1), ("T2", t2), ("T3", t3)),
@@ -177,40 +173,25 @@ def _achievability(
         zero = BoundReport(value=0.0, rho=0.0, binding=(), raw_value=0.0, note=note)
         return zero, zero, zero, None, False, note
 
-    def minus_f5(fn):
-        return lambda r: fn(r) - rf.f5(params, r)
+    def df_terms(r):
+        a = rf.rates(params, r, ("f4", "f5"))
+        return _net_of_leakage({"C1": params.c1, "C2": params.c2, "f4": a["f4"]}, a["f5"])
 
-    def const(v):
-        return lambda r: v + 0.0 * np.asarray(r, dtype=float)
+    def pdfdfm_terms(r):
+        a = rf.rates(params, r, ("f1", "f2", "f3", "f4", "f5"))
+        f5 = a["f5"]
+        return {"f1-f5": a["f1"] - f5, "f2-f5": a["f2"] - f5,
+                "f3-2f5": a["f3"] - 2.0 * f5, "f4-f5": a["f4"] - f5}
 
-    df_opt = maximize_min(
-        [("C1-f5", minus_f5(const(params.c1))), ("C2-f5", minus_f5(const(params.c2))),
-         ("f4-f5", minus_f5(lambda r: rf.f4(params, r)))],
-        -1.0, rho_max,
-    )
-    df = _scheme_report(df_opt)
+    def pdfpdfm_terms(r):
+        a = rf.rates(params, r, ("f1", "f2", "f3", "f4", "f5", "f6", "f7"))
+        on = (params.c1 > a.pop("f6")) & (params.c2 > a.pop("f7"))
+        f5 = a.pop("f5")
+        return {**_net_of_leakage(a, f5), "indicator": np.where(on, np.inf, 0.0)}
 
-    pdfdfm_opt = maximize_min(
-        [("f1-f5", minus_f5(lambda r: rf.f1(params, r))),
-         ("f2-f5", minus_f5(lambda r: rf.f2(params, r))),
-         ("f3-2f5", lambda r: rf.f3(params, r) - 2.0 * rf.f5(params, r)),
-         ("f4-f5", minus_f5(lambda r: rf.f4(params, r)))],
-        -1.0, rho_max,
-    )
-    pdfdfm = _scheme_report(pdfdfm_opt)
-
-    def indicator(r):
-        on = multicoding_feasible(params, r)
-        return np.where(on, np.inf, 0.0)
-
-    pdfpdfm_opt = maximize_min(
-        [("f1-f5", minus_f5(lambda r: rf.f1(params, r))),
-         ("f2-f5", minus_f5(lambda r: rf.f2(params, r))),
-         ("f3-f5", minus_f5(lambda r: rf.f3(params, r))),
-         ("f4-f5", minus_f5(lambda r: rf.f4(params, r))),
-         ("indicator", indicator)],
-        -1.0, rho_max,
-    )
+    df = _scheme_report(maximize_min(df_terms, -1.0, rho_max))
+    pdfdfm = _scheme_report(maximize_min(pdfdfm_terms, -1.0, rho_max))
+    pdfpdfm_opt = maximize_min(pdfpdfm_terms, -1.0, rho_max)
     ind_ok = multicoding_feasible(params, pdfpdfm_opt.rho)
     pdfpdfm = _scheme_report(
         pdfpdfm_opt,

@@ -145,8 +145,8 @@ def test_criterion_07_closed_forms_match_log_det_oracle():
 
 def test_criterion_08_bound_ordering_invariants():
     """1000 seeded parameter tuples: lower bounds never exceed upper bounds,
-    relay-only randomness never beats shared randomness, and g = 0 makes the
-    two scenarios agree."""
+    randomness at the source only never beats randomness shared by all three
+    nodes, and g = 0 makes the two scenarios agree."""
     rng = np.random.default_rng(12345)
     zero_g_draws = 0
     for i in range(1000):
@@ -179,7 +179,8 @@ def test_criterion_08_bound_ordering_invariants():
 def test_criterion_09_no_secrecy_comparison():
     """P=10, g=0.1: below the half-margin link value the no-eavesdropper upper
     bound is achievable under secrecy with shared randomness, yet the plain
-    no-eavesdropper lower bound always exceeds the relay-only upper bound."""
+    no-eavesdropper lower bound always exceeds the upper bound with randomness
+    at the source only."""
     base = sym(10.0, 1.0, 0.1)
     half_margin = 0.5 * (rf.f4(base, 0.0) - rf.f5(base, 0.0))
     for c in np.linspace(0.05, 0.9, 8) * half_margin:
@@ -188,7 +189,7 @@ def test_criterion_09_no_secrecy_comparison():
     for c in np.linspace(0.1, 3.0, 12):
         cmp_ = analysis.no_secrecy_compare(sym(10.0, float(c), 0.1), UNBOUNDED)
         assert cmp_.nosecrecy_lower_exceeds_s2_upper, f"no strict gap at c={c:.4f}"
-    print("criterion 09: shared randomness hides secrecy cost, relay-only pays")
+    print("criterion 09: shared randomness hides secrecy cost, source-only pays")
 
 
 def test_criterion_10_dmc_reference_channels():

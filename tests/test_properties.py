@@ -1,0 +1,68 @@
+"""Structural invariants of the bounds, as property tests over random channels.
+
+Swapping the relays leaves every bound unchanged, each lower bound stays
+below its upper bound, randomness at the source only never beats randomness
+shared by all three nodes, and without an eavesdropper the two scenarios
+coincide.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diamond_wiretap import scenario_one as s1, scenario_two as s2
+from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
+
+PROPERTY = settings(max_examples=50, derandomize=True, deadline=None)
+
+powers = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+links = st.floats(0.0, 5.0)
+gains = st.floats(0.0, 0.99)
+budgets = st.one_of(st.just(math.inf), st.floats(0.0, 2.0))
+
+
+def bound_values(p, r_prime):
+    """Every reported value of both scenarios, keyed by scenario and bound."""
+    budget = RandomnessBudget(r_prime)
+    b1, b2 = s1.bounds(p, budget), s2.bounds(p, budget)
+    return {
+        "ub1": b1.upper.value, "lb1": b1.lower, "lb1_df": b1.lower_df.value,
+        "lb1_pdf": b1.lower_pdf.value, "lb1_pdfm": b1.lower_pdf_m.value,
+        "ub2": b2.upper.value, "lb2": b2.lower, "lb2_df": b2.lower_df.value,
+        "lb2_pdfdfm": b2.lower_pdf_df_m.value, "lb2_pdfpdfm": b2.lower_pdf_pdf_m.value,
+        **{f"ub1_{k}": v.value for k, v in b1.upper.sub_reports.items()},
+        **{f"ub2_{k}": v.value for k, v in b2.upper.sub_reports.items()},
+    }
+
+
+@PROPERTY
+@given(p1=powers, p2=powers, c1=links, c2=links, g=gains, r_prime=budgets)
+def test_swapping_the_relays_changes_no_bound(p1, p2, c1, c2, g, r_prime):
+    one = bound_values(ChannelParams(p1, p2, c1, c2, g), r_prime)
+    other = bound_values(ChannelParams(p2, p1, c2, c1, g), r_prime)
+    assert one == pytest.approx(other, abs=1e-12)
+
+
+@PROPERTY
+@given(p1=powers, p2=powers, c1=links, c2=links, g=gains, r_prime=budgets)
+def test_lower_bounds_stay_below_upper_bounds(p1, p2, c1, c2, g, r_prime):
+    v = bound_values(ChannelParams(p1, p2, c1, c2, g), r_prime)
+    assert v["lb1"] <= v["ub1"] + 1e-9
+    assert v["lb2"] <= v["ub2"] + 1e-9
+
+
+@PROPERTY
+@given(p1=powers, p2=powers, c1=links, c2=links, g=gains, r_prime=budgets)
+def test_source_only_randomness_never_beats_shared_randomness(p1, p2, c1, c2, g, r_prime):
+    v = bound_values(ChannelParams(p1, p2, c1, c2, g), r_prime)
+    assert v["ub2"] <= v["ub1"] + 1e-9
+    assert v["lb2"] <= v["lb1"] + 1e-9
+
+
+@PROPERTY
+@given(p1=powers, p2=powers, c1=links, c2=links, r_prime=budgets)
+def test_without_eavesdropper_the_scenarios_agree(p1, p2, c1, c2, r_prime):
+    v = bound_values(ChannelParams(p1, p2, c1, c2, 0.0), r_prime)
+    assert abs(v["ub1"] - v["ub2"]) <= 1e-9
+    assert abs(v["lb1"] - v["lb2"]) <= 1e-9

@@ -117,6 +117,75 @@ def test_domain_errors():
         rf.f5(SYM, -1.001)
 
 
+RATES = (rf.f1, rf.f2, rf.f3, rf.f4, rf.f5, rf.f6, rf.f7)
+NAMES = ("f1", "f2", "f3", "f4", "f5", "f6", "f7")
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.0 + 1e-9, -1.0 - 1e-6])
+def test_one_bad_element_in_an_array_raises(bad):
+    rho = np.array([0.0, 0.3, bad, 0.5])
+    for fn in RATES:
+        with pytest.raises(DomainError):
+            fn(SYM, rho)
+    with pytest.raises(DomainError):
+        rf.rates(SYM, rho, NAMES)
+
+
+def test_extended_domain_rejects_nan_and_points_below_minus_rho_bar():
+    below = -rf.rho_bar(ASYM) - 1e-6
+    for bad in (math.nan, below):
+        for fn in (rf.f4, rf.f5):
+            with pytest.raises(DomainError):
+                fn(ASYM, np.array([0.2, bad]))
+        with pytest.raises(DomainError):
+            rf.rates(ASYM, np.array([0.2, bad]), ("f4", "f5"))
+    # below -1 the unit-interval forms set the domain of the whole request
+    with pytest.raises(DomainError):
+        rf.rates(ASYM, -1.1, ("f1", "f4"))
+
+
+def test_round_off_band_outside_the_unit_interval_is_clipped():
+    band = np.array([-1.0 - 5e-13, 0.0, 1.0 + 5e-13])
+    edges = np.array([-1.0, 0.0, 1.0])
+    for fn in RATES:
+        assert np.array_equal(fn(SYM, band), fn(SYM, edges))
+    got, want = rf.rates(SYM, band, NAMES), rf.rates(SYM, edges, NAMES)
+    for name in NAMES:
+        assert np.array_equal(got[name], want[name])
+
+
+def test_minus_rho_bar_is_in_the_domain_of_f4_and_f5_only():
+    bar = rf.rho_bar(ASYM)
+    for fn in (rf.f4, rf.f5):
+        assert fn(ASYM, -bar) == 0.0
+    assert rf.rates(ASYM, np.array([-bar, 0.0]), ("f4", "f5"))["f4"][0] == 0.0
+    for fn in (rf.f1, rf.f2, rf.f3, rf.f6, rf.f7):
+        with pytest.raises(DomainError):
+            fn(ASYM, -bar)
+
+
+def test_empty_array_returns_empty():
+    for fn in RATES:
+        out = fn(SYM, np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+    assert all(v.shape == (0,) for v in rf.rates(SYM, np.array([]), NAMES).values())
+
+
+def test_scalar_returns_float():
+    for fn in RATES:
+        assert type(fn(SYM, 0.25)) is float
+        assert type(fn(SYM, np.float64(-0.25))) is float
+    assert rf.f3(SYM, 1.0) == -math.inf
+
+
+def test_kernel_matches_the_public_forms():
+    rho = np.linspace(-1.0, 1.0, 33)
+    together = rf.rates(ASYM, rho, NAMES)
+    for name, fn in zip(NAMES, RATES):
+        assert np.array_equal(together[name], fn(ASYM, rho))
+        assert rf.rates(ASYM, 0.3, NAMES)[name] == fn(ASYM, 0.3)
+
+
 def test_rho_bar_symmetric_is_exactly_one():
     assert rf.rho_bar(SYM) == 1.0
 

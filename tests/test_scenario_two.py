@@ -1,4 +1,4 @@
-"""Bounds for the scenario where only the relays share the randomness."""
+"""Bounds for the scenario where only the source has randomness."""
 
 import math
 
