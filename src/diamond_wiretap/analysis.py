@@ -18,9 +18,8 @@ from typing import Sequence
 
 from . import scenario_one, scenario_two
 from . import rate_functions as rf
-from .errors import AsymmetricParams, NoSignChange
+from .errors import AsymmetricParams
 from .rate_functions import ChannelParams, RandomnessBudget
-from .scalar_opt import bisect_root
 from .scenario_one import ScenarioOneBounds
 from .scenario_two import ScenarioTwoBounds
 
@@ -95,9 +94,8 @@ def capacity_condition(params: ChannelParams, tol: float = 1e-6) -> CapacityVerd
             note=f"link capacity {c:.6g} outside [{cond_lower:.6g}, {cond_upper:.6g}]",
         )
 
-    try:
-        rho_p = bisect_root(lambda r: rf.f3(params, r) - rf.f4(params, r), 0.0, rs)
-    except NoSignChange:
+    rho_p = rf.crossing(params, "f4", "f3")
+    if not 0.0 <= rho_p <= rs:
         # only reachable through round-off at the window edge
         return CapacityVerdict(
             applies=False, capacity=None, rho_prime=None,

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyFeasibleSet, ParameterError
+from .scalar_opt import sign_change
 
 __all__ = [
     "RateValue",
@@ -49,6 +50,7 @@ __all__ = [
     "f7",
     "rho_star",
     "rho_bar",
+    "crossing",
     "f5_inverse",
 ]
 
@@ -57,9 +59,6 @@ RateValue = float
 
 # Slack for correlation domain checks at interval endpoints.
 _DOMAIN_TOL = 1e-12
-
-# Bisection stops when the bracket is this narrow.
-_BISECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -242,11 +241,57 @@ def rho_bar(params: ChannelParams) -> float:
     return (params.p1 + params.p2) / (2.0 * math.sqrt(params.p1 * params.p2))
 
 
+def crossing(params: ChannelParams, term: str, other) -> float:
+    """Largest rho where ``term`` ("f4" or "f5") meets ``other``: a rate level,
+    or one of the functions "f1", "f2", "f3".
+
+    With w = 1 for f4 and w = g for f5, each equation reads
+
+        1 + w*s(rho) = A*(u + k*(1 - rho^2))
+
+    with (A, u, k) = (2^(2L), 1, 0) for a level L, (2^(2 C1), 1, P2) for f1,
+    (2^(2 C2), 1, P1) for f2 and (2^(2 (C1+C2)), 0, 1) for f3: linear in rho
+    for a level, a quadratic otherwise.  The result is a seed, not a final
+    answer: cancellation in 1 + w*(P1+P2) - A*(u+k) can put it hundreds of
+    floats from the float where the two rates meet, and near rho = 0, where
+    floats are dense, far more; callers that need that float bracket it
+    (``scalar_opt.sign_change``).  Returns -inf when
+    ``term`` lies above ``other`` for every rho, and +inf when it lies below
+    (or when A overflows).
+    """
+    if term not in ("f4", "f5"):
+        raise ValueError(f"crossing solves for f4 or f5, got {term!r}")
+    w = 1.0 if term == "f4" else params.g
+    if other == "f1":
+        e, u, k = params.c1, 1.0, params.p2
+    elif other == "f2":
+        e, u, k = params.c2, 1.0, params.p1
+    elif other == "f3":
+        e, u, k = params.c1 + params.c2, 0.0, 1.0
+    else:
+        e, u, k = float(other), 1.0, 0.0
+    if 2.0 * e >= 1024.0:
+        return math.inf
+    big = 2.0 ** (2.0 * e)
+    a = big * k
+    b = w * math.sqrt(params.p1 * params.p2)
+    c = 1.0 + w * (params.p1 + params.p2) - big * (u + k)
+    disc = b * b - a * c
+    if disc < 0.0:
+        return -math.inf
+    den = b + math.sqrt(disc)  # the larger root, without cancellation
+    if den > 0.0:
+        return -c / den
+    return math.inf if c < 0.0 else -math.inf
+
+
 def f5_inverse(params: ChannelParams, budget: RandomnessBudget) -> float:
     """Largest rho in [-1, 1] whose leakage f5(rho) stays within the budget.
 
-    f5 is strictly increasing on [-1, 1] (for g > 0), so the feasible set
-    {rho : f5(rho) <= r_prime} is [-1, rho_max] and bisection applies.
+    f5 is increasing on [-1, 1] (for g > 0), so the feasible set
+    {rho : f5(rho) <= r_prime} is [-1, rho_max].  The linear root of
+    f5 = r_prime seeds a bracket that closes on adjacent floats, so that
+    f5(rho_max) <= r_prime < f5(nextafter(rho_max, 1)).
     Returns 1.0 when the budget is unbounded or g = 0; raises
     EmptyFeasibleSet when even full anticorrelation leaks too much, which
     can only happen for unequal powers.
@@ -260,11 +305,9 @@ def f5_inverse(params: ChannelParams, budget: RandomnessBudget) -> float:
         raise EmptyFeasibleSet(
             f"minimum leakage f5(-1) = {f5(params, -1.0):.6g} exceeds the budget {r_prime:.6g}"
         )
-    lo, hi = -1.0, 1.0  # f5(lo) <= r_prime < f5(hi)
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if f5(params, mid) <= r_prime:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+
+    def leaks_more(r):
+        return rates(params, r, ("f5",))["f5"] > r_prime
+
+    rho_max, _ = sign_change(leaks_more, -1.0, 1.0, crossing(params, "f5", r_prime))
+    return rho_max

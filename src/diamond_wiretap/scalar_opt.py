@@ -1,33 +1,53 @@
 """Deterministic scalar optimization used by every bound in the package.
 
-Two entry points:
-
-``maximize_min`` maximizes the pointwise minimum of named terms over a closed
-interval: a uniform 4097-point grid locates the best bracket, then a fixed
-number of zoom passes re-grid the bracket around the best point, each with one
-call of the branch on the whole array.  A refined candidate is only accepted
-when it beats the best point so far, so the returned value never falls below
-the objective at any grid point.  Ties resolve toward the smallest argmax.  The pass count is
-fixed, so every call ends, even where float spacing is coarser than the
-bracket.  No randomness anywhere, so equal inputs give bitwise-equal results.
-
-``bisect_root`` is plain interval bisection for monotone crossings.
-
 A branch is one callable that maps an array of evaluation points (or one
-point) to its terms, ``{name: values}`` in binding order.
+point) to its terms, ``{name: values}`` in binding order.  Every bound is the
+maximum over an interval of the minimum of a branch's terms.  Which of the
+two solvers below a branch uses is fixed by the proven structure of its
+terms; no branch has a choice of solver.
+
+``maximize_crossing`` solves the branches with a monotone envelope: one
+rising term (nondecreasing on the interval) and other terms that are each
+constant or nonincreasing.  Their minimum rises with the rising term until
+it first reaches the others and falls with them afterwards, so the maximum
+lies at an end of the interval or where the rising term first meets the
+others.  The solver evaluates the branch at both ends and at closed-form
+seeds for those meeting points, then closes a bracket on the two adjacent
+floats where "rising term minus the minimum of the others" changes sign.
+These are S1, S2 of scenario 1 and T1, T2, T3 and DF of scenario 2.
+
+``maximize_min`` handles the rest (S3, S4, PDF-M, PDF-DF-M, PDF-PDF-M),
+whose crossings are cubic or whose terms are not monotone: a uniform
+4097-point grid locates the best bracket, then a fixed number of zoom passes
+re-grid the bracket around the best point, each with one call of the branch
+on the whole array.  A refined candidate is only accepted when it beats the
+best point so far, so the returned value never falls below the objective at
+any grid point.  The pass count is fixed, so every call ends, even where
+float spacing is coarser than the bracket.
+
+Both solvers return the best point they evaluated, and break ties toward the
+smallest argmax: on a plateau of the maximum, the first float where the
+rising term reaches the others.  The binding terms are read from the
+evaluation that found the optimum.  No randomness anywhere, so equal inputs
+give bitwise-equal results.
+
+``sign_change`` locates, to adjacent floats, where a monotone predicate
+first turns true; ``maximize_crossing`` and ``rate_functions.f5_inverse``
+use it.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyInterval, NoSignChange
+from .errors import EmptyInterval
 
-__all__ = ["GRID_POINTS", "OptimizationResult", "maximize_min", "bisect_root"]
+__all__ = ["GRID_POINTS", "OptimizationResult", "maximize_min", "maximize_crossing", "sign_change"]
 
 GRID_POINTS = 4097
 
@@ -38,6 +58,16 @@ GRID_POINTS = 4097
 # of scenario 2, which is about 50 long when the powers differ by 1e4.
 ZOOM_POINTS = 257
 ZOOM_PASSES = 6
+# a + k * step with the last point set to b is np.linspace(a, b, ZOOM_POINTS)
+# bit for bit, without its per-call overhead.
+_ZOOM_STEPS = np.arange(ZOOM_POINTS, dtype=float)
+
+# The first pass of sign_change evaluates the seed and the floats at these
+# offsets from it: every offset up to 32, then the powers of two beyond.
+# Each later pass splits the bracket with _SPLITS points.
+_LADDER = np.array(sorted({*range(-32, 33), *(s << j for j in range(6, 63) for s in (1, -1))}),
+                   dtype=np.int64)
+_SPLITS = 64
 
 # A term counts as binding when it sits within this distance of the minimum.
 _BINDING_TOL = 1e-9
@@ -54,19 +84,21 @@ class OptimizationResult:
     binding: tuple[str, ...]
 
 
-def _min_of_terms(branch: Branch, rho):
+def _min_of(values: Iterable):
     acc = None
-    for v in branch(rho).values():
+    for v in values:
         acc = v if acc is None else np.minimum(acc, v)
     if acc is None:
-        raise EmptyInterval("maximize_min needs at least one term")
+        raise EmptyInterval("a branch needs at least one term")
     return acc
 
 
-def _binding_terms(branch: Branch, rho: float, value: float) -> tuple[str, ...]:
+def _binding_terms(terms: Mapping, j: int, value: float) -> tuple[str, ...]:
+    """The terms within the binding tolerance of ``value`` at index ``j`` of
+    an evaluation (constants and scalar evaluations have no index)."""
     tol = _BINDING_TOL * max(1.0, abs(value)) if math.isfinite(value) else 0.0
-    terms = {name: float(v) for name, v in branch(rho).items()}
-    return tuple(name for name, v in terms.items() if v == value or v <= value + tol)
+    at = {name: float(v[j]) if np.ndim(v) else float(v) for name, v in terms.items()}
+    return tuple(name for name, v in at.items() if v == value or v <= value + tol)
 
 
 def maximize_min(
@@ -85,60 +117,121 @@ def maximize_min(
     if lo > hi:
         raise EmptyInterval(f"empty interval [{lo}, {hi}]")
     if lo == hi:
-        value = float(_min_of_terms(branch, lo))
-        return OptimizationResult(rho=lo, value=value, binding=_binding_terms(branch, lo, value))
+        terms = branch(lo)
+        value = float(_min_of(terms.values()))
+        return OptimizationResult(rho=lo, value=value, binding=_binding_terms(terms, 0, value))
 
     grid = np.linspace(lo, hi, grid_points)
-    on_grid = _min_of_terms(branch, grid)
+    terms = branch(grid)
+    on_grid = _min_of(terms.values())
     i = int(np.argmax(on_grid))  # first occurrence: smallest argmax on plateaus
-    best_x = float(grid[i])
-    best_v = float(on_grid[i])
+    best_x, best_v, best_at = float(grid[i]), float(on_grid[i]), (terms, i)
 
     a = float(grid[i - 1]) if i > 0 else lo
     b = float(grid[i + 1]) if i + 1 < grid_points else hi
     for _ in range(ZOOM_PASSES):
-        xs = np.linspace(a, b, ZOOM_POINTS)
-        vs = _min_of_terms(branch, xs)
+        xs = a + _ZOOM_STEPS * ((b - a) / (ZOOM_POINTS - 1))
+        xs[-1] = b
+        terms = branch(xs)
+        vs = _min_of(terms.values())
         j = int(np.argmax(vs))
         x, v = float(xs[j]), float(vs[j])
         if v > best_v or (v == best_v and x < best_x):
-            best_x, best_v = x, v
+            best_x, best_v, best_at = x, v, (terms, j)
         a = float(xs[j - 1]) if j > 0 else a
         b = float(xs[j + 1]) if j + 1 < ZOOM_POINTS else b
 
-    return OptimizationResult(rho=best_x, value=best_v, binding=_binding_terms(branch, best_x, best_v))
+    return OptimizationResult(rho=best_x, value=best_v, binding=_binding_terms(*best_at, best_v))
 
 
-def bisect_root(
-    fn: Callable[[float], float],
+def maximize_crossing(
+    branch: Branch,
     lo: float,
     hi: float,
-    tol: float = 1e-12,
-) -> float:
-    """Root of ``fn`` on [lo, hi] by bisection, to a bracket width of ``tol``
-    or to adjacent floats where their spacing is coarser than ``tol``.
+    rising: str,
+    seeds: Sequence[float],
+) -> OptimizationResult:
+    """Maximize the minimum of the terms of ``branch`` on [lo, hi], where the
+    term ``rising`` is nondecreasing and every other term is constant or
+    nonincreasing.
 
-    Requires a sign change across the interval (an endpoint sitting exactly
-    at zero counts); raises NoSignChange otherwise.
+    ``seeds`` estimate where ``rising`` meets each other term; they may be
+    off by many floats, or infinite.  The branch is evaluated at lo, hi and
+    the seeds inside the interval.  When the rising term starts below the
+    others and ends at or above them, the best seed starts a bracket on the
+    first float where it reaches them (``sign_change``).  Returns the best
+    point evaluated, ties going to the smallest rho: never below the
+    objective at the two floats around the meeting point, which bound the
+    maximum when the structure holds.
     """
     if lo > hi:
         raise EmptyInterval(f"empty interval [{lo}, {hi}]")
-    flo = float(fn(lo))
-    fhi = float(fn(hi))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise NoSignChange(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}")
-    mid = 0.5 * (lo + hi)
-    while hi - lo > tol and lo < mid < hi:
-        fmid = float(fn(mid))
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    evaluations = []  # (points, terms, objective) of every call of the branch
+
+    def reached(xs):
+        terms = branch(xs)
+        up = terms[rising]
+        others = _min_of(v for name, v in terms.items() if name != rising) if len(terms) > 1 else math.inf
+        evaluations.append((xs, terms, np.minimum(up, others)))
+        return up >= others
+
+    xs = np.array(sorted({lo, hi, *(min(max(s, lo), hi) for s in seeds if not math.isnan(s))}))
+    at_ends = reached(xs)
+    if at_ends[-1] and not at_ends[0]:
+        objective = evaluations[0][2]
+        sign_change(reached, lo, hi, float(xs[int(np.argmax(objective))]))
+
+    value = max(float(np.max(objective)) for _, _, objective in evaluations)
+    rho, terms, j = min(
+        ((float(points[j]), terms, j)
+         for points, terms, objective in evaluations
+         for j in np.flatnonzero(objective == value)),
+        key=lambda candidate: candidate[0],
+    )
+    return OptimizationResult(rho=rho, value=value, binding=_binding_terms(terms, j, value))
+
+
+def _ordinal(x: float) -> int:
+    """Position of ``x`` among the floats: adjacent floats differ by 1."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _floats(ordinals) -> np.ndarray:
+    k = np.asarray(ordinals, dtype=np.int64)
+    return np.where(k < 0, -k | np.int64(-(1 << 63)), k).view(np.float64)
+
+
+def sign_change(
+    reached: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    seed: float,
+) -> tuple[float, float]:
+    """The adjacent floats a < b in [lo, hi] where ``reached`` first turns
+    from false to true, given that it is false at ``lo`` and true at ``hi``.
+
+    ``reached`` maps an array of points to a boolean array.  The first pass
+    evaluates a ladder about ``seed``, one float apart near it and doubling
+    the distance further out; each later pass splits the bracket with 64
+    points.  A seed within 32 floats of the change costs one call, and every
+    further factor of 65 in its distance one more call.
+    """
+    a, b = _ordinal(lo), _ordinal(hi)
+    k0 = _ordinal(min(max(seed, lo), hi)) if not math.isnan(seed) else a
+    limit = 1 << 62  # keeps the offsets' bounds inside int64
+    offsets = _LADDER[(_LADDER > max(a - k0, -limit)) & (_LADDER < min(b - k0, limit))]
+    ks = k0 + offsets
+    while True:
+        if len(ks):
+            hit = np.asarray(reached(_floats(ks)), dtype=bool)
+            i = int(np.argmax(hit)) if hit.any() else len(ks)
+            if i < len(ks):
+                b = int(ks[i])
+            if i > 0:
+                a = int(ks[i - 1])
+        if b - a <= 1:
+            pair = _floats([a, b])
+            return float(pair[0]), float(pair[1])
+        n = min(b - a - 1, _SPLITS)
+        ks = np.array([a + (b - a) * j // (n + 1) for j in range(1, n + 1)], dtype=np.int64)

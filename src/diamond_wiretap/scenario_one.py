@@ -12,6 +12,15 @@ S3, S4 add the leakage-corrected terms:
     S3 = max_{0 <= rho <= rho*}   min(f1, f2, f3(0), (f3+f4)/2, f4-f5)
     S4 = max_{rho* <= rho <= 1}   min(f1, f2, f3(0), f4-f5)
 
+S1 and S2 have a monotone envelope: on rho >= 0, f4 rises while f1, f2 and
+f3 fall and f3(0) is constant.  Their maximum therefore lies at an end of
+the interval or where f4 first meets the others, and f4 = f1, f4 = f2 and
+f4 = f3 are quadratics in rho (f4 = f3(0) is linear), so they are solved at
+those crossings (``scalar_opt.maximize_crossing``).  On a plateau, where a
+constant f3(0) binds, the reported rho is the first float where f4 reaches
+it.  S3, S4 and PDF-M keep the grid search of ``maximize_min``: (f3+f4)/2 is
+not monotone, and f4-f5 meets f1, f2 and f3(0) at roots of cubics.
+
 Achievability comes from decode-and-forward (DF) and partial decode-and-
 forward with multicoding (PDF-M); plain PDF is PDF-M pinned at rho = 0.
 Every achievable rate requires the randomness budget to cover the leakage,
@@ -26,7 +35,7 @@ from typing import Mapping
 from . import rate_functions as rf
 from .errors import BudgetInfeasible, EmptyFeasibleSet
 from .rate_functions import ChannelParams, RandomnessBudget, RateValue
-from .scalar_opt import OptimizationResult, maximize_min
+from .scalar_opt import OptimizationResult, maximize_crossing, maximize_min
 
 __all__ = [
     "BoundReport",
@@ -106,8 +115,12 @@ def upper_bound(params: ChannelParams) -> BoundReport:
     """Converse bound on the scenario-1 secrecy capacity."""
     b = _branches(params)
     rs = rf.rho_star(params)
-    s1 = maximize_min(b["S1"], 0.0, rs)
-    s2 = maximize_min(b["S2"], rs, 1.0)
+
+    def meets(*others):  # where f4 meets each other term
+        return [rf.crossing(params, "f4", other) for other in others]
+
+    s1 = maximize_crossing(b["S1"], 0.0, rs, "f4", meets("f1", "f2", "f3"))
+    s2 = maximize_crossing(b["S2"], rs, 1.0, "f4", meets("f1", "f2", params.c1 + params.c2))  # f3(0) = C1 + C2
     s3 = maximize_min(b["S3"], 0.0, rs)
     s4 = maximize_min(b["S4"], rs, 1.0)
 

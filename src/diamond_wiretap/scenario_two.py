@@ -12,6 +12,18 @@ so the leakage f5 is paid on top of every cut.  The upper bound is
 T1's interval reaches down to -rho_bar, which lies below -1 for unequal
 powers; the report flags an achieving correlation outside [-1, 1].
 
+T1, T2, T3 and the DF scheme have a monotone envelope: f4 - f5 rises with
+rho (g < 1), while f1 - f5, f2 - f5 and f3 - f5 fall for rho >= 0 and each
+constant less f5 falls everywhere.  Their maximum therefore lies at an end
+of the interval or where f4 - f5 first meets the others.  The common -f5
+cancels there, so each meeting point solves f4 = f1, f4 = f2 or f4 = f3 (a
+quadratic in rho) or f4 = constant (linear), and these branches are solved
+at those crossings (``scalar_opt.maximize_crossing``).  On a plateau, for
+instance T1 with g = 0, the reported rho is the first float where f4 - f5
+reaches the others.  PDF-DF-M and PDF-PDF-M keep the grid search of
+``maximize_min``: on [-1, 0] f1 - f5 is not monotone, and PDF-PDF-M carries
+the link-condition indicator.
+
 Achievable schemes: decode-and-forward (DF), partial decode-and-forward
 where the fictitious message rides only the source-relay links (PDF-DF-M),
 and partial decode-and-forward with the fictitious message also multicoded
@@ -29,7 +41,7 @@ import numpy as np
 from . import rate_functions as rf
 from .errors import BudgetInfeasible, EmptyFeasibleSet
 from .rate_functions import ChannelParams, RandomnessBudget, RateValue
-from .scalar_opt import maximize_min
+from .scalar_opt import maximize_crossing, maximize_min
 from .scenario_one import BoundReport
 
 __all__ = [
@@ -82,10 +94,13 @@ def upper_bound(params: ChannelParams) -> BoundReport:
         a = rf.rates(params, r, ("f1", "f2", "f4", "f5"))
         return _net_of_leakage({"f1": a["f1"], "f2": a["f2"], "f3(0)": f30, "f4": a["f4"]}, a["f5"])
 
-    t1 = maximize_min(t1_terms, -rf.rho_bar(params), 0.0)
+    def meets(*others):  # where f4 meets each other term; -f5 cancels
+        return [rf.crossing(params, "f4", other) for other in others]
+
     rs = rf.rho_star(params)
-    t2 = maximize_min(t2_terms, 0.0, rs)
-    t3 = maximize_min(t3_terms, rs, 1.0)
+    t1 = maximize_crossing(t1_terms, -rf.rho_bar(params), 0.0, "f4-f5", meets(f10, f20, f30))
+    t2 = maximize_crossing(t2_terms, 0.0, rs, "f4-f5", meets("f1", "f2", "f3"))
+    t3 = maximize_crossing(t3_terms, rs, 1.0, "f4-f5", meets("f1", "f2", f30))
 
     branch, opt = max(
         (("T1", t1), ("T2", t2), ("T3", t3)),
@@ -189,7 +204,8 @@ def _achievability(
         f5 = a.pop("f5")
         return {**_net_of_leakage(a, f5), "indicator": np.where(on, np.inf, 0.0)}
 
-    df = _scheme_report(maximize_min(df_terms, -1.0, rho_max))
+    df_seeds = [rf.crossing(params, "f4", c) for c in (params.c1, params.c2)]
+    df = _scheme_report(maximize_crossing(df_terms, -1.0, rho_max, "f4-f5", df_seeds))
     pdfdfm = _scheme_report(maximize_min(pdfdfm_terms, -1.0, rho_max))
     pdfpdfm_opt = maximize_min(pdfpdfm_terms, -1.0, rho_max)
     ind_ok = multicoding_feasible(params, pdfpdfm_opt.rho)

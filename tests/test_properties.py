@@ -3,15 +3,15 @@
 Swapping the relays leaves every bound unchanged, each lower bound stays
 below its upper bound, randomness at the source only never beats randomness
 shared by all three nodes, and without an eavesdropper the two scenarios
-coincide.
+coincide.  A binding budget caps rho at the last float whose leakage fits.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from diamond_wiretap import scenario_one as s1, scenario_two as s2
+from diamond_wiretap import rate_functions as rf, scenario_one as s1, scenario_two as s2
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None)
@@ -19,6 +19,7 @@ PROPERTY = settings(max_examples=50, derandomize=True, deadline=None)
 powers = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
 links = st.floats(0.0, 5.0)
 gains = st.floats(0.0, 0.99)
+fractions = st.floats(0.0, 1.0, exclude_max=True)
 budgets = st.one_of(st.just(math.inf), st.floats(0.0, 2.0))
 
 
@@ -66,3 +67,15 @@ def test_without_eavesdropper_the_scenarios_agree(p1, p2, c1, c2, r_prime):
     v = bound_values(ChannelParams(p1, p2, c1, c2, 0.0), r_prime)
     assert abs(v["ub1"] - v["ub2"]) <= 1e-9
     assert abs(v["lb1"] - v["lb2"]) <= 1e-9
+
+
+@PROPERTY
+@given(p1=powers, p2=powers, g=gains.filter(lambda g: g > 0.0), t=fractions)
+def test_budget_cap_is_the_last_float_within_the_budget(p1, p2, g, t):
+    p = ChannelParams(p1, p2, 1.0, 1.0, g)
+    least, most = rf.f5(p, -1.0), rf.f5(p, 1.0)
+    r_prime = least + t * (most - least)
+    assume(r_prime < most)  # finite and binding: f5(-1) <= r' < f5(1)
+    rho_max = rf.f5_inverse(p, RandomnessBudget.finite(r_prime))
+    assert -1.0 <= rho_max < 1.0
+    assert rf.f5(p, rho_max) <= r_prime < rf.f5(p, math.nextafter(rho_max, 1.0))

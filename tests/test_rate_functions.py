@@ -279,3 +279,21 @@ def test_f5_inverse_monotone_in_budget():
     # the returned correlation never overshoots the budget
     for b, r in zip(budgets, roots):
         assert rf.f5(p, r) <= b + 1e-9
+
+
+def test_crossing_solves_its_equation():
+    p = ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3)
+    for other in ("f1", "f2", "f3"):
+        rho = rf.crossing(p, "f4", other)
+        assert 0.0 < rho < 1.0, other
+        assert rf.f4(p, rho) == pytest.approx(getattr(rf, other)(p, rho), abs=1e-12), other
+    rho = rf.crossing(p, "f4", 1.0)
+    assert rf.f4(p, rho) == pytest.approx(1.0, abs=1e-12)
+    rho = rf.crossing(p, "f5", 0.25)
+    assert rf.f5(p, rho) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_crossing_reports_rates_that_never_meet():
+    p = ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3)
+    assert rf.crossing(p, "f4", 600.0) == math.inf  # 2**1200 overflows
+    assert rf.crossing(ChannelParams(3.0, 0.5, 0.0, 0.0, 0.3), "f4", "f3") == -math.inf

@@ -1,12 +1,13 @@
-"""Grid + zoom-pass max-min optimizer and the bisection root finder."""
+"""The grid + zoom-pass max-min optimizer, the crossing solver for monotone
+envelopes, and the float-exact sign-change locator."""
 
 import math
 
 import numpy as np
 import pytest
 
-from diamond_wiretap.errors import EmptyInterval, NoSignChange
-from diamond_wiretap.scalar_opt import GRID_POINTS, bisect_root, maximize_min
+from diamond_wiretap.errors import EmptyInterval
+from diamond_wiretap.scalar_opt import GRID_POINTS, maximize_crossing, maximize_min, sign_change
 
 
 def lin(a, b):
@@ -125,29 +126,69 @@ def test_deterministic():
     assert a.rho == b.rho and a.value == b.value and a.binding == b.binding
 
 
-def test_bisect_root_sqrt2():
-    root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0)
-    assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
+def test_crossing_tent():
+    tent = branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0))
+    res = maximize_crossing(tent, 0.0, 1.0, "up", [0.5])
+    assert res.rho == 0.5 and res.value == 0.5
+    assert res.binding == ("up", "down")
 
 
-def test_bisect_root_decreasing():
-    root = bisect_root(lambda x: 1.0 - x, 0.0, 3.0)
-    assert root == pytest.approx(1.0, abs=1e-10)
+def test_crossing_polishes_a_far_seed_to_adjacent_floats():
+    # up meets down at 1/3, which no float hits exactly; found by stepping
+    # float by float, b is the first float where up >= down and a the last before
+    b = 1.0 / 3.0
+    while b < -2.0 * b + 1.0:
+        b = math.nextafter(b, math.inf)
+    while math.nextafter(b, -math.inf) >= -2.0 * math.nextafter(b, -math.inf) + 1.0:
+        b = math.nextafter(b, -math.inf)
+    a = math.nextafter(b, -math.inf)
+    best = max((a, b), key=lambda x: min(x, -2.0 * x + 1.0))
+    tent = branch(up=lin(1.0, 0.0), down=lin(-2.0, 1.0))
+    for seed in (0.3, 0.9, math.inf, -math.inf, math.nan):
+        res = maximize_crossing(tent, 0.0, 1.0, "up", [seed])
+        assert res.rho == best, seed
+        assert res.value == min(best, -2.0 * best + 1.0), seed
 
 
-def test_bisect_root_endpoint():
-    assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
-    assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+def test_crossing_at_the_ends():
+    # the rising term already above the other at lo, or still below it at hi
+    res = maximize_crossing(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), 0.0, 1.0, "up", [-1.5])
+    assert (res.rho, res.value) == (0.0, 1.0)
+    res = maximize_crossing(branch(up=lin(1.0, -2.0), down=lin(-1.0, 1.0)), 0.0, 1.0, "up", [1.5])
+    assert (res.rho, res.value) == (1.0, -1.0)
 
 
-def test_bisect_root_ends_where_float_spacing_exceeds_tol(deadline):
-    # near 1.4e5 adjacent floats are 2.9e-11 apart, wider than the 1e-12
-    # stop width, and no midpoint is an exact root
+def test_crossing_plateau_picks_the_first_float_reaching_it():
+    flat = branch(up=lin(1.0, 0.0), level=lin(0.0, 0.3))
+    res = maximize_crossing(flat, -1.0, 1.0, "up", [0.3 + 1e-13])
+    assert res.rho == 0.3 and res.value == 0.3
+    assert res.binding == ("up", "level")
+
+
+def test_crossing_degenerate_and_empty_intervals():
+    tent = branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0))
+    res = maximize_crossing(tent, 0.25, 0.25, "up", [0.5])
+    assert (res.rho, res.value) == (0.25, 0.25)
+    with pytest.raises(EmptyInterval):
+        maximize_crossing(tent, 1.0, 0.0, "up", [0.5])
+
+
+def test_sign_change_returns_adjacent_floats():
+    a, b = sign_change(lambda x: x * x >= 2.0, 0.0, 2.0, 1.0)
+    assert b == math.nextafter(a, math.inf)
+    assert a * a < 2.0 <= b * b
+
+
+def test_sign_change_ends_where_float_spacing_is_coarse(deadline):
+    # near 1.4e5 adjacent floats are 2.9e-11 apart, and no float is an exact root
     with deadline(10.0):
-        root = bisect_root(lambda x: x * x - 2e10 - 0.123, 0.0, 2e5)
-    assert root == pytest.approx(math.sqrt(2e10 + 0.123), rel=1e-15)
+        a, b = sign_change(lambda x: x * x - 2e10 - 0.123 >= 0.0, 0.0, 2e5, 0.0)
+    assert b == math.nextafter(a, math.inf)
+    assert a == pytest.approx(math.sqrt(2e10 + 0.123), rel=1e-15)
 
 
-def test_bisect_root_no_sign_change():
-    with pytest.raises(NoSignChange):
-        bisect_root(lambda x: x * x + 1.0, 0.0, 1.0)
+def test_sign_change_across_zero_and_from_a_nan_seed():
+    a, b = sign_change(lambda x: x >= 1e-300, -1.0, 1.0, math.nan)
+    assert a < 1e-300 <= b and b == math.nextafter(a, math.inf)
+    a, b = sign_change(lambda x: x > -0.0, -1.0, 1.0, 0.5)
+    assert a == 0.0 and b == 5e-324

@@ -148,3 +148,15 @@ def test_bounds_return_at_extreme_power_ratios(deadline, p1, p2):
     assert b.lower <= b.upper.value + 1e-7
     t1 = b.upper.sub_reports["T1"]
     assert -rf.rho_bar(p) <= t1.rho <= 0.0
+
+
+def test_t1_plateau_reports_its_left_end():
+    # g = 0 makes T1 a plateau at f2(0) once f4 reaches it; the closed-form
+    # seed for f4 = f2(0) carries cancellation error here, so the solver has
+    # to bracket the first float on the plateau rather than trust the seed
+    p = ChannelParams(0.014902002813909961, 0.024872733699457757, 1.1804134896995921, 0.01362746066604692, 0.0)
+    t1 = s2.upper_bound(p).sub_reports["T1"]
+    level = rf.f2(p, 0.0)
+    assert level < min(rf.f1(p, 0.0), rf.f3(p, 0.0))
+    assert t1.value == level
+    assert rf.f4(p, t1.rho) >= level > rf.f4(p, math.nextafter(t1.rho, -math.inf))
