@@ -11,13 +11,11 @@ closed forms against log-determinant and discrete-channel oracles.
 
 from .errors import (
     AsymmetricParams,
-    BudgetInfeasible,
     DiamondWiretapError,
     DomainError,
     EmptyFeasibleSet,
     EmptyInterval,
     InvalidPmf,
-    NoSignChange,
     ParameterError,
     SingularCovariance,
 )
@@ -32,9 +30,7 @@ __all__ = [
     "ParameterError",
     "DomainError",
     "EmptyFeasibleSet",
-    "BudgetInfeasible",
     "EmptyInterval",
-    "NoSignChange",
     "SingularCovariance",
     "InvalidPmf",
     "AsymmetricParams",

@@ -157,12 +157,11 @@ def pdf_gap_vs_power(
     Uses symmetric powers P1 = P2 = P and an unbounded budget.  The MAC term
     f4(0) - f5(0) increases to 0.5*log2(1/g), and the gap shrinks to 0.
     """
-    budget = RandomnessBudget.unbounded()
     rows = []
     for p in powers:
         params = ChannelParams(p1=p, p2=p, c1=c1, c2=c2, g=g)
         ub = scenario_one.upper_bound(params).value
-        pdf = scenario_one.pdf_rate(params, budget)
+        pdf = max(0.0, scenario_one.solve(params, "pdfm1", 0.0, 0.0).value)
         mac = rf.f4(params, 0.0) - rf.f5(params, 0.0)
         rows.append(PdfGapRow(power=float(p), upper=ub, pdf=pdf, gap=ub - pdf, mac_term=mac))
     limit = math.inf if g == 0.0 else 0.5 * math.log2(1.0 / g)
@@ -259,6 +258,8 @@ def detect_thresholds(
         lo, hi = c_lo, c_hi
         while hi - lo > bracket:
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+                break
             if strictly_ahead(mid) == on_lo:
                 lo = mid
             else:

@@ -10,9 +10,7 @@ __all__ = [
     "ParameterError",
     "DomainError",
     "EmptyFeasibleSet",
-    "BudgetInfeasible",
     "EmptyInterval",
-    "NoSignChange",
     "SingularCovariance",
     "InvalidPmf",
     "AsymmetricParams",
@@ -35,16 +33,8 @@ class EmptyFeasibleSet(DiamondWiretapError):
     """No correlation satisfies the randomness-budget constraint."""
 
 
-class BudgetInfeasible(DiamondWiretapError):
-    """The requested correlation violates the randomness-budget constraint."""
-
-
 class EmptyInterval(DiamondWiretapError, ValueError):
     """An optimization interval with lower end above the upper end."""
-
-
-class NoSignChange(DiamondWiretapError):
-    """Root bracketing failed: the function has equal signs at both ends."""
 
 
 class SingularCovariance(DiamondWiretapError):

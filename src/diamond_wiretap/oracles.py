@@ -24,6 +24,7 @@ import numpy as np
 from . import rate_functions as rf
 from .errors import InvalidPmf, SingularCovariance
 from .rate_functions import ChannelParams
+from .schemes import TABLE
 
 __all__ = [
     "GaussianSystem",
@@ -127,6 +128,8 @@ def gaussian_mi(system: GaussianSystem, spec: str) -> float:
 
 
 def _check_pmf(p: np.ndarray, what: str, axis=None) -> None:
+    if not np.all(np.isfinite(p)):
+        raise InvalidPmf(f"{what} has non-finite entries")
     if np.any(p < 0.0):
         raise InvalidPmf(f"{what} has negative entries")
     sums = p.sum() if axis is None else p.sum(axis=axis)
@@ -188,8 +191,8 @@ def dmc_rates(channel: DmcChannel, input_pmf: np.ndarray, c1: float, c2: float) 
     if pin.shape != (n1, n2):
         raise InvalidPmf(f"input pmf shape {pin.shape} does not match alphabets ({n1}, {n2})")
     _check_pmf(pin, "input pmf")
-    if c1 < 0 or c2 < 0:
-        raise InvalidPmf(f"link capacities must be nonnegative, got c1={c1}, c2={c2}")
+    if not (0.0 <= c1 < math.inf and 0.0 <= c2 < math.inf):
+        raise InvalidPmf(f"link capacities must be finite and nonnegative, got c1={c1}, c2={c2}")
 
     pxy = pin[:, :, None] * channel.transition.sum(axis=3)  # p(x1, x2, y)
     pxz = pin[:, :, None] * channel.transition.sum(axis=2)  # p(x1, x2, z)
@@ -215,23 +218,15 @@ def dmc_rates(channel: DmcChannel, input_pmf: np.ndarray, c1: float, c2: float) 
         "I(X1;Z)": h_x1 + h_z - h_x1z,
         "I(X2;Z)": h_x2 + h_z - h_x2z,
     }
-    iy, iz = mi["I(X1,X2;Y)"], mi["I(X1,X2;Z)"]
-    iy1, iy2 = mi["I(X1;Y|X2)"], mi["I(X2;Y|X1)"]
-    i12 = mi["I(X1;X2)"]
-
-    df1 = max(0.0, min(c1, c2, iy - iz))
-    pdfm1 = max(0.0, min(c1 + iy2, c2 + iy1, c1 + c2 - i12, iy - iz))
-    df2 = max(0.0, min(c1, c2, iy) - iz)
-    pdfdfm2 = max(0.0, min(c1 + iy2 - iz, c2 + iy1 - iz, c1 + c2 - i12 - 2.0 * iz, iy - iz))
-    if c1 > mi["I(X1;Z)"] and c2 > mi["I(X2;Z)"]:
-        pdfpdfm2 = max(0.0, min(c1 + iy2, c2 + iy1, c1 + c2 - i12, iy) - iz)
-    else:
-        pdfpdfm2 = 0.0
-
-    return DmcRates(
-        df1=df1, pdfm1=pdfm1, df2=df2, pdfdfm2=pdfdfm2, pdfpdfm2=pdfpdfm2,
-        r_prime=iz, mi=mi,
-    )
+    # the rates of schemes.TABLE, from the mutual informations of this input
+    r = {
+        "C1": c1, "C2": c2,
+        "f1": c1 + mi["I(X2;Y|X1)"], "f2": c2 + mi["I(X1;Y|X2)"], "f3": c1 + c2 - mi["I(X1;X2)"],
+        "f4": mi["I(X1,X2;Y)"], "f5": mi["I(X1,X2;Z)"], "f6": mi["I(X1;Z)"], "f7": mi["I(X2;Z)"],
+    }
+    rates = {name: max(0.0, float(min(TABLE[name].terms(r).values())))
+             for name in ("df1", "pdfm1", "df2", "pdfdfm2", "pdfpdfm2")}
+    return DmcRates(**rates, r_prime=r["f5"], mi=mi)
 
 
 def load_dmc(path: str) -> tuple[DmcChannel, np.ndarray, float, float]:

@@ -4,7 +4,7 @@ A branch is one callable that maps an array of evaluation points (or one
 point) to its terms, ``{name: values}`` in binding order.  Every bound is the
 maximum over an interval of the minimum of a branch's terms.  Which of the
 two solvers below a branch uses is fixed by the proven structure of its
-terms; no branch has a choice of solver.
+terms, as ``schemes`` sets out; no branch has a choice of solver.
 
 ``maximize_crossing`` solves the branches with a monotone envelope: one
 rising term (nondecreasing on the interval) and other terms that are each
@@ -14,13 +14,11 @@ lies at an end of the interval or where the rising term first meets the
 others.  The solver evaluates the branch at both ends and at closed-form
 seeds for those meeting points, then closes a bracket on the two adjacent
 floats where "rising term minus the minimum of the others" changes sign.
-These are S1, S2 of scenario 1 and T1, T2, T3 and DF of scenario 2.
 
-``maximize_min`` handles the rest (S3, S4, PDF-M, PDF-DF-M, PDF-PDF-M),
-whose crossings are cubic or whose terms are not monotone: a uniform
-4097-point grid locates the best bracket, then a fixed number of zoom passes
-re-grid the bracket around the best point, each with one call of the branch
-on the whole array.  A refined candidate is only accepted when it beats the
+``maximize_min`` handles the rest, whose crossings are cubic or whose terms
+are not monotone: a uniform 4097-point grid locates the best bracket, then a
+fixed number of zoom passes re-grid the bracket around the best point, each
+with one call of the branch on the whole array.  A refined candidate is only accepted when it beats the
 best point so far, so the returned value never falls below the objective at
 any grid point.  The pass count is fixed, so every call ends, even where
 float spacing is coarser than the bracket.

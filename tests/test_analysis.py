@@ -106,6 +106,18 @@ def test_detect_thresholds_no_crossing():
     assert rep.crossings == ()
 
 
+def test_detect_thresholds_ends_where_float_spacing_exceeds_tol(deadline):
+    # a tolerance below the float spacing at a crossing once made the
+    # bisection loop forever; it now stops at adjacent floats
+    with deadline(20.0):
+        fine = analysis.detect_thresholds(1.0, 0.1, 1, steps=21, tol=1e-20)
+    coarse = analysis.detect_thresholds(1.0, 0.1, 1, steps=21)
+    assert len(fine.crossings) == len(coarse.crossings) == 2
+    for a, b in zip(fine.crossings, coarse.crossings):
+        assert a.c == pytest.approx(b.c, abs=1e-4)
+        assert a.schemes == b.schemes
+
+
 def test_detect_thresholds_validation():
     with pytest.raises(ValueError):
         analysis.detect_thresholds(1.0, 0.1, 3)

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, flag validation."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -258,6 +259,22 @@ def test_dmc_missing_and_malformed_file(capsys, tmp_path):
     bad.write_text("{not json")
     rc, _, err = run(capsys, "dmc", "--file", str(bad))
     assert rc == 1
+
+
+def test_dmc_non_finite_capacity_exits_1(capsys, tmp_path):
+    t = np.full((2, 2, 2, 2), 0.25)
+    doc = {
+        "alphabet_sizes": [2, 2, 2, 2],
+        "transition": t.reshape(-1).tolist(),
+        "input_pmf": [0.25] * 4,
+        "c1": math.nan,
+        "c2": 1.0,
+    }
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(doc))  # writes the bare token NaN, which json reads back
+    rc, out, err = run(capsys, "dmc", "--file", str(path))
+    assert rc == 1
+    assert out == "" and "c1=nan" in err
 
 
 def test_eval_extreme_power_ratio_returns():

@@ -7,8 +7,8 @@ not fall below any point of the fine grid; S3 and S4 come from the grid
 search and may fall short by round-off (1e-12).
 
 The objectives are written out again here from the branch formulas in the
-scenario modules' docstrings, independently of the term lists the modules
-pass to the optimizer."""
+scenario modules' docstrings, independently of the term lists of
+``schemes.TABLE``."""
 
 import numpy as np
 import pytest
@@ -89,11 +89,11 @@ def test_solved_branches_have_a_monotone_envelope(i, p, monkeypatch):
     over the widest interval, that of an unbounded budget) has its rising
     term nondecreasing and every other term nonincreasing, sampled finely."""
     calls = []
-    for module in (s1, s2):
-        def record(branch, lo, hi, rising, seeds, solve=module.maximize_crossing):
-            calls.append((branch, lo, hi, rising))
-            return solve(branch, lo, hi, rising, seeds)
-        monkeypatch.setattr(module, "maximize_crossing", record)
+
+    def record(branch, lo, hi, rising, seeds, solve=s1.maximize_crossing):
+        calls.append((branch, lo, hi, rising))
+        return solve(branch, lo, hi, rising, seeds)
+    monkeypatch.setattr(s1, "maximize_crossing", record)  # scenario_one.solve serves both scenarios
     s1.bounds(p, RandomnessBudget.unbounded())
     s2.bounds(p, RandomnessBudget.unbounded())
     assert len(calls) == 6

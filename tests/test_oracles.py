@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from diamond_wiretap import oracles, rate_functions as rf
+from diamond_wiretap import oracles, rate_functions as rf, schemes
 from diamond_wiretap.errors import InvalidPmf, SingularCovariance
 from diamond_wiretap.oracles import DmcChannel, GaussianSystem
 from diamond_wiretap.rate_functions import ChannelParams
@@ -139,6 +139,21 @@ def test_dmc_channel_validation():
         DmcChannel(np.full((2, 2, 2), 0.5))
 
 
+def test_dmc_rejects_non_finite_inputs():
+    t = np.full((2, 2, 2, 2), 0.25)
+    nan_transition = t.copy()
+    nan_transition[0, 0, 0, 0] = math.nan
+    with pytest.raises(InvalidPmf):
+        DmcChannel(nan_transition)
+    nan_pmf = UNIFORM.copy()
+    nan_pmf[0, 0] = math.nan
+    with pytest.raises(InvalidPmf):
+        oracles.dmc_rates(identity_y_channel(), nan_pmf, c1=1.0, c2=1.0)
+    for c1, c2 in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(InvalidPmf):
+            oracles.dmc_rates(identity_y_channel(), UNIFORM, c1=c1, c2=c2)
+
+
 def _write_doc(path, alphabet, transition, pmf, c1, c2):
     doc = {
         "alphabet_sizes": alphabet,
@@ -199,6 +214,26 @@ def test_discretized_gaussian_tracks_closed_forms():
     assert rates.mi["I(X1,X2;Y)"] == pytest.approx(rf.f4(p, 0.0), abs=0.02)
     assert rates.r_prime == pytest.approx(rf.f5(p, 0.0), abs=0.02)
     assert rates.df1 == pytest.approx(rf.f4(p, 0.0) - rf.f5(p, 0.0), abs=0.04)
+
+
+@pytest.mark.parametrize("p1, p2, g, c1, c2", [(1.0, 1.0, 0.2, 5.0, 5.0), (1.0, 2.0, 0.3, 0.4, 0.6), (2.0, 1.0, 0.1, 0.5, 0.3)])
+def test_discretized_gaussian_converges_to_the_table(p1, p2, g, c1, c2):
+    # independent inputs are rho = 0; each doubling of the bins must not move
+    # any of the five DMC rates away from the table's Gaussian rate there
+    p = ChannelParams(p1=p1, p2=p2, c1=c1, c2=c2, g=g)
+    names = ("df1", "pdfm1", "df2", "pdfdfm2", "pdfpdfm2")
+    at_zero = {}
+    for name in names:
+        branch, _ = schemes.gaussian(p, name)
+        at_zero[name] = max(0.0, float(min(branch(0.0).values())))
+    errors = []
+    for n in (8, 16, 32):
+        chan, pmf = oracles.discretized_gaussian_channel(p1, p2, g, n_input=n, n_output=3 * n // 2)
+        rates = oracles.dmc_rates(chan, pmf, c1=c1, c2=c2)
+        errors.append([abs(getattr(rates, name) - at_zero[name]) for name in names])
+    for coarse, fine in zip(errors, errors[1:]):
+        assert all(f <= c for c, f in zip(coarse, fine)), errors
+    assert max(errors[-1]) < 0.02, errors
 
 
 def test_singular_covariance_detected():

@@ -7,7 +7,7 @@ import pytest
 
 from diamond_wiretap import rate_functions as rf
 from diamond_wiretap import scenario_one as s1
-from diamond_wiretap.errors import BudgetInfeasible
+from diamond_wiretap import schemes
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 
 UNBOUNDED = RandomnessBudget.unbounded()
@@ -20,6 +20,12 @@ F45_AT_0_P1 = 0.660964047444  # f4 - f5 at rho = 0, p = 1, g = 0.1
 
 def params(c, p=10.0, g=0.1):
     return ChannelParams.symmetric(p, c, g)
+
+
+def table_rate(p, name, rho):
+    """The rate of ``schemes.TABLE[name]`` on the Gaussian channel at ``rho``, clamped at 0."""
+    branch, _ = schemes.gaussian(p, name)
+    return max(0.0, float(min(branch(rho).values())))
 
 
 def test_upper_bound_cut_limited():
@@ -42,30 +48,20 @@ def test_upper_bound_mac_limited():
 def test_df_rate_monotone_and_capped():
     p = params(2.0)
     rhos = [0.0, 0.3, 0.6, 0.9, 1.0]
-    vals = [s1.df_rate(p, UNBOUNDED, r) for r in rhos]
+    vals = [table_rate(p, "df1", r) for r in rhos]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(F45_AT_1, abs=1e-9)
     # links below the MAC term cap the rate at c
-    assert s1.df_rate(params(0.3), UNBOUNDED, 1.0) == pytest.approx(0.3, abs=1e-12)
-
-
-def test_budget_gate_on_schemes():
-    p = params(1.0, p=1.0)
-    tight = RandomnessBudget.finite(0.01)
-    # f5(0.9) well above the budget
-    with pytest.raises(BudgetInfeasible):
-        s1.df_rate(p, tight, 0.9)
-    with pytest.raises(BudgetInfeasible):
-        s1.pdf_m_rate(p, tight, 0.9)
+    assert table_rate(params(0.3), "df1", 1.0) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_pdf_m_rate_frozen_point():
-    assert s1.pdf_m_rate(params(1.0), UNBOUNDED, 0.5) == pytest.approx(MIN_AT_HALF, abs=1e-9)
+    assert table_rate(params(1.0), "pdfm1", 0.5) == pytest.approx(MIN_AT_HALF, abs=1e-9)
 
 
 def test_pdf_equals_pdf_m_at_zero():
     p = params(0.8)
-    assert s1.pdf_rate(p, UNBOUNDED) == pytest.approx(s1.pdf_m_rate(p, UNBOUNDED, 0.0), abs=1e-12)
+    assert s1.bounds(p, UNBOUNDED).lower_pdf.value == pytest.approx(table_rate(p, "pdfm1", 0.0), abs=1e-12)
 
 
 def test_bounds_tight_in_link_limited_regime():

@@ -8,6 +8,7 @@ import pytest
 from diamond_wiretap import rate_functions as rf
 from diamond_wiretap import scenario_one as s1
 from diamond_wiretap import scenario_two as s2
+from diamond_wiretap import schemes
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 
 UNBOUNDED = RandomnessBudget.unbounded()
@@ -21,6 +22,17 @@ PDFDFM_SPOT = 1.25728658641     # p1 = 10, p2 = 1, c1 = 2, c2 = 4, g = 0.1, rho 
 
 def params(c, p=10.0, g=0.1):
     return ChannelParams.symmetric(p, c, g)
+
+
+def table_terms(p, name, rho):
+    """The terms of ``schemes.TABLE[name]`` on the Gaussian channel at ``rho``."""
+    branch, _ = schemes.gaussian(p, name)
+    return branch(rho)
+
+
+def table_rate(p, name, rho):
+    """The rate of ``schemes.TABLE[name]`` at ``rho``, clamped at 0."""
+    return max(0.0, float(min(table_terms(p, name, rho).values())))
 
 
 def test_upper_bound_middle_branch():
@@ -46,7 +58,7 @@ def test_upper_bound_left_branch_can_leave_unit_interval():
 
 
 def test_df_rate_frozen_point():
-    assert s2.df_rate(params(0.05, p=1.0), UNBOUNDED, -0.9) == pytest.approx(DF_SPOT, abs=1e-9)
+    assert table_rate(params(0.05, p=1.0), "df2", -0.9) == pytest.approx(DF_SPOT, abs=1e-9)
 
 
 def test_df_prefers_interior_negative_rho():
@@ -59,7 +71,7 @@ def test_df_prefers_interior_negative_rho():
 
 def test_pdf_df_m_rate_frozen_point():
     p = ChannelParams(p1=10.0, p2=1.0, c1=2.0, c2=4.0, g=0.1)
-    assert s2.pdf_df_m_rate(p, UNBOUNDED, 0.0) == pytest.approx(PDFDFM_SPOT, abs=1e-9)
+    assert table_rate(p, "pdfdfm2", 0.0) == pytest.approx(PDFDFM_SPOT, abs=1e-9)
 
 
 def test_multicoding_condition_is_strict():
@@ -67,13 +79,13 @@ def test_multicoding_condition_is_strict():
     c_eq = rf.f6(base, 0.0)
     # equality on both links fails the strict test
     p_eq = ChannelParams.symmetric(10.0, c_eq, 0.1)
-    assert not s2.multicoding_feasible(p_eq, 0.0)
+    assert table_terms(p_eq, "pdfpdfm2", 0.0)["indicator"] == 0.0
     p_above = ChannelParams.symmetric(10.0, c_eq + 1e-9, 0.1)
-    assert s2.multicoding_feasible(p_above, 0.0)
-    assert s2.pdf_pdf_m_rate(p_eq, UNBOUNDED, 0.0) == 0.0
+    assert table_terms(p_above, "pdfpdfm2", 0.0)["indicator"] == math.inf
+    assert table_rate(p_eq, "pdfpdfm2", 0.0) == 0.0
     # with ample links the condition holds and the rate is the leakage-corrected cut
     expected = min(2.0 * 1.0, rf.f4(base, 0.0)) - rf.f5(base, 0.0)
-    assert s2.pdf_pdf_m_rate(base, UNBOUNDED, 0.0) == pytest.approx(expected, abs=1e-9)
+    assert table_rate(base, "pdfpdfm2", 0.0) == pytest.approx(expected, abs=1e-9)
 
 
 def test_bounds_coincide_at_capacity_point():
