@@ -50,6 +50,7 @@ __all__ = [
     "f7",
     "rho_star",
     "rho_bar",
+    "rho_h",
     "crossing",
     "f5_inverse",
 ]
@@ -241,26 +242,70 @@ def rho_bar(params: ChannelParams) -> float:
     return (params.p1 + params.p2) / (2.0 * math.sqrt(params.p1 * params.p2))
 
 
-def crossing(params: ChannelParams, term: str, other) -> float:
-    """Largest rho where ``term`` ("f4" or "f5") meets ``other``: a rate level,
-    or one of the functions "f1", "f2", "f3".
+def rho_h(params: ChannelParams) -> float:
+    """Peak of the concave (f3 + f4)/2 on [0, 1]: it rises before, falls after.
 
-    With w = 1 for f4 and w = g for f5, each equation reads
+    rho_h is the positive root of 3*k*rho^2 + (1 + P1 + P2)*rho - k = 0 with
+    k = sqrt(P1*P2); it lies strictly inside (0, rho_star).
+    """
+    b = 1.0 + params.p1 + params.p2
+    return 2.0 * math.sqrt(params.p1 * params.p2) / (b + math.sqrt(b * b + 12.0 * params.p1 * params.p2))
+
+
+# The terms whose meeting points ``crossing`` finds by Newton's method, as
+# weights on f1..f5, and each of f1..f5 as (value, slope * ln 2) at rho in
+# [0, 1], in plain floats: q = 1 - rho^2, k = sqrt(P1*P2), s = s(rho).
+_WEIGHTS = {"f4-f5": {"f4": 1.0, "f5": -1.0}, "(f3+f4)/2": {"f3": 0.5, "f4": 0.5}}
+_SLOPED = {
+    "f1": lambda p, r, q, k, s: (p.c1 + 0.5 * math.log2(1.0 + q * p.p2), -r * p.p2 / (1.0 + q * p.p2)),
+    "f2": lambda p, r, q, k, s: (p.c2 + 0.5 * math.log2(1.0 + q * p.p1), -r * p.p1 / (1.0 + q * p.p1)),
+    "f3": lambda p, r, q, k, s: (p.c1 + p.c2 + 0.5 * math.log2(q), -r / q) if q > 0.0 else (-math.inf, -math.inf),
+    "f4": lambda p, r, q, k, s: (0.5 * math.log2(1.0 + s), k / (1.0 + s)),
+    "f5": lambda p, r, q, k, s: (0.5 * math.log2(1.0 + p.g * s), p.g * k / (1.0 + p.g * s)),
+}
+_LN2 = math.log(2.0)
+# Newton's method takes at most _NEWTON_STEPS steps and stops at a step of
+# _SEED_FLOATS floats or fewer; a seed that close costs
+# ``scalar_opt.sign_change`` one call.
+_NEWTON_STEPS = 40
+_SEED_FLOATS = 16
+
+
+def crossing(params: ChannelParams, term: str, other) -> float:
+    """Where ``term`` meets ``other``: a rate level, one of the functions
+    "f1", "f2", "f3", or, for the term "f4-f5", also "(f3+f4)/2".
+
+    For ``term`` "f4" or "f5", the largest root.  With w = 1 for f4 and
+    w = g for f5, each equation reads
 
         1 + w*s(rho) = A*(u + k*(1 - rho^2))
 
     with (A, u, k) = (2^(2L), 1, 0) for a level L, (2^(2 C1), 1, P2) for f1,
     (2^(2 C2), 1, P1) for f2 and (2^(2 (C1+C2)), 0, 1) for f3: linear in rho
-    for a level, a quadratic otherwise.  The result is a seed, not a final
-    answer: cancellation in 1 + w*(P1+P2) - A*(u+k) can put it hundreds of
-    floats from the float where the two rates meet, and near rho = 0, where
-    floats are dense, far more; callers that need that float bracket it
-    (``scalar_opt.sign_change``).  Returns -inf when
-    ``term`` lies above ``other`` for every rho, and +inf when it lies below
-    (or when A overflows).
+    for a level, a quadratic otherwise.  Cancellation in
+    1 + w*(P1+P2) - A*(u+k) can put this root hundreds of floats from the
+    float where the two rates meet, and near rho = 0, where floats are
+    dense, far more.
+
+    For ``term`` "f4-f5" or "(f3+f4)/2", the root on the part of [0, 1]
+    where term - other rises: f4 - f5 rises and f1, f2, f3 fall on all of
+    it, while (f3+f4)/2 rises up to its peak ``rho_h`` and falls after, so
+    it is met as a term on [0, rho_h] and as the other on [rho_h, 1].
+    These equations are cubics or quartics in rho.  Newton's method on
+    term - other, in plain floats, steps in t = -ln(1 - rho), where the log
+    singularity of f3 at rho = 1 is linear, and falls back on bisection when
+    a step leaves the bracket.  For f4 - f5 it starts from the root of f4;
+    it stops within a few floats of where the two rates meet.
+
+    The result is a seed, not a final answer: callers that need the float
+    where the rates meet bracket it (``scalar_opt.sign_change``).  Returns
+    -inf when ``term`` lies at or above ``other`` on the whole range, and
+    +inf when it lies below (or when A overflows).
     """
+    if term in _WEIGHTS:
+        return _newton_crossing(params, term, other)
     if term not in ("f4", "f5"):
-        raise ValueError(f"crossing solves for f4 or f5, got {term!r}")
+        raise ValueError(f"crossing solves for f4, f5, f4-f5 or (f3+f4)/2, got {term!r}")
     w = 1.0 if term == "f4" else params.g
     if other == "f1":
         e, u, k = params.c1, 1.0, params.p2
@@ -283,6 +328,52 @@ def crossing(params: ChannelParams, term: str, other) -> float:
     if den > 0.0:
         return -c / den
     return math.inf if c < 0.0 else -math.inf
+
+
+def _newton_crossing(params: ChannelParams, term: str, other) -> float:
+    """``crossing`` for the terms of ``_WEIGHTS``."""
+    weights = dict(_WEIGHTS[term])
+    level = 0.0
+    if isinstance(other, str):
+        for name, c in _WEIGHTS.get(other, {other: 1.0}).items():
+            weights[name] = weights.get(name, 0.0) - c
+    else:
+        level = float(other)
+    forms = [(c, _SLOPED[name]) for name, c in weights.items()]
+    peak = rho_h(params)
+    a = peak if other == "(f3+f4)/2" else 0.0
+    b = peak if term == "(f3+f4)/2" else 1.0
+    k = math.sqrt(params.p1 * params.p2)
+
+    def rise(r):  # term - other at r, and its slope times ln 2
+        q, s = 1.0 - r * r, params.p1 + params.p2 + 2.0 * k * r
+        v, d = -level, 0.0
+        for c, form in forms:
+            fv, fd = form(params, r, q, k, s)
+            v, d = v + c * fv, d + c * fd
+        return v, d
+
+    if rise(a)[0] >= 0.0:
+        return -math.inf
+    if rise(b)[0] < 0.0:
+        return math.inf
+    x = crossing(params, "f4", other) if term == "f4-f5" and other != "(f3+f4)/2" else math.nan
+    if not a < x < b:
+        x = 0.5 * (a + b)
+    for _ in range(_NEWTON_STEPS):
+        v, d = rise(x)
+        if v < 0.0:
+            a = x
+        else:
+            b = x
+        # the step in t = -ln(1 - rho) never passes 1
+        y = 1.0 - (1.0 - x) * math.exp(min(v * _LN2 / (d * (1.0 - x)), 700.0)) if d > 0.0 else math.nan
+        if abs(y - x) <= _SEED_FLOATS * math.ulp(x):
+            return y
+        if not a < y < b:
+            y = 0.5 * (a + b)
+        x = y
+    return x
 
 
 def f5_inverse(params: ChannelParams, budget: RandomnessBudget) -> float:

@@ -6,22 +6,24 @@ maximum over an interval of the minimum of a branch's terms.  Which of the
 two solvers below a branch uses is fixed by the proven structure of its
 terms, as ``schemes`` sets out; no branch has a choice of solver.
 
-``maximize_crossing`` solves the branches with a monotone envelope: one
-rising term (nondecreasing on the interval) and other terms that are each
-constant or nonincreasing.  Their minimum rises with the rising term until
-it first reaches the others and falls with them afterwards, so the maximum
-lies at an end of the interval or where the rising term first meets the
-others.  The solver evaluates the branch at both ends and at closed-form
-seeds for those meeting points, then closes a bracket on the two adjacent
-floats where "rising term minus the minimum of the others" changes sign.
+``maximize_crossing`` solves the branches with a monotone envelope: one or
+more rising terms (nondecreasing on the interval) and other terms that are
+each constant or nonincreasing.  Their minimum rises with the rising
+minimum until it first reaches the others and falls with them afterwards,
+so the maximum lies at an end of the interval or where the rising minimum
+first meets the others.  The solver evaluates the branch at both ends and,
+when the two meet in between, closes a bracket from a seed for the meeting
+point on the two adjacent floats where "rising minimum minus the minimum
+of the others" changes sign.
 
-``maximize_min`` handles the rest, whose crossings are cubic or whose terms
-are not monotone: a uniform 4097-point grid locates the best bracket, then a
-fixed number of zoom passes re-grid the bracket around the best point, each
-with one call of the branch on the whole array.  A refined candidate is only accepted when it beats the
-best point so far, so the returned value never falls below the objective at
-any grid point.  The pass count is fixed, so every call ends, even where
-float spacing is coarser than the bracket.
+``maximize_min`` handles the rest, whose terms are not monotone, and the
+degenerate intervals: a uniform 4097-point grid locates the best bracket,
+then a fixed number of zoom passes re-grid the bracket around the best
+point, each with one call of the branch on the whole array.  A refined
+candidate is only accepted when it beats the best point so far, so the
+returned value never falls below the objective at any grid point.  The pass
+count is fixed, so every call ends, even where float spacing is coarser
+than the bracket.
 
 Both solvers return the best point they evaluated, and break ties toward the
 smallest argmax: on a plateau of the maximum, the first float where the
@@ -146,38 +148,38 @@ def maximize_crossing(
     branch: Branch,
     lo: float,
     hi: float,
-    rising: str,
-    seeds: Sequence[float],
+    rising: str | Sequence[str],
+    seed: Callable[[], float],
 ) -> OptimizationResult:
     """Maximize the minimum of the terms of ``branch`` on [lo, hi], where the
-    term ``rising`` is nondecreasing and every other term is constant or
-    nonincreasing.
+    term ``rising``, or each of the terms it names, is nondecreasing and
+    every other term is constant or nonincreasing.
 
-    ``seeds`` estimate where ``rising`` meets each other term; they may be
-    off by many floats, or infinite.  The branch is evaluated at lo, hi and
-    the seeds inside the interval.  When the rising term starts below the
-    others and ends at or above them, the best seed starts a bracket on the
-    first float where it reaches them (``sign_change``).  Returns the best
-    point evaluated, ties going to the smallest rho: never below the
-    objective at the two floats around the meeting point, which bound the
-    maximum when the structure holds.
+    The minimum of the rising terms rises too.  The branch is evaluated at
+    lo and hi.  When the rising minimum starts below the others and ends at
+    or above them, ``seed()`` estimates where it first reaches them, and
+    starts a bracket on that float (``sign_change``); the estimate may be
+    off by many floats, or infinite, and is not asked for otherwise.
+    Returns the best point evaluated, ties going to the smallest rho: never
+    below the objective at the two floats around the meeting point, which
+    bound the maximum when the structure holds.
     """
     if lo > hi:
         raise EmptyInterval(f"empty interval [{lo}, {hi}]")
+    rising = (rising,) if isinstance(rising, str) else tuple(rising)
     evaluations = []  # (points, terms, objective) of every call of the branch
 
     def reached(xs):
         terms = branch(xs)
-        up = terms[rising]
-        others = _min_of(v for name, v in terms.items() if name != rising) if len(terms) > 1 else math.inf
+        up = _min_of(terms[name] for name in rising)
+        rest = [v for name, v in terms.items() if name not in rising]
+        others = _min_of(rest) if rest else math.inf
         evaluations.append((xs, terms, np.minimum(up, others)))
         return up >= others
 
-    xs = np.array(sorted({lo, hi, *(min(max(s, lo), hi) for s in seeds if not math.isnan(s))}))
-    at_ends = reached(xs)
+    at_ends = reached(np.array([lo, hi]))
     if at_ends[-1] and not at_ends[0]:
-        objective = evaluations[0][2]
-        sign_change(reached, lo, hi, float(xs[int(np.argmax(objective))]))
+        sign_change(reached, lo, hi, seed())
 
     value = max(float(np.max(objective)) for _, _, objective in evaluations)
     rho, terms, j = min(

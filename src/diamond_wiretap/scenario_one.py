@@ -12,12 +12,18 @@ S3, S4 add the leakage-corrected terms:
     S3 = max_{0 <= rho <= rho*}   min(f1, f2, f3(0), (f3+f4)/2, f4-f5)
     S4 = max_{rho* <= rho <= 1}   min(f1, f2, f3(0), f4-f5)
 
+(f3+f4)/2 peaks at rho_h inside (0, rho*), so S3 is the better of its two
+pieces on [0, rho_h] and [rho_h, rho*], ties going to the smaller rho.
+
 Achievability comes from decode-and-forward (DF) and partial decode-and-
 forward with multicoding (PDF-M); plain PDF is PDF-M pinned at rho = 0.
 Every achievable rate requires the randomness budget to cover the leakage,
 R' >= f5(rho).  The terms of every branch and scheme live in
 ``schemes.TABLE``, whose docstring also says which solver each one gets;
-``solve`` is the one route from the table to an optimum.
+``solve`` is the one route from the table to an optimum.  Every branch and
+scheme here is solved at its crossings; the grid search only evaluates
+degenerate intervals: DF at the budget cap, PDF at rho = 0, and PDF-M when
+the budget leaves no nonnegative rho.
 """
 
 from __future__ import annotations
@@ -81,11 +87,24 @@ def solve(params: ChannelParams, name: str, lo: float, hi: float) -> Optimizatio
     with the solver its structure fixes (see ``schemes``)."""
     entry = schemes.TABLE[name]
     branch, fixed = schemes.gaussian(params, name)
-    if entry.rising is None:
+    if not entry.rising or lo == hi:
         return maximize_min(branch, lo, hi)
-    # where f4 meets each other rate: a constant by its value, f1..f3 by name
-    seeds = [rf.crossing(params, "f4", fixed.get(other, other)) for other in entry.meets]
-    return maximize_crossing(branch, lo, hi, entry.rising, seeds)
+
+    def seed():
+        # each rising term first reaches the others where it meets the
+        # first of them, and their minimum where the last of them does
+        return max(min(_meeting(params, fixed, up, other) for other in entry.meets) for up in entry.rising)
+
+    return maximize_crossing(branch, lo, hi, entry.rising, seed)
+
+
+def _meeting(params: ChannelParams, fixed: Mapping, up: str, other: str) -> float:
+    """Where the rising term ``up`` meets the term ``other``, by
+    ``rate_functions.crossing``: a rho-free rate by its value, f1..f3 by
+    name, and the leakage f5 that both terms may subtract cancels."""
+    if up.endswith("-f5") and other.endswith("-f5"):
+        up, other = up[:-3], other[:-3]
+    return rf.crossing(params, up, fixed.get(other, other))
 
 
 def _scheme_report(opt: OptimizationResult, note: str | None = None) -> BoundReport:
@@ -105,7 +124,12 @@ def upper_bound(params: ChannelParams) -> BoundReport:
     rs = rf.rho_star(params)
     s1 = solve(params, "S1", 0.0, rs)
     s2 = solve(params, "S2", rs, 1.0)
-    s3 = solve(params, "S3", 0.0, rs)
+    # S3 is the better of its pieces on either side of the peak of (f3+f4)/2;
+    # rho_star loses its digits to cancellation when P1*P2 is tiny, and can
+    # then fall below rho_h
+    rh = min(rf.rho_h(params), rs)
+    s3a, s3b = solve(params, "S3a", 0.0, rh), solve(params, "S3b", rh, rs)
+    s3 = s3a if s3a.value >= s3b.value else s3b
     s4 = solve(params, "S4", rs, 1.0)
 
     left = ("S1", s1) if s1.value >= s2.value else ("S2", s2)

@@ -2,9 +2,9 @@
 optimum must not fall short of the objective's maximum, and the value each
 branch reports must be what its own terms give at the reported rho.
 
-S1, S2 and T1..T3 are solved exactly at their crossings, so their values may
-not fall below any point of the fine grid; S3 and S4 come from the grid
-search and may fall short by round-off (1e-12).
+Every branch is solved exactly at its crossings (S3 as two pieces, either
+side of the peak of (f3+f4)/2), so no value may fall below any point of the
+fine grid.
 
 The objectives are written out again here from the branch formulas in the
 scenario modules' docstrings, independently of the term lists of
@@ -20,7 +20,6 @@ from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 
 FINE_POINTS = 2**16 + 1
 DRAWS = 30
-SOLVED_AT_CROSSINGS = ("S1", "S2", "T1", "T2", "T3")
 
 
 def criterion_08_draws(n):
@@ -71,8 +70,7 @@ def test_upper_bound_branches_are_sound(i, p):
     for name, (objective, lo, hi) in branch_objectives(p).items():
         rep = reports[name]
         fine_max = float(np.max(objective(np.linspace(lo, hi, FINE_POINTS))))
-        slack = 0.0 if name in SOLVED_AT_CROSSINGS else 1e-12
-        assert rep.value >= fine_max - slack, (i, name, rep.value, fine_max)
+        assert rep.value >= fine_max, (i, name, rep.value, fine_max)
         assert lo <= rep.rho <= hi, (i, name, rep.rho, lo, hi)
         # a few ulps of slack, for libm builds that round a 1-element array
         # differently from a long one
@@ -85,22 +83,43 @@ STRUCTURE_POINTS = 4097
 
 @pytest.mark.parametrize("i, p", list(enumerate(criterion_08_draws(DRAWS))))
 def test_solved_branches_have_a_monotone_envelope(i, p, monkeypatch):
-    """Each branch handed to the crossing solver (S1, S2, T1..T3 and DF; DF
-    over the widest interval, that of an unbounded budget) has its rising
-    term nondecreasing and every other term nonincreasing, sampled finely."""
+    """Each piece handed to the crossing solver (S1, S2, both pieces of S3,
+    S4, PDF-M, T1..T3 and scenario-2 DF; the schemes over the widest
+    interval, that of an unbounded budget) has each of its rising terms
+    nondecreasing and every other term nonincreasing, sampled finely."""
     calls = []
 
-    def record(branch, lo, hi, rising, seeds, solve=s1.maximize_crossing):
+    def record(branch, lo, hi, rising, seed, solve=s1.maximize_crossing):
         calls.append((branch, lo, hi, rising))
-        return solve(branch, lo, hi, rising, seeds)
+        return solve(branch, lo, hi, rising, seed)
     monkeypatch.setattr(s1, "maximize_crossing", record)  # scenario_one.solve serves both scenarios
     s1.bounds(p, RandomnessBudget.unbounded())
     s2.bounds(p, RandomnessBudget.unbounded())
-    assert len(calls) == 6
+    assert len(calls) == 10
+    assert sum(len(rising) == 2 for _, _, _, rising in calls) == 1  # S3 up to the peak of (f3+f4)/2
     for branch, lo, hi, rising in calls:
         rho = np.linspace(lo, hi, STRUCTURE_POINTS)
         terms = branch(rho)
-        assert np.all(np.diff(terms[rising]) >= 0.0), (i, rising, lo, hi)
         for name, values in terms.items():
-            if name != rising:
-                assert np.all(np.diff(np.broadcast_to(values, rho.shape)) <= 0.0), (i, name, lo, hi)
+            steps = np.diff(np.broadcast_to(values, rho.shape))
+            if name in rising:
+                assert np.all(steps >= 0.0), (i, name, lo, hi)
+            else:
+                assert np.all(steps <= 0.0), (i, name, lo, hi)
+
+
+@pytest.mark.parametrize("budget", [RandomnessBudget.unbounded(), RandomnessBudget.finite(0.3)])
+def test_scenario_one_runs_no_grid_search(budget, monkeypatch):
+    """Every scenario-1 branch and scheme is solved at its crossings: the grid
+    search of ``maximize_min`` only evaluates degenerate intervals (DF at the
+    budget cap, plain PDF at rho = 0, PDF-M when the budget forces rho < 0)."""
+    intervals = []
+
+    def record(branch, lo, hi, solve=s1.maximize_min):
+        intervals.append((lo, hi))
+        return solve(branch, lo, hi)
+    monkeypatch.setattr(s1, "maximize_min", record)
+    for p in criterion_08_draws(DRAWS):
+        s1.bounds(p, budget)
+    assert intervals  # DF at the cap, wherever some rho fits the budget
+    assert all(lo == hi for lo, hi in intervals), intervals

@@ -3,7 +3,10 @@
 Swapping the relays leaves every bound unchanged, each lower bound stays
 below its upper bound, randomness at the source only never beats randomness
 shared by all three nodes, and without an eavesdropper the two scenarios
-coincide.  A binding budget caps rho at the last float whose leakage fits.
+coincide.  Every bound grows with the link capacities and shrinks with the
+eavesdropper's gain, and every lower bound grows with the budget.  A binding
+budget caps rho at the last float whose leakage fits, and each scheme is
+achieved at a rho whose leakage fits the budget.
 """
 
 import math
@@ -67,6 +70,47 @@ def test_without_eavesdropper_the_scenarios_agree(p1, p2, c1, c2, r_prime):
     v = bound_values(ChannelParams(p1, p2, c1, c2, 0.0), r_prime)
     assert abs(v["ub1"] - v["ub2"]) <= 1e-9
     assert abs(v["lb1"] - v["lb2"]) <= 1e-9
+
+
+def assert_no_smaller(larger, smaller, keys):
+    for k in keys:
+        assert larger[k] >= smaller[k] - 1e-9, (k, larger[k], smaller[k])
+
+
+@PROPERTY
+@given(p1=powers, p2=powers, c1=links, c2=links, g=gains, r_prime=budgets, more=links, which=st.booleans())
+def test_every_bound_grows_with_a_link_capacity(p1, p2, c1, c2, g, r_prime, more, which):
+    base = bound_values(ChannelParams(p1, p2, c1, c2, g), r_prime)
+    wider = (c1 + more, c2) if which else (c1, c2 + more)
+    assert_no_smaller(bound_values(ChannelParams(p1, p2, *wider, g), r_prime), base, base)
+
+
+@PROPERTY
+@given(p1=powers, p2=powers, c1=links, c2=links, g=gains, r_prime=st.floats(0.0, 2.0), more=st.floats(0.0, 2.0))
+def test_every_lower_bound_grows_with_the_budget(p1, p2, c1, c2, g, r_prime, more):
+    p = ChannelParams(p1, p2, c1, c2, g)
+    base = bound_values(p, r_prime)
+    lower = [k for k in base if k.startswith("lb")]
+    assert_no_smaller(bound_values(p, r_prime + more), base, lower)
+    assert_no_smaller(bound_values(p, math.inf), base, lower)
+
+
+@PROPERTY
+@given(p1=powers, p2=powers, c1=links, c2=links, g=gains, r_prime=budgets, t=fractions)
+def test_every_bound_shrinks_with_the_eavesdropper_gain(p1, p2, c1, c2, g, r_prime, t):
+    base = bound_values(ChannelParams(p1, p2, c1, c2, g), r_prime)
+    stronger = g + t * (0.99 - g)
+    assert_no_smaller(base, bound_values(ChannelParams(p1, p2, c1, c2, stronger), r_prime), base)
+
+
+@PROPERTY
+@given(p1=powers, p2=powers, c1=links, c2=links, g=gains.filter(lambda g: g > 0.0), r_prime=st.floats(0.0, 2.0))
+def test_every_scheme_is_achieved_within_the_budget(p1, p2, c1, c2, g, r_prime):
+    p, budget = ChannelParams(p1, p2, c1, c2, g), RandomnessBudget.finite(r_prime)
+    b1, b2 = s1.bounds(p, budget), s2.bounds(p, budget)
+    assume(b1.rho_max is not None)  # some rho fits the budget
+    for report in (b1.lower_df, b1.lower_pdf_m, b2.lower_df, b2.lower_pdf_df_m, b2.lower_pdf_pdf_m):
+        assert rf.f5(p, report.rho) <= r_prime, report
 
 
 @PROPERTY

@@ -5,6 +5,7 @@ implementation of the same closed forms and rounded to 12 significant
 digits; tests compare at 1e-9 absolute.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from diamond_wiretap import rate_functions as rf
 from diamond_wiretap.errors import DomainError, EmptyFeasibleSet, ParameterError
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
+from diamond_wiretap.scalar_opt import sign_change
 
 SYM = ChannelParams.symmetric(10.0, 1.5, 0.1)
 ASYM = ChannelParams(p1=4.0, p2=1.0, c1=1.0, c2=1.0, g=0.1)
@@ -297,3 +299,80 @@ def test_crossing_reports_rates_that_never_meet():
     p = ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3)
     assert rf.crossing(p, "f4", 600.0) == math.inf  # 2**1200 overflows
     assert rf.crossing(ChannelParams(3.0, 0.5, 0.0, 0.0, 0.3), "f4", "f3") == -math.inf
+
+
+def test_rho_h_is_the_peak_of_the_half_sum():
+    for p in (SYM, ASYM, ChannelParams(1e-3, 50.0, 0.0, 0.0, 0.5), ChannelParams(1e4, 1e4, 0.0, 0.0, 0.5)):
+        rh, k = rf.rho_h(p), math.sqrt(p.p1 * p.p2)
+        assert 3.0 * k * rh * rh + (1.0 + p.p1 + p.p2) * rh - k == pytest.approx(0.0, abs=1e-12)
+        assert 0.0 < rh < rf.rho_star(p)
+        rho = np.linspace(0.0, 1.0, 10001)[:-1]
+        half = 0.5 * (rf.f3(p, rho) + rf.f4(p, rho))
+        assert abs(rho[np.argmax(half)] - rh) <= 1e-4
+
+
+def _named(p, name, rho):
+    if not isinstance(name, str):
+        return np.full(np.shape(rho), name)
+    r = rf.rates(p, rho, ("f1", "f2", "f3", "f4", "f5"))
+    return {"f4-f5": r["f4"] - r["f5"], "(f3+f4)/2": 0.5 * (r["f3"] + r["f4"])}.get(name, r.get(name))
+
+
+def _floats_apart(x, y):
+    return abs(int(np.float64(x).view(np.int64)) - int(np.float64(y).view(np.int64)))
+
+
+# f4 - f5 meets f3 about 1e-6 below 1 in the last but one, about 36 floats below 1 in the last
+NEWTON_CASES = [ASYM, SYM, ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3), ChannelParams(0.05, 40.0, 0.2, 2.5, 0.9),
+                ChannelParams(2.47, 0.0558, 3.36, 4.71, 0.33), ChannelParams(1.0, 1.0, 5.0, 5.0, 0.5),
+                ChannelParams(1.0, 1.0, 12.0, 12.0, 0.5)]
+
+
+@pytest.mark.parametrize("p", NEWTON_CASES)
+@pytest.mark.parametrize("term, other", [
+    ("f4-f5", "f1"), ("f4-f5", "f2"), ("f4-f5", "f3"), ("f4-f5", "(f3+f4)/2"), ("f4-f5", 0.5),
+    ("(f3+f4)/2", "f1"), ("(f3+f4)/2", "f2"), ("(f3+f4)/2", 1.0),
+])
+def test_newton_seeds_land_where_the_rates_meet(p, term, other):
+    """A finite seed lies within 64 floats of the first float where the
+    kernel's term reaches the other (one sign_change call within 32); an
+    infinite one means the two do not meet on the seed's range."""
+    _check_seed(p, term, other, 64)
+
+
+@pytest.mark.parametrize("p", NEWTON_CASES[:5])
+@pytest.mark.parametrize("other", ["f1", "f2", "level"])
+def test_half_sum_seeds_land_where_the_rates_meet(p, other):
+    """(f3+f4)/2 made to meet f1, f2 or a level at rho_h / 2, by the choice
+    of a link capacity or the level.  The half sum is flat towards its peak,
+    so rounding blurs the float where the two meet over more floats."""
+    r = rf.rho_h(p) / 2.0
+    q, f4 = 1.0 - r * r, rf.f4(p, r)
+    if other == "f1":  # (f3+f4)/2 - f1 = (c2 - c1 + log2(q)/2 + f4)/2 - log2(1 + q P2)/2
+        p = dataclasses.replace(p, c1=3.0, c2=3.0 + math.log2(1.0 + q * p.p2) - 0.5 * math.log2(q) - f4)
+    elif other == "f2":
+        p = dataclasses.replace(p, c1=3.0 + math.log2(1.0 + q * p.p1) - 0.5 * math.log2(q) - f4, c2=3.0)
+    else:
+        other = 0.5 * (rf.f3(p, r) + f4)
+    seed = rf.crossing(p, "(f3+f4)/2", other)
+    assert seed == pytest.approx(r, rel=1e-6)
+    _check_seed(p, "(f3+f4)/2", other, 2**14)
+
+
+def _check_seed(p, term, other, floats):
+    lo = rf.rho_h(p) if other == "(f3+f4)/2" else 0.0
+    hi = rf.rho_h(p) if term == "(f3+f4)/2" else 1.0
+    seed = rf.crossing(p, term, other)
+    above = _named(p, term, np.array([lo, hi])) >= _named(p, other, np.array([lo, hi]))
+    if math.isinf(seed):
+        assert (seed < 0.0 and above[0]) or (seed > 0.0 and not above[1]), (seed, above)
+        return
+    assert lo < seed < hi and not above[0] and above[1]
+    _, b = sign_change(lambda xs: _named(p, term, xs) >= _named(p, other, xs), lo, hi, seed)
+    assert _floats_apart(seed, b) <= floats, (seed, b)
+
+
+def test_newton_seeds_near_one():
+    for p, gap in ((ChannelParams(1.0, 1.0, 5.0, 5.0, 0.5), 1e-5), (ChannelParams(1.0, 1.0, 12.0, 12.0, 0.5), 1e-13)):
+        seed = rf.crossing(p, "f4-f5", "f3")
+        assert 1.0 - gap < seed < 1.0

@@ -128,7 +128,7 @@ def test_deterministic():
 
 def test_crossing_tent():
     tent = branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0))
-    res = maximize_crossing(tent, 0.0, 1.0, "up", [0.5])
+    res = maximize_crossing(tent, 0.0, 1.0, "up", lambda: 0.5)
     assert res.rho == 0.5 and res.value == 0.5
     assert res.binding == ("up", "down")
 
@@ -145,32 +145,52 @@ def test_crossing_polishes_a_far_seed_to_adjacent_floats():
     best = max((a, b), key=lambda x: min(x, -2.0 * x + 1.0))
     tent = branch(up=lin(1.0, 0.0), down=lin(-2.0, 1.0))
     for seed in (0.3, 0.9, math.inf, -math.inf, math.nan):
-        res = maximize_crossing(tent, 0.0, 1.0, "up", [seed])
+        res = maximize_crossing(tent, 0.0, 1.0, "up", lambda: seed)
         assert res.rho == best, seed
         assert res.value == min(best, -2.0 * best + 1.0), seed
 
 
 def test_crossing_at_the_ends():
     # the rising term already above the other at lo, or still below it at hi
-    res = maximize_crossing(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), 0.0, 1.0, "up", [-1.5])
+    res = maximize_crossing(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), 0.0, 1.0, "up", lambda: -1.5)
     assert (res.rho, res.value) == (0.0, 1.0)
-    res = maximize_crossing(branch(up=lin(1.0, -2.0), down=lin(-1.0, 1.0)), 0.0, 1.0, "up", [1.5])
+    res = maximize_crossing(branch(up=lin(1.0, -2.0), down=lin(-1.0, 1.0)), 0.0, 1.0, "up", lambda: 1.5)
     assert (res.rho, res.value) == (1.0, -1.0)
+
+
+def test_crossing_with_two_rising_terms():
+    # min(up, steep) = steep below 0.5 meets down where 3x - 1 = 0.8 - x, at 0.45
+    two = branch(up=lin(1.0, 0.0), steep=lin(3.0, -1.0), down=lin(-1.0, 0.8))
+    res = maximize_crossing(two, 0.0, 1.0, ("up", "steep"), lambda: 0.45 + 1e-9)
+    grid = np.linspace(0.0, 1.0, 4097)
+    assert res.value >= np.max(np.minimum.reduce([grid, 3.0 * grid - 1.0, 0.8 - grid]))
+    assert res.rho == pytest.approx(0.45, abs=1e-15)
+    assert res.binding == ("steep", "down")
+    # the single-name form agrees with a one-element tuple
+    tent = branch(up=lin(1.0, 0.0), down=lin(-2.0, 1.0))
+    assert maximize_crossing(tent, 0.0, 1.0, "up", lambda: 0.3) == maximize_crossing(tent, 0.0, 1.0, ("up",), lambda: 0.3)
+
+
+def test_crossing_asks_for_a_seed_only_where_the_terms_meet():
+    def never():
+        raise AssertionError("no meeting point inside the interval")
+    res = maximize_crossing(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), 0.0, 1.0, "up", never)
+    assert (res.rho, res.value) == (0.0, 1.0)
 
 
 def test_crossing_plateau_picks_the_first_float_reaching_it():
     flat = branch(up=lin(1.0, 0.0), level=lin(0.0, 0.3))
-    res = maximize_crossing(flat, -1.0, 1.0, "up", [0.3 + 1e-13])
+    res = maximize_crossing(flat, -1.0, 1.0, "up", lambda: 0.3 + 1e-13)
     assert res.rho == 0.3 and res.value == 0.3
     assert res.binding == ("up", "level")
 
 
 def test_crossing_degenerate_and_empty_intervals():
     tent = branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0))
-    res = maximize_crossing(tent, 0.25, 0.25, "up", [0.5])
+    res = maximize_crossing(tent, 0.25, 0.25, "up", lambda: 0.5)
     assert (res.rho, res.value) == (0.25, 0.25)
     with pytest.raises(EmptyInterval):
-        maximize_crossing(tent, 1.0, 0.0, "up", [0.5])
+        maximize_crossing(tent, 1.0, 0.0, "up", lambda: 0.5)
 
 
 def test_sign_change_returns_adjacent_floats():

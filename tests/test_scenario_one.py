@@ -140,3 +140,23 @@ def test_lower_never_exceeds_upper_random_sweep():
         b = s1.bounds(p, budget)
         assert b.lower <= b.upper.value + 1e-7
         assert b.lower >= 0.0
+
+
+def test_meets_names_every_term_the_rising_terms_can_meet():
+    """The crossing seeds cover every meeting point: on each entry solved at
+    its crossings, the rising terms and ``meets`` split the branch's terms."""
+    p = ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3)
+    for name, entry in schemes.TABLE.items():
+        if entry.rising:
+            branch, _ = schemes.gaussian(p, name)
+            terms = set(branch(0.5))
+            assert set(entry.rising) | set(entry.meets) == terms, name
+            assert not set(entry.rising) & set(entry.meets), name
+
+
+
+@pytest.mark.parametrize("p1, p2", [(1e-12, 1e-12), (1e-12, 1e-7), (1e-9, 1e-9), (1e-12, 1e12)])
+def test_tiny_power_products_return_ordered_bounds(p1, p2):
+    # rho_star(p) loses its digits to cancellation here, down to 0.0 at 1e-12
+    b = s1.bounds(ChannelParams(p1, p2, 1.0, 0.7, 0.5), UNBOUNDED)
+    assert 0.0 <= b.lower <= b.upper.value + 1e-9
