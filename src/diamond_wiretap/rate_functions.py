@@ -51,8 +51,10 @@ __all__ = [
     "rho_star",
     "rho_bar",
     "rho_h",
+    "peak",
     "crossing",
     "f5_inverse",
+    "link_interval",
 ]
 
 # Extended-real rate in bits/channel-use; -inf marks an impossible rate.
@@ -226,10 +228,12 @@ def f7(params: ChannelParams, rho) -> RateValue:
 def rho_star(params: ChannelParams) -> float:
     """Correlation above which the correlation cost term is frozen at rho = 0.
 
-    rho_star = sqrt(1 + 1/(4*P1*P2)) - 1/(2*sqrt(P1*P2)); always in (0, 1).
+    rho_star is the positive root of rho^2 + rho/k = 1 with k = sqrt(P1*P2),
+    written 2k/(1 + sqrt(1 + 4k^2)) so that no digits cancel for small
+    powers; always in (0, 1).
     """
-    q = math.sqrt(params.p1 * params.p2)
-    return math.sqrt(1.0 + 1.0 / (4.0 * params.p1 * params.p2)) - 1.0 / (2.0 * q)
+    k = math.sqrt(params.p1 * params.p2)
+    return 2.0 * k / (1.0 + math.sqrt(1.0 + 4.0 * params.p1 * params.p2))
 
 
 def rho_bar(params: ChannelParams) -> float:
@@ -252,10 +256,40 @@ def rho_h(params: ChannelParams) -> float:
     return 2.0 * math.sqrt(params.p1 * params.p2) / (b + math.sqrt(b * b + 12.0 * params.p1 * params.p2))
 
 
-# The terms whose meeting points ``crossing`` finds by Newton's method, as
-# weights on f1..f5, and each of f1..f5 as (value, slope * ln 2) at rho in
-# [0, 1], in plain floats: q = 1 - rho^2, k = sqrt(P1*P2), s = s(rho).
-_WEIGHTS = {"f4-f5": {"f4": 1.0, "f5": -1.0}, "(f3+f4)/2": {"f3": 0.5, "f4": 0.5}}
+def peak(params: ChannelParams, term: str) -> float:
+    """Where ``term`` stops rising and starts to fall on [-1, 1] (+inf for
+    f4 and f4 - f5, which rise throughout; 0 for f1, f2, f3).
+
+    The slope of f1 - f5, f2 - f5, f3 - f5 and f3 - 2 f5 has the sign of
+    -(a*rho^2 + b*rho + c) with a, b, c >= 0 (``schemes`` derives them), so
+    their peak is the root nearest 0, -2c/(b + sqrt(b^2 - 4ac)); it may lie
+    below -1 for f1 - f5 and f2 - f5.
+    """
+    if term in ("f4", "f4-f5"):
+        return math.inf
+    if term in ("f1", "f2", "f3"):
+        return 0.0
+    if term == "(f3+f4)/2":
+        return rho_h(params)
+    k = math.sqrt(params.p1 * params.p2)
+    gk, big_g = params.g * k, 1.0 + params.g * (params.p1 + params.p2)
+    a, b, c = {
+        "f1-f5": (gk * params.p2, params.p2 * big_g, gk * (1.0 + params.p2)),
+        "f2-f5": (gk * params.p1, params.p1 * big_g, gk * (1.0 + params.p1)),
+        "f3-f5": (gk, big_g, gk),
+        "f3-2f5": (0.0, big_g, 2.0 * gk),
+    }[term]
+    return -2.0 * c / (b + math.sqrt(max(b * b - 4.0 * a * c, 0.0)))
+
+
+# The terms that ``crossing`` meets by Newton's method, as weights on
+# f1..f5, and each of f1..f5 as (value, slope * ln 2) at rho in [-1, 1], in
+# plain floats: q = 1 - rho^2, k = sqrt(P1*P2), s = s(rho).
+_WEIGHTS = {
+    "f1": {"f1": 1.0}, "f2": {"f2": 1.0}, "f3": {"f3": 1.0},
+    "f1-f5": {"f1": 1.0, "f5": -1.0}, "f2-f5": {"f2": 1.0, "f5": -1.0}, "f3-f5": {"f3": 1.0, "f5": -1.0},
+    "f3-2f5": {"f3": 1.0, "f5": -2.0}, "f4-f5": {"f4": 1.0, "f5": -1.0}, "(f3+f4)/2": {"f3": 0.5, "f4": 0.5},
+}
 _SLOPED = {
     "f1": lambda p, r, q, k, s: (p.c1 + 0.5 * math.log2(1.0 + q * p.p2), -r * p.p2 / (1.0 + q * p.p2)),
     "f2": lambda p, r, q, k, s: (p.c2 + 0.5 * math.log2(1.0 + q * p.p1), -r * p.p1 / (1.0 + q * p.p1)),
@@ -271,12 +305,21 @@ _NEWTON_STEPS = 40
 _SEED_FLOATS = 16
 
 
-def crossing(params: ChannelParams, term: str, other) -> float:
-    """Where ``term`` meets ``other``: a rate level, one of the functions
-    "f1", "f2", "f3", or, for the term "f4-f5", also "(f3+f4)/2".
+def _quadratic(params: ChannelParams, w: float, e: float, u: float, k: float):
+    """(a, b, c) with 1 + w*s(rho) - 2^(2e)*(u + k*(1 - rho^2)) equal to
+    a*rho^2 + 2*b*rho + c, or None when 2^(2e) overflows."""
+    if 2.0 * e >= 1024.0:
+        return None
+    big = 2.0 ** (2.0 * e)
+    return big * k, w * math.sqrt(params.p1 * params.p2), 1.0 + w * (params.p1 + params.p2) - big * (u + k)
 
-    For ``term`` "f4" or "f5", the largest root.  With w = 1 for f4 and
-    w = g for f5, each equation reads
+
+def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float = 1.0) -> float:
+    """Where ``term`` meets ``other``: a rate level or a term of ``_WEIGHTS``.
+
+    For ``term`` "f4" or "f5", and ``other`` a level, "f1", "f2" or "f3",
+    the largest root.  With w = 1 for f4 and w = g for f5, each equation
+    reads
 
         1 + w*s(rho) = A*(u + k*(1 - rho^2))
 
@@ -287,15 +330,13 @@ def crossing(params: ChannelParams, term: str, other) -> float:
     float where the two rates meet, and near rho = 0, where floats are
     dense, far more.
 
-    For ``term`` "f4-f5" or "(f3+f4)/2", the root on the part of [0, 1]
-    where term - other rises: f4 - f5 rises and f1, f2, f3 fall on all of
-    it, while (f3+f4)/2 rises up to its peak ``rho_h`` and falls after, so
-    it is met as a term on [0, rho_h] and as the other on [rho_h, 1].
-    These equations are cubics or quartics in rho.  Newton's method on
-    term - other, in plain floats, steps in t = -ln(1 - rho), where the log
-    singularity of f3 at rho = 1 is linear, and falls back on bisection when
-    a step leaves the bracket.  For f4 - f5 it starts from the root of f4;
-    it stops within a few floats of where the two rates meet.
+    For any other ``term``, the root on [lo, hi], where term - other must
+    rise: ``peak`` says where each term rises and falls.  These equations
+    are cubics or quartics in rho.  Newton's method on term - other, in
+    plain floats, steps in t = -ln(1 - rho), where the log singularity of f3
+    at rho = 1 is linear, and falls back on bisection when a step leaves the
+    bracket.  For f4 - f5 against f1, f2, f3 or a level it starts from the
+    root of f4; it stops within a few floats of where the two rates meet.
 
     The result is a seed, not a final answer: callers that need the float
     where the rates meet bracket it (``scalar_opt.sign_change``).  Returns
@@ -303,9 +344,9 @@ def crossing(params: ChannelParams, term: str, other) -> float:
     +inf when it lies below (or when A overflows).
     """
     if term in _WEIGHTS:
-        return _newton_crossing(params, term, other)
+        return _newton_crossing(params, term, other, lo, hi)
     if term not in ("f4", "f5"):
-        raise ValueError(f"crossing solves for f4, f5, f4-f5 or (f3+f4)/2, got {term!r}")
+        raise ValueError(f"crossing solves for f4, f5 or a term of _WEIGHTS, got {term!r}")
     w = 1.0 if term == "f4" else params.g
     if other == "f1":
         e, u, k = params.c1, 1.0, params.p2
@@ -315,12 +356,10 @@ def crossing(params: ChannelParams, term: str, other) -> float:
         e, u, k = params.c1 + params.c2, 0.0, 1.0
     else:
         e, u, k = float(other), 1.0, 0.0
-    if 2.0 * e >= 1024.0:
+    quadratic = _quadratic(params, w, e, u, k)
+    if quadratic is None:
         return math.inf
-    big = 2.0 ** (2.0 * e)
-    a = big * k
-    b = w * math.sqrt(params.p1 * params.p2)
-    c = 1.0 + w * (params.p1 + params.p2) - big * (u + k)
+    a, b, c = quadratic
     disc = b * b - a * c
     if disc < 0.0:
         return -math.inf
@@ -330,19 +369,16 @@ def crossing(params: ChannelParams, term: str, other) -> float:
     return math.inf if c < 0.0 else -math.inf
 
 
-def _newton_crossing(params: ChannelParams, term: str, other) -> float:
-    """``crossing`` for the terms of ``_WEIGHTS``."""
+def _newton_crossing(params: ChannelParams, term: str, other, a: float, b: float) -> float:
+    """``crossing`` for the terms of ``_WEIGHTS``, on [a, b]."""
     weights = dict(_WEIGHTS[term])
     level = 0.0
     if isinstance(other, str):
-        for name, c in _WEIGHTS.get(other, {other: 1.0}).items():
+        for name, c in _WEIGHTS[other].items():
             weights[name] = weights.get(name, 0.0) - c
     else:
         level = float(other)
-    forms = [(c, _SLOPED[name]) for name, c in weights.items()]
-    peak = rho_h(params)
-    a = peak if other == "(f3+f4)/2" else 0.0
-    b = peak if term == "(f3+f4)/2" else 1.0
+    forms = [(c, _SLOPED[name]) for name, c in weights.items() if c != 0.0]
     k = math.sqrt(params.p1 * params.p2)
 
     def rise(r):  # term - other at r, and its slope times ln 2
@@ -357,7 +393,8 @@ def _newton_crossing(params: ChannelParams, term: str, other) -> float:
         return -math.inf
     if rise(b)[0] < 0.0:
         return math.inf
-    x = crossing(params, "f4", other) if term == "f4-f5" and other != "(f3+f4)/2" else math.nan
+    closed = term == "f4-f5" and (other in ("f1", "f2", "f3") or not isinstance(other, str))
+    x = crossing(params, "f4", other) if closed else math.nan
     if not a < x < b:
         x = 0.5 * (a + b)
     for _ in range(_NEWTON_STEPS):
@@ -402,3 +439,51 @@ def f5_inverse(params: ChannelParams, budget: RandomnessBudget) -> float:
 
     rho_max, _ = sign_change(leaks_more, -1.0, 1.0, crossing(params, "f5", r_prime))
     return rho_max
+
+
+def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, float] | None:
+    """The first and last floats of [lo, hi] at which both strict link
+    conditions of PDF-PDF-M, C1 > f6(rho) and C2 > f7(rho), hold; None
+    where they hold at none.
+
+    Each holds between the roots of a quadratic in the form of ``crossing``
+    (``schemes`` derives it), so both hold on one interval.  Its closed-form
+    ends seed ``scalar_opt.sign_change`` on the kernel's own test, which
+    closes each end that lies inside [lo, hi] on adjacent floats.
+    """
+    left, right = -math.inf, math.inf
+    for cap, p_other in ((params.c1, params.p2), (params.c2, params.p1)):
+        quadratic = _quadratic(params, params.g, cap, 1.0, params.g * p_other)
+        if quadratic is None:
+            continue  # 2^(2C) overflows: the condition holds everywhere
+        a, b, c = quadratic
+        if a > 0.0:
+            disc = b * b - a * c
+            if disc <= 0.0:
+                return None
+            root = math.sqrt(disc)
+            left, right = max(left, -(b + root) / a), min(right, -c / (b + root))
+        elif c >= 0.0:  # g = 0, so f6 = f7 = 0: the condition is C > 0
+            return None
+    if not (left < right and left < hi and right > lo):
+        return None
+
+    seen = {}
+
+    def holds(xs):
+        r = rates(params, xs, ("f6", "f7"))
+        ok = (params.c1 > r["f6"]) & (params.c2 > r["f7"])
+        seen.update(zip(xs.tolist(), ok.tolist()))
+        return ok
+
+    first, last = lo, hi
+    if left > lo:
+        # past a point well inside the interval the test counts as met, so
+        # that it turns true once, at the first float of the interval
+        inside = 0.5 * (left + min(right, hi))
+        _, first = sign_change(lambda xs: holds(xs) | (xs >= inside), lo, hi, left)
+        if not seen.get(first):
+            return None
+    if right < hi:
+        last, _ = sign_change(lambda xs: ~holds(xs), first, hi, right)
+    return first, last

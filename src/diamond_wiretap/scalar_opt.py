@@ -2,38 +2,35 @@
 
 A branch is one callable that maps an array of evaluation points (or one
 point) to its terms, ``{name: values}`` in binding order.  Every bound is the
-maximum over an interval of the minimum of a branch's terms.  Which of the
-two solvers below a branch uses is fixed by the proven structure of its
-terms, as ``schemes`` sets out; no branch has a choice of solver.
+maximum over an interval of the minimum of a branch's terms.  Every branch
+and scheme has the structure ``schemes`` sets out, and ``maximize_crossing``
+solves them all.
 
-``maximize_crossing`` solves the branches with a monotone envelope: one or
-more rising terms (nondecreasing on the interval) and other terms that are
-each constant or nonincreasing.  Their minimum rises with the rising
-minimum until it first reaches the others and falls with them afterwards,
-so the maximum lies at an end of the interval or where the rising minimum
-first meets the others.  The solver evaluates the branch at both ends and,
-when the two meet in between, closes a bracket from a seed for the meeting
-point on the two adjacent floats where "rising minimum minus the minimum
-of the others" changes sign.
+``maximize_crossing`` takes, for each term that rises, the point where it
+stops rising and starts to fall (+inf for a term that rises to the end);
+every other term is constant or nonincreasing.  Split at those peaks, and
+at any further ends the caller names, the interval falls into pieces on
+each of which every term is monotone.  On a piece, the minimum rises with
+the minimum of the rising terms until that first meets the minimum of the
+others, and falls with the others afterwards, so its maximum lies at an end
+or at that meeting point.  The solver evaluates the branch at every piece
+end in one call.  The minimum of the terms is quasi-concave on the whole
+interval, since each term is, so the maximum lies on a piece beside the
+best end; only there, when the two minima meet inside the piece, does it
+close a bracket, from a seed for the meeting point, on the two adjacent
+floats where "rising minimum minus the minimum of the others" changes sign.
 
-``maximize_min`` handles the rest, whose terms are not monotone, and the
-degenerate intervals: a uniform 4097-point grid locates the best bracket,
-then a fixed number of zoom passes re-grid the bracket around the best
-point, each with one call of the branch on the whole array.  A refined
-candidate is only accepted when it beats the best point so far, so the
-returned value never falls below the objective at any grid point.  The pass
-count is fixed, so every call ends, even where float spacing is coarser
-than the bracket.
+``maximize_min`` evaluates the degenerate intervals, lo == hi.
 
-Both solvers return the best point they evaluated, and break ties toward the
+Both return the best point they evaluated, and break ties toward the
 smallest argmax: on a plateau of the maximum, the first float where the
-rising term reaches the others.  The binding terms are read from the
+rising terms reach the others.  The binding terms are read from the
 evaluation that found the optimum.  No randomness anywhere, so equal inputs
 give bitwise-equal results.
 
 ``sign_change`` locates, to adjacent floats, where a monotone predicate
-first turns true; ``maximize_crossing`` and ``rate_functions.f5_inverse``
-use it.
+first turns true; ``maximize_crossing``, ``rate_functions.f5_inverse`` and
+``rate_functions.link_interval`` use it.
 """
 
 from __future__ import annotations
@@ -47,20 +44,7 @@ import numpy as np
 
 from .errors import EmptyInterval
 
-__all__ = ["GRID_POINTS", "OptimizationResult", "maximize_min", "maximize_crossing", "sign_change"]
-
-GRID_POINTS = 4097
-
-# Each zoom pass re-grids the bracket with ZOOM_POINTS points and keeps the
-# two neighbours of the best one, shrinking the bracket by (ZOOM_POINTS - 1) / 2
-# = 128.  Six passes take the two-step grid bracket of an interval of length L
-# to 1.1e-16 * L.  Five would reach 1.4e-14 * L, too coarse for the T1 interval
-# of scenario 2, which is about 50 long when the powers differ by 1e4.
-ZOOM_POINTS = 257
-ZOOM_PASSES = 6
-# a + k * step with the last point set to b is np.linspace(a, b, ZOOM_POINTS)
-# bit for bit, without its per-call overhead.
-_ZOOM_STEPS = np.arange(ZOOM_POINTS, dtype=float)
+__all__ = ["OptimizationResult", "maximize_min", "maximize_crossing", "sign_change"]
 
 # The first pass of sign_change evaluates the seed and the floats at these
 # offsets from it: every offset up to 32, then the powers of two beyond.
@@ -101,85 +85,72 @@ def _binding_terms(terms: Mapping, j: int, value: float) -> tuple[str, ...]:
     return tuple(name for name, v in at.items() if v == value or v <= value + tol)
 
 
-def maximize_min(
-    branch: Branch,
-    lo: float,
-    hi: float,
-    grid_points: int = GRID_POINTS,
-) -> OptimizationResult:
-    """Maximize the minimum of the terms of ``branch`` on [lo, hi].
-
-    Guarantees: the result value is never below the objective at any grid
-    point; with continuous terms the argmax is located to about 1e-16 of the
-    interval length within its grid bracket, or to float spacing where that
-    is coarser; deterministic for identical inputs.
-    """
+def maximize_min(branch: Branch, lo: float, hi: float) -> OptimizationResult:
+    """The minimum of the terms of ``branch`` on the degenerate interval
+    [lo, hi], lo == hi: one evaluation at that point."""
     if lo > hi:
         raise EmptyInterval(f"empty interval [{lo}, {hi}]")
-    if lo == hi:
-        terms = branch(lo)
-        value = float(_min_of(terms.values()))
-        return OptimizationResult(rho=lo, value=value, binding=_binding_terms(terms, 0, value))
-
-    grid = np.linspace(lo, hi, grid_points)
-    terms = branch(grid)
-    on_grid = _min_of(terms.values())
-    i = int(np.argmax(on_grid))  # first occurrence: smallest argmax on plateaus
-    best_x, best_v, best_at = float(grid[i]), float(on_grid[i]), (terms, i)
-
-    a = float(grid[i - 1]) if i > 0 else lo
-    b = float(grid[i + 1]) if i + 1 < grid_points else hi
-    for _ in range(ZOOM_PASSES):
-        xs = a + _ZOOM_STEPS * ((b - a) / (ZOOM_POINTS - 1))
-        xs[-1] = b
-        terms = branch(xs)
-        vs = _min_of(terms.values())
-        j = int(np.argmax(vs))
-        x, v = float(xs[j]), float(vs[j])
-        if v > best_v or (v == best_v and x < best_x):
-            best_x, best_v, best_at = x, v, (terms, j)
-        a = float(xs[j - 1]) if j > 0 else a
-        b = float(xs[j + 1]) if j + 1 < ZOOM_POINTS else b
-
-    return OptimizationResult(rho=best_x, value=best_v, binding=_binding_terms(*best_at, best_v))
+    if lo < hi:
+        raise ValueError(f"maximize_min evaluates a single point, got [{lo}, {hi}]")
+    terms = branch(lo)
+    value = float(_min_of(terms.values()))
+    return OptimizationResult(rho=lo, value=value, binding=_binding_terms(terms, 0, value))
 
 
 def maximize_crossing(
     branch: Branch,
-    lo: float,
-    hi: float,
-    rising: str | Sequence[str],
-    seed: Callable[[], float],
+    ends: Sequence[float],
+    peaks: Mapping[str, float],
+    seed: Callable[[float, float, tuple[str, ...], tuple[str, ...]], float],
 ) -> OptimizationResult:
-    """Maximize the minimum of the terms of ``branch`` on [lo, hi], where the
-    term ``rising``, or each of the terms it names, is nondecreasing and
-    every other term is constant or nonincreasing.
+    """Maximize the minimum of the terms of ``branch`` on [ends[0], ends[-1]].
 
-    The minimum of the rising terms rises too.  The branch is evaluated at
-    lo and hi.  When the rising minimum starts below the others and ends at
-    or above them, ``seed()`` estimates where it first reaches them, and
-    starts a bracket on that float (``sign_change``); the estimate may be
-    off by many floats, or infinite, and is not asked for otherwise.
-    Returns the best point evaluated, ties going to the smallest rho: never
-    below the objective at the two floats around the meeting point, which
-    bound the maximum when the structure holds.
+    Each term named in ``peaks`` is nondecreasing up to its peak and
+    nonincreasing after it; every other term is constant or nonincreasing.
+    The interval is split at ``ends`` and at the peaks inside it, and the
+    branch is evaluated at every piece end in one call.  On a piece [a, b]
+    beside the best end, the terms peaking at b or later rise and the others
+    do not; when the minimum of the rising terms starts below the others and
+    ends at or above them, ``seed(a, b, rising, others)`` estimates where it
+    first reaches them, and starts a bracket on that float (``sign_change``);
+    the estimate may be off by many floats, or infinite, and is not asked
+    for otherwise.  Returns the best point evaluated, ties going to the
+    smallest rho: never below the objective at the two floats around each
+    meeting point searched, which bound the maximum when the structure
+    holds.
     """
+    lo, hi = ends[0], ends[-1]
     if lo > hi:
         raise EmptyInterval(f"empty interval [{lo}, {hi}]")
-    rising = (rising,) if isinstance(rising, str) else tuple(rising)
-    evaluations = []  # (points, terms, objective) of every call of the branch
+    cuts = sorted({*ends, *(p for p in peaks.values() if lo < p < hi)})
+    xs = np.array(cuts)
+    terms = branch(xs)
+    # each term at the piece ends, in plain floats
+    at = {name: v.tolist() if np.ndim(v) else [float(v)] * len(cuts) for name, v in terms.items()}
+    objective = [min(values) for values in zip(*at.values())]
+    evaluations = [(xs, terms, np.array(objective))]  # (points, terms, objective) of every call of the branch
+    top = max(objective)
 
-    def reached(xs):
-        terms = branch(xs)
-        up = _min_of(terms[name] for name in rising)
-        rest = [v for name, v in terms.items() if name not in rising]
-        others = _min_of(rest) if rest else math.inf
-        evaluations.append((xs, terms, np.minimum(up, others)))
-        return up >= others
+    for i in range(len(cuts) - 1):
+        if top not in (objective[i], objective[i + 1]):
+            continue  # only the pieces beside a best end can hold the maximum
+        a, b = cuts[i], cuts[i + 1]
+        rising = tuple(name for name in terms if peaks.get(name, -math.inf) >= b)
+        others = tuple(name for name in terms if name not in rising)
 
-    at_ends = reached(np.array([lo, hi]))
-    if at_ends[-1] and not at_ends[0]:
-        sign_change(reached, lo, hi, seed())
+        def reached_at(j):
+            up = min((at[name][j] for name in rising), default=math.inf)
+            return up >= min((at[name][j] for name in others), default=math.inf)
+
+        def reached(points):
+            values = branch(points)
+            up = _min_of(values[name] for name in rising) if rising else math.inf
+            down = _min_of(values[name] for name in others) if others else math.inf
+            evaluations.append((points, values, np.minimum(up, down)))
+            return up >= down
+
+        if reached_at(i + 1) and not reached_at(i):
+            sign_change(reached, a, b, seed(a, b, rising, others))
 
     value = max(float(np.max(objective)) for _, _, objective in evaluations)
     rho, terms, j = min(

@@ -12,22 +12,22 @@ S3, S4 add the leakage-corrected terms:
     S3 = max_{0 <= rho <= rho*}   min(f1, f2, f3(0), (f3+f4)/2, f4-f5)
     S4 = max_{rho* <= rho <= 1}   min(f1, f2, f3(0), f4-f5)
 
-(f3+f4)/2 peaks at rho_h inside (0, rho*), so S3 is the better of its two
-pieces on [0, rho_h] and [rho_h, rho*], ties going to the smaller rho.
+(f3+f4)/2 peaks at rho_h inside (0, rho*), where the solver splits S3.
 
 Achievability comes from decode-and-forward (DF) and partial decode-and-
 forward with multicoding (PDF-M); plain PDF is PDF-M pinned at rho = 0.
 Every achievable rate requires the randomness budget to cover the leakage,
 R' >= f5(rho).  The terms of every branch and scheme live in
 ``schemes.TABLE``, whose docstring also says which solver each one gets;
-``solve`` is the one route from the table to an optimum.  Every branch and
-scheme here is solved at its crossings; the grid search only evaluates
-degenerate intervals: DF at the budget cap, PDF at rho = 0, and PDF-M when
-the budget leaves no nonnegative rho.
+``solve`` is the one route from the table to an optimum, for both
+scenarios.  Every branch and scheme is solved at its crossings;
+``maximize_min`` only evaluates degenerate intervals: DF at the budget cap,
+PDF at rho = 0, and PDF-M when the budget leaves no nonnegative rho.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -82,29 +82,46 @@ class ScenarioOneBounds:
     note: str | None = None
 
 
-def solve(params: ChannelParams, name: str, lo: float, hi: float) -> OptimizationResult:
+def solve(
+    params: ChannelParams, name: str, lo: float, hi: float, link: tuple[float, float] | None = None,
+) -> OptimizationResult:
     """Maximize ``schemes.TABLE[name]`` on the Gaussian channel over [lo, hi],
-    with the solver its structure fixes (see ``schemes``)."""
-    entry = schemes.TABLE[name]
+    with the solver its structure fixes (see ``schemes``).  ``link``, for
+    pdfpdfm2 alone, is the first and last float of [lo, hi] where its link
+    conditions hold (``rate_functions.link_interval``), None where they hold
+    at none: its indicator is constant between the floats either side of
+    each end."""
     branch, fixed = schemes.gaussian(params, name)
-    if not entry.rising or lo == hi:
+    if lo == hi:
         return maximize_min(branch, lo, hi)
+    peaks = {term: rf.peak(params, term) for term in schemes.TABLE[name].rising}
+    edges = () if link is None else (
+        math.nextafter(link[0], -math.inf), link[0], link[1], math.nextafter(link[1], math.inf))
+    ends = [lo, *(x for x in edges if lo < x < hi), hi]
 
-    def seed():
+    def seed(a, b, rising, others):
+        levels = dict(fixed)
+        inside = link is not None and link[0] <= a and b <= link[1]
+        levels["indicator"] = math.inf if inside else 0.0
         # each rising term first reaches the others where it meets the
         # first of them, and their minimum where the last of them does
-        return max(min(_meeting(params, fixed, up, other) for other in entry.meets) for up in entry.rising)
+        return max(min(_meeting(params, levels, up, other) for other in others) for up in rising)
 
-    return maximize_crossing(branch, lo, hi, entry.rising, seed)
+    return maximize_crossing(branch, ends, peaks, seed)
 
 
-def _meeting(params: ChannelParams, fixed: Mapping, up: str, other: str) -> float:
+def _meeting(params: ChannelParams, levels: Mapping, up: str, other: str) -> float:
     """Where the rising term ``up`` meets the term ``other``, by
-    ``rate_functions.crossing``: a rho-free rate by its value, f1..f3 by
-    name, and the leakage f5 that both terms may subtract cancels."""
+    ``rate_functions.crossing``: a rho-free term by its value, any other by
+    name, and the leakage f5 that both terms may subtract cancels.  The
+    bracket of the Newton steps is where up - other rises: from the peak of
+    ``other`` (a rho-free term, less f5 or not, falls everywhere) to that of
+    ``up``."""
+    lo = -1.0 if other in levels or other[:-3] in levels else max(-1.0, rf.peak(params, other))
+    hi = min(1.0, rf.peak(params, up))
     if up.endswith("-f5") and other.endswith("-f5"):
         up, other = up[:-3], other[:-3]
-    return rf.crossing(params, up, fixed.get(other, other))
+    return rf.crossing(params, up, levels.get(other, other), lo, hi)
 
 
 def _scheme_report(opt: OptimizationResult, note: str | None = None) -> BoundReport:
@@ -124,12 +141,7 @@ def upper_bound(params: ChannelParams) -> BoundReport:
     rs = rf.rho_star(params)
     s1 = solve(params, "S1", 0.0, rs)
     s2 = solve(params, "S2", rs, 1.0)
-    # S3 is the better of its pieces on either side of the peak of (f3+f4)/2;
-    # rho_star loses its digits to cancellation when P1*P2 is tiny, and can
-    # then fall below rho_h
-    rh = min(rf.rho_h(params), rs)
-    s3a, s3b = solve(params, "S3a", 0.0, rh), solve(params, "S3b", rh, rs)
-    s3 = s3a if s3a.value >= s3b.value else s3b
+    s3 = solve(params, "S3", 0.0, rs)
     s4 = solve(params, "S4", rs, 1.0)
 
     left = ("S1", s1) if s1.value >= s2.value else ("S2", s2)

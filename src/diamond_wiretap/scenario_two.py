@@ -18,8 +18,13 @@ fictitious message rides only the source-relay links (PDF-DF-M), and partial
 decode-and-forward with the fictitious message also multicoded onto the MAC
 (PDF-PDF-M).  The last one requires each link to out-rate what the
 eavesdropper learns about that relay's signal: C1 > f6(rho) and
-C2 > f7(rho), both strict.  The terms of every branch and scheme live in
-``schemes.TABLE``, whose docstring also says which solver each one gets.
+C2 > f7(rho), both strict.  They hold on one interval of correlations,
+which ``rate_functions.link_interval`` closes on adjacent floats; outside it
+PDF-PDF-M is min(terms, 0).  That interval splits the solve of PDF-PDF-M
+and gives ``indicator_satisfied`` at the optimum.  The terms of every
+branch and scheme live in ``schemes.TABLE``, whose docstring also says how
+each one is solved: every one at its crossings, PDF-DF-M and PDF-PDF-M
+split at the peaks of their terms.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rate_functions as rf
-from . import schemes
 from .errors import EmptyFeasibleSet
 from .rate_functions import ChannelParams, RandomnessBudget, RateValue
 from .scenario_one import _INFEASIBLE, BoundReport, _scheme_report, _zero_report, solve
@@ -89,9 +93,9 @@ def _achievability(
 
     df = _scheme_report(solve(params, "df2", -1.0, rho_max))
     pdfdfm = _scheme_report(solve(params, "pdfdfm2", -1.0, rho_max))
-    opt = solve(params, "pdfpdfm2", -1.0, rho_max)
-    pdfpdfm_terms, _ = schemes.gaussian(params, "pdfpdfm2")
-    ind_ok = bool(pdfpdfm_terms(opt.rho)["indicator"] > 0.0)
+    link = rf.link_interval(params, -1.0, rho_max)
+    opt = solve(params, "pdfpdfm2", -1.0, rho_max, link)
+    ind_ok = link is not None and link[0] <= opt.rho <= link[1]
     pdfpdfm = _scheme_report(opt, None if ind_ok else "link conditions C1 > f6, C2 > f7 not met at the optimum")
     return df, pdfdfm, pdfpdfm, rho_max, ind_ok, None
 

@@ -13,30 +13,52 @@ fills f1..f7 for a discrete channel from entropies:
     f4 = I(X1,X2;Y)         f5 = I(X1,X2;Z)         f6 = I(X1;Z)    f7 = I(X2;Z)
 
 Converse branches S1..S4 (scenario 1) and T1..T3 (scenario 2); schemes df1,
-pdfm1 (scenario 1) and df2, pdfdfm2, pdfpdfm2 (scenario 2).  S3 is written
-as two pieces, S3a and S3b, for the intervals either side of the peak of
-(f3+f4)/2.  The ``indicator`` of pdfpdfm2 is +inf where its strict link
-conditions C1 > f6 and C2 > f7 hold and 0 where they fail.
+pdfm1 (scenario 1) and df2, pdfdfm2, pdfpdfm2 (scenario 2).  The
+``indicator`` of pdfpdfm2 is +inf where its strict link conditions C1 > f6
+and C2 > f7 hold and 0 where they fail.
 
-Solver choice.  On an entry with ``rising`` each of those terms is
-nondecreasing on the interval and every other term constant or
-nonincreasing: f4 and f4 - f5 rise with rho (g < 1), f1, f2 and f3 fall
-for rho >= 0, constants less f5 fall, and the concave (f3+f4)/2 rises up to
-its peak ``rate_functions.rho_h`` and falls after it, which splits S3 into
-S3a on [0, rho_h], with both (f3+f4)/2 and f4 - f5 rising, and S3b on
-[rho_h, rho*].  The maximum lies at an end or where the rising minimum
-first meets the others, and ``meets`` names the terms it can meet.
-``rate_functions.crossing`` seeds each meeting point without a kernel call:
-where both terms subtract f5 it cancels, leaving f4 against f1, f2, f3 (a
-quadratic) or a constant (linear); f4 - f5 against f1, f2, f3 or (f3+f4)/2,
-and (f3+f4)/2 against f1, f2 or a constant, take a few Newton steps.
-``scalar_opt.maximize_crossing`` solves these entries (S1, S2, S3a, S3b,
-S4, T1..T3, pdfm1, df2); on a plateau it reports the first float where the
-rising minimum reaches the others.  The grid search of
-``scalar_opt.maximize_min`` is left with pdfdfm2 and pdfpdfm2, where f1 - f5
-is not monotone on [-1, 0] and pdfpdfm2 carries the indicator, with df1,
-which is only ever evaluated at the budget cap, and with every degenerate
-interval.
+Solver choice.  Every entry names its ``rising`` terms.  Each rises up to
+its peak ``rate_functions.peak`` and falls after it, and every other term
+is constant or nonincreasing on the intervals the scenario modules give
+the entry, so the minimum of the terms is quasi-concave there:
+
+- f4 and f4 - f5 rise everywhere: s(rho) rises, and f4 - f5 is
+  0.5*log2((1 + s)/(1 + g*s)), which rises with s because g < 1;
+- f1, f2 and f3 fall for rho >= 0, and a constant less f5 falls;
+- (f3+f4)/2 is concave and peaks at ``rate_functions.rho_h``, inside
+  (0, rho*), which splits S3 into a piece on [0, rho_h] with both (f3+f4)/2
+  and f4 - f5 rising and one on [rho_h, rho*];
+- f1 - f5, f2 - f5, f3 - f5 and f3 - 2 f5 each rise up to one peak and
+  fall after it on [-1, 1].  With k = sqrt(P1*P2) and G = 1 + g*(P1 + P2),
+  the slope of f1 - f5 times 2 ln 2 is -2*rho*P2/(1 + q*P2) - 2gk/(1 + g*s),
+  q = 1 - rho^2; over its positive denominator its sign is that of
+  -(g*k*P2*rho^2 + P2*G*rho + g*k*(1 + P2)).  In the same way f2 - f5
+  gives P1 for P2, f3 - f5 gives -(g*k*rho^2 + G*rho + g*k), and f3 - 2 f5
+  gives -(G*rho + 2gk).  With g > 0 each quadratic has positive
+  coefficients, so both roots are negative, and their product is
+  (1 + P2)/P2 > 1, (1 + P1)/P1 or 1: the root nearest 0 is the only one
+  that can lie in (-1, 0]; g = 0 puts it at 0.  The term
+  rises below it and falls above it: f3 - 2 f5 peaks at -2gk/G, f3 - f5 in
+  (-1, 0], and f1 - f5, f2 - f5 below -1 when the root lies there, in
+  which case they fall on all of [-1, 1].  These peaks split pdfdfm2 and
+  pdfpdfm2 into up to four pieces;
+- the indicator of pdfpdfm2 is constant between the ends of the one
+  interval where its link conditions hold: C1 > f6 reads
+  1 + g*s < 2^(2 C1)*(1 + g*q*P2), a quadratic in rho with a positive
+  leading coefficient, which holds between its roots, and C2 > f7 is the
+  same with P1 for P2 (``rate_functions.link_interval``).  Its ends split
+  pdfpdfm2 further.
+
+``scalar_opt.maximize_crossing`` evaluates every piece end in one call and
+searches only the pieces beside the best end, where the maximum lies at an
+end or where the minimum of the rising terms first meets the others.
+``scenario_one.solve`` seeds each meeting point without a kernel call, by
+``rate_functions.crossing``: where both terms subtract f5 it cancels, and f4
+against f1, f2, f3 (a quadratic) or a constant (linear) has a closed form;
+every other pair takes a few Newton steps on the bracket where the one term
+rises and the other falls.  On a plateau the solver reports the first float
+where the rising terms reach the others.  ``scalar_opt.maximize_min`` only
+evaluates degenerate intervals: df1 at the budget cap and pdfm1 at rho = 0.
 """
 
 from __future__ import annotations
@@ -54,13 +76,12 @@ __all__ = ["Entry", "TABLE", "gaussian"]
 
 @dataclass(frozen=True)
 class Entry:
-    """One branch or scheme: the rates it reads, its terms, and, on the
-    monotone-envelope branches, the rising terms and the terms they meet."""
+    """One branch or scheme: the rates it reads, its terms, and the terms
+    that rise (up to their peak, ``rate_functions.peak``)."""
 
     uses: tuple[str, ...]
     terms: Callable[[Mapping], dict]
     rising: tuple[str, ...] = ()
-    meets: tuple[str, ...] = ()
 
 
 def _as_is(r: Mapping, *names: str) -> dict:
@@ -73,40 +94,32 @@ def _less_f5(r: Mapping, *names: str) -> dict:
     return {f"{name}-f5": r[name] - r["f5"] for name in names}
 
 
-def _s3(r: Mapping) -> dict:
-    """The terms of S3, which both of its pieces share."""
-    return {**_as_is(r, "f1", "f2", "f3(0)"), "(f3+f4)/2": 0.5 * (r["f3"] + r["f4"]), "f4-f5": r["f4"] - r["f5"]}
-
-
 TABLE: dict[str, Entry] = {
-    "S1": Entry(("f1", "f2", "f3", "f4"), lambda r: _as_is(r, "f1", "f2", "f3", "f4"),
-                rising=("f4",), meets=("f1", "f2", "f3")),
-    "S2": Entry(("f1", "f2", "f4", "f3(0)"), lambda r: _as_is(r, "f1", "f2", "f3(0)", "f4"),
-                rising=("f4",), meets=("f1", "f2", "f3(0)")),
-    "S3a": Entry(("f1", "f2", "f3", "f4", "f5", "f3(0)"), _s3,
-                 rising=("(f3+f4)/2", "f4-f5"), meets=("f1", "f2", "f3(0)")),
-    "S3b": Entry(("f1", "f2", "f3", "f4", "f5", "f3(0)"), _s3,
-                 rising=("f4-f5",), meets=("f1", "f2", "f3(0)", "(f3+f4)/2")),
+    "S1": Entry(("f1", "f2", "f3", "f4"), lambda r: _as_is(r, "f1", "f2", "f3", "f4"), rising=("f4",)),
+    "S2": Entry(("f1", "f2", "f4", "f3(0)"), lambda r: _as_is(r, "f1", "f2", "f3(0)", "f4"), rising=("f4",)),
+    "S3": Entry(("f1", "f2", "f3", "f4", "f5", "f3(0)"),
+                lambda r: {**_as_is(r, "f1", "f2", "f3(0)"), "(f3+f4)/2": 0.5 * (r["f3"] + r["f4"]),
+                           "f4-f5": r["f4"] - r["f5"]},
+                rising=("(f3+f4)/2", "f4-f5")),
     "S4": Entry(("f1", "f2", "f4", "f5", "f3(0)"),
-                lambda r: {**_as_is(r, "f1", "f2", "f3(0)"), "f4-f5": r["f4"] - r["f5"]},
-                rising=("f4-f5",), meets=("f1", "f2", "f3(0)")),
+                lambda r: {**_as_is(r, "f1", "f2", "f3(0)"), "f4-f5": r["f4"] - r["f5"]}, rising=("f4-f5",)),
     "T1": Entry(("f4", "f5", "f1(0)", "f2(0)", "f3(0)"), lambda r: _less_f5(r, "f1(0)", "f2(0)", "f3(0)", "f4"),
-                rising=("f4-f5",), meets=("f1(0)-f5", "f2(0)-f5", "f3(0)-f5")),
-    "T2": Entry(("f1", "f2", "f3", "f4", "f5"), lambda r: _less_f5(r, "f1", "f2", "f3", "f4"),
-                rising=("f4-f5",), meets=("f1-f5", "f2-f5", "f3-f5")),
+                rising=("f4-f5",)),
+    "T2": Entry(("f1", "f2", "f3", "f4", "f5"), lambda r: _less_f5(r, "f1", "f2", "f3", "f4"), rising=("f4-f5",)),
     "T3": Entry(("f1", "f2", "f4", "f5", "f3(0)"), lambda r: _less_f5(r, "f1", "f2", "f3(0)", "f4"),
-                rising=("f4-f5",), meets=("f1-f5", "f2-f5", "f3(0)-f5")),
-    "df1": Entry(("f4", "f5", "C1", "C2"), lambda r: {**_as_is(r, "C1", "C2"), "f4-f5": r["f4"] - r["f5"]}),
+                rising=("f4-f5",)),
+    "df1": Entry(("f4", "f5", "C1", "C2"), lambda r: {**_as_is(r, "C1", "C2"), "f4-f5": r["f4"] - r["f5"]},
+                 rising=("f4-f5",)),
     "pdfm1": Entry(("f1", "f2", "f3", "f4", "f5"),
-                   lambda r: {**_as_is(r, "f1", "f2", "f3"), "f4-f5": r["f4"] - r["f5"]},
-                   rising=("f4-f5",), meets=("f1", "f2", "f3")),
-    "df2": Entry(("f4", "f5", "C1", "C2"), lambda r: _less_f5(r, "C1", "C2", "f4"),
-                 rising=("f4-f5",), meets=("C1-f5", "C2-f5")),
+                   lambda r: {**_as_is(r, "f1", "f2", "f3"), "f4-f5": r["f4"] - r["f5"]}, rising=("f4-f5",)),
+    "df2": Entry(("f4", "f5", "C1", "C2"), lambda r: _less_f5(r, "C1", "C2", "f4"), rising=("f4-f5",)),
     "pdfdfm2": Entry(("f1", "f2", "f3", "f4", "f5"),
-                     lambda r: {**_less_f5(r, "f1", "f2"), "f3-2f5": r["f3"] - 2.0 * r["f5"], **_less_f5(r, "f4")}),
+                     lambda r: {**_less_f5(r, "f1", "f2"), "f3-2f5": r["f3"] - 2.0 * r["f5"], **_less_f5(r, "f4")},
+                     rising=("f1-f5", "f2-f5", "f3-2f5", "f4-f5")),
     "pdfpdfm2": Entry(("f1", "f2", "f3", "f4", "f5", "f6", "f7", "C1", "C2"),
                       lambda r: {**_less_f5(r, "f1", "f2", "f3", "f4"),
-                                 "indicator": np.where((r["C1"] > r["f6"]) & (r["C2"] > r["f7"]), np.inf, 0.0)}),
+                                 "indicator": np.where((r["C1"] > r["f6"]) & (r["C2"] > r["f7"]), np.inf, 0.0)},
+                      rising=("f1-f5", "f2-f5", "f3-f5", "f4-f5")),
 }
 
 _AT_ZERO = {"f1(0)": lambda p: rf.f1(p, 0.0), "f2(0)": lambda p: rf.f2(p, 0.0), "f3(0)": lambda p: rf.f3(p, 0.0)}

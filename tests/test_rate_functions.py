@@ -6,6 +6,7 @@ digits; tests compare at 1e-9 absolute.
 """
 
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -209,6 +210,23 @@ def test_rho_star_values():
     assert rf.rho_star(ASYM) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("power", [1e-12, 1e-8, 0.01])
+def test_rho_star_is_exact_for_small_powers(power):
+    # rho* = (sqrt(1 + 4k^2) - 1)/(2k) with k = P, evaluated to 50 digits
+    decimal.getcontext().prec = 50
+    k = decimal.Decimal(power)
+    exact = float(((1 + 4 * k * k).sqrt() - 1) / (2 * k))
+    assert abs(rf.rho_star(ChannelParams.symmetric(power, 1.0, 0.5)) - exact) <= math.ulp(exact)
+
+
+@pytest.mark.parametrize("p1", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("p2", [1e-12, 1e-7, 1e-2, 1e2, 1e12])
+def test_rho_h_lies_inside_zero_to_rho_star(p1, p2):
+    # S3 is split at rho_h inside [0, rho*]: no clamp is needed at any power
+    p = ChannelParams(p1, p2, 1.0, 0.7, 0.5)
+    assert 0.0 < rf.rho_h(p) <= rf.rho_star(p)
+
+
 def test_rho_star_is_root_of_quadratic():
     # rho* is the positive root of rho^2 + rho / sqrt(p1 p2) = 1
     for p in (ChannelParams.symmetric(10.0, 1.0, 0.1), ASYM):
@@ -354,7 +372,7 @@ def test_half_sum_seeds_land_where_the_rates_meet(p, other):
         p = dataclasses.replace(p, c1=3.0 + math.log2(1.0 + q * p.p1) - 0.5 * math.log2(q) - f4, c2=3.0)
     else:
         other = 0.5 * (rf.f3(p, r) + f4)
-    seed = rf.crossing(p, "(f3+f4)/2", other)
+    seed = rf.crossing(p, "(f3+f4)/2", other, 0.0, rf.rho_h(p))
     assert seed == pytest.approx(r, rel=1e-6)
     _check_seed(p, "(f3+f4)/2", other, 2**14)
 
@@ -362,7 +380,7 @@ def test_half_sum_seeds_land_where_the_rates_meet(p, other):
 def _check_seed(p, term, other, floats):
     lo = rf.rho_h(p) if other == "(f3+f4)/2" else 0.0
     hi = rf.rho_h(p) if term == "(f3+f4)/2" else 1.0
-    seed = rf.crossing(p, term, other)
+    seed = rf.crossing(p, term, other, lo, hi)
     above = _named(p, term, np.array([lo, hi])) >= _named(p, other, np.array([lo, hi]))
     if math.isinf(seed):
         assert (seed < 0.0 and above[0]) or (seed > 0.0 and not above[1]), (seed, above)
@@ -376,3 +394,63 @@ def test_newton_seeds_near_one():
     for p, gap in ((ChannelParams(1.0, 1.0, 5.0, 5.0, 0.5), 1e-5), (ChannelParams(1.0, 1.0, 12.0, 12.0, 0.5), 1e-13)):
         seed = rf.crossing(p, "f4-f5", "f3")
         assert 1.0 - gap < seed < 1.0
+
+
+PEAK_CASES = NEWTON_CASES[:5] + [ChannelParams(1e-2, 1e2, 1.0, 0.5, 0.99), ChannelParams(1e2, 1e-2, 0.3, 2.0, 0.6),
+                                 ChannelParams(1.0, 1.0, 0.5, 0.5, 0.0)]
+PEAKED = {"f1-f5": ("f1", 1.0), "f2-f5": ("f2", 1.0), "f3-f5": ("f3", 1.0), "f3-2f5": ("f3", 2.0)}
+
+
+@pytest.mark.parametrize("p", PEAK_CASES)
+@pytest.mark.parametrize("term", sorted(PEAKED))
+def test_peaks_are_where_the_slopes_change_sign(p, term):
+    """Each closed-form peak is where its term turns from rising to falling:
+    the argmax of a fine grid on [-1, 1] sits within a grid step of it (at
+    -1 when it lies below -1), and the term falls on either side of it."""
+    rate, leak = PEAKED[term]
+
+    def at(rho):
+        r = rf.rates(p, rho, (rate, "f5"))
+        return r[rate] - leak * r["f5"]
+
+    peak = rf.peak(p, term)
+    assert peak <= 0.0 and (term in ("f1-f5", "f2-f5") or peak > -1.0)
+    grid = np.linspace(-1.0, 1.0, 200001)
+    assert abs(grid[np.argmax(at(grid))] - max(peak, -1.0)) <= grid[1] - grid[0]
+    if peak > -1.0 + 1e-3:
+        h = 1e-4 * (1.0 + abs(peak))
+        assert at(peak - h) < at(peak) > at(peak + h)
+
+
+# Criterion-08 draws 3, 23, 544 and 27, whose link conditions hold on part of
+# [-1, 1], and three channels where they hold nowhere or everywhere.
+LINK_CASES = [
+    ChannelParams(6.16330981915495, 0.20225136263465737, 3.6696408166503325, 1.100674777727431, 0.8776151201342425),
+    ChannelParams(0.3255565986888797, 0.2440033734563739, 2.5812785055768135, 0.044970136856651854,
+                  0.3281485870741433),
+    ChannelParams(0.3143957145838717, 0.06275737121706006, 0.03788662365147577, 1.5668421218848678,
+                  0.5316619620651701),
+    ChannelParams(28.15557433361902, 2.531578135609509, 1.7212897924254544, 0.2780128839447271, 0.28742047595675574),
+    ChannelParams(10.0, 10.0, 0.0, 3.0, 0.1), ChannelParams(10.0, 10.0, 3.0, 3.0, 0.1),
+    ChannelParams(10.0, 10.0, 3.0, 3.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("p", LINK_CASES)
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-1.0, -0.5), (-0.9, 0.6)])
+def test_link_interval_ends_are_the_last_floats_of_the_strict_conditions(p, lo, hi):
+    def holds(rho):
+        r = rf.rates(p, np.atleast_1d(rho), ("f6", "f7"))
+        return (p.c1 > r["f6"]) & (p.c2 > r["f7"])
+
+    link = rf.link_interval(p, lo, hi)
+    grid = np.linspace(lo, hi, 4097)
+    if link is None:
+        assert not holds(grid).any()
+        return
+    first, last = link
+    assert lo <= first <= last <= hi
+    assert holds(first) and holds(last)
+    assert first == lo or not holds(math.nextafter(first, -math.inf))
+    assert last == hi or not holds(math.nextafter(last, math.inf))
+    assert np.array_equal(holds(grid), (grid >= first) & (grid <= last))

@@ -1,5 +1,6 @@
-"""The grid + zoom-pass max-min optimizer, the crossing solver for monotone
-envelopes, and the float-exact sign-change locator."""
+"""The crossing solver for branches whose terms rise up to a peak and fall
+after it, the one-point evaluation of degenerate intervals, and the
+float-exact sign-change locator."""
 
 import math
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from diamond_wiretap.errors import EmptyInterval
-from diamond_wiretap.scalar_opt import GRID_POINTS, maximize_crossing, maximize_min, sign_change
+from diamond_wiretap.scalar_opt import maximize_crossing, maximize_min, sign_change
+
+RISES = math.inf  # the peak of a term that rises on the whole interval
 
 
 def lin(a, b):
@@ -20,89 +23,75 @@ def branch(**terms):
 
 
 def test_tent_crossing():
-    res = maximize_min(branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0)), 0.0, 1.0)
-    assert res.rho == pytest.approx(0.5, abs=1e-9)
-    assert res.value == pytest.approx(0.5, abs=1e-9)
-    assert set(res.binding) == {"up", "down"}
+    # one term that peaks inside the interval: the peak is a piece end
+    def tent(x):
+        x = np.asarray(x, dtype=float)
+        return np.minimum(x, 1.0 - x)
+
+    res = maximize_crossing(branch(tent=tent), (0.0, 1.0), {"tent": 0.5}, lambda *_: math.nan)
+    assert (res.rho, res.value) == (0.5, 0.5)
+    assert res.binding == ("tent",)
 
 
 def test_binding_preserves_term_order():
-    res = maximize_min(branch(down=lin(-1.0, 1.0), up=lin(1.0, 0.0)), 0.0, 1.0)
+    res = maximize_min(branch(down=lin(-1.0, 1.0), up=lin(1.0, 0.0)), 0.5, 0.5)
     assert res.binding == ("down", "up")
 
 
 def test_slack_term_not_binding():
-    res = maximize_min(
-        branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0), high=lin(0.0, 5.0)),
-        0.0, 1.0,
-    )
-    assert "high" not in res.binding
+    res = maximize_min(branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0), high=lin(0.0, 5.0)), 0.5, 0.5)
+    assert res.binding == ("up", "down")
 
 
 def test_monotone_argmax_at_endpoint():
-    res = maximize_min(branch(down=lin(-2.0, 3.0)), 0.0, 1.0)
-    assert res.rho == 0.0
-    assert res.value == pytest.approx(3.0, abs=1e-12)
-    res = maximize_min(branch(up=lin(0.5, 0.0)), -1.0, 1.0)
-    assert res.rho == 1.0
+    res = maximize_crossing(branch(down=lin(-2.0, 3.0)), (0.0, 1.0), {}, lambda *_: math.nan)
+    assert (res.rho, res.value) == (0.0, 3.0)
+    res = maximize_crossing(branch(up=lin(0.5, 0.0)), (-1.0, 1.0), {"up": RISES}, lambda *_: math.nan)
+    assert (res.rho, res.value) == (1.0, 0.5)
 
 
 def test_constant_ties_break_to_smallest():
-    res = maximize_min(branch(const=lin(0.0, 2.0)), -0.7, 0.9)
-    assert res.rho == -0.7
-    assert res.value == 2.0
+    res = maximize_crossing(branch(const=lin(0.0, 2.0)), (-0.7, 0.9), {}, lambda *_: math.nan)
+    assert (res.rho, res.value) == (-0.7, 2.0)
+    res = maximize_crossing(branch(const=lin(0.0, 2.0)), (-0.7, 0.9), {"const": RISES}, lambda *_: math.nan)
+    assert (res.rho, res.value) == (-0.7, 2.0)
 
 
-def test_two_equal_peaks_pick_left():
-    def two_peaks(x):
-        x = np.asarray(x, dtype=float)
-        return -((np.abs(x) - 1.0) ** 2)
+def test_searches_only_the_pieces_beside_the_best_end():
+    # the terms peak at 0.2 and 0.6, and 0.6 is the best end; of the pieces
+    # beside it only [0.2, 0.6] holds a meeting point, where up meets the
+    # falling half of left at 0.45
+    calls = []
 
-    res = maximize_min(branch(peaks=two_peaks), -2.0, 2.0)
-    assert res.rho == pytest.approx(-1.0, abs=1e-6)
-    assert res.value == pytest.approx(0.0, abs=1e-12)
+    def left(x):
+        return 0.7 - np.abs(np.asarray(x, dtype=float) - 0.2)
 
+    def right(x):
+        return 2.0 - np.abs(np.asarray(x, dtype=float) - 0.6)
 
-def test_refinement_beats_coarse_grid():
-    # peak at 0.35 is off the 5-point grid; the zoom passes must find it
-    res = maximize_min(
-        branch(up=lin(1.0, 0.0), down=lin(-1.0, 0.7)), 0.0, 1.0, grid_points=5,
-    )
-    assert res.rho == pytest.approx(0.35, abs=1e-9)
-    assert res.value == pytest.approx(0.35, abs=1e-9)
+    def seed(a, b, rising, others):
+        calls.append((a, b, rising, others))
+        return 0.55
 
-
-def test_never_below_any_grid_point():
-    def wiggle(x):
-        x = np.asarray(x, dtype=float)
-        return np.sin(7.0 * x) + 0.3 * x
-
-    res = maximize_min(branch(w=wiggle), -2.0, 2.0)
-    grid = np.linspace(-2.0, 2.0, GRID_POINTS)
-    assert res.value >= float(np.max(wiggle(grid)))
-
-
-def test_refinement_ends_where_float_spacing_exceeds_the_bracket(deadline):
-    # near -12345.6 adjacent floats are 1.8e-12 apart, so the bracket cannot
-    # shrink to 1e-12 there; the pass count alone must end the refinement
-    def peak(x):
-        return -np.abs(np.asarray(x, dtype=float) + 12345.6)
-
-    with deadline(10.0):
-        res = maximize_min(branch(peak=peak), -2.0e4, 0.0)
-    assert res.rho == pytest.approx(-12345.6, abs=1e-8)
-    assert res.value >= float(np.max(peak(np.linspace(-2.0e4, 0.0, GRID_POINTS))))
+    three = branch(up=lin(1.0, 0.0), left=left, right=right)
+    res = maximize_crossing(three, (0.0, 1.0), {"up": RISES, "left": 0.2, "right": 0.6}, seed)
+    assert calls == [(0.2, 0.6, ("up", "right"), ("left",))]
+    assert res.rho == pytest.approx(0.45, abs=1e-15)
+    assert res.value == pytest.approx(0.45, abs=1e-15)
+    assert res.binding == ("up", "left")
 
 
 def test_degenerate_interval():
     res = maximize_min(branch(up=lin(1.0, 0.0)), 0.25, 0.25)
     assert res.rho == 0.25
     assert res.value == pytest.approx(0.25, abs=1e-12)
+    with pytest.raises(ValueError):
+        maximize_min(branch(up=lin(1.0, 0.0)), 0.25, 0.5)
 
 
 def test_empty_inputs_raise():
     with pytest.raises(EmptyInterval):
-        maximize_min(branch(), 0.0, 1.0)
+        maximize_min(branch(), 0.5, 0.5)
     with pytest.raises(EmptyInterval):
         maximize_min(branch(up=lin(1.0, 0.0)), 1.0, 0.0)
 
@@ -111,24 +100,23 @@ def test_minus_infinity_term():
     def bottom(x):
         return np.full_like(np.asarray(x, dtype=float), -np.inf)
 
-    res = maximize_min(branch(up=lin(1.0, 0.0), bottom=bottom), 0.0, 1.0)
+    res = maximize_min(branch(up=lin(1.0, 0.0), bottom=bottom), 0.5, 0.5)
     assert res.value == -math.inf
     assert "bottom" in res.binding
 
 
 def test_deterministic():
-    def wiggle(x):
-        x = np.asarray(x, dtype=float)
-        return np.cos(3.0 * x) - 0.1 * x * x
+    def hump(x):
+        return np.cos(3.0 * np.asarray(x, dtype=float))
 
-    a = maximize_min(branch(w=wiggle), -3.0, 3.0)
-    b = maximize_min(branch(w=wiggle), -3.0, 3.0)
-    assert a.rho == b.rho and a.value == b.value and a.binding == b.binding
+    two = branch(up=lin(0.7, 0.1), hump=hump)
+    runs = [maximize_crossing(two, (-1.0, 1.0), {"up": RISES, "hump": 0.0}, lambda *_: 0.3) for _ in range(2)]
+    assert runs[0] == runs[1]
 
 
 def test_crossing_tent():
     tent = branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0))
-    res = maximize_crossing(tent, 0.0, 1.0, "up", lambda: 0.5)
+    res = maximize_crossing(tent, (0.0, 1.0), {"up": RISES}, lambda *_: 0.5)
     assert res.rho == 0.5 and res.value == 0.5
     assert res.binding == ("up", "down")
 
@@ -145,52 +133,49 @@ def test_crossing_polishes_a_far_seed_to_adjacent_floats():
     best = max((a, b), key=lambda x: min(x, -2.0 * x + 1.0))
     tent = branch(up=lin(1.0, 0.0), down=lin(-2.0, 1.0))
     for seed in (0.3, 0.9, math.inf, -math.inf, math.nan):
-        res = maximize_crossing(tent, 0.0, 1.0, "up", lambda: seed)
+        res = maximize_crossing(tent, (0.0, 1.0), {"up": RISES}, lambda *_: seed)
         assert res.rho == best, seed
         assert res.value == min(best, -2.0 * best + 1.0), seed
 
 
 def test_crossing_at_the_ends():
     # the rising term already above the other at lo, or still below it at hi
-    res = maximize_crossing(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), 0.0, 1.0, "up", lambda: -1.5)
+    res = maximize_crossing(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), (0.0, 1.0), {"up": RISES}, lambda *_: -1.5)
     assert (res.rho, res.value) == (0.0, 1.0)
-    res = maximize_crossing(branch(up=lin(1.0, -2.0), down=lin(-1.0, 1.0)), 0.0, 1.0, "up", lambda: 1.5)
+    res = maximize_crossing(branch(up=lin(1.0, -2.0), down=lin(-1.0, 1.0)), (0.0, 1.0), {"up": RISES}, lambda *_: 1.5)
     assert (res.rho, res.value) == (1.0, -1.0)
 
 
 def test_crossing_with_two_rising_terms():
     # min(up, steep) = steep below 0.5 meets down where 3x - 1 = 0.8 - x, at 0.45
     two = branch(up=lin(1.0, 0.0), steep=lin(3.0, -1.0), down=lin(-1.0, 0.8))
-    res = maximize_crossing(two, 0.0, 1.0, ("up", "steep"), lambda: 0.45 + 1e-9)
+    res = maximize_crossing(two, (0.0, 1.0), {"up": RISES, "steep": RISES}, lambda *_: 0.45 + 1e-9)
     grid = np.linspace(0.0, 1.0, 4097)
     assert res.value >= np.max(np.minimum.reduce([grid, 3.0 * grid - 1.0, 0.8 - grid]))
     assert res.rho == pytest.approx(0.45, abs=1e-15)
     assert res.binding == ("steep", "down")
-    # the single-name form agrees with a one-element tuple
-    tent = branch(up=lin(1.0, 0.0), down=lin(-2.0, 1.0))
-    assert maximize_crossing(tent, 0.0, 1.0, "up", lambda: 0.3) == maximize_crossing(tent, 0.0, 1.0, ("up",), lambda: 0.3)
 
 
 def test_crossing_asks_for_a_seed_only_where_the_terms_meet():
-    def never():
+    def never(*_):
         raise AssertionError("no meeting point inside the interval")
-    res = maximize_crossing(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), 0.0, 1.0, "up", never)
+    res = maximize_crossing(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), (0.0, 1.0), {"up": RISES}, never)
     assert (res.rho, res.value) == (0.0, 1.0)
 
 
 def test_crossing_plateau_picks_the_first_float_reaching_it():
     flat = branch(up=lin(1.0, 0.0), level=lin(0.0, 0.3))
-    res = maximize_crossing(flat, -1.0, 1.0, "up", lambda: 0.3 + 1e-13)
+    res = maximize_crossing(flat, (-1.0, 1.0), {"up": RISES}, lambda *_: 0.3 + 1e-13)
     assert res.rho == 0.3 and res.value == 0.3
     assert res.binding == ("up", "level")
 
 
 def test_crossing_degenerate_and_empty_intervals():
     tent = branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0))
-    res = maximize_crossing(tent, 0.25, 0.25, "up", lambda: 0.5)
+    res = maximize_crossing(tent, (0.25, 0.25), {"up": RISES}, lambda *_: 0.5)
     assert (res.rho, res.value) == (0.25, 0.25)
     with pytest.raises(EmptyInterval):
-        maximize_crossing(tent, 1.0, 0.0, "up", lambda: 0.5)
+        maximize_crossing(tent, (1.0, 0.0), {"up": RISES}, lambda *_: 0.5)
 
 
 def test_sign_change_returns_adjacent_floats():

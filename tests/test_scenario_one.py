@@ -142,21 +142,25 @@ def test_lower_never_exceeds_upper_random_sweep():
         assert b.lower >= 0.0
 
 
-def test_meets_names_every_term_the_rising_terms_can_meet():
-    """The crossing seeds cover every meeting point: on each entry solved at
-    its crossings, the rising terms and ``meets`` split the branch's terms."""
+def test_seeds_cover_every_pair_of_a_rising_and_another_term():
+    """The crossing seeds cover every meeting point: on each entry the rising
+    terms are terms of the branch, and each has a seed against every term
+    that can fall while it rises, one that peaks before it or never rises."""
     p = ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3)
     for name, entry in schemes.TABLE.items():
-        if entry.rising:
-            branch, _ = schemes.gaussian(p, name)
-            terms = set(branch(0.5))
-            assert set(entry.rising) | set(entry.meets) == terms, name
-            assert not set(entry.rising) & set(entry.meets), name
-
+        branch, fixed = schemes.gaussian(p, name)
+        terms = set(branch(0.5))
+        assert entry.rising and set(entry.rising) <= terms, name
+        peaks = {term: rf.peak(p, term) for term in entry.rising}
+        for up in entry.rising:
+            for other in terms:
+                if peaks.get(other, -math.inf) < peaks[up]:
+                    seed = s1._meeting(p, {**fixed, "indicator": 0.0}, up, other)
+                    assert isinstance(seed, float), (name, up, other)
 
 
 @pytest.mark.parametrize("p1, p2", [(1e-12, 1e-12), (1e-12, 1e-7), (1e-9, 1e-9), (1e-12, 1e12)])
 def test_tiny_power_products_return_ordered_bounds(p1, p2):
-    # rho_star(p) loses its digits to cancellation here, down to 0.0 at 1e-12
+    # a tiny power product puts rho* and rho_h close to 0, where floats are dense
     b = s1.bounds(ChannelParams(p1, p2, 1.0, 0.7, 0.5), UNBOUNDED)
     assert 0.0 <= b.lower <= b.upper.value + 1e-9
