@@ -229,11 +229,12 @@ def rho_star(params: ChannelParams) -> float:
     """Correlation above which the correlation cost term is frozen at rho = 0.
 
     rho_star is the positive root of rho^2 + rho/k = 1 with k = sqrt(P1*P2),
-    written 2k/(1 + sqrt(1 + 4k^2)) so that no digits cancel for small
-    powers; always in (0, 1).
+    written 2k/(1 + sqrt(1 + (2k)^2)) so that no digits cancel for small
+    powers, with k and the root taken so that nothing overflows for large
+    ones; always in (0, 1].
     """
-    k = math.sqrt(params.p1 * params.p2)
-    return 2.0 * k / (1.0 + math.sqrt(1.0 + 4.0 * params.p1 * params.p2))
+    k = math.sqrt(params.p1) * math.sqrt(params.p2)
+    return 2.0 * k / (1.0 + math.hypot(1.0, 2.0 * k))
 
 
 def rho_bar(params: ChannelParams) -> float:
@@ -448,8 +449,10 @@ def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, f
 
     Each holds between the roots of a quadratic in the form of ``crossing``
     (``schemes`` derives it), so both hold on one interval.  Its closed-form
-    ends seed ``scalar_opt.sign_change`` on the kernel's own test, which
-    closes each end that lies inside [lo, hi] on adjacent floats.
+    ends carry rounding, so the kernel's own test decides: it checks lo and
+    hi wherever the closed form puts an end at or past them, and
+    ``scalar_opt.sign_change``, seeded by the closed form, closes each end
+    inside on adjacent floats.
     """
     left, right = -math.inf, math.inf
     for cap, p_other in ((params.c1, params.p2), (params.c2, params.p1)):
@@ -465,7 +468,7 @@ def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, f
             left, right = max(left, -(b + root) / a), min(right, -c / (b + root))
         elif c >= 0.0:  # g = 0, so f6 = f7 = 0: the condition is C > 0
             return None
-    if not (left < right and left < hi and right > lo):
+    if not left < right:
         return None
 
     seen = {}
@@ -476,14 +479,19 @@ def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, f
         seen.update(zip(xs.tolist(), ok.tolist()))
         return ok
 
+    edges = [x for x, past in ((lo, left <= lo), (hi, right >= hi)) if past]
+    if edges:
+        holds(np.array(edges))
+    if (right <= lo and not seen[lo]) or (left >= hi and not seen[hi]):
+        return None  # the interval lies beyond lo or hi
     first, last = lo, hi
-    if left > lo:
+    if not seen.get(lo):
         # past a point well inside the interval the test counts as met, so
         # that it turns true once, at the first float of the interval
-        inside = 0.5 * (left + min(right, hi))
-        _, first = sign_change(lambda xs: holds(xs) | (xs >= inside), lo, hi, left)
+        inside = 0.5 * (max(left, lo) + min(right, hi))
+        _, first = sign_change(lambda xs: holds(xs) | (xs >= inside), math.nextafter(lo, -math.inf), hi, left)
         if not seen.get(first):
             return None
-    if right < hi:
-        last, _ = sign_change(lambda xs: ~holds(xs), first, hi, right)
+    if not seen.get(hi):
+        last, _ = sign_change(lambda xs: ~holds(xs), first, math.nextafter(hi, math.inf), right)
     return first, last

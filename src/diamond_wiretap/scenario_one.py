@@ -20,7 +20,8 @@ Every achievable rate requires the randomness budget to cover the leakage,
 R' >= f5(rho).  The terms of every branch and scheme live in
 ``schemes.TABLE``, whose docstring also says which solver each one gets;
 ``solve`` is the one route from the table to an optimum, for both
-scenarios.  Every branch and scheme is solved at its crossings;
+scenarios, and ``solve_linked`` also returns the link interval it splits
+PDF-PDF-M at.  Every branch and scheme is solved at its crossings;
 ``maximize_min`` only evaluates degenerate intervals: DF at the budget cap,
 PDF at rho = 0, and PDF-M when the budget leaves no nonnegative rho.
 """
@@ -41,6 +42,7 @@ __all__ = [
     "BoundReport",
     "ScenarioOneBounds",
     "solve",
+    "solve_linked",
     "upper_bound",
     "scheme_rates",
     "bounds",
@@ -82,19 +84,26 @@ class ScenarioOneBounds:
     note: str | None = None
 
 
-def solve(
-    params: ChannelParams, name: str, lo: float, hi: float, link: tuple[float, float] | None = None,
-) -> OptimizationResult:
+def solve(params: ChannelParams, name: str, lo: float, hi: float) -> OptimizationResult:
     """Maximize ``schemes.TABLE[name]`` on the Gaussian channel over [lo, hi],
-    with the solver its structure fixes (see ``schemes``).  ``link``, for
-    pdfpdfm2 alone, is the first and last float of [lo, hi] where its link
-    conditions hold (``rate_functions.link_interval``), None where they hold
-    at none: its indicator is constant between the floats either side of
-    each end."""
+    with the solver its structure fixes (see ``schemes``)."""
+    return solve_linked(params, name, lo, hi)[0]
+
+
+def solve_linked(
+    params: ChannelParams, name: str, lo: float, hi: float,
+) -> tuple[OptimizationResult, tuple[float, float] | None]:
+    """``solve``, and for an entry with link conditions (``linked``) the
+    first and last float of [lo, hi] where they hold
+    (``rate_functions.link_interval``), None where they hold at none and for
+    every other entry.  The indicator is constant between the floats either
+    side of each end, so those floats split the solve."""
     branch, fixed = schemes.gaussian(params, name)
+    entry = schemes.TABLE[name]
+    link = rf.link_interval(params, lo, hi) if entry.linked else None
     if lo == hi:
-        return maximize_min(branch, lo, hi)
-    peaks = {term: rf.peak(params, term) for term in schemes.TABLE[name].rising}
+        return maximize_min(branch, lo, hi), link
+    peaks = {term: rf.peak(params, term) for term in entry.rising}
     edges = () if link is None else (
         math.nextafter(link[0], -math.inf), link[0], link[1], math.nextafter(link[1], math.inf))
     ends = [lo, *(x for x in edges if lo < x < hi), hi]
@@ -107,7 +116,7 @@ def solve(
         # first of them, and their minimum where the last of them does
         return max(min(_meeting(params, levels, up, other) for other in others) for up in rising)
 
-    return maximize_crossing(branch, ends, peaks, seed)
+    return maximize_crossing(branch, ends, peaks, seed), link
 
 
 def _meeting(params: ChannelParams, levels: Mapping, up: str, other: str) -> float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import rate_functions as rf
 from .errors import EmptyFeasibleSet
 from .rate_functions import ChannelParams, RandomnessBudget, RateValue
-from .scenario_one import _INFEASIBLE, BoundReport, _scheme_report, _zero_report, solve
+from .scenario_one import _INFEASIBLE, BoundReport, _scheme_report, _zero_report, solve, solve_linked
 
 __all__ = [
     "ScenarioTwoBounds",
@@ -93,8 +93,7 @@ def _achievability(
 
     df = _scheme_report(solve(params, "df2", -1.0, rho_max))
     pdfdfm = _scheme_report(solve(params, "pdfdfm2", -1.0, rho_max))
-    link = rf.link_interval(params, -1.0, rho_max)
-    opt = solve(params, "pdfpdfm2", -1.0, rho_max, link)
+    opt, link = solve_linked(params, "pdfpdfm2", -1.0, rho_max)
     ind_ok = link is not None and link[0] <= opt.rho <= link[1]
     pdfpdfm = _scheme_report(opt, None if ind_ok else "link conditions C1 > f6, C2 > f7 not met at the optimum")
     return df, pdfdfm, pdfpdfm, rho_max, ind_ok, None

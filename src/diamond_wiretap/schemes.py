@@ -47,7 +47,7 @@ the entry, so the minimum of the terms is quasi-concave there:
   1 + g*s < 2^(2 C1)*(1 + g*q*P2), a quadratic in rho with a positive
   leading coefficient, which holds between its roots, and C2 > f7 is the
   same with P1 for P2 (``rate_functions.link_interval``).  Its ends split
-  pdfpdfm2 further.
+  each ``linked`` entry, pdfpdfm2 alone, further.
 
 ``scalar_opt.maximize_crossing`` evaluates every piece end in one call and
 searches only the pieces beside the best end, where the maximum lies at an
@@ -76,12 +76,14 @@ __all__ = ["Entry", "TABLE", "gaussian"]
 
 @dataclass(frozen=True)
 class Entry:
-    """One branch or scheme: the rates it reads, its terms, and the terms
-    that rise (up to their peak, ``rate_functions.peak``)."""
+    """One branch or scheme: the rates it reads, its terms, the terms that
+    rise (up to their peak, ``rate_functions.peak``), and whether the terms
+    include the ``indicator`` of the link conditions."""
 
     uses: tuple[str, ...]
     terms: Callable[[Mapping], dict]
     rising: tuple[str, ...] = ()
+    linked: bool = False
 
 
 def _as_is(r: Mapping, *names: str) -> dict:
@@ -119,7 +121,7 @@ TABLE: dict[str, Entry] = {
     "pdfpdfm2": Entry(("f1", "f2", "f3", "f4", "f5", "f6", "f7", "C1", "C2"),
                       lambda r: {**_less_f5(r, "f1", "f2", "f3", "f4"),
                                  "indicator": np.where((r["C1"] > r["f6"]) & (r["C2"] > r["f7"]), np.inf, 0.0)},
-                      rising=("f1-f5", "f2-f5", "f3-f5", "f4-f5")),
+                      rising=("f1-f5", "f2-f5", "f3-f5", "f4-f5"), linked=True),
 }
 
 _AT_ZERO = {"f1(0)": lambda p: rf.f1(p, 0.0), "f2(0)": lambda p: rf.f2(p, 0.0), "f3(0)": lambda p: rf.f3(p, 0.0)}

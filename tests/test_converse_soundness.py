@@ -81,9 +81,13 @@ def test_upper_bound_branches_are_sound(i, p):
 
 
 STRUCTURE_POINTS = 4097
-# Near its peak a term that turns moves less between samples than the
-# rounding of its parts: a few ulps of the largest rate, below 16 on these
-# draws.  Terms that only rise or only fall are held to exact order.
+# Within FLAT_TOP of its closed-form peak, a rate less f5 that turns moves
+# less between samples than the rounding of its two logs: a few ulps of the
+# larger rate, below 16 on these draws (f1 - f5 broke exact order by one ulp
+# 2e-8 past its peak on draw 28).  Every other term and step, (f3+f4)/2 at
+# its peak included, is held to exact order.
+TURNING_LESS_F5 = ("f1-f5", "f2-f5", "f3-f5", "f3-2f5")
+FLAT_TOP = 1e-6
 ROUNDING = 8.0 * np.spacing(16.0)
 
 
@@ -113,7 +117,9 @@ def test_solved_branches_have_a_monotone_envelope(i, p, monkeypatch):
             rho = np.linspace(a, b, STRUCTURE_POINTS)
             for name, values in branch(rho).items():
                 values = np.broadcast_to(values, rho.shape)
-                noise = ROUNDING if math.isfinite(peaks.get(name, math.inf)) else 0.0
+                peak = peaks.get(name, math.nan) if name in TURNING_LESS_F5 else math.nan
+                flat = np.abs(rho - peak) <= FLAT_TOP
+                noise = np.where(flat[1:] | flat[:-1], ROUNDING, 0.0)
                 if peaks.get(name, -np.inf) >= b:
                     assert np.all(values[1:] >= values[:-1] - noise), (i, name, a, b)
                 else:
@@ -151,10 +157,10 @@ def test_scenario_two_runs_no_grid_search(budget, monkeypatch):
 
 
 # Kernel calls per scenario_two.bounds on the 30 draws, measured with the
-# crossing solver: 12.53 (unbounded) and 12.0 (r' = 0.3).  The grid search
+# crossing solver: 13.23 (unbounded) and 12.5 (r' = 0.3).  The grid search
 # that PDF-DF-M and PDF-PDF-M used before took 7 calls each, 23.6 and 17.7
 # in all.
-KERNEL_CALLS_CEILING = {math.inf: 13.0, 0.3: 12.5}
+KERNEL_CALLS_CEILING = {math.inf: 13.5, 0.3: 13.0}
 
 
 @pytest.mark.parametrize("r_prime", sorted(KERNEL_CALLS_CEILING))

@@ -219,6 +219,15 @@ def test_rho_star_is_exact_for_small_powers(power):
     assert abs(rf.rho_star(ChannelParams.symmetric(power, 1.0, 0.5)) - exact) <= math.ulp(exact)
 
 
+@pytest.mark.parametrize("p1, p2", [(1e154, 1e154), (1e300, 1e300), (1e300, 1e-300), (1e-300, 1e-300)])
+def test_rho_star_does_not_overflow(p1, p2):
+    # 4*P1*P2 overflows for P1 = P2 = 1e154, where rho* is 1 to double precision
+    decimal.getcontext().prec = 50
+    k = (decimal.Decimal(p1) * decimal.Decimal(p2)).sqrt()
+    exact = float(2 * k / (1 + (1 + 4 * k * k).sqrt()))
+    assert abs(rf.rho_star(ChannelParams(p1, p2, 1.0, 1.0, 0.5)) - exact) <= math.ulp(exact)
+
+
 @pytest.mark.parametrize("p1", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("p2", [1e-12, 1e-7, 1e-2, 1e2, 1e12])
 def test_rho_h_lies_inside_zero_to_rho_star(p1, p2):
@@ -436,9 +445,28 @@ LINK_CASES = [
 ]
 
 
+LINK_BOUNDS = [(-1.0, 1.0), (-1.0, -0.5), (-0.9, 0.6)]
+
+
 @pytest.mark.parametrize("p", LINK_CASES)
-@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-1.0, -0.5), (-0.9, 0.6)])
+@pytest.mark.parametrize("lo, hi", LINK_BOUNDS)
 def test_link_interval_ends_are_the_last_floats_of_the_strict_conditions(p, lo, hi):
+    _check_link_interval(p, lo, hi)
+
+
+@pytest.mark.parametrize("p1, p2, g", [(0.13906105515171974, 0.016433225301749045, 0.3950319927069664),
+                                       (99.24404574858076, 4.068894658540161, 0.2610591815028415),
+                                       (0.5492754757289624, 78.83966550820475, 0.8579098472976939)])
+@pytest.mark.parametrize("lo, hi", LINK_BOUNDS)
+def test_link_interval_ends_where_a_condition_is_an_equality(p1, p2, g, lo, hi):
+    # C1 = f6(lo), then C2 = f7(hi), to the bit: the strict condition fails
+    # at that bound, wherever the closed-form root rounds to
+    base = ChannelParams(p1, p2, 1.0, 1.0, g)
+    for c1, c2 in ((rf.f6(base, lo), 5.0), (5.0, rf.f7(base, hi))):
+        _check_link_interval(ChannelParams(p1, p2, c1, c2, g), lo, hi)
+
+
+def _check_link_interval(p, lo, hi):
     def holds(rho):
         r = rf.rates(p, np.atleast_1d(rho), ("f6", "f7"))
         return (p.c1 > r["f6"]) & (p.c2 > r["f7"])

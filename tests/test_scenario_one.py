@@ -159,6 +159,15 @@ def test_seeds_cover_every_pair_of_a_rising_and_another_term():
                     assert isinstance(seed, float), (name, up, other)
 
 
+def test_linked_entries_are_those_with_an_indicator():
+    """``solve`` splits at the link interval exactly the entries whose terms
+    include the indicator of the link conditions."""
+    p = ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3)
+    for name, entry in schemes.TABLE.items():
+        branch, _ = schemes.gaussian(p, name)
+        assert entry.linked == ("indicator" in branch(0.5)), name
+
+
 @pytest.mark.parametrize("p1, p2", [(1e-12, 1e-12), (1e-12, 1e-7), (1e-9, 1e-9), (1e-12, 1e12)])
 def test_tiny_power_products_return_ordered_bounds(p1, p2):
     # a tiny power product puts rho* and rho_h close to 0, where floats are dense
