@@ -21,18 +21,20 @@ leakage quantities reduce to seven scalar functions of rho:
 
 with s(rho) = P1 + P2 + 2*rho*sqrt(P1*P2).  f1, f2, f3, f6, f7 live on
 [-1, 1]; f4 and f5 extend to [-rho_bar, 1] with rho_bar = (P1+P2)/(2*sqrt(P1*P2)),
-where s(-rho_bar) = 0 and hence f4 = f5 = 0.
+where s(-rho_bar) = 0 and hence f4 = f5 = 0.  sqrt(P1*P2) is taken as
+sqrt(P1)*sqrt(P2) throughout, so that no power product overflows or
+underflows.
 
 Rate values are plain floats under the IEEE extended-real convention: f3
 returns -inf at |rho| = 1, ``min`` propagates it and ``max`` discards it.
+Everything here is plain Python floats and ``math``: no import of numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, EmptyFeasibleSet, ParameterError
 from .scalar_opt import sign_change
@@ -138,91 +140,96 @@ class RandomnessBudget:
 # f4(-rho_bar) and f5(-rho_bar) exactly 0 despite the rounding in rho_bar
 # itself, and clamps the tiny negative values that the same rounding can
 # produce just inside the domain edge.
-_SNAP = 32.0 * np.finfo(float).eps
+_SNAP = 32.0 * sys.float_info.epsilon
 
 # f4 and f5 alone extend below -1, down to -rho_bar less this slack; any of
 # the others confines rho to [-1, 1].
 _EXTENDED_TOL = 1e-9
-_UNIT_DOMAIN = frozenset(("f1", "f2", "f3", "f6", "f7"))
-_USES_S = frozenset(("f4", "f5", "f6", "f7"))
+_UNIT_DOMAIN = frozenset(("f1", "f2", "f3", "f6", "f7", "indicator"))
+_log2 = math.log2
 
-# Each closed form from the atoms q = 1 - rho^2 and s = s(rho).
+# Each closed form over lists of the atoms q = 1 - rho^2 and s = s(rho).
+# The indicator of the strict link conditions of PDF-PDF-M is +inf where
+# C1 > f6 and C2 > f7 both hold and 0 where either fails.
 _FORMS = {
-    "f1": lambda p, q, s: p.c1 + 0.5 * np.log2(1.0 + q * p.p2),
-    "f2": lambda p, q, s: p.c2 + 0.5 * np.log2(1.0 + q * p.p1),
-    "f3": lambda p, q, s: p.c1 + p.c2 + 0.5 * np.log2(q),
-    "f4": lambda p, q, s: 0.5 * np.log2(1.0 + s),
-    "f5": lambda p, q, s: 0.5 * np.log2(1.0 + p.g * s),
-    "f6": lambda p, q, s: 0.5 * np.log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p2)),
-    "f7": lambda p, q, s: 0.5 * np.log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p1)),
+    "f1": lambda p, qs, ss: [p.c1 + 0.5 * _log2(1.0 + q * p.p2) for q in qs],
+    "f2": lambda p, qs, ss: [p.c2 + 0.5 * _log2(1.0 + q * p.p1) for q in qs],
+    "f3": lambda p, qs, ss: [p.c1 + p.c2 + 0.5 * _log2(q) if q > 0.0 else -math.inf for q in qs],
+    "f4": lambda p, qs, ss: [0.5 * _log2(1.0 + s) for s in ss],
+    "f5": lambda p, qs, ss: [0.5 * _log2(1.0 + p.g * s) for s in ss],
+    "f6": lambda p, qs, ss: [0.5 * _log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p2)) for q, s in zip(qs, ss)],
+    "f7": lambda p, qs, ss: [0.5 * _log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p1)) for q, s in zip(qs, ss)],
+    "indicator": lambda p, qs, ss: [math.inf if p.c1 > a and p.c2 > b else 0.0 for a, b in
+                                    zip(_FORMS["f6"](p, qs, ss), _FORMS["f7"](p, qs, ss))],
 }
 
 
+def _k(params: ChannelParams) -> float:
+    """sqrt(P1*P2), as sqrt(P1)*sqrt(P2) so that it never overflows."""
+    return math.sqrt(params.p1) * math.sqrt(params.p2)
+
+
 def rates(params: ChannelParams, rho, names) -> dict:
-    """The closed forms ``names`` (a subset of f1..f7, in order) at ``rho``.
+    """The closed forms ``names`` (a subset of f1..f7 and ``indicator``, in
+    order) at ``rho``, a float or a sequence of floats.
 
     The kernel behind f1..f7 and the optimizer's branches: one domain check
-    covers all the names, on [-1, 1] if any of f1, f2, f3, f6, f7 is named,
-    else on [-rho_bar, 1]; values within round-off outside an endpoint are
-    clipped onto it.  1 - rho^2 and s(rho) are computed once.  Values are
-    numpy scalars for a scalar ``rho``.
+    covers all the names, on [-1, 1] if any of f1, f2, f3, f6, f7 or the
+    indicator is named, else on [-rho_bar, 1]; values within round-off
+    outside an endpoint are clipped onto it.  1 - rho^2 and s(rho) are
+    computed once per point.  Values are floats for a float ``rho`` and
+    lists of floats for a sequence.
     """
-    r = np.asarray(rho, dtype=float)
+    scalar = isinstance(rho, (int, float))
+    xs = [rho] if scalar else rho
     unit = not _UNIT_DOMAIN.isdisjoint(names)
-    if r.size:
-        lo, hi = r.min(), r.max()  # NaN fails both comparisons below
-        floor = -1.0 if unit else -rho_bar(params)
-        if not (lo >= floor - (_DOMAIN_TOL if unit else _EXTENDED_TOL) and hi <= 1.0 + _DOMAIN_TOL):
-            raise DomainError(f"correlation must lie in [{floor}, 1] for {', '.join(names)}, got {rho!r}")
-        if hi > 1.0 or (unit and lo < -1.0):
-            r = np.clip(r, -1.0, 1.0) if unit else np.minimum(r, 1.0)
-    q = 1.0 - np.square(r) if unit else None
-    s = None
-    if not _USES_S.isdisjoint(names):
-        s = params.p1 + params.p2 + 2.0 * r * math.sqrt(params.p1 * params.p2)
-        s = np.where(s < _SNAP * (params.p1 + params.p2), 0.0, s)
-    with np.errstate(divide="ignore"):  # f3 is -inf at |rho| = 1
-        return {name: _FORMS[name](params, q, s) for name in names}
-
-
-def _rate(name: str, params: ChannelParams, rho) -> RateValue:
-    value = rates(params, rho, (name,))[name]
-    return float(value) if np.ndim(rho) == 0 else value
+    floor = -1.0 if unit else -rho_bar(params)
+    low, top = floor - (_DOMAIN_TOL if unit else _EXTENDED_TOL), 1.0 + _DOMAIN_TOL
+    if not all(low <= r <= top for r in xs):  # NaN fails too
+        raise DomainError(f"correlation must lie in [{floor}, 1] for {', '.join(names)}, got {rho!r}")
+    if len(xs) and (max(xs) > 1.0 or (unit and min(xs) < -1.0)):
+        xs = [max(-1.0, min(r, 1.0)) if unit else min(r, 1.0) for r in xs]
+    base, k2, snap = params.p1 + params.p2, 2.0 * _k(params), _SNAP * (params.p1 + params.p2)
+    qs, ss = [1.0 - r * r for r in xs], [base + k2 * r for r in xs]
+    if ss and min(ss) < snap:
+        ss = [s if s >= snap else 0.0 for s in ss]
+    values = {name: _FORMS[name](params, qs, ss) for name in names}
+    return {name: column[0] for name, column in values.items()} if scalar else values
 
 
 def f1(params: ChannelParams, rho) -> RateValue:
     """Cut rate through relay 1's link plus relay 2's clean MAC contribution."""
-    return _rate("f1", params, rho)
+    return rates(params, rho, ("f1",))["f1"]
 
 
 def f2(params: ChannelParams, rho) -> RateValue:
     """Cut rate through relay 2's link plus relay 1's clean MAC contribution."""
-    return _rate("f2", params, rho)
+    return rates(params, rho, ("f2",))["f2"]
 
 
 def f3(params: ChannelParams, rho) -> RateValue:
     """Both-links cut rate net of the correlation cost; -inf at |rho| = 1."""
-    return _rate("f3", params, rho)
+    return rates(params, rho, ("f3",))["f3"]
 
 
 def f4(params: ChannelParams, rho) -> RateValue:
     """Coherent-combining rate of the main MAC; 0 at rho = -rho_bar."""
-    return _rate("f4", params, rho)
+    return rates(params, rho, ("f4",))["f4"]
 
 
 def f5(params: ChannelParams, rho) -> RateValue:
     """Rate leaked to the eavesdropper from the combined transmission."""
-    return _rate("f5", params, rho)
+    return rates(params, rho, ("f5",))["f5"]
 
 
 def f6(params: ChannelParams, rho) -> RateValue:
     """Eavesdropper's rate about X1 alone (X2 acting as noise)."""
-    return _rate("f6", params, rho)
+    return rates(params, rho, ("f6",))["f6"]
 
 
 def f7(params: ChannelParams, rho) -> RateValue:
     """Eavesdropper's rate about X2 alone (X1 acting as noise)."""
-    return _rate("f7", params, rho)
+    return rates(params, rho, ("f7",))["f7"]
 
 
 def rho_star(params: ChannelParams) -> float:
@@ -233,7 +240,7 @@ def rho_star(params: ChannelParams) -> float:
     powers, with k and the root taken so that nothing overflows for large
     ones; always in (0, 1].
     """
-    k = math.sqrt(params.p1) * math.sqrt(params.p2)
+    k = _k(params)
     return 2.0 * k / (1.0 + math.hypot(1.0, 2.0 * k))
 
 
@@ -244,17 +251,20 @@ def rho_bar(params: ChannelParams) -> float:
     """
     if params.p1 == params.p2:
         return 1.0
-    return (params.p1 + params.p2) / (2.0 * math.sqrt(params.p1 * params.p2))
+    return (params.p1 + params.p2) / (2.0 * _k(params))
 
 
 def rho_h(params: ChannelParams) -> float:
     """Peak of the concave (f3 + f4)/2 on [0, 1]: it rises before, falls after.
 
     rho_h is the positive root of 3*k*rho^2 + (1 + P1 + P2)*rho - k = 0 with
-    k = sqrt(P1*P2); it lies strictly inside (0, rho_star).
+    k = sqrt(P1*P2); it lies strictly inside (0, rho_star).  A power of two
+    scales 1 + P1 + P2 into [1/2, 1), so that no square overflows.
     """
     b = 1.0 + params.p1 + params.p2
-    return 2.0 * math.sqrt(params.p1 * params.p2) / (b + math.sqrt(b * b + 12.0 * params.p1 * params.p2))
+    scale = math.ldexp(1.0, -math.frexp(b)[1])
+    b, k = b * scale, _k(params) * scale
+    return 2.0 * k / (b + math.sqrt(b * b + 12.0 * k * k))
 
 
 def peak(params: ChannelParams, term: str) -> float:
@@ -264,7 +274,9 @@ def peak(params: ChannelParams, term: str) -> float:
     The slope of f1 - f5, f2 - f5, f3 - f5 and f3 - 2 f5 has the sign of
     -(a*rho^2 + b*rho + c) with a, b, c >= 0 (``schemes`` derives them), so
     their peak is the root nearest 0, -2c/(b + sqrt(b^2 - 4ac)); it may lie
-    below -1 for f1 - f5 and f2 - f5.
+    below -1 for f1 - f5 and f2 - f5.  a and c are divided by b > 0, so that
+    no product of two powers is formed.  The peaks of f3 - f5 and f3 - 2 f5
+    lie above -1, where f3 is -inf; huge powers would round them to -1.
     """
     if term in ("f4", "f4-f5"):
         return math.inf
@@ -272,20 +284,20 @@ def peak(params: ChannelParams, term: str) -> float:
         return 0.0
     if term == "(f3+f4)/2":
         return rho_h(params)
-    k = math.sqrt(params.p1 * params.p2)
-    gk, big_g = params.g * k, 1.0 + params.g * (params.p1 + params.p2)
-    a, b, c = {
-        "f1-f5": (gk * params.p2, params.p2 * big_g, gk * (1.0 + params.p2)),
-        "f2-f5": (gk * params.p1, params.p1 * big_g, gk * (1.0 + params.p1)),
-        "f3-f5": (gk, big_g, gk),
-        "f3-2f5": (0.0, big_g, 2.0 * gk),
+    u = params.g * _k(params) / (1.0 + params.g * (params.p1 + params.p2))  # gk/G
+    a, c = {
+        "f1-f5": (u, u * (1.0 + 1.0 / params.p2)),
+        "f2-f5": (u, u * (1.0 + 1.0 / params.p1)),
+        "f3-f5": (u, u),
+        "f3-2f5": (0.0, 2.0 * u),
     }[term]
-    return -2.0 * c / (b + math.sqrt(max(b * b - 4.0 * a * c, 0.0)))
+    root = -2.0 * c / (1.0 + math.sqrt(max(1.0 - 4.0 * a * c, 0.0)))
+    return root if term in ("f1-f5", "f2-f5") else max(root, math.nextafter(-1.0, 0.0))
 
 
 # The terms that ``crossing`` meets by Newton's method, as weights on
-# f1..f5, and each of f1..f5 as (value, slope * ln 2) at rho in [-1, 1], in
-# plain floats: q = 1 - rho^2, k = sqrt(P1*P2), s = s(rho).
+# f1..f5, and each of f1..f5 as (value, slope * ln 2) at rho in [-1, 1]:
+# q = 1 - rho^2, k = sqrt(P1*P2), s = s(rho).
 _WEIGHTS = {
     "f1": {"f1": 1.0}, "f2": {"f2": 1.0}, "f3": {"f3": 1.0},
     "f1-f5": {"f1": 1.0, "f5": -1.0}, "f2-f5": {"f2": 1.0, "f5": -1.0}, "f3-f5": {"f3": 1.0, "f5": -1.0},
@@ -306,13 +318,20 @@ _NEWTON_STEPS = 40
 _SEED_FLOATS = 16
 
 
-def _quadratic(params: ChannelParams, w: float, e: float, u: float, k: float):
-    """(a, b, c) with 1 + w*s(rho) - 2^(2e)*(u + k*(1 - rho^2)) equal to
-    a*rho^2 + 2*b*rho + c, or None when 2^(2e) overflows."""
+def _quadratic(params: ChannelParams, w: float, e: float, u: float, v: float):
+    """(a, b, c) with 1 + w*s(rho) - 2^(2e)*(u + v*(1 - rho^2)) equal to
+    a*rho^2 + 2*b*rho + c times a power of two that brings the largest into
+    [1/2, 1), so that b*b - a*c neither overflows nor underflows; None when
+    2^(2e) or a coefficient overflows."""
     if 2.0 * e >= 1024.0:
         return None
     big = 2.0 ** (2.0 * e)
-    return big * k, w * math.sqrt(params.p1 * params.p2), 1.0 + w * (params.p1 + params.p2) - big * (u + k)
+    a, b, c = big * v, w * _k(params), 1.0 + w * (params.p1 + params.p2) - big * (u + v)
+    top = max(abs(a), abs(b), abs(c))
+    if not top < math.inf:
+        return None
+    shift = -math.frexp(top)[1]
+    return math.ldexp(a, shift), math.ldexp(b, shift), math.ldexp(c, shift)
 
 
 def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -322,12 +341,12 @@ def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float
     the largest root.  With w = 1 for f4 and w = g for f5, each equation
     reads
 
-        1 + w*s(rho) = A*(u + k*(1 - rho^2))
+        1 + w*s(rho) = A*(u + v*(1 - rho^2))
 
-    with (A, u, k) = (2^(2L), 1, 0) for a level L, (2^(2 C1), 1, P2) for f1,
+    with (A, u, v) = (2^(2L), 1, 0) for a level L, (2^(2 C1), 1, P2) for f1,
     (2^(2 C2), 1, P1) for f2 and (2^(2 (C1+C2)), 0, 1) for f3: linear in rho
     for a level, a quadratic otherwise.  Cancellation in
-    1 + w*(P1+P2) - A*(u+k) can put this root hundreds of floats from the
+    1 + w*(P1+P2) - A*(u+v) can put this root hundreds of floats from the
     float where the two rates meet, and near rho = 0, where floats are
     dense, far more.
 
@@ -342,7 +361,7 @@ def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float
     The result is a seed, not a final answer: callers that need the float
     where the rates meet bracket it (``scalar_opt.sign_change``).  Returns
     -inf when ``term`` lies at or above ``other`` on the whole range, and
-    +inf when it lies below (or when A overflows).
+    +inf when it lies below (or when A or a coefficient overflows).
     """
     if term in _WEIGHTS:
         return _newton_crossing(params, term, other, lo, hi)
@@ -350,14 +369,14 @@ def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float
         raise ValueError(f"crossing solves for f4, f5 or a term of _WEIGHTS, got {term!r}")
     w = 1.0 if term == "f4" else params.g
     if other == "f1":
-        e, u, k = params.c1, 1.0, params.p2
+        e, u, v = params.c1, 1.0, params.p2
     elif other == "f2":
-        e, u, k = params.c2, 1.0, params.p1
+        e, u, v = params.c2, 1.0, params.p1
     elif other == "f3":
-        e, u, k = params.c1 + params.c2, 0.0, 1.0
+        e, u, v = params.c1 + params.c2, 0.0, 1.0
     else:
-        e, u, k = float(other), 1.0, 0.0
-    quadratic = _quadratic(params, w, e, u, k)
+        e, u, v = float(other), 1.0, 0.0
+    quadratic = _quadratic(params, w, e, u, v)
     if quadratic is None:
         return math.inf
     a, b, c = quadratic
@@ -380,7 +399,7 @@ def _newton_crossing(params: ChannelParams, term: str, other, a: float, b: float
     else:
         level = float(other)
     forms = [(c, _SLOPED[name]) for name, c in weights.items() if c != 0.0]
-    k = math.sqrt(params.p1 * params.p2)
+    k = _k(params)
 
     def rise(r):  # term - other at r, and its slope times ln 2
         q, s = 1.0 - r * r, params.p1 + params.p2 + 2.0 * k * r
@@ -435,8 +454,8 @@ def f5_inverse(params: ChannelParams, budget: RandomnessBudget) -> float:
             f"minimum leakage f5(-1) = {f5(params, -1.0):.6g} exceeds the budget {r_prime:.6g}"
         )
 
-    def leaks_more(r):
-        return rates(params, r, ("f5",))["f5"] > r_prime
+    def leaks_more(xs):
+        return [v > r_prime for v in rates(params, xs, ("f5",))["f5"]]
 
     rho_max, _ = sign_change(leaks_more, -1.0, 1.0, crossing(params, "f5", r_prime))
     return rho_max
@@ -474,14 +493,13 @@ def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, f
     seen = {}
 
     def holds(xs):
-        r = rates(params, xs, ("f6", "f7"))
-        ok = (params.c1 > r["f6"]) & (params.c2 > r["f7"])
-        seen.update(zip(xs.tolist(), ok.tolist()))
+        ok = [v > 0.0 for v in rates(params, xs, ("indicator",))["indicator"]]
+        seen.update(zip(xs, ok))
         return ok
 
     edges = [x for x, past in ((lo, left <= lo), (hi, right >= hi)) if past]
     if edges:
-        holds(np.array(edges))
+        holds(edges)
     if (right <= lo and not seen[lo]) or (left >= hi and not seen[hi]):
         return None  # the interval lies beyond lo or hi
     first, last = lo, hi
@@ -489,9 +507,10 @@ def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, f
         # past a point well inside the interval the test counts as met, so
         # that it turns true once, at the first float of the interval
         inside = 0.5 * (max(left, lo) + min(right, hi))
-        _, first = sign_change(lambda xs: holds(xs) | (xs >= inside), math.nextafter(lo, -math.inf), hi, left)
+        _, first = sign_change(lambda xs: [ok or x >= inside for ok, x in zip(holds(xs), xs)],
+                               math.nextafter(lo, -math.inf), hi, left)
         if not seen.get(first):
             return None
     if not seen.get(hi):
-        last, _ = sign_change(lambda xs: ~holds(xs), first, math.nextafter(hi, math.inf), right)
+        last, _ = sign_change(lambda xs: [not ok for ok in holds(xs)], first, math.nextafter(hi, math.inf), right)
     return first, last

@@ -1,7 +1,8 @@
 """Deterministic scalar optimization used by every bound in the package.
 
-A branch is one callable that maps an array of evaluation points (or one
-point) to its terms, ``{name: values}`` in binding order.  Every bound is the
+A branch is one callable that maps a list of points to its terms,
+``{name: values}`` in binding order, one value per point, in plain floats.
+Every bound is the
 maximum over an interval of the minimum of a branch's terms.  Every branch
 and scheme has the structure ``schemes`` sets out, and ``maximize_crossing``
 solves them all.
@@ -38,25 +39,28 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyInterval
 
 __all__ = ["OptimizationResult", "maximize_min", "maximize_crossing", "sign_change"]
 
-# The first pass of sign_change evaluates the seed and the floats at these
-# offsets from it: every offset up to 32, then the powers of two beyond.
-# Each later pass splits the bracket with _SPLITS points.
-_LADDER = np.array(sorted({*range(-32, 33), *(s << j for j in range(6, 63) for s in (1, -1))}),
-                   dtype=np.int64)
-_SPLITS = 64
+# The first pass of sign_change evaluates the seed and the _NEAR floats on
+# either side of it; in plain floats a point costs about a tenth of the
+# fixed cost of a call of the branch.  A change beyond them gets a pass of
+# points _STRIDE times further apart each (2^5, 2^8, ... floats from the
+# seed, on its side), and every later pass splits the bracket with _SPLITS
+# points.
+_NEAR = 16
+_STRIDE = 8
+_SPLITS = 8
 
 # A term counts as binding when it sits within this distance of the minimum.
 _BINDING_TOL = 1e-9
 
-Branch = Callable[[np.ndarray], Mapping[str, np.ndarray]]
+# A branch maps a list of points to its terms, ``{name: values}`` in binding
+# order, one value per point.
+Branch = Callable[[list], Mapping[str, Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -68,21 +72,17 @@ class OptimizationResult:
     binding: tuple[str, ...]
 
 
-def _min_of(values: Iterable):
-    acc = None
-    for v in values:
-        acc = v if acc is None else np.minimum(acc, v)
-    if acc is None:
-        raise EmptyInterval("a branch needs at least one term")
-    return acc
+def _least(columns, n: int) -> list:
+    """The pointwise minimum of ``columns``, lists of values at n points."""
+    if len(columns) == 1:
+        return columns[0]
+    return [min(values) for values in zip(*columns)] if columns else [math.inf] * n
 
 
 def _binding_terms(terms: Mapping, j: int, value: float) -> tuple[str, ...]:
-    """The terms within the binding tolerance of ``value`` at index ``j`` of
-    an evaluation (constants and scalar evaluations have no index)."""
+    """The terms within the binding tolerance of ``value`` at point ``j``."""
     tol = _BINDING_TOL * max(1.0, abs(value)) if math.isfinite(value) else 0.0
-    at = {name: float(v[j]) if np.ndim(v) else float(v) for name, v in terms.items()}
-    return tuple(name for name, v in at.items() if v == value or v <= value + tol)
+    return tuple(name for name, v in terms.items() if v[j] == value or v[j] <= value + tol)
 
 
 def maximize_min(branch: Branch, lo: float, hi: float) -> OptimizationResult:
@@ -92,8 +92,10 @@ def maximize_min(branch: Branch, lo: float, hi: float) -> OptimizationResult:
         raise EmptyInterval(f"empty interval [{lo}, {hi}]")
     if lo < hi:
         raise ValueError(f"maximize_min evaluates a single point, got [{lo}, {hi}]")
-    terms = branch(lo)
-    value = float(_min_of(terms.values()))
+    terms = branch([lo])
+    if not terms:
+        raise EmptyInterval("a branch needs at least one term")
+    value = _least(list(terms.values()), 1)[0]
     return OptimizationResult(rho=lo, value=value, binding=_binding_terms(terms, 0, value))
 
 
@@ -123,40 +125,37 @@ def maximize_crossing(
     if lo > hi:
         raise EmptyInterval(f"empty interval [{lo}, {hi}]")
     cuts = sorted({*ends, *(p for p in peaks.values() if lo < p < hi)})
-    xs = np.array(cuts)
-    terms = branch(xs)
-    # each term at the piece ends, in plain floats
-    at = {name: v.tolist() if np.ndim(v) else [float(v)] * len(cuts) for name, v in terms.items()}
-    objective = [min(values) for values in zip(*at.values())]
-    evaluations = [(xs, terms, np.array(objective))]  # (points, terms, objective) of every call of the branch
+    at = branch(cuts)  # the terms at the piece ends
+    objective = _least(list(at.values()), len(cuts))
+    evaluations = [(cuts, at, objective)]  # (points, terms, objective) of every call of the branch
     top = max(objective)
 
     for i in range(len(cuts) - 1):
         if top not in (objective[i], objective[i + 1]):
             continue  # only the pieces beside a best end can hold the maximum
         a, b = cuts[i], cuts[i + 1]
-        rising = tuple(name for name in terms if peaks.get(name, -math.inf) >= b)
-        others = tuple(name for name in terms if name not in rising)
+        rising = [name for name in at if peaks.get(name, -math.inf) >= b]
+        others = [name for name in at if name not in rising]
 
-        def reached_at(j):
-            up = min((at[name][j] for name in rising), default=math.inf)
-            return up >= min((at[name][j] for name in others), default=math.inf)
+        def split(terms, n):
+            """The minima of the rising terms and of the others, pointwise."""
+            return _least([terms[name] for name in rising], n), _least([terms[name] for name in others], n)
 
         def reached(points):
-            values = branch(points)
-            up = _min_of(values[name] for name in rising) if rising else math.inf
-            down = _min_of(values[name] for name in others) if others else math.inf
-            evaluations.append((points, values, np.minimum(up, down)))
-            return up >= down
+            terms = branch(points)
+            up, down = split(terms, len(points))
+            evaluations.append((points, terms, list(map(min, up, down))))
+            return [u >= d for u, d in zip(up, down)]
 
-        if reached_at(i + 1) and not reached_at(i):
-            sign_change(reached, a, b, seed(a, b, rising, others))
+        up, down = split(at, len(cuts))
+        if up[i + 1] >= down[i + 1] and not up[i] >= down[i]:
+            sign_change(reached, a, b, seed(a, b, tuple(rising), tuple(others)))
 
-    value = max(float(np.max(objective)) for _, _, objective in evaluations)
+    value = max(max(objective) for _, _, objective in evaluations)
+    # the points of each evaluation ascend, so its first best point is its smallest
     rho, terms, j = min(
-        ((float(points[j]), terms, j)
-         for points, terms, objective in evaluations
-         for j in np.flatnonzero(objective == value)),
+        ((points[j], terms, j) for points, terms, objective in evaluations if value in objective
+         for j in (objective.index(value),)),
         key=lambda candidate: candidate[0],
     )
     return OptimizationResult(rho=rho, value=value, binding=_binding_terms(terms, j, value))
@@ -168,13 +167,14 @@ def _ordinal(x: float) -> int:
     return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
 
 
-def _floats(ordinals) -> np.ndarray:
-    k = np.asarray(ordinals, dtype=np.int64)
-    return np.where(k < 0, -k | np.int64(-(1 << 63)), k).view(np.float64)
+def _floats(ordinals: list) -> list:
+    """The floats at ``ordinals``."""
+    n = len(ordinals)
+    return list(struct.unpack(f"<{n}d", struct.pack(f"<{n}q", *(k if k >= 0 else -k - (1 << 63) for k in ordinals))))
 
 
 def sign_change(
-    reached: Callable[[np.ndarray], np.ndarray],
+    reached: Callable[[list], Sequence[bool]],
     lo: float,
     hi: float,
     seed: float,
@@ -182,27 +182,32 @@ def sign_change(
     """The adjacent floats a < b in [lo, hi] where ``reached`` first turns
     from false to true, given that it is false at ``lo`` and true at ``hi``.
 
-    ``reached`` maps an array of points to a boolean array.  The first pass
-    evaluates a ladder about ``seed``, one float apart near it and doubling
-    the distance further out; each later pass splits the bracket with 64
-    points.  A seed within 32 floats of the change costs one call, and every
-    further factor of 65 in its distance one more call.
+    ``reached`` maps a list of points to a list of booleans.  The first pass
+    evaluates the seed and the 16 floats either side of it; a change beyond
+    them gets one pass at 2^5, 2^8, 2^11, ... floats from the seed, on its
+    side, and every later pass splits the bracket with 8 points.  A seed
+    within 16 floats of the change costs one call of 33 points, and every
+    further factor of 9 in its distance about one call of 8 more.
     """
     a, b = _ordinal(lo), _ordinal(hi)
     k0 = _ordinal(min(max(seed, lo), hi)) if not math.isnan(seed) else a
-    limit = 1 << 62  # keeps the offsets' bounds inside int64
-    offsets = _LADDER[(_LADDER > max(a - k0, -limit)) & (_LADDER < min(b - k0, limit))]
-    ks = k0 + offsets
-    while True:
-        if len(ks):
-            hit = np.asarray(reached(_floats(ks)), dtype=bool)
-            i = int(np.argmax(hit)) if hit.any() else len(ks)
-            if i < len(ks):
-                b = int(ks[i])
-            if i > 0:
-                a = int(ks[i - 1])
+    ks = list(range(max(k0 - _NEAR, a + 1), min(k0 + _NEAR, b - 1) + 1))
+    first = True
+    while ks:
+        hits = reached(_floats(ks))
+        i = hits.index(True) if True in hits else len(ks)
+        a, b = ks[i - 1] if i else a, ks[i] if i < len(ks) else b
         if b - a <= 1:
-            pair = _floats([a, b])
-            return float(pair[0]), float(pair[1])
-        n = min(b - a - 1, _SPLITS)
-        ks = np.array([a + (b - a) * j // (n + 1) for j in range(1, n + 1)], dtype=np.int64)
+            break
+        ks = []
+        if first and i in (0, len(hits)):
+            # the change lies beyond the first pass: step out from the seed
+            # on its side, _STRIDE times further each point
+            side = 2 * _NEAR if i else -2 * _NEAR
+            ks = sorted(k for k in (k0 + side * _STRIDE ** j for j in range(20)) if a < k < b)
+        first = False
+        if not ks:
+            n = min(b - a - 1, _SPLITS)
+            ks = [a + (b - a) * j // (n + 1) for j in range(1, n + 1)]
+    a, b = _floats([a, b])
+    return a, b

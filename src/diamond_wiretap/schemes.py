@@ -1,21 +1,22 @@
 """Every converse branch and achievable scheme of the paper, written once.
 
 ``TABLE`` maps each name to an ``Entry`` whose ``terms`` turn a mapping of
-rates into the branch's terms, ``{name: value}`` in binding order.  A bound
-or rate is the minimum of the terms, maximized over the correlation rho on
-an interval that the scenario modules set.  The rates an entry reads are its
-``uses``: f1..f7 at rho, the rho-free f1(0), f2(0), f3(0), and the link
-capacities C1, C2.  ``gaussian`` fills them for the Gaussian channel, f1..f7
-with one ``rate_functions.rates`` call per evaluation; ``oracles.dmc_rates``
-fills f1..f7 for a discrete channel from entropies:
+rates into the branch's terms, ``{name: value}`` in binding order, by plain
+arithmetic that applies alike to floats and to arrays of them.  A bound or
+rate is the minimum of the terms, maximized over the correlation rho on an
+interval that the scenario modules set.  The rates an entry reads are its
+``uses``: f1..f5 and the ``indicator`` (+inf where the strict link
+conditions C1 > f6 and C2 > f7 of pdfpdfm2 hold, 0 where they fail) at rho,
+the rho-free f1(0), f2(0), f3(0), and the link capacities C1, C2.
+``gaussian`` fills them for the Gaussian channel, with one
+``rate_functions.rates`` call per list of points; ``oracles.dmc_rates``
+fills them for a discrete channel from entropies:
 
     f1 = C1 + I(X2;Y|X1)    f2 = C2 + I(X1;Y|X2)    f3 = C1 + C2 - I(X1;X2)
     f4 = I(X1,X2;Y)         f5 = I(X1,X2;Z)         f6 = I(X1;Z)    f7 = I(X2;Z)
 
 Converse branches S1..S4 (scenario 1) and T1..T3 (scenario 2); schemes df1,
-pdfm1 (scenario 1) and df2, pdfdfm2, pdfpdfm2 (scenario 2).  The
-``indicator`` of pdfpdfm2 is +inf where its strict link conditions C1 > f6
-and C2 > f7 hold and 0 where they fail.
+pdfm1 (scenario 1) and df2, pdfdfm2, pdfpdfm2 (scenario 2).
 
 Solver choice.  Every entry names its ``rising`` terms.  Each rises up to
 its peak ``rate_functions.peak`` and falls after it, and every other term
@@ -47,7 +48,7 @@ the entry, so the minimum of the terms is quasi-concave there:
   1 + g*s < 2^(2 C1)*(1 + g*q*P2), a quadratic in rho with a positive
   leading coefficient, which holds between its roots, and C2 > f7 is the
   same with P1 for P2 (``rate_functions.link_interval``).  Its ends split
-  each ``linked`` entry, pdfpdfm2 alone, further.
+  each ``linked`` entry, the one that reads the indicator, further.
 
 ``scalar_opt.maximize_crossing`` evaluates every piece end in one call and
 searches only the pieces beside the best end, where the maximum lies at an
@@ -66,8 +67,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-import numpy as np
-
 from . import rate_functions as rf
 from .rate_functions import ChannelParams
 
@@ -76,14 +75,17 @@ __all__ = ["Entry", "TABLE", "gaussian"]
 
 @dataclass(frozen=True)
 class Entry:
-    """One branch or scheme: the rates it reads, its terms, the terms that
-    rise (up to their peak, ``rate_functions.peak``), and whether the terms
-    include the ``indicator`` of the link conditions."""
+    """One branch or scheme: the rates it reads, its terms, and the terms
+    that rise (up to their peak, ``rate_functions.peak``)."""
 
     uses: tuple[str, ...]
     terms: Callable[[Mapping], dict]
     rising: tuple[str, ...] = ()
-    linked: bool = False
+
+    @property
+    def linked(self) -> bool:
+        """Whether the terms include the indicator of the link conditions."""
+        return "indicator" in self.uses
 
 
 def _as_is(r: Mapping, *names: str) -> dict:
@@ -118,24 +120,44 @@ TABLE: dict[str, Entry] = {
     "pdfdfm2": Entry(("f1", "f2", "f3", "f4", "f5"),
                      lambda r: {**_less_f5(r, "f1", "f2"), "f3-2f5": r["f3"] - 2.0 * r["f5"], **_less_f5(r, "f4")},
                      rising=("f1-f5", "f2-f5", "f3-2f5", "f4-f5")),
-    "pdfpdfm2": Entry(("f1", "f2", "f3", "f4", "f5", "f6", "f7", "C1", "C2"),
-                      lambda r: {**_less_f5(r, "f1", "f2", "f3", "f4"),
-                                 "indicator": np.where((r["C1"] > r["f6"]) & (r["C2"] > r["f7"]), np.inf, 0.0)},
-                      rising=("f1-f5", "f2-f5", "f3-f5", "f4-f5"), linked=True),
+    "pdfpdfm2": Entry(("f1", "f2", "f3", "f4", "f5", "indicator"),
+                      lambda r: {**_less_f5(r, "f1", "f2", "f3", "f4"), **_as_is(r, "indicator")},
+                      rising=("f1-f5", "f2-f5", "f3-f5", "f4-f5")),
 }
 
 _AT_ZERO = {"f1(0)": lambda p: rf.f1(p, 0.0), "f2(0)": lambda p: rf.f2(p, 0.0), "f3(0)": lambda p: rf.f3(p, 0.0)}
 
 
+class _Column(list):
+    """Rates at a list of points, with the pointwise arithmetic of ``TABLE``."""
+
+    def __add__(self, other):
+        return _Column([a + b for a, b in zip(self, other)])
+
+    def __sub__(self, other):
+        return _Column([a - b for a, b in zip(self, other)])
+
+    def __rsub__(self, level):
+        return _Column([level - a for a in self])
+
+    def __rmul__(self, factor):
+        return _Column([factor * a for a in self])
+
+
 def gaussian(params: ChannelParams, name: str) -> tuple[Callable, dict]:
-    """``TABLE[name]`` on the Gaussian channel ``params``: the branch
-    ``rho -> {term: values}`` and the rho-free rates it was given."""
+    """``TABLE[name]`` on the Gaussian channel ``params``: the branch, which
+    maps a float rho to ``{term: value}`` and a list of points to
+    ``{term: values}``, and the rho-free rates it was given."""
     entry = TABLE[name]
     fixed = {"C1": params.c1, "C2": params.c2}
     fixed.update({u: _AT_ZERO[u](params) for u in entry.uses if u in _AT_ZERO})
     at_rho = tuple(u for u in entry.uses if u not in fixed)
 
     def branch(rho):
-        return entry.terms({**fixed, **rf.rates(params, rho, at_rho)})
+        r = rf.rates(params, rho, at_rho)
+        if isinstance(rho, (int, float)):
+            return entry.terms({**fixed, **r})
+        terms = entry.terms({**fixed, **{u: _Column(values) for u, values in r.items()}})
+        return {term: v if isinstance(v, list) else [v] * len(rho) for term, v in terms.items()}
 
     return branch, fixed

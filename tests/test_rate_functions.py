@@ -13,9 +13,13 @@ import numpy as np
 import pytest
 
 from diamond_wiretap import rate_functions as rf
+from diamond_wiretap import scenario_one as s1
+from diamond_wiretap import scenario_two as s2
 from diamond_wiretap.errors import DomainError, EmptyFeasibleSet, ParameterError
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 from diamond_wiretap.scalar_opt import sign_change
+
+from conftest import reference_rates
 
 SYM = ChannelParams.symmetric(10.0, 1.5, 0.1)
 ASYM = ChannelParams(p1=4.0, p2=1.0, c1=1.0, c2=1.0, g=0.1)
@@ -97,10 +101,12 @@ def test_f3_divergence_at_full_correlation():
     assert rf.f3(p, -1.0) == -math.inf
 
 
-def test_array_and_scalar_shapes():
-    rho = np.linspace(-0.9, 0.9, 7)
-    out = rf.f4(SYM, rho)
-    assert isinstance(out, np.ndarray) and out.shape == rho.shape
+def test_sequence_and_scalar_shapes():
+    # a sequence of points (a numpy array included) gives a list, a float a float
+    for rho in (np.linspace(-0.9, 0.9, 7), [-0.9, 0.0, 0.9], (0.5,)):
+        out = rf.f4(SYM, rho)
+        assert isinstance(out, list) and len(out) == len(rho)
+        assert all(type(v) is float for v in out)
     val = rf.f4(SYM, 0.5)
     assert isinstance(val, float)
 
@@ -167,11 +173,10 @@ def test_minus_rho_bar_is_in_the_domain_of_f4_and_f5_only():
             fn(ASYM, -bar)
 
 
-def test_empty_array_returns_empty():
+def test_empty_sequence_returns_empty():
     for fn in RATES:
-        out = fn(SYM, np.array([]))
-        assert isinstance(out, np.ndarray) and out.shape == (0,)
-    assert all(v.shape == (0,) for v in rf.rates(SYM, np.array([]), NAMES).values())
+        assert fn(SYM, []) == []
+    assert all(v == [] for v in rf.rates(SYM, np.array([]), NAMES).values())
 
 
 def test_scalar_returns_float():
@@ -219,13 +224,38 @@ def test_rho_star_is_exact_for_small_powers(power):
     assert abs(rf.rho_star(ChannelParams.symmetric(power, 1.0, 0.5)) - exact) <= math.ulp(exact)
 
 
-@pytest.mark.parametrize("p1, p2", [(1e154, 1e154), (1e300, 1e300), (1e300, 1e-300), (1e-300, 1e-300)])
+EXTREME_PAIRS = [(1e154, 1e154), (1e300, 1e300), (1e300, 1e-300), (1e-300, 1e-300)]
+
+
+@pytest.mark.parametrize("p1, p2", EXTREME_PAIRS)
 def test_rho_star_does_not_overflow(p1, p2):
     # 4*P1*P2 overflows for P1 = P2 = 1e154, where rho* is 1 to double precision
     decimal.getcontext().prec = 50
     k = (decimal.Decimal(p1) * decimal.Decimal(p2)).sqrt()
     exact = float(2 * k / (1 + (1 + 4 * k * k).sqrt()))
     assert abs(rf.rho_star(ChannelParams(p1, p2, 1.0, 1.0, 0.5)) - exact) <= math.ulp(exact)
+
+
+def _floats_of(report):
+    """Every float field of a bounds report, sub-reports included."""
+    if dataclasses.is_dataclass(report):
+        return [x for f in dataclasses.fields(report) for x in _floats_of(getattr(report, f.name))]
+    if isinstance(report, dict):
+        return [x for v in report.values() for x in _floats_of(v)]
+    return [report] if isinstance(report, float) else []
+
+
+@pytest.mark.parametrize("r_prime", [math.inf, 0.3])
+@pytest.mark.parametrize("p1, p2", EXTREME_PAIRS)
+def test_bounds_are_finite_and_ordered_at_extreme_powers(p1, p2, r_prime):
+    # P1*P2 overflows or underflows at each pair; s(rho), rho_bar, rho_h and
+    # the peaks and quadratics take sqrt(P1)*sqrt(P2) and square no term of
+    # order P^2, so that nothing turns into inf or NaN
+    p = ChannelParams(p1, p2, 1.0, 1.0, 0.5)
+    assert 0.0 < rf.rho_h(p) <= rf.rho_star(p)
+    for bounds in (s1.bounds(p, RandomnessBudget(r_prime)), s2.bounds(p, RandomnessBudget(r_prime))):
+        assert all(math.isfinite(x) for x in _floats_of(bounds)), bounds
+        assert bounds.lower <= bounds.upper.value, bounds
 
 
 @pytest.mark.parametrize("p1", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
@@ -258,18 +288,17 @@ def test_monotonicity_grids():
 
 def test_leakage_below_legitimate_rate():
     # g < 1 keeps the eavesdropper rate strictly below the MAC rate
-    rho = np.linspace(-0.99, 0.99, 101)
-    assert np.all(rf.f5(SYM, rho) <= rf.f4(SYM, rho) + 1e-12)
-    assert np.all(rf.f6(SYM, rho) <= rf.f5(SYM, rho) + 1e-12)
-    assert np.all(rf.f7(SYM, rho) <= rf.f5(SYM, rho) + 1e-12)
+    r = {name: np.array(v) for name, v in rf.rates(SYM, np.linspace(-0.99, 0.99, 101), NAMES).items()}
+    assert np.all(r["f5"] <= r["f4"] + 1e-12)
+    assert np.all(r["f6"] <= r["f5"] + 1e-12)
+    assert np.all(r["f7"] <= r["f5"] + 1e-12)
 
 
 def test_no_eavesdropper_zeroes_leakage():
     p = ChannelParams.symmetric(10.0, 1.0, 0.0)
     rho = np.linspace(-1.0, 1.0, 41)
-    assert np.all(rf.f5(p, rho) == 0.0)
-    assert np.all(rf.f6(p, rho) == 0.0)
-    assert np.all(rf.f7(p, rho) == 0.0)
+    for name, values in rf.rates(p, rho, ("f5", "f6", "f7")).items():
+        assert values == [0.0] * len(rho), name
 
 
 def test_f5_inverse_unbounded_and_saturated():
@@ -322,6 +351,17 @@ def test_crossing_solves_its_equation():
     assert rf.f5(p, rho) == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("power", [1e154, 1e300])
+def test_crossing_solves_its_equation_at_huge_powers(power):
+    # the quadratics are scaled by a power of two, so that b*b - a*c does
+    # not overflow: f4 meets f1 and f2 at rho = 1/2 as P grows
+    p = ChannelParams(power, power, 1.0, 1.0, 0.5)
+    for other in ("f1", "f2"):
+        rho = rf.crossing(p, "f4", other)
+        assert rho == pytest.approx(0.5, abs=1e-12), other
+        assert rf.f4(p, rho) == pytest.approx(getattr(rf, other)(p, rho), rel=1e-15), other
+
+
 def test_crossing_reports_rates_that_never_meet():
     p = ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3)
     assert rf.crossing(p, "f4", 600.0) == math.inf  # 2**1200 overflows
@@ -334,14 +374,14 @@ def test_rho_h_is_the_peak_of_the_half_sum():
         assert 3.0 * k * rh * rh + (1.0 + p.p1 + p.p2) * rh - k == pytest.approx(0.0, abs=1e-12)
         assert 0.0 < rh < rf.rho_star(p)
         rho = np.linspace(0.0, 1.0, 10001)[:-1]
-        half = 0.5 * (rf.f3(p, rho) + rf.f4(p, rho))
+        half = 0.5 * (np.array(rf.f3(p, rho)) + np.array(rf.f4(p, rho)))
         assert abs(rho[np.argmax(half)] - rh) <= 1e-4
 
 
 def _named(p, name, rho):
     if not isinstance(name, str):
         return np.full(np.shape(rho), name)
-    r = rf.rates(p, rho, ("f1", "f2", "f3", "f4", "f5"))
+    r = {n: np.array(v) for n, v in rf.rates(p, rho, ("f1", "f2", "f3", "f4", "f5")).items()}
     return {"f4-f5": r["f4"] - r["f5"], "(f3+f4)/2": 0.5 * (r["f3"] + r["f4"])}.get(name, r.get(name))
 
 
@@ -395,7 +435,7 @@ def _check_seed(p, term, other, floats):
         assert (seed < 0.0 and above[0]) or (seed > 0.0 and not above[1]), (seed, above)
         return
     assert lo < seed < hi and not above[0] and above[1]
-    _, b = sign_change(lambda xs: _named(p, term, xs) >= _named(p, other, xs), lo, hi, seed)
+    _, b = sign_change(lambda xs: list(_named(p, term, xs) >= _named(p, other, xs)), lo, hi, seed)
     assert _floats_apart(seed, b) <= floats, (seed, b)
 
 
@@ -414,18 +454,19 @@ PEAKED = {"f1-f5": ("f1", 1.0), "f2-f5": ("f2", 1.0), "f3-f5": ("f3", 1.0), "f3-
 @pytest.mark.parametrize("term", sorted(PEAKED))
 def test_peaks_are_where_the_slopes_change_sign(p, term):
     """Each closed-form peak is where its term turns from rising to falling:
-    the argmax of a fine grid on [-1, 1] sits within a grid step of it (at
-    -1 when it lies below -1), and the term falls on either side of it."""
+    the argmax of a fine grid on [-1, 1] (in the numpy reference) sits
+    within a grid step of it (at -1 when it lies below -1), and the term
+    falls on either side of it."""
     rate, leak = PEAKED[term]
 
-    def at(rho):
-        r = rf.rates(p, rho, (rate, "f5"))
+    def at(rho, rates=rf.rates):
+        r = rates(p, rho, (rate, "f5"))
         return r[rate] - leak * r["f5"]
 
     peak = rf.peak(p, term)
     assert peak <= 0.0 and (term in ("f1-f5", "f2-f5") or peak > -1.0)
     grid = np.linspace(-1.0, 1.0, 200001)
-    assert abs(grid[np.argmax(at(grid))] - max(peak, -1.0)) <= grid[1] - grid[0]
+    assert abs(grid[np.argmax(at(grid, reference_rates))] - max(peak, -1.0)) <= grid[1] - grid[0]
     if peak > -1.0 + 1e-3:
         h = 1e-4 * (1.0 + abs(peak))
         assert at(peak - h) < at(peak) > at(peak + h)
@@ -468,7 +509,7 @@ def test_link_interval_ends_where_a_condition_is_an_equality(p1, p2, g, lo, hi):
 
 def _check_link_interval(p, lo, hi):
     def holds(rho):
-        r = rf.rates(p, np.atleast_1d(rho), ("f6", "f7"))
+        r = {name: np.array(v) for name, v in rf.rates(p, np.atleast_1d(rho), ("f6", "f7")).items()}
         return (p.c1 > r["f6"]) & (p.c2 > r["f7"])
 
     link = rf.link_interval(p, lo, hi)

@@ -14,19 +14,19 @@ RISES = math.inf  # the peak of a term that rises on the whole interval
 
 
 def lin(a, b):
-    return lambda x: a * np.asarray(x, dtype=float) + b
+    return lambda x: a * x + b
 
 
 def branch(**terms):
-    """A branch over the named term functions, in keyword order."""
-    return lambda x: {name: fn(x) for name, fn in terms.items()}
+    """A branch over the named term functions of one point, in keyword order:
+    a list of points to ``{name: values}``."""
+    return lambda xs: {name: [fn(x) for x in xs] for name, fn in terms.items()}
 
 
 def test_tent_crossing():
     # one term that peaks inside the interval: the peak is a piece end
     def tent(x):
-        x = np.asarray(x, dtype=float)
-        return np.minimum(x, 1.0 - x)
+        return min(x, 1.0 - x)
 
     res = maximize_crossing(branch(tent=tent), (0.0, 1.0), {"tent": 0.5}, lambda *_: math.nan)
     assert (res.rho, res.value) == (0.5, 0.5)
@@ -64,10 +64,10 @@ def test_searches_only_the_pieces_beside_the_best_end():
     calls = []
 
     def left(x):
-        return 0.7 - np.abs(np.asarray(x, dtype=float) - 0.2)
+        return 0.7 - abs(x - 0.2)
 
     def right(x):
-        return 2.0 - np.abs(np.asarray(x, dtype=float) - 0.6)
+        return 2.0 - abs(x - 0.6)
 
     def seed(a, b, rising, others):
         calls.append((a, b, rising, others))
@@ -98,7 +98,7 @@ def test_empty_inputs_raise():
 
 def test_minus_infinity_term():
     def bottom(x):
-        return np.full_like(np.asarray(x, dtype=float), -np.inf)
+        return -math.inf
 
     res = maximize_min(branch(up=lin(1.0, 0.0), bottom=bottom), 0.5, 0.5)
     assert res.value == -math.inf
@@ -107,7 +107,7 @@ def test_minus_infinity_term():
 
 def test_deterministic():
     def hump(x):
-        return np.cos(3.0 * np.asarray(x, dtype=float))
+        return math.cos(3.0 * x)
 
     two = branch(up=lin(0.7, 0.1), hump=hump)
     runs = [maximize_crossing(two, (-1.0, 1.0), {"up": RISES, "hump": 0.0}, lambda *_: 0.3) for _ in range(2)]
@@ -179,7 +179,7 @@ def test_crossing_degenerate_and_empty_intervals():
 
 
 def test_sign_change_returns_adjacent_floats():
-    a, b = sign_change(lambda x: x * x >= 2.0, 0.0, 2.0, 1.0)
+    a, b = sign_change(lambda xs: [x * x >= 2.0 for x in xs], 0.0, 2.0, 1.0)
     assert b == math.nextafter(a, math.inf)
     assert a * a < 2.0 <= b * b
 
@@ -187,13 +187,13 @@ def test_sign_change_returns_adjacent_floats():
 def test_sign_change_ends_where_float_spacing_is_coarse(deadline):
     # near 1.4e5 adjacent floats are 2.9e-11 apart, and no float is an exact root
     with deadline(10.0):
-        a, b = sign_change(lambda x: x * x - 2e10 - 0.123 >= 0.0, 0.0, 2e5, 0.0)
+        a, b = sign_change(lambda xs: [x * x - 2e10 - 0.123 >= 0.0 for x in xs], 0.0, 2e5, 0.0)
     assert b == math.nextafter(a, math.inf)
     assert a == pytest.approx(math.sqrt(2e10 + 0.123), rel=1e-15)
 
 
 def test_sign_change_across_zero_and_from_a_nan_seed():
-    a, b = sign_change(lambda x: x >= 1e-300, -1.0, 1.0, math.nan)
+    a, b = sign_change(lambda xs: [x >= 1e-300 for x in xs], -1.0, 1.0, math.nan)
     assert a < 1e-300 <= b and b == math.nextafter(a, math.inf)
-    a, b = sign_change(lambda x: x > -0.0, -1.0, 1.0, 0.5)
+    a, b = sign_change(lambda xs: [x > -0.0 for x in xs], -1.0, 1.0, 0.5)
     assert a == 0.0 and b == 5e-324
