@@ -22,8 +22,7 @@ leakage quantities reduce to seven scalar functions of rho:
 with s(rho) = P1 + P2 + 2*rho*sqrt(P1*P2).  f1, f2, f3, f6, f7 live on
 [-1, 1]; f4 and f5 extend to [-rho_bar, 1] with rho_bar = (P1+P2)/(2*sqrt(P1*P2)),
 where s(-rho_bar) = 0 and hence f4 = f5 = 0.  sqrt(P1*P2) is taken as
-sqrt(P1)*sqrt(P2) throughout, so that no power product overflows or
-underflows.
+sqrt(P1)*sqrt(P2) wherever P1*P2 would overflow or underflow.
 
 Rate values are plain floats under the IEEE extended-real convention: f3
 returns -inf at |rho| = 1, ``min`` propagates it and ``max`` discards it.
@@ -165,7 +164,12 @@ _FORMS = {
 
 
 def _k(params: ChannelParams) -> float:
-    """sqrt(P1*P2), as sqrt(P1)*sqrt(P2) so that it never overflows."""
+    """sqrt(P1*P2): as written while the product is a normal float, so that
+    the rates agree to the bit with the closed forms evaluated as written,
+    and as sqrt(P1)*sqrt(P2) where the product overflows or underflows."""
+    product = params.p1 * params.p2
+    if sys.float_info.min <= product < math.inf:
+        return math.sqrt(product)
     return math.sqrt(params.p1) * math.sqrt(params.p2)
 
 
@@ -240,7 +244,7 @@ def rho_star(params: ChannelParams) -> float:
     powers, with k and the root taken so that nothing overflows for large
     ones; always in (0, 1].
     """
-    k = _k(params)
+    k = math.sqrt(params.p1) * math.sqrt(params.p2)
     return 2.0 * k / (1.0 + math.hypot(1.0, 2.0 * k))
 
 

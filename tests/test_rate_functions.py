@@ -101,7 +101,7 @@ def test_f3_divergence_at_full_correlation():
     assert rf.f3(p, -1.0) == -math.inf
 
 
-def test_sequence_and_scalar_shapes():
+def test_array_and_scalar_shapes():
     # a sequence of points (a numpy array included) gives a list, a float a float
     for rho in (np.linspace(-0.9, 0.9, 7), [-0.9, 0.0, 0.9], (0.5,)):
         out = rf.f4(SYM, rho)
@@ -173,7 +173,7 @@ def test_minus_rho_bar_is_in_the_domain_of_f4_and_f5_only():
             fn(ASYM, -bar)
 
 
-def test_empty_sequence_returns_empty():
+def test_empty_array_returns_empty():
     for fn in RATES:
         assert fn(SYM, []) == []
     assert all(v == [] for v in rf.rates(SYM, np.array([]), NAMES).values())
