@@ -1,4 +1,4 @@
-"""Alternating parent/child runs of the benchmark, summarized into BENCH_<n>.json.
+"""Alternating base/head runs of the benchmark, summarized into BENCH_<n>.json.
 
     python3 scripts/bench_compare.py --base <rev> --runs 10 --out BENCH_<n>.json [--head HEAD]
 
@@ -71,8 +71,8 @@ def _summary(metric: dict, base: list[float], head: list[float]) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--base", required=True, help="revision of the parent side")
-    ap.add_argument("--head", default="HEAD", help="revision of the child side (default HEAD)")
+    ap.add_argument("--base", required=True, help="revision to compare against")
+    ap.add_argument("--head", default="HEAD", help="revision to measure (default HEAD)")
     ap.add_argument("--runs", type=int, default=10, help="pairs of runs per workload")
     ap.add_argument("--first-seed", type=int, default=101, help="seed of the first pair; pair i uses first + i")
     ap.add_argument("--out", required=True, help="output file, BENCH_<n>.json at the repository root")

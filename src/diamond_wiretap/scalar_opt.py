@@ -2,10 +2,9 @@
 
 A branch is one callable that maps a list of points to its terms,
 ``{name: values}`` in binding order, one value per point, in plain floats.
-Every bound is the
-maximum over an interval of the minimum of a branch's terms.  Every branch
-and scheme has the structure ``schemes`` sets out, and ``maximize_crossing``
-solves them all.
+Every bound is the maximum over an interval of the minimum of a branch's
+terms.  Every branch and scheme has the structure ``schemes`` sets out, and
+``maximize_crossing`` solves them all.
 
 ``maximize_crossing`` takes, for each term that rises, the point where it
 stops rising and starts to fall (+inf for a term that rises to the end);

@@ -16,7 +16,7 @@ def _blocks(text):
 @pytest.mark.parametrize("param, values, channel", [
     ("g", ("0", "0.6"), lambda v: ChannelParams(3.0, 3.0, 1.2, 1.2, v)),
     ("c", ("0.4", "2.2"), lambda v: ChannelParams(3.0, 3.0, v, v, 0.3)),
-])
+], ids=["gain", "capacity"])
 def test_no_eavesdropper_columns_are_the_bounds_at_g_zero(param, values, channel, monkeypatch, capsys):
     fixed = {"g": ["--p", "3", "--c", "1.2"], "c": ["--p", "3", "--g", "0.3"]}[param]
     calls, bounds = [], scenario_one.bounds
