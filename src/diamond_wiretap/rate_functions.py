@@ -164,9 +164,8 @@ _FORMS = {
 
 
 def _k(params: ChannelParams) -> float:
-    """sqrt(P1*P2): as written while the product is a normal float, so that
-    the rates agree to the bit with the closed forms evaluated as written,
-    and as sqrt(P1)*sqrt(P2) where the product overflows or underflows."""
+    """sqrt(P1*P2), as written while the product is a normal float (to the
+    bit of the closed forms as written), else as sqrt(P1)*sqrt(P2)."""
     product = params.p1 * params.p2
     if sys.float_info.min <= product < math.inf:
         return math.sqrt(product)
