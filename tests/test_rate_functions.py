@@ -248,9 +248,9 @@ def _floats_of(report):
 @pytest.mark.parametrize("r_prime", [math.inf, 0.3])
 @pytest.mark.parametrize("p1, p2", EXTREME_PAIRS)
 def test_bounds_are_finite_and_ordered_at_extreme_powers(p1, p2, r_prime):
-    # P1*P2 overflows or underflows at each pair; s(rho), rho_bar, rho_h and
-    # the peaks and quadratics take sqrt(P1)*sqrt(P2) and square no term of
-    # order P^2, so that nothing turns into inf or NaN
+    # P1*P2 overflows or underflows at each pair, where s(rho), rho_bar,
+    # rho_h, the peaks and the quadratics take sqrt(P1)*sqrt(P2), and none
+    # squares a term of order P^2: nothing may turn into inf or NaN
     p = ChannelParams(p1, p2, 1.0, 1.0, 0.5)
     assert 0.0 < rf.rho_h(p) <= rf.rho_star(p)
     for bounds in (s1.bounds(p, RandomnessBudget(r_prime)), s2.bounds(p, RandomnessBudget(r_prime))):
