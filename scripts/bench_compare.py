@@ -1,9 +1,9 @@
 """Alternating base/head runs of the benchmark, summarized into BENCH_<n>.json.
 
-    python3 scripts/bench_compare.py --base <rev> --runs 10 --out BENCH_<n>.json [--head HEAD]
+    python3 scripts/bench_compare.py --base <rev> --runs 10 --out BENCH_<n>.json
 
 Run from the root of a git checkout.  The committed files of ``--base`` and
-``--head`` are exported (``git archive``) into two temporary directories,
+of HEAD are exported (``git archive``) into two temporary directories,
 and every workload that ``BENCHMARK.json`` declares runs there in pairs:
 one run of each side per pair, with the same seed, the side that runs first
 alternating from pair to pair.  Each run is ``perfbench/run.py`` with the
@@ -29,6 +29,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# pair i runs seed _FIRST_SEED + i on both sides
+_FIRST_SEED = 101
 
 
 def _git(*args: str) -> str:
@@ -72,13 +75,11 @@ def _summary(metric: dict, base: list[float], head: list[float]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
-    ap.add_argument("--head", default="HEAD", help="revision to measure (default HEAD)")
     ap.add_argument("--runs", type=int, default=10, help="pairs of runs per workload")
-    ap.add_argument("--first-seed", type=int, default=101, help="seed of the first pair; pair i uses first + i")
     ap.add_argument("--out", required=True, help="output file, BENCH_<n>.json at the repository root")
     args = ap.parse_args(argv)
 
-    shas = {"base": _git("rev-parse", args.base), "head": _git("rev-parse", args.head)}
+    shas = {"base": _git("rev-parse", args.base), "head": _git("rev-parse", "HEAD")}
     with tempfile.TemporaryDirectory(prefix="bench_compare_") as scratch:
         roots = {side: os.path.join(scratch, side) for side in shas}
         for side, root in roots.items():
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
             runs = {"base": [], "head": []}
             for i in range(args.runs):
                 for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                    runs[side].append(_run(roots[side], command, workload, args.first_seed + i, spec["run_seconds"]))
+                    runs[side].append(_run(roots[side], command, workload, _FIRST_SEED + i, spec["run_seconds"]))
                     print(f"{workload} pair {i + 1}/{args.runs} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
             results[workload] = {
                 "metrics": {m["name"]: _summary(m, *([r["metrics"][m["name"]]["value"] for r in runs[side]]
@@ -105,8 +106,8 @@ def main(argv=None) -> int:
     except importlib.metadata.PackageNotFoundError:
         numpy_version = None
     record = {
-        "base": {"rev": args.base, "sha": shas["base"]}, "head": {"rev": args.head, "sha": shas["head"]},
-        "pairs": args.runs, "first_seed": args.first_seed, "run_seconds": spec["run_seconds"],
+        "base": {"rev": args.base, "sha": shas["base"]}, "head": {"rev": "HEAD", "sha": shas["head"]},
+        "pairs": args.runs, "first_seed": _FIRST_SEED, "run_seconds": spec["run_seconds"],
         "python": platform.python_version(), "numpy": numpy_version, "nproc": os.cpu_count(),
         "machine": platform.machine(), "workloads": results,
     }

@@ -86,30 +86,49 @@ def capacity_condition(params: ChannelParams, tol: float = 1e-6) -> CapacityVerd
     b2 = scenario_two.bounds(params, RandomnessBudget.unbounded())
     ub, lb = b2.upper.value, b2.lower
 
-    def verdict(auxiliary: str, note: str | None, capacity=None, rho_prime=None) -> CapacityVerdict:
-        return CapacityVerdict(
-            applies=capacity is not None, capacity=capacity, rho_prime=rho_prime,
-            condition_lower=cond_lower, condition_upper=cond_upper,
-            auxiliary=auxiliary, upper_value=ub, lower_value=lb, note=note,
-        )
-
     if not cond_lower <= c <= cond_upper:
-        return verdict("none", f"link capacity {c:.6g} outside [{cond_lower:.6g}, {cond_upper:.6g}]")
+        return CapacityVerdict(
+            applies=False, capacity=None, rho_prime=None,
+            condition_lower=cond_lower, condition_upper=cond_upper,
+            auxiliary="none", upper_value=ub, lower_value=lb,
+            note=f"link capacity {c:.6g} outside [{cond_lower:.6g}, {cond_upper:.6g}]",
+        )
 
     rho_p = rf.crossing(params, "f4", "f3")
     if not 0.0 <= rho_p <= rs:
         # only reachable through round-off at the window edge
-        return verdict("none", "f3 - f4 did not change sign despite the window condition")
+        return CapacityVerdict(
+            applies=False, capacity=None, rho_prime=None,
+            condition_lower=cond_lower, condition_upper=cond_upper,
+            auxiliary="none", upper_value=ub, lower_value=lb,
+            note="f3 - f4 did not change sign despite the window condition",
+        )
     candidate = rf.f3(params, rho_p) - rf.f5(params, rho_p)
 
     aux1 = rf.f1(params, rs) - rf.f5(params, rs) <= candidate
     aux2 = rf.f3(params, 0.0) - rf.f5(params, rs) <= candidate
     auxiliary = {(True, True): "both", (True, False): "f1", (False, True): "f3(0)", (False, False): "none"}[(aux1, aux2)]
     if not (aux1 or aux2):
-        return verdict(auxiliary, "neither auxiliary inequality holds")
-    if not (abs(ub - candidate) <= tol and abs(lb - candidate) <= tol):
-        return verdict(auxiliary, f"bounds failed to meet the candidate {candidate:.9g} within {tol:g}")
-    return verdict(auxiliary, None, capacity=candidate, rho_prime=rho_p)
+        return CapacityVerdict(
+            applies=False, capacity=None, rho_prime=None,
+            condition_lower=cond_lower, condition_upper=cond_upper,
+            auxiliary=auxiliary, upper_value=ub, lower_value=lb,
+            note="neither auxiliary inequality holds",
+        )
+
+    coincide = abs(ub - candidate) <= tol and abs(lb - candidate) <= tol
+    if not coincide:
+        return CapacityVerdict(
+            applies=False, capacity=None, rho_prime=None,
+            condition_lower=cond_lower, condition_upper=cond_upper,
+            auxiliary=auxiliary, upper_value=ub, lower_value=lb,
+            note=f"bounds failed to meet the candidate {candidate:.9g} within {tol:g}",
+        )
+    return CapacityVerdict(
+        applies=True, capacity=candidate, rho_prime=rho_p,
+        condition_lower=cond_lower, condition_upper=cond_upper,
+        auxiliary=auxiliary, upper_value=ub, lower_value=lb,
+    )
 
 
 @dataclass(frozen=True)

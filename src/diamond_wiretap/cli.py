@@ -22,11 +22,18 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
+import math
 import sys
 from dataclasses import replace
 
 from .analysis import capacity_condition, detect_thresholds
-from .errors import DiamondWiretapError, ParameterError
+from .errors import (
+    AsymmetricParams,
+    DiamondWiretapError,
+    InvalidPmf,
+    ParameterError,
+)
 from .rate_functions import ChannelParams, RandomnessBudget
 from . import scenario_one, scenario_two
 
@@ -44,15 +51,25 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(value, digits: int) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return f"{value:.{digits}g}" if isinstance(value, float) else str(value)  # inf prints as inf
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return f"{value:.{digits}g}"
+    return str(value)
 
 
 def _render_kv(rows: list[list[tuple[str, object]]]) -> str:
-    return "\n\n".join("\n".join(f"{k} = {_fmt(v, 10)}" for k, v in row) for row in rows) + "\n"
+    blocks = []
+    for row in rows:
+        blocks.append("\n".join(f"{k} = {_fmt(v, 10)}" for k, v in row))
+    return "\n\n".join(blocks) + "\n"
 
 
 def _render_csv(rows: list[list[tuple[str, object]]]) -> str:
-    lines = [",".join(k for k, _ in rows[0])] + [",".join(_fmt(v, 6) for _, v in row) for row in rows]
+    header = ",".join(k for k, _ in rows[0])
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(_fmt(v, 6) for _, v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -176,13 +193,6 @@ def cmd_eval(args) -> str:
 
 
 _SWEEPABLE = ("c", "p", "g")
-# (column, report) of each scenario's bounds in a sweep, values first, then
-# the same columns' rho
-_SWEEP_COLUMNS = {
-    "1": (("ub1", "upper"), ("lb1_df", "lower_df"), ("lb1_pdf", "lower_pdf"), ("lb1_pdfm", "lower_pdf_m")),
-    "2": (("ub2", "upper"), ("lb2_df", "lower_df"), ("lb2_pdfdfm", "lower_pdf_df_m"),
-          ("lb2_pdfpdfm", "lower_pdf_pdf_m")),
-}
 
 
 def cmd_sweep(args) -> str:
@@ -215,12 +225,30 @@ def cmd_sweep(args) -> str:
         b1 = bounds_one(params) if args.scenario in ("1", "both") else None
         b2 = scenario_two.bounds(params, budget) if args.scenario in ("2", "both") else None
         ns = bounds_one(replace(params, g=0.0))
-        both = [(s, b) for s, b in (("1", b1), ("2", b2)) if b is not None]
         row: list[tuple[str, object]] = [("swept_value", v)]
-        for s, b in both:
-            row += [(column, getattr(b, field).value) for column, field in _SWEEP_COLUMNS[s]] + [(f"lb{s}", b.lower)]
-        for s, b in both:
-            row += [(f"rho_{column}", getattr(b, field).rho) for column, field in _SWEEP_COLUMNS[s]]
+        if b1 is not None:
+            row += [
+                ("ub1", b1.upper.value), ("lb1_df", b1.lower_df.value),
+                ("lb1_pdf", b1.lower_pdf.value), ("lb1_pdfm", b1.lower_pdf_m.value),
+                ("lb1", b1.lower),
+            ]
+        if b2 is not None:
+            row += [
+                ("ub2", b2.upper.value), ("lb2_df", b2.lower_df.value),
+                ("lb2_pdfdfm", b2.lower_pdf_df_m.value),
+                ("lb2_pdfpdfm", b2.lower_pdf_pdf_m.value), ("lb2", b2.lower),
+            ]
+        if b1 is not None:
+            row += [
+                ("rho_ub1", b1.upper.rho), ("rho_lb1_df", b1.lower_df.rho),
+                ("rho_lb1_pdf", b1.lower_pdf.rho), ("rho_lb1_pdfm", b1.lower_pdf_m.rho),
+            ]
+        if b2 is not None:
+            row += [
+                ("rho_ub2", b2.upper.rho), ("rho_lb2_df", b2.lower_df.rho),
+                ("rho_lb2_pdfdfm", b2.lower_pdf_df_m.rho),
+                ("rho_lb2_pdfpdfm", b2.lower_pdf_pdf_m.rho),
+            ]
         row += [("nosecrecy_ub", ns.upper.value), ("nosecrecy_lb", ns.lower)]
         rows.append(row)
     return _render(rows, args.format)
@@ -238,7 +266,10 @@ def cmd_thresholds(args) -> str:
         )
     except ValueError as e:
         raise ParameterError(str(e))
-    rows = [[("c", cr.c), ("schemes", ";".join(cr.schemes))] for cr in report.crossings]
+    rows = [
+        [("c", cr.c), ("schemes", ";".join(cr.schemes))]
+        for cr in report.crossings
+    ]
     if not rows:
         # header only / explicit count so empty results stay machine-readable
         return "c,schemes\n" if args.format == "csv" else "crossings = 0\n"
@@ -353,10 +384,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         out = args.func(args)
-    except (OSError, ValueError) as e:  # invalid input: the package's own kinds and bad JSON included
+    except (ParameterError, InvalidPmf, AsymmetricParams) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DiamondWiretapError, ArithmeticError) as e:
+    except (OSError, json.JSONDecodeError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except DiamondWiretapError as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 2
+    except ArithmeticError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
     sys.stdout.write(out)

@@ -223,7 +223,7 @@ def dmc_rates(channel: DmcChannel, input_pmf: np.ndarray, c1: float, c2: float) 
         "C1": c1, "C2": c2,
         "f1": c1 + mi["I(X2;Y|X1)"], "f2": c2 + mi["I(X1;Y|X2)"], "f3": c1 + c2 - mi["I(X1;X2)"],
         "f4": mi["I(X1,X2;Y)"], "f5": mi["I(X1,X2;Z)"],
-        "indicator": math.inf if c1 > mi["I(X1;Z)"] and c2 > mi["I(X2;Z)"] else 0.0,
+        "indicator": rf.link_indicator(c1, c2, mi["I(X1;Z)"], mi["I(X2;Z)"]),
     }
     rates = {name: max(0.0, float(min(TABLE[name].terms(r).values())))
              for name in ("df1", "pdfm1", "df2", "pdfdfm2", "pdfpdfm2")}

@@ -55,6 +55,7 @@ __all__ = [
     "peak",
     "crossing",
     "f5_inverse",
+    "link_indicator",
     "link_interval",
 ]
 
@@ -147,9 +148,14 @@ _EXTENDED_TOL = 1e-9
 _UNIT_DOMAIN = frozenset(("f1", "f2", "f3", "f6", "f7", "indicator"))
 _log2 = math.log2
 
+
+def link_indicator(c1: float, c2: float, f6: float, f7: float) -> float:
+    """The indicator of the strict link conditions of PDF-PDF-M: +inf where
+    C1 > f6 and C2 > f7 both hold, 0 where either fails."""
+    return math.inf if c1 > f6 and c2 > f7 else 0.0
+
+
 # Each closed form over lists of the atoms q = 1 - rho^2 and s = s(rho).
-# The indicator of the strict link conditions of PDF-PDF-M is +inf where
-# C1 > f6 and C2 > f7 both hold and 0 where either fails.
 _FORMS = {
     "f1": lambda p, qs, ss: [p.c1 + 0.5 * _log2(1.0 + q * p.p2) for q in qs],
     "f2": lambda p, qs, ss: [p.c2 + 0.5 * _log2(1.0 + q * p.p1) for q in qs],
@@ -158,7 +164,7 @@ _FORMS = {
     "f5": lambda p, qs, ss: [0.5 * _log2(1.0 + p.g * s) for s in ss],
     "f6": lambda p, qs, ss: [0.5 * _log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p2)) for q, s in zip(qs, ss)],
     "f7": lambda p, qs, ss: [0.5 * _log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p1)) for q, s in zip(qs, ss)],
-    "indicator": lambda p, qs, ss: [math.inf if p.c1 > a and p.c2 > b else 0.0 for a, b in
+    "indicator": lambda p, qs, ss: [link_indicator(p.c1, p.c2, a, b) for a, b in
                                     zip(_FORMS["f6"](p, qs, ss), _FORMS["f7"](p, qs, ss))],
 }
 

@@ -5,12 +5,12 @@ rates into the branch's terms, ``{name: value}`` in binding order, by plain
 arithmetic that applies alike to floats and to arrays of them.  A bound or
 rate is the minimum of the terms, maximized over the correlation rho on an
 interval that the scenario modules set.  The rates an entry reads are its
-``uses``: f1..f5 and the ``indicator`` (+inf where the strict link
-conditions C1 > f6 and C2 > f7 of pdfpdfm2 hold, 0 where they fail) at rho,
-the rho-free f1(0), f2(0), f3(0), and the link capacities C1, C2.
-``gaussian`` fills them for the Gaussian channel, with one
-``rate_functions.rates`` call per list of points; ``oracles.dmc_rates``
-fills them for a discrete channel from entropies:
+``uses``: f1..f5 and the ``indicator`` (``rate_functions.link_indicator``:
++inf where the strict link conditions C1 > f6 and C2 > f7 of pdfpdfm2
+hold, 0 where they fail) at rho, the rho-free f1(0), f2(0), f3(0), and
+the link capacities C1, C2.  ``gaussian`` fills them for the Gaussian
+channel, with one ``rate_functions.rates`` call per list of points;
+``oracles.dmc_rates`` fills them for a discrete channel from entropies:
 
     f1 = C1 + I(X2;Y|X1)    f2 = C2 + I(X1;Y|X2)    f3 = C1 + C2 - I(X1;X2)
     f4 = I(X1,X2;Y)         f5 = I(X1,X2;Z)         f6 = I(X1;Z)    f7 = I(X2;Z)
@@ -146,8 +146,8 @@ class _Column(list):
 
 def gaussian(params: ChannelParams, name: str) -> tuple[Callable, dict]:
     """``TABLE[name]`` on the Gaussian channel ``params``: the branch, which
-    maps a float rho to ``{term: value}`` and a list of points to
-    ``{term: values}``, and the rho-free rates it was given."""
+    maps a list of points to ``{term: values}``, and the rho-free rates it
+    was given."""
     entry = TABLE[name]
     fixed = {"C1": params.c1, "C2": params.c2}
     fixed.update({u: _AT_ZERO[u](params) for u in entry.uses if u in _AT_ZERO})
@@ -155,8 +155,6 @@ def gaussian(params: ChannelParams, name: str) -> tuple[Callable, dict]:
 
     def branch(rho):
         r = rf.rates(params, rho, at_rho)
-        if isinstance(rho, (int, float)):
-            return entry.terms({**fixed, **r})
         terms = entry.terms({**fixed, **{u: _Column(values) for u, values in r.items()}})
         return {term: v if isinstance(v, list) else [v] * len(rho) for term, v in terms.items()}
 

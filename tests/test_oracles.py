@@ -225,7 +225,7 @@ def test_discretized_gaussian_converges_to_the_table(p1, p2, g, c1, c2):
     at_zero = {}
     for name in names:
         branch, _ = schemes.gaussian(p, name)
-        at_zero[name] = max(0.0, float(min(branch(0.0).values())))
+        at_zero[name] = max(0.0, min(values[0] for values in branch([0.0]).values()))
     errors = []
     for n in (8, 16, 32):
         chan, pmf = oracles.discretized_gaussian_channel(p1, p2, g, n_input=n, n_output=3 * n // 2)

@@ -25,7 +25,7 @@ def params(c, p=10.0, g=0.1):
 def table_rate(p, name, rho):
     """The rate of ``schemes.TABLE[name]`` on the Gaussian channel at ``rho``, clamped at 0."""
     branch, _ = schemes.gaussian(p, name)
-    return max(0.0, float(min(branch(rho).values())))
+    return max(0.0, min(values[0] for values in branch([rho]).values()))
 
 
 def test_upper_bound_cut_limited():
@@ -149,7 +149,7 @@ def test_seeds_cover_every_pair_of_a_rising_and_another_term():
     p = ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3)
     for name, entry in schemes.TABLE.items():
         branch, fixed = schemes.gaussian(p, name)
-        terms = set(branch(0.5))
+        terms = set(branch([0.5]))
         assert entry.rising and set(entry.rising) <= terms, name
         peaks = {term: rf.peak(p, term) for term in entry.rising}
         for up in entry.rising:
@@ -165,7 +165,7 @@ def test_linked_entries_are_those_with_an_indicator():
     p = ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3)
     for name, entry in schemes.TABLE.items():
         branch, _ = schemes.gaussian(p, name)
-        assert entry.linked == ("indicator" in branch(0.5)), name
+        assert entry.linked == ("indicator" in branch([0.5])), name
 
 
 @pytest.mark.parametrize("p1, p2", [(1e-12, 1e-12), (1e-12, 1e-7), (1e-9, 1e-9), (1e-12, 1e12)])

@@ -27,7 +27,7 @@ def params(c, p=10.0, g=0.1):
 def table_terms(p, name, rho):
     """The terms of ``schemes.TABLE[name]`` on the Gaussian channel at ``rho``."""
     branch, _ = schemes.gaussian(p, name)
-    return branch(rho)
+    return {term: values[0] for term, values in branch([rho]).items()}
 
 
 def table_rate(p, name, rho):
