@@ -12,7 +12,8 @@ Subcommands:
 Two output styles: ``kv`` ("key = value" lines, 10 significant digits) and
 ``csv`` (header plus rows, 6 significant digits).  Identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 invalid input,
-2 numerical failure.
+2 numerical failure.  ``oracle-check`` also exits 2 when its check fails
+(``passed = false``), after printing its report as usual.
 
 Only ``oracle-check`` and ``dmc`` import numpy, through ``oracles``, and
 only when they run.
@@ -299,6 +300,7 @@ def cmd_oracle_check(args) -> str:
     from .oracles import validate_closed_forms
 
     report = validate_closed_forms(trials=args.trials, seed=args.seed, tolerance=args.tol)
+    args.exit_code = 0 if report.passed else 2
     row = [
         ("trials", report.trials),
         ("seed", report.seed),
@@ -329,6 +331,7 @@ def cmd_dmc(args) -> str:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="diamond-wiretap", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(exit_code=0)  # a check that runs and fails sets 2
 
     p_eval = sub.add_parser("eval", help="bounds for one parameter point")
     _add_channel_flags(p_eval)
@@ -397,7 +400,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
     sys.stdout.write(out)
-    return 0
+    return args.exit_code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ Two independent evaluation paths:
 
 The closed-form rate functions must agree with the Gaussian path to
 round-off; ``validate_closed_forms`` drives that comparison over seeded
-random parameter draws.
+random parameter draws.  The Gaussian path is evaluated as one stack: the
+covariances of all draws form one (n, 4, 4) array, and each principal block
+that a mutual information needs gets its log-determinant for every draw
+from one stacked ``slogdet``.  ``gaussian_mi`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -42,6 +45,23 @@ _LN2 = math.log(2.0)
 _VARS = {"X1": 0, "X2": 1, "Y": 2, "Z": 3}
 
 
+def _covariances(p1, p2, rho, g) -> np.ndarray:
+    """Covariance of (X1, X2, Y, Z) for each element of the equally shaped
+    arrays (or floats) p1, p2, rho, g: shape p1.shape + (4, 4)."""
+    p1, p2, rho, g = (np.asarray(x, dtype=float) for x in (p1, p2, rho, g))
+    q = rho * np.sqrt(p1 * p2)
+    s = p1 + p2 + 2.0 * q
+    sg = np.sqrt(g)
+    a, b = p1 + q, p2 + q
+    rows = [
+        p1, q, a, sg * a,
+        q, p2, b, sg * b,
+        a, b, s + 1.0, sg * s,
+        sg * a, sg * b, sg * s, g * s + 1.0,
+    ]
+    return np.stack(rows, axis=-1).reshape(p1.shape + (4, 4))
+
+
 @dataclass(frozen=True)
 class GaussianSystem:
     """Covariance of (X1, X2, Y, Z) for correlated Gaussian inputs.
@@ -57,21 +77,11 @@ class GaussianSystem:
 
     @property
     def covariance(self) -> np.ndarray:
-        p1, p2, rho, g = self.p1, self.p2, self.rho, self.g
-        q = rho * math.sqrt(p1 * p2)
-        s = p1 + p2 + 2.0 * q
-        sg = math.sqrt(g)
-        return np.array(
-            [
-                [p1, q, p1 + q, sg * (p1 + q)],
-                [q, p2, p2 + q, sg * (p2 + q)],
-                [p1 + q, p2 + q, s + 1.0, sg * s],
-                [sg * (p1 + q), sg * (p2 + q), sg * s, g * s + 1.0],
-            ]
-        )
+        return _covariances(self.p1, self.p2, self.rho, self.g)
 
 
-def _parse_mi_spec(spec: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _parse_mi_spec(spec: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The principal blocks (A+C, B+C, C, A+B+C) of I(A;B|C), each sorted."""
     s = spec.replace(" ", "")
     if not (s.startswith("I(") and s.endswith(")")):
         raise ValueError(f"malformed mutual-information spec {spec!r}")
@@ -97,17 +107,31 @@ def _parse_mi_spec(spec: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[i
         raise ValueError(f"both sides of ';' need variables in {spec!r}")
     if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
         raise ValueError(f"variable groups must be disjoint in {spec!r}")
-    return a, b, c
+    return tuple(tuple(sorted(block)) for block in (a + c, b + c, c, a + b + c))
 
 
-def _logdet(cov: np.ndarray, idx: tuple[int, ...]) -> float:
-    if not idx:
-        return 0.0
-    sub = cov[np.ix_(idx, idx)]
-    sign, ld = np.linalg.slogdet(sub)
-    if sign <= 0.0 or not math.isfinite(ld):
-        raise SingularCovariance(f"covariance block {idx} is not positive definite")
-    return float(ld)
+def _mutual_informations(cov: np.ndarray, specs) -> dict[str, np.ndarray]:
+    """I(A;B|C) in bits for every covariance of the stack ``cov`` (n, 4, 4),
+    for each of ``specs``: 0.5*log2(det S_AC * det S_BC / (det S_C * det S_ABC)).
+
+    Each distinct principal block gets one stacked ``slogdet`` over all n
+    covariances, shared by the specs that need it.
+    """
+    logdets = {(): 0.0}
+
+    def logdet(idx: tuple[int, ...]):
+        if idx not in logdets:
+            sign, ld = np.linalg.slogdet(cov[:, idx][:, :, idx])
+            if not np.all((sign > 0.0) & np.isfinite(ld)):
+                raise SingularCovariance(f"covariance block {idx} is not positive definite")
+            logdets[idx] = ld
+        return logdets[idx]
+
+    out = {}
+    for spec in specs:
+        ac, bc, c, abc = _parse_mi_spec(spec)
+        out[spec] = 0.5 * (logdet(ac) + logdet(bc) - logdet(c) - logdet(abc)) / _LN2
+    return out
 
 
 def gaussian_mi(system: GaussianSystem, spec: str) -> float:
@@ -116,15 +140,7 @@ def gaussian_mi(system: GaussianSystem, spec: str) -> float:
     ``spec`` looks like "I(X1,X2;Y)" or "I(X1;Y|X2)" over the variables
     X1, X2, Y, Z.  I(A;B|C) = 0.5*log2(det S_AC * det S_BC / (det S_C * det S_ABC)).
     """
-    a, b, c = _parse_mi_spec(spec)
-    cov = system.covariance
-    ld = (
-        _logdet(cov, tuple(sorted(a + c)))
-        + _logdet(cov, tuple(sorted(b + c)))
-        - _logdet(cov, tuple(sorted(c)))
-        - _logdet(cov, tuple(sorted(a + b + c)))
-    )
-    return 0.5 * ld / _LN2
+    return float(_mutual_informations(system.covariance[None], (spec,))[spec][0])
 
 
 def _check_pmf(p: np.ndarray, what: str, axis=None) -> None:
@@ -326,48 +342,55 @@ class ValidationReport:
         return not self.failures
 
 
+# Each closed form beside the mutual information it equals, in the order of
+# the failures within a trial; f3 is last, as it is skipped at |rho| = 1
+_IDENTITIES = (
+    ("f1", "I(X2;Y|X1)"), ("f2", "I(X1;Y|X2)"), ("f4", "I(X1,X2;Y)"), ("f5", "I(X1,X2;Z)"),
+    ("f6", "I(X1;Z)"), ("f7", "I(X2;Z)"), ("f3", "I(X1;X2)"),
+)
+# Per trial: P1, P2, C1, C2, g, rho
+_DRAW_BOUNDS = np.array([[1e-3, 100.0], [1e-3, 100.0], [0.0, 5.0], [0.0, 5.0], [0.0, 0.99], [-1.0, 1.0]])
+
+
+def _draws(trials: int, seed: int) -> np.ndarray:
+    """Columns P1, P2, C1, C2, g, rho of each trial, drawn in that order
+    trial after trial; g is not drawn but 0 in every 25th trial."""
+    drawn = np.ones((trials, len(_DRAW_BOUNDS)), dtype=bool)
+    drawn[::25, 4] = False
+    bounds = np.broadcast_to(_DRAW_BOUNDS, (trials, *_DRAW_BOUNDS.shape))[drawn]
+    draws = np.zeros(drawn.shape)
+    draws[drawn] = np.random.default_rng(seed).uniform(bounds[:, 0], bounds[:, 1])
+    return draws
+
+
 def validate_closed_forms(trials: int = 1000, seed: int = 0, tolerance: float = 1e-9) -> ValidationReport:
     """Compare f1..f7 with log-determinant mutual informations on random draws.
 
     Draws P1, P2 in (0, 100], C1, C2 in [0, 5], g in [0, 0.99] (forced to 0
     every 25th draw), rho in [-1, 1].  The f3 identity is skipped at
-    |rho| = 1 where the input covariance is singular and f3 is -inf.
+    |rho| = 1 where the input covariance is singular and f3 is -inf.  The
+    closed forms take one ``rate_functions.rates`` call per draw; the
+    mutual informations are evaluated for all draws at once.
     """
-    rng = np.random.default_rng(seed)
-    checked = 0
-    skipped = 0
-    max_dev = 0.0
-    failures: list[tuple[int, str, float]] = []
-    for i in range(trials):
-        p1 = float(rng.uniform(1e-3, 100.0))
-        p2 = float(rng.uniform(1e-3, 100.0))
-        c1 = float(rng.uniform(0.0, 5.0))
-        c2 = float(rng.uniform(0.0, 5.0))
-        g = 0.0 if i % 25 == 0 else float(rng.uniform(0.0, 0.99))
-        rho = float(rng.uniform(-1.0, 1.0))
-        params = ChannelParams(p1=p1, p2=p2, c1=c1, c2=c2, g=g)
-        system = GaussianSystem(p1=p1, p2=p2, rho=rho, g=g)
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be a nonnegative number, got {tolerance}")
+    draws = _draws(trials, seed)
+    closed = []
+    for p1, p2, c1, c2, g, rho in draws.tolist():
+        r = rf.rates(ChannelParams(p1=p1, p2=p2, c1=c1, c2=c2, g=g), rho, [name for name, _ in _IDENTITIES])
+        closed.append((r["f1"] - c1, r["f2"] - c2, r["f4"], r["f5"], r["f6"], r["f7"], c1 + c2 - r["f3"]))
+    p1, p2, _, _, g, rho = draws.T
+    mi = _mutual_informations(_covariances(p1, p2, rho, g), [spec for _, spec in _IDENTITIES])
+    dev = np.abs(np.array(closed).reshape(trials, len(_IDENTITIES)) - np.stack(list(mi.values()), axis=-1))
 
-        pairs = [
-            ("f1", rf.f1(params, rho) - c1, "I(X2;Y|X1)"),
-            ("f2", rf.f2(params, rho) - c2, "I(X1;Y|X2)"),
-            ("f4", rf.f4(params, rho), "I(X1,X2;Y)"),
-            ("f5", rf.f5(params, rho), "I(X1,X2;Z)"),
-            ("f6", rf.f6(params, rho), "I(X1;Z)"),
-            ("f7", rf.f7(params, rho), "I(X2;Z)"),
-        ]
-        if abs(rho) == 1.0:
-            skipped += 1  # f3 is -inf there; covariance of (X1, X2) is singular
-        else:
-            pairs.append(("f3", c1 + c2 - rf.f3(params, rho), "I(X1;X2)"))
-        for name, closed, spec in pairs:
-            dev = abs(closed - gaussian_mi(system, spec))
-            checked += 1
-            max_dev = max(max_dev, dev)
-            if not dev <= tolerance:
-                failures.append((i, name, dev))
+    compared = np.ones(dev.shape, dtype=bool)
+    compared[:, -1] = np.abs(rho) != 1.0  # f3 is -inf there; covariance of (X1, X2) is singular
+    failed = compared & ~(dev <= tolerance)  # a NaN deviation fails
     return ValidationReport(
         trials=trials, seed=seed, tolerance=tolerance,
-        checked=checked, skipped=skipped, max_deviation=max_dev,
-        failures=tuple(failures),
+        checked=int(compared.sum()), skipped=trials - int(compared[:, -1].sum()),
+        max_deviation=float(np.max(dev, where=compared & ~np.isnan(dev), initial=0.0)),
+        failures=tuple((i, _IDENTITIES[j][0], float(dev[i, j])) for i, j in np.argwhere(failed).tolist()),
     )

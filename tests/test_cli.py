@@ -230,6 +230,32 @@ def test_oracle_check(capsys):
     assert int(fields["trials"]) == 40
 
 
+def test_oracle_check_exits_2_on_a_failed_check(capsys):
+    # at 1e-15 the round-off of the closed forms fails the check: the report
+    # is printed as usual and the exit code tells scripts that it failed
+    rc, out, err = run(capsys, "oracle-check", "--trials", "50", "--tol", "1e-15")
+    assert rc == 2 and err == ""
+    fields = kv(out)
+    assert fields["passed"] == "false"
+    assert int(fields["failures"]) > 0
+    assert int(fields["checked"]) == 350
+
+
+@pytest.mark.parametrize("flags", [("--trials", "-3"), ("--tol", "nan"), ("--tol=-1e-9",)])
+def test_oracle_check_rejects_negative_trials_and_bad_tolerances(capsys, flags):
+    rc, out, err = run(capsys, "oracle-check", *flags)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:")
+
+
+def test_oracle_check_with_zero_trials_passes(capsys):
+    rc, out, _ = run(capsys, "oracle-check", "--trials", "0")
+    assert rc == 0
+    fields = kv(out)
+    assert fields["passed"] == "true"
+    assert int(fields["checked"]) == 0
+
+
 def test_dmc_command(capsys, tmp_path):
     t = np.zeros((2, 2, 4, 1))
     for x1 in range(2):

@@ -71,6 +71,102 @@ def test_closed_form_validation_sweep():
     assert rep.max_deviation <= 1e-9
 
 
+def _reference_logdet_mi(system, spec):
+    """I(A;B|C) of one system from four scalar ``slogdet`` calls on its 4x4 covariance."""
+    cov = system.covariance
+    lds = []
+    for idx in oracles._parse_mi_spec(spec):
+        if not idx:
+            lds.append(0.0)
+            continue
+        sign, ld = np.linalg.slogdet(cov[np.ix_(idx, idx)])
+        if sign <= 0.0 or not math.isfinite(ld):
+            raise SingularCovariance(f"covariance block {idx} is not positive definite")
+        lds.append(float(ld))
+    return 0.5 * (lds[0] + lds[1] - lds[2] - lds[3]) / math.log(2.0)
+
+
+def reference_validation(trials, seed, tolerance=1e-9):
+    """``validate_closed_forms`` as a loop over the trials: scalar draws, the
+    public f1..f7 and one scalar log-det evaluation per identity."""
+    rng = np.random.default_rng(seed)
+    checked = skipped = 0
+    max_dev = 0.0
+    failures = []
+    for i in range(trials):
+        p1 = float(rng.uniform(1e-3, 100.0))
+        p2 = float(rng.uniform(1e-3, 100.0))
+        c1 = float(rng.uniform(0.0, 5.0))
+        c2 = float(rng.uniform(0.0, 5.0))
+        g = 0.0 if i % 25 == 0 else float(rng.uniform(0.0, 0.99))
+        rho = float(rng.uniform(-1.0, 1.0))
+        params = ChannelParams(p1=p1, p2=p2, c1=c1, c2=c2, g=g)
+        system = GaussianSystem(p1=p1, p2=p2, rho=rho, g=g)
+        pairs = [
+            ("f1", rf.f1(params, rho) - c1, "I(X2;Y|X1)"),
+            ("f2", rf.f2(params, rho) - c2, "I(X1;Y|X2)"),
+            ("f4", rf.f4(params, rho), "I(X1,X2;Y)"),
+            ("f5", rf.f5(params, rho), "I(X1,X2;Z)"),
+            ("f6", rf.f6(params, rho), "I(X1;Z)"),
+            ("f7", rf.f7(params, rho), "I(X2;Z)"),
+        ]
+        if abs(rho) == 1.0:
+            skipped += 1
+        else:
+            pairs.append(("f3", c1 + c2 - rf.f3(params, rho), "I(X1;X2)"))
+        for name, closed, spec in pairs:
+            dev = abs(closed - _reference_logdet_mi(system, spec))
+            checked += 1
+            max_dev = max(max_dev, dev)
+            if not dev <= tolerance:
+                failures.append((i, name, dev))
+    return oracles.ValidationReport(
+        trials=trials, seed=seed, tolerance=tolerance, checked=checked, skipped=skipped,
+        max_deviation=max_dev, failures=tuple(failures),
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_validation_equals_the_per_trial_loop(seed):
+    assert oracles.validate_closed_forms(trials=1000, seed=seed) == reference_validation(1000, seed)
+
+
+def test_stacked_validation_keeps_the_failures_and_their_order():
+    # at 1e-15 most identities fail on round-off: the long failure tuple is
+    # ordered by trial, then f1, f2, f4, f5, f6, f7, f3
+    report = oracles.validate_closed_forms(trials=200, seed=7, tolerance=1e-15)
+    assert len(report.failures) > 100
+    assert report == reference_validation(200, 7, tolerance=1e-15)
+
+
+def test_zero_trials_is_an_empty_passing_report():
+    report = oracles.validate_closed_forms(trials=0, seed=3)
+    assert report == reference_validation(0, 3)
+    assert report.passed and report.checked == 0 and report.max_deviation == 0.0
+
+
+@pytest.mark.parametrize("trials, tolerance", [(-1, 1e-9), (-3, 1e-9), (10, math.nan), (10, -1e-9), (10, -math.inf)])
+def test_validation_rejects_negative_trials_and_bad_tolerances(trials, tolerance):
+    with pytest.raises(ValueError):
+        oracles.validate_closed_forms(trials=trials, seed=0, tolerance=tolerance)
+
+
+def test_gaussian_mi_is_its_row_of_a_stack():
+    rng = np.random.default_rng(11)
+    p1, p2 = rng.uniform(1e-3, 100.0, 2), rng.uniform(1e-3, 100.0, 2)
+    p1, p2, rho, g = (np.concatenate([a, [b]]) for a, b in
+                      ((p1, 5.0), (p2, 2.0), (rng.uniform(-1.0, 1.0, 2), 0.35), (rng.uniform(0.0, 0.99, 2), 0.0)))
+    specs = [spec for _, spec in oracles._IDENTITIES] + ["I(X1;Y)", "I(X2;Z|Y)", "I(Y;Z|X1,X2)"]
+    stacked = oracles._mutual_informations(oracles._covariances(p1, p2, rho, g), specs)
+    for k in range(len(p1)):
+        system = GaussianSystem(float(p1[k]), float(p2[k]), float(rho[k]), float(g[k]))
+        for spec in specs:
+            value = oracles.gaussian_mi(system, spec)
+            assert type(value) is float
+            assert value == stacked[spec][k], (k, spec)
+            assert value == _reference_logdet_mi(system, spec), (k, spec)
+
+
 def identity_y_channel():
     """Y reveals (x1, x2) perfectly; Z is constant."""
     t = np.zeros((2, 2, 4, 1))
@@ -240,3 +336,10 @@ def test_singular_covariance_detected():
     sys_ = GaussianSystem(1.0, 1.0, 1.0, 0.1)
     with pytest.raises(SingularCovariance):
         oracles.gaussian_mi(sys_, "I(X1;X2)")
+
+
+def test_one_singular_row_of_a_stack_raises():
+    cov = oracles._covariances([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.2, 1.0, -0.5], [0.1, 0.1, 0.1])
+    oracles._mutual_informations(cov[[0, 2]], ["I(X1;X2)"])
+    with pytest.raises(SingularCovariance):
+        oracles._mutual_informations(cov, ["I(X1;X2)"])

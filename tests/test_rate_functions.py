@@ -258,6 +258,17 @@ def test_bounds_are_finite_and_ordered_at_extreme_powers(p1, p2, r_prime):
         assert bounds.lower <= bounds.upper.value, bounds
 
 
+@pytest.mark.xfail(strict=True, reason="T1 is solved in rho, and s(rho) carries round-off of ulp(P1 + P2) "
+                                       "that rates snaps to 0 where the T1 optimum lies: ub2 reads 0.0")
+@pytest.mark.parametrize("power", [1e16, 1e18, 1e100, 1e300])
+def test_scenario_two_converse_is_not_under_reported_at_huge_powers(power):
+    # from p = 1e12 upwards T1 is m - f5 where f4 = m = 2C = 2, at s = 2^(2m) - 1 = 15:
+    # 2 - 0.5*log2(1 + 0.5*15) = 0.456268579374830..., which ub2 reads at 1e15
+    p = ChannelParams.symmetric(power, 1.0, 0.5)
+    t1 = 2.0 - 0.5 * math.log2(8.5)
+    assert s2.bounds(p, RandomnessBudget.unbounded()).upper.value == pytest.approx(t1, abs=1e-12)
+
+
 @pytest.mark.parametrize("p1", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("p2", [1e-12, 1e-7, 1e-2, 1e2, 1e12])
 def test_rho_h_lies_inside_zero_to_rho_star(p1, p2):
