@@ -153,9 +153,10 @@ def test_validation_rejects_negative_trials_and_bad_tolerances(trials, tolerance
 
 def test_gaussian_mi_is_its_row_of_a_stack():
     rng = np.random.default_rng(11)
-    p1, p2 = rng.uniform(1e-3, 100.0, 2), rng.uniform(1e-3, 100.0, 2)
-    p1, p2, rho, g = (np.concatenate([a, [b]]) for a, b in
-                      ((p1, 5.0), (p2, 2.0), (rng.uniform(-1.0, 1.0, 2), 0.35), (rng.uniform(0.0, 0.99, 2), 0.0)))
+    p1 = np.append(rng.uniform(1e-3, 100.0, 3), 5.0)
+    p2 = np.append(rng.uniform(1e-3, 100.0, 3), 2.0)
+    rho = np.append(rng.uniform(-1.0, 1.0, 3), 0.35)
+    g = np.append(rng.uniform(0.0, 0.99, 3), 0.0)
     specs = [spec for _, spec in oracles._IDENTITIES] + ["I(X1;Y)", "I(X2;Z|Y)", "I(Y;Z|X1,X2)"]
     stacked = oracles._mutual_informations(oracles._covariances(p1, p2, rho, g), specs)
     for k in range(len(p1)):
