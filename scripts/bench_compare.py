@@ -14,7 +14,8 @@ than the base's by more than the declared bound, and whether it is a gain:
 better in nine tenths of the pairs, and in the median by more than the
 distance between the base's quartiles.  It also records both shas, the
 Python and numpy versions, ``nproc`` and every run's failed and correct
-flags.
+flags.  It exits with 2, running nothing, while ``src``, ``perfbench`` or
+``BENCHMARK.json`` hold uncommitted changes, which the export would leave out.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="output file, BENCH_<n>.json at the repository root")
     args = ap.parse_args(argv)
 
+    dirty = _git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
+    if dirty:
+        print(f"uncommitted changes would not be benchmarked, commit them first:\n{dirty}", file=sys.stderr)
+        return 2
     shas = {"base": _git("rev-parse", args.base), "head": _git("rev-parse", "HEAD")}
     with tempfile.TemporaryDirectory(prefix="bench_compare_") as scratch:
         roots = {side: os.path.join(scratch, side) for side in shas}

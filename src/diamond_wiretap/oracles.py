@@ -352,15 +352,22 @@ _IDENTITIES = (
 _DRAW_BOUNDS = np.array([[1e-3, 100.0], [1e-3, 100.0], [0.0, 5.0], [0.0, 5.0], [0.0, 0.99], [-1.0, 1.0]])
 
 
-def _draws(trials: int, seed: int) -> np.ndarray:
-    """Columns P1, P2, C1, C2, g, rho of each trial, drawn in that order
-    trial after trial; g is not drawn but 0 in every 25th trial."""
+def _draws(rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Columns P1, P2, C1, C2, g, rho of each trial, drawn from ``rng`` in
+    that order trial after trial; g is not drawn but 0 in every 25th trial,
+    counted from the first."""
     drawn = np.ones((trials, len(_DRAW_BOUNDS)), dtype=bool)
     drawn[::25, 4] = False
     bounds = np.broadcast_to(_DRAW_BOUNDS, (trials, *_DRAW_BOUNDS.shape))[drawn]
     draws = np.zeros(drawn.shape)
-    draws[drawn] = np.random.default_rng(seed).uniform(bounds[:, 0], bounds[:, 1])
+    draws[drawn] = rng.uniform(bounds[:, 0], bounds[:, 1])
     return draws
+
+
+# Trials per stack of validate_closed_forms, so that its memory stays bounded
+# for any number of trials.  A multiple of 25, so that every chunk starts on
+# the g pattern and the draws run on from chunk to chunk as in one stack.
+_CHUNK = 10_000
 
 
 def validate_closed_forms(trials: int = 1000, seed: int = 0, tolerance: float = 1e-9) -> ValidationReport:
@@ -370,27 +377,32 @@ def validate_closed_forms(trials: int = 1000, seed: int = 0, tolerance: float = 
     every 25th draw), rho in [-1, 1].  The f3 identity is skipped at
     |rho| = 1 where the input covariance is singular and f3 is -inf.  The
     closed forms take one ``rate_functions.rates`` call per draw; the
-    mutual informations are evaluated for all draws at once.
+    mutual informations are evaluated for up to ``_CHUNK`` draws at once.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be a nonnegative number, got {tolerance}")
-    draws = _draws(trials, seed)
-    closed = []
-    for p1, p2, c1, c2, g, rho in draws.tolist():
-        r = rf.rates(ChannelParams(p1=p1, p2=p2, c1=c1, c2=c2, g=g), rho, [name for name, _ in _IDENTITIES])
-        closed.append((r["f1"] - c1, r["f2"] - c2, r["f4"], r["f5"], r["f6"], r["f7"], c1 + c2 - r["f3"]))
-    p1, p2, _, _, g, rho = draws.T
-    mi = _mutual_informations(_covariances(p1, p2, rho, g), [spec for _, spec in _IDENTITIES])
-    dev = np.abs(np.array(closed).reshape(trials, len(_IDENTITIES)) - np.stack(list(mi.values()), axis=-1))
+    rng = np.random.default_rng(seed)
+    checked = skipped = 0
+    max_deviation = 0.0
+    failures = []
+    for start in range(0, trials, _CHUNK):
+        draws = _draws(rng, min(_CHUNK, trials - start))
+        closed = []
+        for p1, p2, c1, c2, g, rho in draws.tolist():
+            r = rf.rates(ChannelParams(p1=p1, p2=p2, c1=c1, c2=c2, g=g), rho, [name for name, _ in _IDENTITIES])
+            closed.append((r["f1"] - c1, r["f2"] - c2, r["f4"], r["f5"], r["f6"], r["f7"], c1 + c2 - r["f3"]))
+        p1, p2, _, _, g, rho = draws.T
+        mi = _mutual_informations(_covariances(p1, p2, rho, g), [spec for _, spec in _IDENTITIES])
+        dev = np.abs(np.array(closed) - np.stack(list(mi.values()), axis=-1))
 
-    compared = np.ones(dev.shape, dtype=bool)
-    compared[:, -1] = np.abs(rho) != 1.0  # f3 is -inf there; covariance of (X1, X2) is singular
-    failed = compared & ~(dev <= tolerance)  # a NaN deviation fails
-    return ValidationReport(
-        trials=trials, seed=seed, tolerance=tolerance,
-        checked=int(compared.sum()), skipped=trials - int(compared[:, -1].sum()),
-        max_deviation=float(np.max(dev, where=compared & ~np.isnan(dev), initial=0.0)),
-        failures=tuple((i, _IDENTITIES[j][0], float(dev[i, j])) for i, j in np.argwhere(failed).tolist()),
-    )
+        compared = np.ones(dev.shape, dtype=bool)
+        compared[:, -1] = np.abs(rho) != 1.0  # f3 is -inf there; covariance of (X1, X2) is singular
+        failed = compared & ~(dev <= tolerance)  # a NaN deviation fails
+        checked += int(compared.sum())
+        skipped += len(draws) - int(compared[:, -1].sum())
+        max_deviation = max(max_deviation, float(np.max(dev, where=compared & ~np.isnan(dev), initial=0.0)))
+        failures += [(start + i, _IDENTITIES[j][0], float(dev[i, j])) for i, j in np.argwhere(failed).tolist()]
+    return ValidationReport(trials=trials, seed=seed, tolerance=tolerance, checked=checked, skipped=skipped,
+                            max_deviation=max_deviation, failures=tuple(failures))

@@ -30,7 +30,10 @@ give bitwise-equal results.
 
 ``sign_change`` locates, to adjacent floats, where a monotone predicate
 first turns true; ``maximize_crossing``, ``rate_functions.f5_inverse`` and
-``rate_functions.link_interval`` use it.
+``rate_functions.link_interval`` use it.  Their seeds mostly lie within a
+float of the change, so its first pass covers only the seed and two floats
+either side: one call of at most 5 points, and a few more for a seed that
+misses.
 """
 
 from __future__ import annotations
@@ -45,12 +48,12 @@ from .errors import EmptyInterval
 __all__ = ["OptimizationResult", "maximize_min", "maximize_crossing", "sign_change"]
 
 # The first pass of sign_change evaluates the seed and the _NEAR floats on
-# either side of it; in plain floats a point costs about a tenth of the
-# fixed cost of a call of the branch.  A change beyond them gets a pass of
-# points _STRIDE times further apart each (2^5, 2^8, ... floats from the
-# seed, on its side), and every later pass splits the bracket with _SPLITS
-# points.
-_NEAR = 16
+# either side of it, enough for a seed within a float of the change; in plain
+# floats a point costs about a tenth of the fixed cost of a call of the
+# branch.  A change beyond them gets a pass of points _STRIDE times further
+# apart each (2^2, 2^5, 2^8, ... floats from the seed, on its side), and
+# every later pass splits the bracket with _SPLITS points.
+_NEAR = 2
 _STRIDE = 8
 _SPLITS = 8
 
@@ -182,11 +185,12 @@ def sign_change(
     from false to true, given that it is false at ``lo`` and true at ``hi``.
 
     ``reached`` maps a list of points to a list of booleans.  The first pass
-    evaluates the seed and the 16 floats either side of it; a change beyond
-    them gets one pass at 2^5, 2^8, 2^11, ... floats from the seed, on its
+    evaluates the seed and the 2 floats either side of it; a change beyond
+    them gets one pass at 2^2, 2^5, 2^8, ... floats from the seed, on its
     side, and every later pass splits the bracket with 8 points.  A seed
-    within 16 floats of the change costs one call of 33 points, and every
-    further factor of 9 in its distance about one call of 8 more.
+    within a float of the change costs one call of at most 5 points, one
+    up to 32 floats away two to four calls more, and every further factor
+    of 9 in its distance about one call of 8 more.
     """
     a, b = _ordinal(lo), _ordinal(hi)
     k0 = _ordinal(min(max(seed, lo), hi)) if not math.isnan(seed) else a

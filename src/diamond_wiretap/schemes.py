@@ -125,9 +125,6 @@ TABLE: dict[str, Entry] = {
                       rising=("f1-f5", "f2-f5", "f3-f5", "f4-f5")),
 }
 
-_AT_ZERO = {"f1(0)": lambda p: rf.f1(p, 0.0), "f2(0)": lambda p: rf.f2(p, 0.0), "f3(0)": lambda p: rf.f3(p, 0.0)}
-
-
 class _Column(list):
     """Rates at a list of points, with the pointwise arithmetic of ``TABLE``."""
 
@@ -150,7 +147,12 @@ def gaussian(params: ChannelParams, name: str) -> tuple[Callable, dict]:
     was given."""
     entry = TABLE[name]
     fixed = {"C1": params.c1, "C2": params.c2}
-    fixed.update({u: _AT_ZERO[u](params) for u in entry.uses if u in _AT_ZERO})
+    # f1(0) and f2(0) from one kernel call; f3(0) through the public f3
+    at_zero = tuple(u[:2] for u in entry.uses if u in ("f1(0)", "f2(0)"))
+    if at_zero:
+        fixed.update({f"{u}(0)": v for u, v in rf.rates(params, 0.0, at_zero).items()})
+    if "f3(0)" in entry.uses:
+        fixed["f3(0)"] = rf.f3(params, 0.0)
     at_rho = tuple(u for u in entry.uses if u not in fixed)
 
     def branch(rho):

@@ -61,3 +61,42 @@ def test_a_gain_must_exceed_the_base_quartile_distance(metric, step):
     assert s["head_wins"] == 10 and not s["gain"]
     s = summary(metric, base, [b + 3.0 * step for b in base])
     assert s["gain"]
+
+
+def fake_git(status):
+    """A ``_git`` that reports ``status`` for ``git status --porcelain`` and
+    a fixed sha for ``git rev-parse``, recording every call."""
+    calls = []
+
+    def git(*args):
+        calls.append(args)
+        return status if args[0] == "status" else "0" * 40
+    return git, calls
+
+
+class Exported(Exception):
+    """Raised in place of the export, past the guard."""
+
+
+def refuse_export(rev, into):
+    raise Exported(rev)
+
+
+def test_uncommitted_changes_stop_the_comparison(monkeypatch, tmp_path, capsys):
+    git, calls = fake_git(" M src/diamond_wiretap/scalar_opt.py\n?? perfbench/new.py")
+    monkeypatch.setattr(bench_compare, "_git", git)
+    monkeypatch.setattr(bench_compare, "_export", refuse_export)
+    out = tmp_path / "BENCH.json"
+    assert bench_compare.main(["--base", "HEAD~1", "--out", str(out)]) == 2
+    assert calls == [("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")]
+    assert "src/diamond_wiretap/scalar_opt.py" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_clean_tree_gets_past_the_guard(monkeypatch, tmp_path):
+    git, calls = fake_git("")
+    monkeypatch.setattr(bench_compare, "_git", git)
+    monkeypatch.setattr(bench_compare, "_export", refuse_export)
+    with pytest.raises(Exported):
+        bench_compare.main(["--base", "HEAD~1", "--out", str(tmp_path / "BENCH.json")])
+    assert calls[0][0] == "status" and calls[1] == ("rev-parse", "HEAD~1")

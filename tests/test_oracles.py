@@ -139,6 +139,22 @@ def test_stacked_validation_keeps_the_failures_and_their_order():
     assert report == reference_validation(200, 7, tolerance=1e-15)
 
 
+@pytest.mark.parametrize("tolerance", [1e-9, 1e-15])
+def test_chunked_validation_equals_one_stack(tolerance, monkeypatch):
+    # chunks of 75 trials, the last one of 25: the draws, the g pattern and
+    # the trial numbers of the failures run on from chunk to chunk
+    one_stack = oracles.validate_closed_forms(trials=1000, seed=5, tolerance=tolerance)
+    monkeypatch.setattr(oracles, "_CHUNK", 75)
+    chunked = oracles.validate_closed_forms(trials=1000, seed=5, tolerance=tolerance)
+    assert repr(chunked) == repr(one_stack)
+    assert bool(chunked.failures) == (tolerance < 1e-9)
+
+
+def test_a_chunk_is_whole_patterns_and_holds_a_thousand_trials():
+    # the 1,000 trials of the oracle check in the benchmark and the README stay one stack
+    assert oracles._CHUNK % 25 == 0 and oracles._CHUNK >= 1000
+
+
 def test_zero_trials_is_an_empty_passing_report():
     report = oracles.validate_closed_forms(trials=0, seed=3)
     assert report == reference_validation(0, 3)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from diamond_wiretap.errors import EmptyInterval
-from diamond_wiretap.scalar_opt import maximize_crossing, maximize_min, sign_change
+from diamond_wiretap.scalar_opt import _floats, _ordinal, maximize_crossing, maximize_min, sign_change
 
 RISES = math.inf  # the peak of a term that rises on the whole interval
 
@@ -197,3 +197,56 @@ def test_sign_change_across_zero_and_from_a_nan_seed():
     assert a < 1e-300 <= b and b == math.nextafter(a, math.inf)
     a, b = sign_change(lambda xs: [x > -0.0 for x in xs], -1.0, 1.0, 0.5)
     assert a == 0.0 and b == 5e-324
+
+
+def counted(predicate):
+    """``reached`` for ``predicate`` of one float, and the number of points
+    of each of its calls."""
+    calls = []
+
+    def reached(xs):
+        calls.append(len(xs))
+        return [predicate(x) for x in xs]
+    return reached, calls
+
+
+def brute_force(predicate, k_from, k_to):
+    """The adjacent floats where ``predicate`` first turns true, found by
+    evaluating it at every positive float with an ordinal in [k_from, k_to]."""
+    xs = np.arange(k_from, k_to + 1, dtype=np.int64).view(np.float64)
+    i = int(np.argmax(predicate(xs)))
+    assert i > 0 and predicate(xs[i])
+    return float(xs[i - 1]), float(xs[i])
+
+
+def above_root_two(x):
+    return x * x >= 2.0
+
+
+ROOT_TWO = _ordinal(math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("seed", [math.nextafter(math.sqrt(2.0), 0.0), math.sqrt(2.0)])
+def test_a_seed_on_the_sign_change_costs_one_call_of_five_points(seed):
+    reached, calls = counted(above_root_two)
+    a, b = sign_change(reached, 1.0, 2.0, seed)
+    assert (a, b) == brute_force(above_root_two, ROOT_TWO - 8, ROOT_TWO + 8)
+    assert seed in (a, b)
+    assert len(calls) == 1 and calls[0] <= 5
+
+
+@pytest.mark.parametrize("distance", [3, 17, 10**6, -3, -17, -10**6])
+def test_a_far_seed_finds_the_floats_of_a_brute_force_scan(distance):
+    reached, calls = counted(above_root_two)
+    seed = _floats([ROOT_TWO + distance])[0]
+    a, b = sign_change(reached, 1.0, 2.0, seed)
+    k_from, k_to = sorted((ROOT_TWO, ROOT_TWO + distance))
+    assert (a, b) == brute_force(above_root_two, k_from - 8, k_to + 8)
+    assert len(calls) <= 5 if abs(distance) <= 32 else len(calls) <= 12
+
+
+def test_a_nan_seed_finds_the_floats_of_a_brute_force_scan():
+    # with no seed the first pass starts at lo, a thousand floats below the change
+    lo, hi = _floats([ROOT_TWO - 1000, ROOT_TWO + 1000])
+    reached, _ = counted(above_root_two)
+    assert sign_change(reached, lo, hi, math.nan) == brute_force(above_root_two, ROOT_TWO - 1000, ROOT_TWO + 1000)
