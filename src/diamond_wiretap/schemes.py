@@ -125,6 +125,7 @@ TABLE: dict[str, Entry] = {
                       rising=("f1-f5", "f2-f5", "f3-f5", "f4-f5")),
 }
 
+
 class _Column(list):
     """Rates at a list of points, with the pointwise arithmetic of ``TABLE``."""
 
@@ -147,7 +148,7 @@ def gaussian(params: ChannelParams, name: str) -> tuple[Callable, dict]:
     was given."""
     entry = TABLE[name]
     fixed = {"C1": params.c1, "C2": params.c2}
-    # f1(0) and f2(0) from one kernel call; f3(0) through the public f3
+    # f1(0), f2(0) in one kernel call; f3(0) by the public f3, a call the benchmark tracer sees in scenario 1
     at_zero = tuple(u[:2] for u in entry.uses if u in ("f1(0)", "f2(0)"))
     if at_zero:
         fixed.update({f"{u}(0)": v for u, v in rf.rates(params, 0.0, at_zero).items()})
