@@ -5,7 +5,9 @@
 * ``pdf_gap_vs_power``: gap between the scenario-1 upper bound and the plain
   PDF rate along a power grid; the gap vanishes as the power grows.
 * ``detect_thresholds``: locates the link capacities where one achievable
-  scheme starts or stops beating another.
+  scheme starts or stops beating another.  Every scheme rate is
+  nondecreasing in C, so its scan evaluates only the grid points whose
+  verdict the rates at the points evaluated around them leave open.
 * ``no_secrecy_compare``: the same bounds with the eavesdropper removed
   (g = 0), as a reference point.
 """
@@ -103,10 +105,12 @@ def capacity_condition(params: ChannelParams, tol: float = 1e-6) -> CapacityVerd
             auxiliary="none", upper_value=ub, lower_value=lb,
             note="f3 - f4 did not change sign despite the window condition",
         )
-    candidate = rf.f3(params, rho_p) - rf.f5(params, rho_p)
+    at = rf.rates(params, [0.0, rho_p, rs], ("f1", "f3", "f5"))
+    f1, f3, f5 = at["f1"], at["f3"], at["f5"]
+    candidate = f3[1] - f5[1]
 
-    aux1 = rf.f1(params, rs) - rf.f5(params, rs) <= candidate
-    aux2 = rf.f3(params, 0.0) - rf.f5(params, rs) <= candidate
+    aux1 = f1[2] - f5[2] <= candidate
+    aux2 = f3[0] - f5[2] <= candidate
     auxiliary = {(True, True): "both", (True, False): "f1", (False, True): "f3(0)", (False, False): "none"}[(aux1, aux2)]
     if not (aux1 or aux2):
         return CapacityVerdict(
@@ -162,7 +166,8 @@ def pdf_gap_vs_power(
         params = ChannelParams(p1=p, p2=p, c1=c1, c2=c2, g=g)
         ub = scenario_one.upper_bound(params).value
         pdf = max(0.0, scenario_one.solve(params, "pdfm1", 0.0, 0.0).value)
-        mac = rf.f4(params, 0.0) - rf.f5(params, 0.0)
+        at_zero = rf.rates(params, 0.0, ("f4", "f5"))
+        mac = at_zero["f4"] - at_zero["f5"]
         rows.append(PdfGapRow(power=float(p), upper=ub, pdf=pdf, gap=ub - pdf, mac_term=mac))
     limit = math.inf if g == 0.0 else 0.5 * math.log2(1.0 / g)
     return PdfGapReport(rows=tuple(rows), mac_limit=limit)
@@ -194,6 +199,52 @@ def _scheme_values(scenario: int, params: ChannelParams, budget: RandomnessBudge
     return module.scheme_rates(params, budget)
 
 
+# how far group A must lead group B to count as ahead
+_AHEAD_BY = 1e-9
+
+# Every scheme rate is nondecreasing in C up to round-off, whose largest
+# measured decrease is 4.4e-16.  A flag is read off the ends of a stretch of
+# the scan only when the lead misses or clears _AHEAD_BY there by this
+# margin, which is far above that round-off and far below _AHEAD_BY.
+_MONOTONE_MARGIN = 1e-12
+
+
+def _ahead(a: float, b: float) -> bool:
+    """Group A strictly ahead of group B, so that the flat "equal rates"
+    stretches count as off."""
+    return a - b > _AHEAD_BY
+
+
+def _scan_flags(cs: Sequence[float], bests) -> list[bool]:
+    """``_ahead(*bests(c))`` for every c of the ascending grid ``cs``, with
+    ``bests`` called only where the values elsewhere leave the flag open.
+
+    ``bests(c)`` returns the best rates A(c) and B(c) of the two groups, both
+    nondecreasing in c.  So for grid points i < k < j, the flag at k is off
+    when A(c_j) - B(c_i) misses ``_AHEAD_BY`` by the margin, and on when
+    A(c_i) - B(c_j) clears it by the margin.  A stretch that neither decides
+    is split at its middle point, which is evaluated.
+    """
+    last = len(cs) - 1
+    known = {0: bests(cs[0]), last: bests(cs[last])}
+    flags = [False] * len(cs)
+    stretches = [(0, last)]
+    while stretches:
+        i, j = stretches.pop()
+        (a_i, b_i), (a_j, b_j) = known[i], known[j]
+        if j - i < 2 or a_j - b_i <= _AHEAD_BY - _MONOTONE_MARGIN:
+            continue
+        if a_i - b_j > _AHEAD_BY + _MONOTONE_MARGIN:
+            flags[i + 1:j] = [True] * (j - i - 1)
+            continue
+        k = (i + j) // 2
+        known[k] = bests(cs[k])
+        stretches += [(i, k), (k, j)]
+    for k, (a, b) in known.items():
+        flags[k] = _ahead(a, b)
+    return flags
+
+
 def detect_thresholds(
     p: float,
     g: float,
@@ -213,10 +264,23 @@ def detect_thresholds(
 
         max over A of the best scheme rate  -  max over B of the best rate,
 
-    and a crossing is a boundary of the strict-advantage region, bracketed on
-    the coarse grid and bisected to |dC| <= tol.  Each crossing lists the
-    schemes within 1e-6 of the common best value there.  Defaults compare the
-    multicoded PDF scheme against the rest of its scenario.
+    and a crossing is a boundary of the strict-advantage region (advantage
+    above 1e-9), bracketed on the coarse grid and bisected to |dC| <= tol.
+    Each crossing lists the schemes within 1e-6 of the common best value
+    there.  Defaults compare the multicoded PDF scheme against the rest of
+    its scenario.
+
+    The grid is not evaluated point by point.  At fixed p, g and budget every
+    scheme rate is nondecreasing in C: each term of ``schemes.TABLE`` has a
+    C-slope of 0, 1 or 2, the PDF-PDF-M link indicator (C1 > f6 and C2 > f7)
+    can only switch on as C grows, and neither the budget cap rho_max nor
+    plain PDF's rho = 0 depends on C.  So the group bests A(C) and B(C) are
+    nondecreasing, and between grid points c_i < c_j every flag is off when
+    A(c_j) - B(c_i) <= 1e-9 - margin and on when A(c_i) - B(c_j) > 1e-9 +
+    margin.  The margin, 1e-12, is far above the round-off by which a rate
+    can fall as C grows (4.4e-16 at most, measured), so the flags, and every
+    report, are those of the full scan.  Only the stretches that neither
+    rule decides are split at their middle point, which is evaluated once.
     """
     if scenario not in (1, 2):
         raise ValueError(f"scenario must be 1 or 2, got {scenario}")
@@ -233,17 +297,12 @@ def detect_thresholds(
     if steps < 2 or c_min >= c_max:
         raise ValueError("need c_min < c_max and at least 2 steps")
 
-    def advantage(c: float) -> float:
-        params = ChannelParams.symmetric(p, c, g)
-        values = _scheme_values(scenario, params, budget)
-        return max(values[s] for s in schemes_a) - max(values[s] for s in schemes_b)
-
-    # strict advantage, so that the flat "equal rates" stretches count as off
-    def strictly_ahead(c: float) -> bool:
-        return advantage(c) > 1e-9
+    def bests(c: float) -> tuple[float, float]:
+        values = _scheme_values(scenario, ChannelParams.symmetric(p, c, g), budget)
+        return max(values[s] for s in schemes_a), max(values[s] for s in schemes_b)
 
     cs = [c_min + (c_max - c_min) * i / (steps - 1) for i in range(steps)]
-    flags = [strictly_ahead(c) for c in cs]
+    flags = _scan_flags(cs, bests)
 
     # bisect well below the reporting tolerance so that the scheme rates at
     # the reported point sit within the tie tolerance of each other (the
@@ -260,7 +319,7 @@ def detect_thresholds(
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
                 break
-            if strictly_ahead(mid) == on_lo:
+            if _ahead(*bests(mid)) == on_lo:
                 lo = mid
             else:
                 hi = mid

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from diamond_wiretap import analysis, rate_functions as rf
-from diamond_wiretap.errors import AsymmetricParams
+from diamond_wiretap import analysis, rate_functions as rf, scenario_one, scenario_two
+from diamond_wiretap.errors import AsymmetricParams, ParameterError
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 
 # frozen with an independent high-precision evaluation
@@ -123,6 +123,87 @@ def test_detect_thresholds_validation():
         analysis.detect_thresholds(1.0, 0.1, 3)
     with pytest.raises(ValueError):
         analysis.detect_thresholds(1.0, 0.1, 1, schemes_a=("nope",))
+    with pytest.raises(ParameterError):
+        analysis.detect_thresholds(1.0, 0.1, 1, c_min=-0.5)
+
+
+def full_scan_thresholds(p, g, scenario, schemes_a=None, schemes_b=None, budget=None,
+                         c_min=0.0, c_max=3.0, steps=121, tol=1e-4):
+    """Reference: ``detect_thresholds`` as it was before the scan was pruned,
+    evaluating every grid point."""
+    known = analysis.SCENARIO_ONE_SCHEMES if scenario == 1 else analysis.SCENARIO_TWO_SCHEMES
+    if schemes_a is None:
+        schemes_a = ("pdfm",) if scenario == 1 else ("pdfpdfm",)
+    if schemes_b is None:
+        schemes_b = ("pdf", "df") if scenario == 1 else ("pdfdfm", "df")
+    if budget is None:
+        budget = RandomnessBudget.unbounded()
+    module = scenario_one if scenario == 1 else scenario_two
+
+    def advantage(c):
+        values = module.scheme_rates(ChannelParams.symmetric(p, c, g), budget)
+        return max(values[s] for s in schemes_a) - max(values[s] for s in schemes_b)
+
+    def strictly_ahead(c):
+        return advantage(c) > 1e-9
+
+    cs = [c_min + (c_max - c_min) * i / (steps - 1) for i in range(steps)]
+    flags = [strictly_ahead(c) for c in cs]
+    bracket = 0.01 * tol
+    tie_tol = max(1e-6, 4.0 * bracket)
+    crossings = []
+    for (c_lo, on_lo), (c_hi, on_hi) in zip(zip(cs, flags), zip(cs[1:], flags[1:])):
+        if on_lo == on_hi:
+            continue
+        lo, hi = c_lo, c_hi
+        while hi - lo > bracket:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if strictly_ahead(mid) == on_lo:
+                lo = mid
+            else:
+                hi = mid
+        c_star = 0.5 * (lo + hi)
+        values = module.scheme_rates(ChannelParams.symmetric(p, c_star, g), budget)
+        best = max(values[s] for s in (*schemes_a, *schemes_b))
+        tied = tuple(
+            s for s in known
+            if s in (*schemes_a, *schemes_b) and abs(values[s] - best) <= tie_tol * max(1.0, abs(best))
+        )
+        crossings.append(analysis.Crossing(c=c_star, schemes=tied))
+    return analysis.ThresholdReport(
+        scenario=scenario, schemes_a=tuple(schemes_a), schemes_b=tuple(schemes_b),
+        crossings=tuple(crossings), c_min=c_min, c_max=c_max, steps=steps,
+    )
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1.0, 0.1, 1), {}),
+    ((10.0, 0.1, 2), {"steps": 241}),
+    ((1.0, 0.1, 1), {"schemes_a": ("df",), "schemes_b": ("pdf",), "c_min": 0.5, "c_max": 0.8, "steps": 11}),
+    ((3.0, 0.3, 2), {"schemes_a": ("df",), "schemes_b": ("pdfpdfm",), "budget": RandomnessBudget(0.6)}),
+    ((2.0, 0.2, 1), {"budget": RandomnessBudget(0.0), "steps": 3}),
+    ((0.5, 0.05, 2), {"budget": RandomnessBudget(0.0), "steps": 11}),
+    ((30.0, 0.5, 1), {"schemes_a": ("df",), "schemes_b": ("pdf", "pdfm"), "budget": RandomnessBudget(1.2),
+                      "c_min": 0.4, "c_max": 2.5, "steps": 241}),
+    ((10.0, 0.1, 2), {"budget": RandomnessBudget(0.8)}),
+    ((5.0, 0.1, 2), {"schemes_a": ("pdfdfm", "pdfpdfm"), "schemes_b": ("df",), "steps": 2}),
+    ((1.0, 0.1, 1), {"c_min": 0.2, "c_max": 0.5, "steps": 2}),
+    ((1.0, 0.1, 1), {"c_min": 0.3, "c_max": 0.35, "steps": 3}),
+])
+def test_pruned_scan_reports_what_the_full_scan_reports(args, kwargs):
+    assert analysis.detect_thresholds(*args, **kwargs) == full_scan_thresholds(*args, **kwargs)
+
+
+def test_threshold_scan_skips_the_points_monotonicity_decides(monkeypatch):
+    # the full 121-point scan plus bisection made 153 evaluations here
+    calls = []
+    real = scenario_one.scheme_rates
+    monkeypatch.setattr(scenario_one, "scheme_rates", lambda *args: calls.append(args) or real(*args))
+    report = analysis.detect_thresholds(1.0, 0.1, 1)
+    assert len(report.crossings) == 2
+    assert len(calls) <= 75
 
 
 def test_scheme_name_constants():
