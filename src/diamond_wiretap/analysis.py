@@ -7,7 +7,8 @@
 * ``detect_thresholds``: locates the link capacities where one achievable
   scheme starts or stops beating another.  Every scheme rate is
   nondecreasing in C, so its scan evaluates only the grid points whose
-  verdict the rates at the points evaluated around them leave open.
+  verdict the rates at the points evaluated around them leave open, reading
+  a verdict off them only when it holds with a margin of 1e-12.
 * ``no_secrecy_compare``: the same bounds with the eavesdropper removed
   (g = 0), as a reference point.
 """
