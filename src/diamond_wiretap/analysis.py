@@ -89,23 +89,20 @@ def capacity_condition(params: ChannelParams, tol: float = 1e-6) -> CapacityVerd
     b2 = scenario_two.bounds(params, RandomnessBudget.unbounded())
     ub, lb = b2.upper.value, b2.lower
 
-    if not cond_lower <= c <= cond_upper:
+    def rejected(note: str, auxiliary: str = "none") -> CapacityVerdict:
         return CapacityVerdict(
             applies=False, capacity=None, rho_prime=None,
             condition_lower=cond_lower, condition_upper=cond_upper,
-            auxiliary="none", upper_value=ub, lower_value=lb,
-            note=f"link capacity {c:.6g} outside [{cond_lower:.6g}, {cond_upper:.6g}]",
+            auxiliary=auxiliary, upper_value=ub, lower_value=lb, note=note,
         )
+
+    if not cond_lower <= c <= cond_upper:
+        return rejected(f"link capacity {c:.6g} outside [{cond_lower:.6g}, {cond_upper:.6g}]")
 
     rho_p = rf.crossing(params, "f4", "f3")
     if not 0.0 <= rho_p <= rs:
         # only reachable through round-off at the window edge
-        return CapacityVerdict(
-            applies=False, capacity=None, rho_prime=None,
-            condition_lower=cond_lower, condition_upper=cond_upper,
-            auxiliary="none", upper_value=ub, lower_value=lb,
-            note="f3 - f4 did not change sign despite the window condition",
-        )
+        return rejected("f3 - f4 did not change sign despite the window condition")
     at = rf.rates(params, [0.0, rho_p, rs], ("f1", "f3", "f5"))
     f1, f3, f5 = at["f1"], at["f3"], at["f5"]
     candidate = f3[1] - f5[1]
@@ -114,21 +111,11 @@ def capacity_condition(params: ChannelParams, tol: float = 1e-6) -> CapacityVerd
     aux2 = f3[0] - f5[2] <= candidate
     auxiliary = {(True, True): "both", (True, False): "f1", (False, True): "f3(0)", (False, False): "none"}[(aux1, aux2)]
     if not (aux1 or aux2):
-        return CapacityVerdict(
-            applies=False, capacity=None, rho_prime=None,
-            condition_lower=cond_lower, condition_upper=cond_upper,
-            auxiliary=auxiliary, upper_value=ub, lower_value=lb,
-            note="neither auxiliary inequality holds",
-        )
+        return rejected("neither auxiliary inequality holds", auxiliary)
 
     coincide = abs(ub - candidate) <= tol and abs(lb - candidate) <= tol
     if not coincide:
-        return CapacityVerdict(
-            applies=False, capacity=None, rho_prime=None,
-            condition_lower=cond_lower, condition_upper=cond_upper,
-            auxiliary=auxiliary, upper_value=ub, lower_value=lb,
-            note=f"bounds failed to meet the candidate {candidate:.9g} within {tol:g}",
-        )
+        return rejected(f"bounds failed to meet the candidate {candidate:.9g} within {tol:g}", auxiliary)
     return CapacityVerdict(
         applies=True, capacity=candidate, rho_prime=rho_p,
         condition_lower=cond_lower, condition_upper=cond_upper,

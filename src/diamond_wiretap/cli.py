@@ -23,18 +23,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import replace
 
 from .analysis import capacity_condition, detect_thresholds
-from .errors import (
-    AsymmetricParams,
-    DiamondWiretapError,
-    InvalidPmf,
-    ParameterError,
-)
+from .errors import DiamondWiretapError, ParameterError
 from .rate_functions import ChannelParams, RandomnessBudget
 from . import scenario_one, scenario_two
 
@@ -258,15 +252,12 @@ def cmd_sweep(args) -> str:
 def cmd_thresholds(args) -> str:
     schemes_a = tuple(args.schemes_a.split(",")) if args.schemes_a else None
     schemes_b = tuple(args.schemes_b.split(",")) if args.schemes_b else None
-    try:
-        report = detect_thresholds(
-            p=args.p, g=args.g, scenario=int(args.scenario),
-            schemes_a=schemes_a, schemes_b=schemes_b,
-            budget=_budget_from(args),
-            c_min=args.c_min, c_max=args.c_max, steps=args.steps,
-        )
-    except ValueError as e:
-        raise ParameterError(str(e))
+    report = detect_thresholds(
+        p=args.p, g=args.g, scenario=int(args.scenario),
+        schemes_a=schemes_a, schemes_b=schemes_b,
+        budget=_budget_from(args),
+        c_min=args.c_min, c_max=args.c_max, steps=args.steps,
+    )
     rows = [
         [("c", cr.c), ("schemes", ";".join(cr.schemes))]
         for cr in report.crossings
@@ -387,16 +378,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         out = args.func(args)
-    except (ParameterError, InvalidPmf, AsymmetricParams) as e:
+    except (OSError, ValueError) as e:  # first: ParameterError and the other input errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DiamondWiretapError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 2
-    except ArithmeticError as e:
+    except (DiamondWiretapError, ArithmeticError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
     sys.stdout.write(out)

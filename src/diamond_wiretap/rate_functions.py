@@ -305,19 +305,19 @@ def peak(params: ChannelParams, term: str) -> float:
 
 
 # The terms that ``crossing`` meets by Newton's method, as weights on
-# f1..f5, and each of f1..f5 as (value, slope * ln 2) at rho in [-1, 1]:
-# q = 1 - rho^2, k = sqrt(P1*P2), s = s(rho).
+# f1..f5, and the slope times ln 2 of each of f1..f5 (valued by ``_FORMS``)
+# at rho in [-1, 1]: q = 1 - rho^2, k = sqrt(P1*P2), s = s(rho).
 _WEIGHTS = {
     "f1": {"f1": 1.0}, "f2": {"f2": 1.0}, "f3": {"f3": 1.0},
     "f1-f5": {"f1": 1.0, "f5": -1.0}, "f2-f5": {"f2": 1.0, "f5": -1.0}, "f3-f5": {"f3": 1.0, "f5": -1.0},
     "f3-2f5": {"f3": 1.0, "f5": -2.0}, "f4-f5": {"f4": 1.0, "f5": -1.0}, "(f3+f4)/2": {"f3": 0.5, "f4": 0.5},
 }
-_SLOPED = {
-    "f1": lambda p, r, q, k, s: (p.c1 + 0.5 * math.log2(1.0 + q * p.p2), -r * p.p2 / (1.0 + q * p.p2)),
-    "f2": lambda p, r, q, k, s: (p.c2 + 0.5 * math.log2(1.0 + q * p.p1), -r * p.p1 / (1.0 + q * p.p1)),
-    "f3": lambda p, r, q, k, s: (p.c1 + p.c2 + 0.5 * math.log2(q), -r / q) if q > 0.0 else (-math.inf, -math.inf),
-    "f4": lambda p, r, q, k, s: (0.5 * math.log2(1.0 + s), k / (1.0 + s)),
-    "f5": lambda p, r, q, k, s: (0.5 * math.log2(1.0 + p.g * s), p.g * k / (1.0 + p.g * s)),
+_SLOPES = {
+    "f1": lambda p, r, q, k, s: -r * p.p2 / (1.0 + q * p.p2),
+    "f2": lambda p, r, q, k, s: -r * p.p1 / (1.0 + q * p.p1),
+    "f3": lambda p, r, q, k, s: -r / q if q > 0.0 else -math.inf,
+    "f4": lambda p, r, q, k, s: k / (1.0 + s),
+    "f5": lambda p, r, q, k, s: p.g * k / (1.0 + p.g * s),
 }
 _LN2 = math.log(2.0)
 # Newton's method takes at most _NEWTON_STEPS steps and stops at a step of
@@ -409,15 +409,14 @@ def _newton_crossing(params: ChannelParams, term: str, other, a: float, b: float
             weights[name] = weights.get(name, 0.0) - c
     else:
         level = float(other)
-    forms = [(c, _SLOPED[name]) for name, c in weights.items() if c != 0.0]
+    forms = [(c, _FORMS[name], _SLOPES[name]) for name, c in weights.items() if c != 0.0]
     k = _k(params)
 
     def rise(r):  # term - other at r, and its slope times ln 2
         q, s = 1.0 - r * r, params.p1 + params.p2 + 2.0 * k * r
         v, d = -level, 0.0
-        for c, form in forms:
-            fv, fd = form(params, r, q, k, s)
-            v, d = v + c * fv, d + c * fd
+        for c, value, slope in forms:
+            v, d = v + c * value(params, [q], [s])[0], d + c * slope(params, r, q, k, s)
         return v, d
 
     if rise(a)[0] >= 0.0:

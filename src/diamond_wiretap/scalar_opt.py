@@ -4,14 +4,14 @@ A branch is one callable that maps a list of points to its terms,
 ``{name: values}`` in binding order, one value per point, in plain floats.
 Every bound is the maximum over an interval of the minimum of a branch's
 terms.  Every branch and scheme has the structure ``schemes`` sets out, and
-``maximize_crossing`` solves them all.
+``maximize_min`` solves them all.
 
-``maximize_crossing`` takes, for each term that rises, the point where it
-stops rising and starts to fall (+inf for a term that rises to the end);
-every other term is constant or nonincreasing.  Split at those peaks, and
-at any further ends the caller names, the interval falls into pieces on
-each of which every term is monotone.  On a piece, the minimum rises with
-the minimum of the rising terms until that first meets the minimum of the
+``maximize_min`` takes, for each term that rises, the point where it stops
+rising and starts to fall (+inf for a term that rises to the end); every
+other term is constant or nonincreasing.  Split at those peaks, and at any
+further ends the caller names, the interval falls into pieces on each of
+which every term is monotone.  On a piece, the minimum rises with the
+minimum of the rising terms until that first meets the minimum of the
 others, and falls with the others afterwards, so its maximum lies at an end
 or at that meeting point.  The solver evaluates the branch at every piece
 end in one call.  The minimum of the terms is quasi-concave on the whole
@@ -19,17 +19,17 @@ interval, since each term is, so the maximum lies on a piece beside the
 best end; only there, when the two minima meet inside the piece, does it
 close a bracket, from a seed for the meeting point, on the two adjacent
 floats where "rising minimum minus the minimum of the others" changes sign.
+A degenerate interval, lo == hi, is the case of one piece end: one
+evaluation at that point.
 
-``maximize_min`` evaluates the degenerate intervals, lo == hi.
-
-Both return the best point they evaluated, and break ties toward the
-smallest argmax: on a plateau of the maximum, the first float where the
-rising terms reach the others.  The binding terms are read from the
-evaluation that found the optimum.  No randomness anywhere, so equal inputs
-give bitwise-equal results.
+It returns the best point it evaluated, and breaks ties toward the smallest
+argmax: on a plateau of the maximum, the first float where the rising terms
+reach the others.  The binding terms are read from the evaluation that
+found the optimum.  No randomness anywhere, so equal inputs give
+bitwise-equal results.
 
 ``sign_change`` locates, to adjacent floats, where a monotone predicate
-first turns true; ``maximize_crossing``, ``rate_functions.f5_inverse`` and
+first turns true; ``maximize_min``, ``rate_functions.f5_inverse`` and
 ``rate_functions.link_interval`` use it.  Their seeds mostly lie within a
 float of the change, so its first pass covers only the seed and two floats
 either side: one call of at most 5 points, and a few more for a seed that
@@ -45,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyInterval
 
-__all__ = ["OptimizationResult", "maximize_min", "maximize_crossing", "sign_change"]
+__all__ = ["OptimizationResult", "maximize_min", "sign_change"]
 
 # The first pass of sign_change evaluates the seed and the _NEAR floats on
 # either side of it, enough for a seed within a float of the change; in plain
@@ -87,21 +87,7 @@ def _binding_terms(terms: Mapping, j: int, value: float) -> tuple[str, ...]:
     return tuple(name for name, v in terms.items() if v[j] == value or v[j] <= value + tol)
 
 
-def maximize_min(branch: Branch, lo: float, hi: float) -> OptimizationResult:
-    """The minimum of the terms of ``branch`` on the degenerate interval
-    [lo, hi], lo == hi: one evaluation at that point."""
-    if lo > hi:
-        raise EmptyInterval(f"empty interval [{lo}, {hi}]")
-    if lo < hi:
-        raise ValueError(f"maximize_min evaluates a single point, got [{lo}, {hi}]")
-    terms = branch([lo])
-    if not terms:
-        raise EmptyInterval("a branch needs at least one term")
-    value = _least(list(terms.values()), 1)[0]
-    return OptimizationResult(rho=lo, value=value, binding=_binding_terms(terms, 0, value))
-
-
-def maximize_crossing(
+def maximize_min(
     branch: Branch,
     ends: Sequence[float],
     peaks: Mapping[str, float],
@@ -121,13 +107,15 @@ def maximize_crossing(
     for otherwise.  Returns the best point evaluated, ties going to the
     smallest rho: never below the objective at the two floats around each
     meeting point searched, which bound the maximum when the structure
-    holds.
+    holds.  A degenerate interval, ``ends = (x, x)``, is one evaluation at x.
     """
     lo, hi = ends[0], ends[-1]
     if lo > hi:
         raise EmptyInterval(f"empty interval [{lo}, {hi}]")
     cuts = sorted({*ends, *(p for p in peaks.values() if lo < p < hi)})
     at = branch(cuts)  # the terms at the piece ends
+    if not at:
+        raise EmptyInterval("a branch needs at least one term")
     objective = _least(list(at.values()), len(cuts))
     evaluations = [(cuts, at, objective)]  # (points, terms, objective) of every call of the branch
     top = max(objective)

@@ -17,13 +17,14 @@ S3, S4 add the leakage-corrected terms:
 Achievability comes from decode-and-forward (DF) and partial decode-and-
 forward with multicoding (PDF-M); plain PDF is PDF-M pinned at rho = 0.
 Every achievable rate requires the randomness budget to cover the leakage,
-R' >= f5(rho).  The terms of every branch and scheme live in
-``schemes.TABLE``, whose docstring also says which solver each one gets;
+R' >= f5(rho), which caps rho at rho_max.  DF is taken at the cap, PDF-M
+over [0, rho_max] (at the cap alone when it is negative), and PDF only
+where rho = 0 fits the budget.  The terms of every branch and scheme live
+in ``schemes.TABLE``, whose docstring also says how each one is solved;
 ``solve`` is the one route from the table to an optimum, for both
 scenarios, and ``solve_linked`` also returns the link interval it splits
-PDF-PDF-M at.  Every branch and scheme is solved at its crossings;
-``maximize_min`` only evaluates degenerate intervals: DF at the budget cap,
-PDF at rho = 0, and PDF-M when the budget leaves no nonnegative rho.
+PDF-PDF-M at.  ``scalar_opt.maximize_min`` solves every branch and scheme
+at its crossings; a degenerate interval is one evaluation.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import rate_functions as rf
 from . import schemes
 from .errors import EmptyFeasibleSet
 from .rate_functions import ChannelParams, RandomnessBudget, RateValue
-from .scalar_opt import OptimizationResult, maximize_crossing, maximize_min
+from .scalar_opt import OptimizationResult, maximize_min
 
 __all__ = [
     "BoundReport",
@@ -101,8 +102,6 @@ def solve_linked(
     branch, fixed = schemes.gaussian(params, name)
     entry = schemes.TABLE[name]
     link = rf.link_interval(params, lo, hi) if entry.linked else None
-    if lo == hi:
-        return maximize_min(branch, lo, hi), link
     peaks = {term: rf.peak(params, term) for term in entry.rising}
     edges = () if link is None else (
         math.nextafter(link[0], -math.inf), link[0], link[1], math.nextafter(link[1], math.inf))
@@ -116,7 +115,7 @@ def solve_linked(
         # first of them, and their minimum where the last of them does
         return max(min(_meeting(params, levels, up, other) for other in others) for up in rising)
 
-    return maximize_crossing(branch, ends, peaks, seed), link
+    return maximize_min(branch, ends, peaks, seed), link
 
 
 def _meeting(params: ChannelParams, levels: Mapping, up: str, other: str) -> float:

@@ -50,7 +50,7 @@ the entry, so the minimum of the terms is quasi-concave there:
   same with P1 for P2 (``rate_functions.link_interval``).  Its ends split
   each ``linked`` entry, the one that reads the indicator, further.
 
-``scalar_opt.maximize_crossing`` evaluates every piece end in one call and
+``scalar_opt.maximize_min`` evaluates every piece end in one call and
 searches only the pieces beside the best end, where the maximum lies at an
 end or where the minimum of the rising terms first meets the others.
 ``scenario_one.solve`` seeds each meeting point without a kernel call, by
@@ -58,8 +58,8 @@ end or where the minimum of the rising terms first meets the others.
 against f1, f2, f3 (a quadratic) or a constant (linear) has a closed form;
 every other pair takes a few Newton steps on the bracket where the one term
 rises and the other falls.  On a plateau the solver reports the first float
-where the rising terms reach the others.  ``scalar_opt.maximize_min`` only
-evaluates degenerate intervals: df1 at the budget cap and pdfm1 at rho = 0.
+where the rising terms reach the others.  A degenerate interval, df1 at the
+budget cap or pdfm1 at rho = 0, is one piece end: one evaluation.
 """
 
 from __future__ import annotations

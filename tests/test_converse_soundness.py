@@ -22,6 +22,7 @@ from diamond_wiretap import rate_functions as rf
 from diamond_wiretap import scenario_one as s1
 from diamond_wiretap import scenario_two as s2
 from diamond_wiretap import schemes
+from diamond_wiretap.errors import EmptyFeasibleSet
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 
 from conftest import reference_rates
@@ -129,15 +130,15 @@ def test_solved_branches_have_a_monotone_envelope(i, p, monkeypatch):
         entries[branch] = (schemes.TABLE[name], fixed)
         return branch, fixed
 
-    def record(branch, ends, peaks, seed, solve=s1.maximize_crossing):
+    def record(branch, ends, peaks, seed, solve=s1.maximize_min):
         calls.append((entries[branch], ends, peaks))
         return solve(branch, ends, peaks, seed)
     # scenario_one.solve serves both scenarios
     monkeypatch.setattr(s1.schemes, "gaussian", gaussian)
-    monkeypatch.setattr(s1, "maximize_crossing", record)
+    monkeypatch.setattr(s1, "maximize_min", record)
     s1.bounds(p, RandomnessBudget.unbounded())
     s2.bounds(p, RandomnessBudget.unbounded())
-    assert len(calls) == 11
+    assert len(calls) == 13  # DF at the cap and PDF at 0 are single points
     for (entry, fixed), ends, peaks in calls:
         lo, hi = ends[0], ends[-1]
         cuts = sorted({*ends, *(x for x in peaks.values() if lo < x < hi)})
@@ -157,34 +158,69 @@ def test_solved_branches_have_a_monotone_envelope(i, p, monkeypatch):
                     assert np.all(values[1:] <= values[:-1] + noise), (i, name, a, b)
 
 
-def _intervals_given_to_maximize_min(module, budget, monkeypatch):
-    intervals = []
+def _solves(monkeypatch):
+    """A function of a ``bounds`` call that returns the (entry, lo, hi) of
+    every solve it made, in order."""
+    names, solves = {}, []
 
-    def record(branch, lo, hi, solve=s1.maximize_min):
-        intervals.append((lo, hi))
-        return solve(branch, lo, hi)
+    def gaussian(params, name, make=schemes.gaussian):
+        branch, fixed = make(params, name)
+        names[branch] = name
+        return branch, fixed
+
+    def record(branch, ends, peaks, seed, solve=s1.maximize_min):
+        solves.append((names[branch], ends[0], ends[-1]))
+        return solve(branch, ends, peaks, seed)
+    monkeypatch.setattr(s1.schemes, "gaussian", gaussian)
     monkeypatch.setattr(s1, "maximize_min", record)
+
+    def run(bounds, p, budget):
+        solves.clear()
+        bounds(p, budget)
+        return list(solves)
+    return run
+
+
+def _rho_max(p, budget):
+    try:
+        return rf.f5_inverse(p, budget)
+    except EmptyFeasibleSet:
+        return None
+
+
+BUDGETS = [RandomnessBudget.unbounded(), RandomnessBudget.finite(0.3), RandomnessBudget.finite(0.02)]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_scenario_one_solves_the_intervals_of_its_docstring(budget, monkeypatch):
+    """Every scenario-1 solve is on the interval the ``scenario_one``
+    docstring gives it: S1, S3 on [0, rho*], S2, S4 on [rho*, 1], DF at the
+    budget cap, PDF-M on [0, rho_max] (at the cap alone when it is
+    negative), and PDF at rho = 0 where that fits the budget; no scheme
+    where no rho does."""
+    solves = _solves(monkeypatch)
     for p in criterion_08_draws(DRAWS):
-        module.bounds(p, budget)
-    return intervals
+        rs, cap = rf.rho_star(p), _rho_max(p, budget)
+        expected = [("S1", 0.0, rs), ("S2", rs, 1.0), ("S3", 0.0, rs), ("S4", rs, 1.0)]
+        if cap is not None:
+            expected += [("df1", cap, cap), ("pdfm1", 0.0 if cap >= 0.0 else cap, cap)]
+            expected += [("pdfm1", 0.0, 0.0)] if cap >= 0.0 else []
+        assert solves(s1.bounds, p, budget) == expected, p
 
 
-@pytest.mark.parametrize("budget", [RandomnessBudget.unbounded(), RandomnessBudget.finite(0.3)])
-def test_scenario_one_runs_no_grid_search(budget, monkeypatch):
-    """Every scenario-1 branch and scheme is solved at its crossings:
-    ``maximize_min`` only evaluates degenerate intervals (DF at the budget
-    cap, plain PDF at rho = 0, PDF-M when the budget forces rho < 0)."""
-    intervals = _intervals_given_to_maximize_min(s1, budget, monkeypatch)
-    assert intervals  # DF at the cap, wherever some rho fits the budget
-    assert all(lo == hi for lo, hi in intervals), intervals
-
-
-@pytest.mark.parametrize("budget", [RandomnessBudget.unbounded(), RandomnessBudget.finite(0.3)])
-def test_scenario_two_runs_no_grid_search(budget, monkeypatch):
-    """Every scenario-2 branch and scheme is solved at its crossings too:
-    ``maximize_min`` only sees a budget that pins rho at -1."""
-    intervals = _intervals_given_to_maximize_min(s2, budget, monkeypatch)
-    assert all(lo == hi for lo, hi in intervals), intervals
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_scenario_two_solves_the_intervals_of_its_docstring(budget, monkeypatch):
+    """Every scenario-2 solve is on the interval the ``scenario_two``
+    docstring gives it: T1 on [-rho_bar, 0], T2 on [0, rho*], T3 on
+    [rho*, 1], and each scheme on [-1, rho_max]; no scheme where no rho
+    fits the budget."""
+    solves = _solves(monkeypatch)
+    for p in criterion_08_draws(DRAWS):
+        rs, cap = rf.rho_star(p), _rho_max(p, budget)
+        expected = [("T1", -rf.rho_bar(p), 0.0), ("T2", 0.0, rs), ("T3", rs, 1.0)]
+        if cap is not None:
+            expected += [(name, -1.0, cap) for name in ("df2", "pdfdfm2", "pdfpdfm2")]
+        assert solves(s2.bounds, p, budget) == expected, p
 
 
 # Kernel calls per scenario_two.bounds on the 30 draws, measured with the

@@ -1,6 +1,6 @@
 """The crossing solver for branches whose terms rise up to a peak and fall
-after it, the one-point evaluation of degenerate intervals, and the
-float-exact sign-change locator."""
+after it, degenerate intervals included, and the float-exact sign-change
+locator."""
 
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from diamond_wiretap.errors import EmptyInterval
-from diamond_wiretap.scalar_opt import _floats, _ordinal, maximize_crossing, maximize_min, sign_change
+from diamond_wiretap.scalar_opt import _floats, _ordinal, maximize_min, sign_change
 
 RISES = math.inf  # the peak of a term that rises on the whole interval
 
@@ -23,37 +23,42 @@ def branch(**terms):
     return lambda xs: {name: [fn(x) for x in xs] for name, fn in terms.items()}
 
 
+def never(*_):
+    """A seed for a solve that must not search for a meeting point."""
+    raise AssertionError("no meeting point inside the interval")
+
+
 def test_tent_crossing():
     # one term that peaks inside the interval: the peak is a piece end
     def tent(x):
         return min(x, 1.0 - x)
 
-    res = maximize_crossing(branch(tent=tent), (0.0, 1.0), {"tent": 0.5}, lambda *_: math.nan)
+    res = maximize_min(branch(tent=tent), (0.0, 1.0), {"tent": 0.5}, lambda *_: math.nan)
     assert (res.rho, res.value) == (0.5, 0.5)
     assert res.binding == ("tent",)
 
 
 def test_binding_preserves_term_order():
-    res = maximize_min(branch(down=lin(-1.0, 1.0), up=lin(1.0, 0.0)), 0.5, 0.5)
+    res = maximize_min(branch(down=lin(-1.0, 1.0), up=lin(1.0, 0.0)), (0.5, 0.5), {"up": RISES}, never)
     assert res.binding == ("down", "up")
 
 
 def test_slack_term_not_binding():
-    res = maximize_min(branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0), high=lin(0.0, 5.0)), 0.5, 0.5)
+    res = maximize_min(branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0), high=lin(0.0, 5.0)), (0.5, 0.5), {}, never)
     assert res.binding == ("up", "down")
 
 
 def test_monotone_argmax_at_endpoint():
-    res = maximize_crossing(branch(down=lin(-2.0, 3.0)), (0.0, 1.0), {}, lambda *_: math.nan)
+    res = maximize_min(branch(down=lin(-2.0, 3.0)), (0.0, 1.0), {}, lambda *_: math.nan)
     assert (res.rho, res.value) == (0.0, 3.0)
-    res = maximize_crossing(branch(up=lin(0.5, 0.0)), (-1.0, 1.0), {"up": RISES}, lambda *_: math.nan)
+    res = maximize_min(branch(up=lin(0.5, 0.0)), (-1.0, 1.0), {"up": RISES}, lambda *_: math.nan)
     assert (res.rho, res.value) == (1.0, 0.5)
 
 
 def test_constant_ties_break_to_smallest():
-    res = maximize_crossing(branch(const=lin(0.0, 2.0)), (-0.7, 0.9), {}, lambda *_: math.nan)
+    res = maximize_min(branch(const=lin(0.0, 2.0)), (-0.7, 0.9), {}, lambda *_: math.nan)
     assert (res.rho, res.value) == (-0.7, 2.0)
-    res = maximize_crossing(branch(const=lin(0.0, 2.0)), (-0.7, 0.9), {"const": RISES}, lambda *_: math.nan)
+    res = maximize_min(branch(const=lin(0.0, 2.0)), (-0.7, 0.9), {"const": RISES}, lambda *_: math.nan)
     assert (res.rho, res.value) == (-0.7, 2.0)
 
 
@@ -74,7 +79,7 @@ def test_searches_only_the_pieces_beside_the_best_end():
         return 0.55
 
     three = branch(up=lin(1.0, 0.0), left=left, right=right)
-    res = maximize_crossing(three, (0.0, 1.0), {"up": RISES, "left": 0.2, "right": 0.6}, seed)
+    res = maximize_min(three, (0.0, 1.0), {"up": RISES, "left": 0.2, "right": 0.6}, seed)
     assert calls == [(0.2, 0.6, ("up", "right"), ("left",))]
     assert res.rho == pytest.approx(0.45, abs=1e-15)
     assert res.value == pytest.approx(0.45, abs=1e-15)
@@ -82,25 +87,32 @@ def test_searches_only_the_pieces_beside_the_best_end():
 
 
 def test_degenerate_interval():
-    res = maximize_min(branch(up=lin(1.0, 0.0)), 0.25, 0.25)
-    assert res.rho == 0.25
-    assert res.value == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        maximize_min(branch(up=lin(1.0, 0.0)), 0.25, 0.5)
+    # one piece end and no piece: one evaluation of the branch, at that point
+    calls = []
+
+    def up(xs):
+        calls.append(list(xs))
+        return {"up": list(xs)}
+
+    res = maximize_min(up, (0.25, 0.25), {"up": RISES}, never)
+    assert (res.rho, res.value, res.binding) == (0.25, 0.25, ("up",))
+    assert calls == [[0.25]]
 
 
 def test_empty_inputs_raise():
     with pytest.raises(EmptyInterval):
-        maximize_min(branch(), 0.5, 0.5)
+        maximize_min(branch(), (0.5, 0.5), {}, never)
     with pytest.raises(EmptyInterval):
-        maximize_min(branch(up=lin(1.0, 0.0)), 1.0, 0.0)
+        maximize_min(branch(), (0.0, 1.0), {}, never)
+    with pytest.raises(EmptyInterval):
+        maximize_min(branch(up=lin(1.0, 0.0)), (1.0, 0.0), {"up": RISES}, never)
 
 
 def test_minus_infinity_term():
     def bottom(x):
         return -math.inf
 
-    res = maximize_min(branch(up=lin(1.0, 0.0), bottom=bottom), 0.5, 0.5)
+    res = maximize_min(branch(up=lin(1.0, 0.0), bottom=bottom), (0.5, 0.5), {"up": RISES}, never)
     assert res.value == -math.inf
     assert "bottom" in res.binding
 
@@ -110,13 +122,13 @@ def test_deterministic():
         return math.cos(3.0 * x)
 
     two = branch(up=lin(0.7, 0.1), hump=hump)
-    runs = [maximize_crossing(two, (-1.0, 1.0), {"up": RISES, "hump": 0.0}, lambda *_: 0.3) for _ in range(2)]
+    runs = [maximize_min(two, (-1.0, 1.0), {"up": RISES, "hump": 0.0}, lambda *_: 0.3) for _ in range(2)]
     assert runs[0] == runs[1]
 
 
 def test_crossing_tent():
     tent = branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0))
-    res = maximize_crossing(tent, (0.0, 1.0), {"up": RISES}, lambda *_: 0.5)
+    res = maximize_min(tent, (0.0, 1.0), {"up": RISES}, lambda *_: 0.5)
     assert res.rho == 0.5 and res.value == 0.5
     assert res.binding == ("up", "down")
 
@@ -133,23 +145,23 @@ def test_crossing_polishes_a_far_seed_to_adjacent_floats():
     best = max((a, b), key=lambda x: min(x, -2.0 * x + 1.0))
     tent = branch(up=lin(1.0, 0.0), down=lin(-2.0, 1.0))
     for seed in (0.3, 0.9, math.inf, -math.inf, math.nan):
-        res = maximize_crossing(tent, (0.0, 1.0), {"up": RISES}, lambda *_: seed)
+        res = maximize_min(tent, (0.0, 1.0), {"up": RISES}, lambda *_: seed)
         assert res.rho == best, seed
         assert res.value == min(best, -2.0 * best + 1.0), seed
 
 
 def test_crossing_at_the_ends():
     # the rising term already above the other at lo, or still below it at hi
-    res = maximize_crossing(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), (0.0, 1.0), {"up": RISES}, lambda *_: -1.5)
+    res = maximize_min(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), (0.0, 1.0), {"up": RISES}, lambda *_: -1.5)
     assert (res.rho, res.value) == (0.0, 1.0)
-    res = maximize_crossing(branch(up=lin(1.0, -2.0), down=lin(-1.0, 1.0)), (0.0, 1.0), {"up": RISES}, lambda *_: 1.5)
+    res = maximize_min(branch(up=lin(1.0, -2.0), down=lin(-1.0, 1.0)), (0.0, 1.0), {"up": RISES}, lambda *_: 1.5)
     assert (res.rho, res.value) == (1.0, -1.0)
 
 
 def test_crossing_with_two_rising_terms():
     # min(up, steep) = steep below 0.5 meets down where 3x - 1 = 0.8 - x, at 0.45
     two = branch(up=lin(1.0, 0.0), steep=lin(3.0, -1.0), down=lin(-1.0, 0.8))
-    res = maximize_crossing(two, (0.0, 1.0), {"up": RISES, "steep": RISES}, lambda *_: 0.45 + 1e-9)
+    res = maximize_min(two, (0.0, 1.0), {"up": RISES, "steep": RISES}, lambda *_: 0.45 + 1e-9)
     grid = np.linspace(0.0, 1.0, 4097)
     assert res.value >= np.max(np.minimum.reduce([grid, 3.0 * grid - 1.0, 0.8 - grid]))
     assert res.rho == pytest.approx(0.45, abs=1e-15)
@@ -157,25 +169,23 @@ def test_crossing_with_two_rising_terms():
 
 
 def test_crossing_asks_for_a_seed_only_where_the_terms_meet():
-    def never(*_):
-        raise AssertionError("no meeting point inside the interval")
-    res = maximize_crossing(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), (0.0, 1.0), {"up": RISES}, never)
+    res = maximize_min(branch(up=lin(1.0, 2.0), down=lin(-1.0, 1.0)), (0.0, 1.0), {"up": RISES}, never)
     assert (res.rho, res.value) == (0.0, 1.0)
 
 
 def test_crossing_plateau_picks_the_first_float_reaching_it():
     flat = branch(up=lin(1.0, 0.0), level=lin(0.0, 0.3))
-    res = maximize_crossing(flat, (-1.0, 1.0), {"up": RISES}, lambda *_: 0.3 + 1e-13)
+    res = maximize_min(flat, (-1.0, 1.0), {"up": RISES}, lambda *_: 0.3 + 1e-13)
     assert res.rho == 0.3 and res.value == 0.3
     assert res.binding == ("up", "level")
 
 
 def test_crossing_degenerate_and_empty_intervals():
     tent = branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0))
-    res = maximize_crossing(tent, (0.25, 0.25), {"up": RISES}, lambda *_: 0.5)
+    res = maximize_min(tent, (0.25, 0.25), {"up": RISES}, lambda *_: 0.5)
     assert (res.rho, res.value) == (0.25, 0.25)
     with pytest.raises(EmptyInterval):
-        maximize_crossing(tent, (1.0, 0.0), {"up": RISES}, lambda *_: 0.5)
+        maximize_min(tent, (1.0, 0.0), {"up": RISES}, lambda *_: 0.5)
 
 
 def test_sign_change_returns_adjacent_floats():

@@ -8,7 +8,9 @@ import pytest
 from diamond_wiretap import rate_functions as rf
 from diamond_wiretap import scenario_one as s1
 from diamond_wiretap import schemes
+from diamond_wiretap.errors import EmptyInterval
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
+from diamond_wiretap.scalar_opt import maximize_min
 
 UNBOUNDED = RandomnessBudget.unbounded()
 
@@ -166,6 +168,34 @@ def test_linked_entries_are_those_with_an_indicator():
     for name, entry in schemes.TABLE.items():
         branch, _ = schemes.gaussian(p, name)
         assert entry.linked == ("indicator" in branch([0.5])), name
+
+
+def test_a_degenerate_interval_is_one_evaluation_of_the_branch():
+    """On single points x of every ``schemes.TABLE`` entry, the optimizer's
+    one-cut call, ends = (x, x), returns rho = x, the minimum of the terms
+    and the terms within 1e-9 (relative) of it, in binding order, as the
+    branch gives them there; ``solve`` on [x, x] returns the same.  A branch
+    with no terms raises ``EmptyInterval``."""
+    def never(*_):
+        raise AssertionError("a single point has no meeting point to search")
+
+    rng = np.random.default_rng(15)
+    for _ in range(25):
+        p = ChannelParams(float(10.0 ** rng.uniform(-2.0, 2.0)), float(10.0 ** rng.uniform(-2.0, 2.0)),
+                          float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 0.99)))
+        for name, entry in schemes.TABLE.items():
+            branch, _ = schemes.gaussian(p, name)
+            peaks = {term: rf.peak(p, term) for term in entry.rising}
+            for x in (-1.0, 0.0, 1.0, float(rng.uniform(-1.0, 1.0))):
+                terms = {term: values[0] for term, values in branch([x]).items()}
+                value = min(terms.values())
+                tol = 1e-9 * max(1.0, abs(value)) if math.isfinite(value) else 0.0
+                binding = tuple(term for term, v in terms.items() if v == value or v <= value + tol)
+                res = maximize_min(branch, (x, x), peaks, never)
+                assert (res.rho, res.value, res.binding) == (x, value, binding), (p, name, x)
+                assert s1.solve(p, name, x, x) == res, (p, name, x)
+    with pytest.raises(EmptyInterval):
+        maximize_min(lambda xs: {}, (0.5, 0.5), {}, never)
 
 
 @pytest.mark.parametrize("p1, p2", [(1e-12, 1e-12), (1e-12, 1e-7), (1e-9, 1e-9), (1e-12, 1e12)])
