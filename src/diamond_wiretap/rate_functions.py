@@ -19,10 +19,9 @@ leakage quantities reduce to seven scalar functions of rho:
     f6(rho) = 0.5*log2((1 + g*s(rho)) / (1 + g*(1 - rho^2)*P2))
     f7(rho) = 0.5*log2((1 + g*s(rho)) / (1 + g*(1 - rho^2)*P1))
 
-with s(rho) = P1 + P2 + 2*rho*sqrt(P1*P2).  f1, f2, f3, f6, f7 live on
-[-1, 1]; f4 and f5 extend to [-rho_bar, 1] with rho_bar = (P1+P2)/(2*sqrt(P1*P2)),
-where s(-rho_bar) = 0 and hence f4 = f5 = 0.  sqrt(P1*P2) is taken as
-sqrt(P1)*sqrt(P2) wherever P1*P2 would overflow or underflow.
+with s(rho) = P1 + P2 + 2*rho*sqrt(P1*P2).  All seven live on [-1, 1],
+where s(rho) >= s(-1) = (sqrt(P1) - sqrt(P2))^2 >= 0.  sqrt(P1*P2) is taken
+as sqrt(P1)*sqrt(P2) wherever P1*P2 would overflow or underflow.
 
 Rate values are plain floats under the IEEE extended-real convention: f3
 returns -inf at |rho| = 1, ``min`` propagates it and ``max`` discards it.
@@ -136,16 +135,9 @@ class RandomnessBudget:
         return math.isinf(self.r_prime)
 
 
-# s(rho) below _SNAP * (P1 + P2) is round-off and snaps to 0.  The snap makes
-# f4(-rho_bar) and f5(-rho_bar) exactly 0 despite the rounding in rho_bar
-# itself, and clamps the tiny negative values that the same rounding can
-# produce just inside the domain edge.
+# s(rho) carries round-off of a few ulps of P1 + P2, and snaps to 0 below this
+# many: f4 and f5 are never negative, and vanish at rho = -1 for P1 = P2.
 _SNAP = 32.0 * sys.float_info.epsilon
-
-# f4 and f5 alone extend below -1, down to -rho_bar less this slack; any of
-# the others confines rho to [-1, 1].
-_EXTENDED_TOL = 1e-9
-_UNIT_DOMAIN = frozenset(("f1", "f2", "f3", "f6", "f7", "indicator"))
 _log2 = math.log2
 
 
@@ -182,26 +174,20 @@ def rates(params: ChannelParams, rho, names) -> dict:
     """The closed forms ``names`` (a subset of f1..f7 and ``indicator``, in
     order) at ``rho``, a float or a sequence of floats.
 
-    The kernel behind f1..f7 and the optimizer's branches: one domain check
-    covers all the names, on [-1, 1] if any of f1, f2, f3, f6, f7 or the
-    indicator is named, else on [-rho_bar, 1]; values within round-off
-    outside an endpoint are clipped onto it.  1 - rho^2 and s(rho) are
-    computed once per point.  Values are floats for a float ``rho`` and
-    lists of floats for a sequence.
+    The kernel behind f1..f7 and the optimizer's branches: rho must lie in
+    [-1, 1], and values within round-off outside it are clipped onto it.
+    1 - rho^2 and s(rho) (snapped, see ``_SNAP``) are computed once per
+    point.  Values are floats for a float ``rho``, lists for a sequence.
     """
     scalar = isinstance(rho, (int, float))
     xs = [rho] if scalar else rho
-    unit = not _UNIT_DOMAIN.isdisjoint(names)
-    floor = -1.0 if unit else -rho_bar(params)
-    low, top = floor - (_DOMAIN_TOL if unit else _EXTENDED_TOL), 1.0 + _DOMAIN_TOL
-    if not all(low <= r <= top for r in xs):  # NaN fails too
-        raise DomainError(f"correlation must lie in [{floor}, 1] for {', '.join(names)}, got {rho!r}")
-    if len(xs) and (max(xs) > 1.0 or (unit and min(xs) < -1.0)):
-        xs = [max(-1.0, min(r, 1.0)) if unit else min(r, 1.0) for r in xs]
+    if not all(-1.0 - _DOMAIN_TOL <= r <= 1.0 + _DOMAIN_TOL for r in xs):  # NaN fails too
+        raise DomainError(f"correlation must lie in [-1, 1] for {', '.join(names)}, got {rho!r}")
+    if len(xs) and (max(xs) > 1.0 or min(xs) < -1.0):
+        xs = [max(-1.0, min(r, 1.0)) for r in xs]
     base, k2, snap = params.p1 + params.p2, 2.0 * _k(params), _SNAP * (params.p1 + params.p2)
     qs, ss = [1.0 - r * r for r in xs], [base + k2 * r for r in xs]
-    if ss and min(ss) < snap:
-        ss = [s if s >= snap else 0.0 for s in ss]
+    ss = [s if s >= snap else 0.0 for s in ss]
     values = {name: _FORMS[name](params, qs, ss) for name in names}
     return {name: column[0] for name, column in values.items()} if scalar else values
 
@@ -222,7 +208,7 @@ def f3(params: ChannelParams, rho) -> RateValue:
 
 
 def f4(params: ChannelParams, rho) -> RateValue:
-    """Coherent-combining rate of the main MAC; 0 at rho = -rho_bar."""
+    """Coherent-combining rate of the main MAC; 0 at rho = -1 for equal powers."""
     return rates(params, rho, ("f4",))["f4"]
 
 

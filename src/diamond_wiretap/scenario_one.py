@@ -58,8 +58,8 @@ class BoundReport:
     be negative or -inf); ``value`` is the reported rate.  ``branch`` and
     ``sub_reports`` are populated for upper bounds assembled from several
     optimization branches.  ``rho_in_unit_interval`` is False when the
-    achieving correlation lies outside [-1, 1], which only the extended
-    branch of the scenario-2 upper bound can produce.
+    achieving correlation lies outside [-1, 1], which only the closed form
+    of T1 in the scenario-2 upper bound can produce.
     """
 
     value: RateValue

@@ -9,8 +9,10 @@ so the leakage f5 is paid on top of every cut.  The upper bound is
     T2 = max_{0 <= rho <= rho*}      min(f1, f2, f3, f4) - f5
     T3 = max_{rho* <= rho <= 1}      min(f1, f2, f3(0), f4) - f5
 
-T1's interval reaches down to -rho_bar, which lies below -1 for unequal
-powers; the report flags an achieving correlation outside [-1, 1].
+T1 has a closed form in s = P1 + P2 + 2*rho*sqrt(P1*P2) in [0, P1 + P2].
+With m = min(f1(0), f2(0), f3(0)), f4 - f5 rises with s and m - f5 falls,
+so T1 = f4(0) - f5(0) if f4(0) <= m, else m - f5(s*) at s* = 2^(2m) - 1,
+where f4 = m (for g = 0, the plateau's left end); a rho below -1 is flagged.
 
 Achievable schemes, each optimized over the budget-feasible correlations
 [-1, rho_max]: decode-and-forward (DF), partial decode-and-forward where the
@@ -21,19 +23,21 @@ eavesdropper learns about that relay's signal: C1 > f6(rho) and
 C2 > f7(rho), both strict.  They hold on one interval of correlations,
 which ``rate_functions.link_interval`` closes on adjacent floats; outside it
 PDF-PDF-M is min(terms, 0).  That interval splits the solve of PDF-PDF-M
-and gives ``indicator_satisfied`` at the optimum.  The terms of every
-branch and scheme live in ``schemes.TABLE``, whose docstring also says how
-each one is solved: every one at its crossings, PDF-DF-M and PDF-PDF-M
-split at the peaks of their terms.
+and gives ``indicator_satisfied`` at the optimum.  The terms of T2, T3 and
+every scheme live in ``schemes.TABLE``, whose docstring also says how each
+one is solved: every one at its crossings, PDF-DF-M and PDF-PDF-M split at
+the peaks of their terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import rate_functions as rf
 from .errors import EmptyFeasibleSet
 from .rate_functions import ChannelParams, RandomnessBudget, RateValue
+from .scalar_opt import OptimizationResult, _binding_terms
 from .scenario_one import _INFEASIBLE, BoundReport, _scheme_report, _zero_report, solve, solve_linked
 
 __all__ = [
@@ -58,10 +62,25 @@ class ScenarioTwoBounds:
     note: str | None = None
 
 
+def _t1(params: ChannelParams) -> OptimizationResult:
+    """T1 in closed form in s (see the module docstring)."""
+    at_zero = rf.rates(params, 0.0, ("f1", "f2", "f3", "f4"))
+    m = min(at_zero["f1"], at_zero["f2"], at_zero["f3"])
+    base = params.p1 + params.p2
+    # s* is where f4 reaches m; rounding can put it a few floats past s(0)
+    s = min(math.expm1(2.0 * m * math.log(2.0)), base) if at_zero["f4"] > m else base
+    f5 = rf._FORMS["f5"](params, (), [s])[0]
+    terms = {"f1(0)-f5": [at_zero["f1"] - f5], "f2(0)-f5": [at_zero["f2"] - f5],
+             "f3(0)-f5": [at_zero["f3"] - f5], "f4-f5": [min(m, at_zero["f4"]) - f5]}
+    value = min(values[0] for values in terms.values())
+    rho = (s - base) / (2.0 * rf._k(params))
+    return OptimizationResult(rho=rho, value=value, binding=_binding_terms(terms, 0, value))
+
+
 def upper_bound(params: ChannelParams) -> BoundReport:
     """Converse bound on the scenario-2 secrecy capacity."""
     rs = rf.rho_star(params)
-    t1 = solve(params, "T1", -rf.rho_bar(params), 0.0)
+    t1 = _t1(params)
     t2 = solve(params, "T2", 0.0, rs)
     t3 = solve(params, "T3", rs, 1.0)
 

@@ -7,16 +7,16 @@ rate is the minimum of the terms, maximized over the correlation rho on an
 interval that the scenario modules set.  The rates an entry reads are its
 ``uses``: f1..f5 and the ``indicator`` (``rate_functions.link_indicator``:
 +inf where the strict link conditions C1 > f6 and C2 > f7 of pdfpdfm2
-hold, 0 where they fail) at rho, the rho-free f1(0), f2(0), f3(0), and
-the link capacities C1, C2.  ``gaussian`` fills them for the Gaussian
-channel, with one ``rate_functions.rates`` call per list of points;
+hold, 0 where they fail) at rho, the rho-free f3(0), and the link
+capacities C1, C2.  ``gaussian`` fills them for the Gaussian channel,
+with one ``rate_functions.rates`` call per list of points;
 ``oracles.dmc_rates`` fills them for a discrete channel from entropies:
 
     f1 = C1 + I(X2;Y|X1)    f2 = C2 + I(X1;Y|X2)    f3 = C1 + C2 - I(X1;X2)
     f4 = I(X1,X2;Y)         f5 = I(X1,X2;Z)         f6 = I(X1;Z)    f7 = I(X2;Z)
 
-Converse branches S1..S4 (scenario 1) and T1..T3 (scenario 2); schemes df1,
-pdfm1 (scenario 1) and df2, pdfdfm2, pdfpdfm2 (scenario 2).
+Converse branches S1..S4 (scenario 1) and T2, T3 (scenario 2, T1 has a closed
+form); schemes df1, pdfm1 (scenario 1) and df2, pdfdfm2, pdfpdfm2 (scenario 2).
 
 Solver choice.  Every entry names its ``rising`` terms.  Each rises up to
 its peak ``rate_functions.peak`` and falls after it, and every other term
@@ -107,8 +107,6 @@ TABLE: dict[str, Entry] = {
                 rising=("(f3+f4)/2", "f4-f5")),
     "S4": Entry(("f1", "f2", "f4", "f5", "f3(0)"),
                 lambda r: {**_as_is(r, "f1", "f2", "f3(0)"), "f4-f5": r["f4"] - r["f5"]}, rising=("f4-f5",)),
-    "T1": Entry(("f4", "f5", "f1(0)", "f2(0)", "f3(0)"), lambda r: _less_f5(r, "f1(0)", "f2(0)", "f3(0)", "f4"),
-                rising=("f4-f5",)),
     "T2": Entry(("f1", "f2", "f3", "f4", "f5"), lambda r: _less_f5(r, "f1", "f2", "f3", "f4"), rising=("f4-f5",)),
     "T3": Entry(("f1", "f2", "f4", "f5", "f3(0)"), lambda r: _less_f5(r, "f1", "f2", "f3(0)", "f4"),
                 rising=("f4-f5",)),
@@ -148,10 +146,7 @@ def gaussian(params: ChannelParams, name: str) -> tuple[Callable, dict]:
     was given."""
     entry = TABLE[name]
     fixed = {"C1": params.c1, "C2": params.c2}
-    # f1(0), f2(0) in one kernel call; f3(0) by the public f3, a call the benchmark tracer sees in scenario 1
-    at_zero = tuple(u[:2] for u in entry.uses if u in ("f1(0)", "f2(0)"))
-    if at_zero:
-        fixed.update({f"{u}(0)": v for u, v in rf.rates(params, 0.0, at_zero).items()})
+    # f3(0) by the public f3, a call the benchmark tracer sees in scenario 1
     if "f3(0)" in entry.uses:
         fixed["f3(0)"] = rf.f3(params, 0.0)
     at_rho = tuple(u for u in entry.uses if u not in fixed)

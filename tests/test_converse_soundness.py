@@ -2,9 +2,11 @@
 optimum must not fall short of the objective's maximum, and the value each
 branch reports must be what its own terms give at the reported rho.
 
-Every branch is solved exactly at its crossings (S3 as two pieces, either
-side of the peak of (f3+f4)/2), so no value may fall below any point of the
-fine grid.
+Every solved branch is solved exactly at its crossings (S3 as two pieces,
+either side of the peak of (f3+f4)/2), so no value may fall below any point
+of the fine grid.  T1 is computed in closed form in s, and its interval
+reaches below -1, outside the kernel's domain: it is held to the numpy
+reference to within its rounding, and to a 50-digit ``decimal`` evaluation.
 
 The objectives are written out again here from the branch formulas in the
 scenario modules' docstrings, independently of the term lists of
@@ -13,6 +15,7 @@ fine grids, and the package's float kernel evaluates again every grid point
 near their maximum, so that each bound is held, exactly and in its own
 arithmetic, to the best point of the grid."""
 
+import decimal
 import math
 
 import numpy as np
@@ -41,14 +44,15 @@ def kernel_rates(p, rho, names):
     return {name: np.array(values) for name, values in rf.rates(p, list(rho), names).items()}
 
 
-def fine_max(p, objective, names, lo, hi):
+def fine_max(p, objective, names, lo, hi, rates=kernel_rates):
     """The maximum over the 2^16 + 1-point grid on [lo, hi] of ``objective``
-    of the rates ``names``, in the package's arithmetic: the kernel's values
-    at the grid points within NEAR_TOP of the reference's maximum."""
+    of the rates ``names``, in the package's arithmetic: the values of
+    ``rates`` (the kernel's) at the grid points within NEAR_TOP of the
+    reference's maximum."""
     grid = np.linspace(lo, hi, FINE_POINTS)
     values = objective(reference_rates(p, grid, names))
     near = grid[values >= np.max(values) - NEAR_TOP]
-    return float(np.max(objective(kernel_rates(p, near, names))))
+    return float(np.max(objective(rates(p, near, names))))
 
 
 def criterion_08_draws(n):
@@ -92,16 +96,111 @@ def branch_objectives(p):
     }
 
 
+# T1 in closed form against the numpy reference on its grid: a few ulps of
+# rates below 8, for the rounding of the two arithmetics.
+T1_ROUNDING = 4.0 * np.spacing(8.0)
+
+
 @pytest.mark.parametrize("i, p", list(enumerate(criterion_08_draws(DRAWS))))
 def test_upper_bound_branches_are_sound(i, p):
     reports = {**s1.upper_bound(p).sub_reports, **s2.upper_bound(p).sub_reports}
     for name, (objective, names, lo, hi) in branch_objectives(p).items():
         rep = reports[name]
+        assert lo <= rep.rho <= hi, (i, name, rep.rho, lo, hi)
+        if name == "T1":
+            # the reference recomputes s from rho, with round-off of ulp(P1 + P2)
+            best = fine_max(p, objective, names, lo, hi, reference_rates)
+            assert rep.value >= best - T1_ROUNDING, (i, name, rep.value, best)
+            again = float(objective(reference_rates(p, [rep.rho], names))[0])
+            assert abs(rep.value - again) <= NEAR_TOP, (i, name, rep.value, again)
+            continue
         best = fine_max(p, objective, names, lo, hi)
         assert rep.value >= best, (i, name, rep.value, best)
-        assert lo <= rep.rho <= hi, (i, name, rep.rho, lo, hi)
         again = float(objective(kernel_rates(p, [rep.rho], names))[0])
         assert rep.value == again, (i, name, rep.value, again)
+
+
+def t1_draws(n):
+    """Asymmetric channels for T1: powers in 10^[-3, 15], up to 1e4 apart,
+    links in [0, 3] or, for every other draw, in [0, 0.3], where s* is
+    small; g = 0 on every tenth draw."""
+    rng = np.random.default_rng(2017)
+    out = []
+    for i in range(n):
+        e1 = rng.uniform(-3.0, 15.0)
+        e2 = min(max(e1 + rng.uniform(-4.0, 4.0), -3.0), 15.0)
+        link = 3.0 if i % 2 else 0.3
+        g = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 0.99))
+        out.append(ChannelParams(float(10.0 ** e1), float(10.0 ** e2),
+                                 float(rng.uniform(0.0, link)), float(rng.uniform(0.0, link)), g))
+    return out
+
+
+def t1_edge_draws(n):
+    """7n channels with small powers so near-equal, |P2/P1 - 1| < 0.9 P1,
+    that m = f3(0), and f4(0) at most 6 floats above m: s* rounds to within
+    floats of P1 + P2, and past it on about one channel in six."""
+    rng = np.random.default_rng(2018)
+    out = []
+    for _ in range(n):
+        p1 = float(10.0 ** rng.uniform(-3.0, 0.0))
+        p2 = float(p1 * (1.0 + rng.uniform(-0.9, 0.9) * p1))
+        c, g = 0.25 * math.log2(1.0 + p1 + p2), float(rng.uniform(0.0, 0.99))
+        for _ in range(7):
+            out.append(ChannelParams(p1, p2, c, c, g))
+            c = math.nextafter(c, 0.0)
+    return out
+
+
+def decimal_t1(p):
+    """T1 of ``p``, its correlation and its binding terms (within the
+    solver's 1e-9) to 50 digits, by stdlib ``decimal``: the closed form in
+    s, with s* = 2^(2m) - 1 capped at P1 + P2.  The objective
+    min(m, f4) - f5 at sampled s in [0, P1 + P2] must not beat its value at
+    s* beyond the reference's own rounding."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        big = decimal.Decimal
+        ln2 = big(2).ln()
+
+        def half_log2(x):
+            return x.ln() / ln2 / 2
+
+        p1, p2, c1, c2, g = (big(x) for x in (p.p1, p.p2, p.c1, p.c2, p.g))
+        m = min(c1 + half_log2(1 + p2), c2 + half_log2(1 + p1), c1 + c2)
+        top = p1 + p2
+
+        def objective(s):
+            return min(m, half_log2(1 + s)) - half_log2(1 + g * s)
+
+        s_star = min((2 * m * ln2).exp() - 1, top)
+        best = objective(s_star)
+        samples = [top * j / 8 for j in range(9)] + [top / big(10) ** k for k in range(2, 32, 2)]
+        samples += [s_star * big(f) for f in ("0.5", "0.999", "0.999999", "1.000001", "1.001", "2")]
+        # on the plateau of g = 0 the samples tie with s*, to the 50th digit
+        beaten = [s for s in samples if s <= top and objective(s) > best + big(10) ** -45]
+        assert not beaten, (p, s_star, beaten[:3])
+        f5 = half_log2(1 + g * s_star)
+        terms = {"f1(0)-f5": c1 + half_log2(1 + p2) - f5, "f2(0)-f5": c2 + half_log2(1 + p1) - f5,
+                 "f3(0)-f5": c1 + c2 - f5, "f4-f5": best}
+        binding = tuple(name for name, v in terms.items() if v <= best + big("1e-9") * max(1, abs(best)))
+        return float(best), float((s_star - top) / (2 * (p1 * p2).sqrt())), binding
+
+
+def test_t1_and_ub2_match_a_50_digit_reference():
+    """T1 is within 1e-15 of the 50-digit closed form, with its binding
+    terms, its rho within 1e-12 of rho_bar and never above 0, and
+    ub2 = max(T1, T2, T3) is never below the reference T1 by more than
+    that."""
+    for i, p in enumerate(t1_draws(160) + t1_edge_draws(10)):
+        ub = s2.upper_bound(p)
+        t1 = ub.sub_reports["T1"]
+        value, rho, binding = decimal_t1(p)
+        bar = rf.rho_bar(p)
+        assert abs(t1.value - value) <= 1e-15 and t1.binding == binding, (i, p, t1, value, binding)
+        assert -bar <= t1.rho <= 0.0 and abs(t1.rho - rho) <= 1e-12 * bar, (i, p, t1, rho)
+        assert ub.value == max(sub.value for sub in ub.sub_reports.values()), (i, p, ub)
+        assert ub.value >= value - 1e-15, (i, p, ub.value, value)
 
 
 STRUCTURE_POINTS = 4097
@@ -138,7 +237,7 @@ def test_solved_branches_have_a_monotone_envelope(i, p, monkeypatch):
     monkeypatch.setattr(s1, "maximize_min", record)
     s1.bounds(p, RandomnessBudget.unbounded())
     s2.bounds(p, RandomnessBudget.unbounded())
-    assert len(calls) == 13  # DF at the cap and PDF at 0 are single points
+    assert len(calls) == 12  # DF at the cap and PDF at 0 are single points; T1 is not solved
     for (entry, fixed), ends, peaks in calls:
         lo, hi = ends[0], ends[-1]
         cuts = sorted({*ends, *(x for x in peaks.values() if lo < x < hi)})
@@ -211,13 +310,13 @@ def test_scenario_one_solves_the_intervals_of_its_docstring(budget, monkeypatch)
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_scenario_two_solves_the_intervals_of_its_docstring(budget, monkeypatch):
     """Every scenario-2 solve is on the interval the ``scenario_two``
-    docstring gives it: T1 on [-rho_bar, 0], T2 on [0, rho*], T3 on
-    [rho*, 1], and each scheme on [-1, rho_max]; no scheme where no rho
-    fits the budget."""
+    docstring gives it: T2 on [0, rho*], T3 on [rho*, 1], and each scheme
+    on [-1, rho_max]; no scheme where no rho fits the budget.  T1 has a
+    closed form, and no solve."""
     solves = _solves(monkeypatch)
     for p in criterion_08_draws(DRAWS):
         rs, cap = rf.rho_star(p), _rho_max(p, budget)
-        expected = [("T1", -rf.rho_bar(p), 0.0), ("T2", 0.0, rs), ("T3", rs, 1.0)]
+        expected = [("T2", 0.0, rs), ("T3", rs, 1.0)]
         if cap is not None:
             expected += [(name, -1.0, cap) for name in ("df2", "pdfdfm2", "pdfpdfm2")]
         assert solves(s2.bounds, p, budget) == expected, p
@@ -227,9 +326,10 @@ def test_scenario_two_solves_the_intervals_of_its_docstring(budget, monkeypatch)
 # crossing solver: 13.30 (unbounded) and 12.57 (r' = 0.3) with a first
 # sign_change pass of 33 floats, three calls for T1's rho-free rates and
 # two for the budget probes f5(1), f5(-1); 12.67 and 10.90 with a first pass
-# of 5, two calls for T1's rates and one for the probes.  The grid search that
+# of 5, two calls for T1's rates and one for the probes; 10.20 and 8.43 with
+# T1 in closed form, one call at rho = 0 and no solve.  The grid search that
 # PDF-DF-M and PDF-PDF-M used before took 7 calls each, 23.6 and 17.7 in all.
-KERNEL_CALLS_CEILING = {math.inf: 13.0, 0.3: 11.4}
+KERNEL_CALLS_CEILING = {math.inf: 10.5, 0.3: 8.7}
 
 
 @pytest.mark.parametrize("r_prime", sorted(KERNEL_CALLS_CEILING))

@@ -116,12 +116,13 @@ def test_domain_errors():
         rf.f1(SYM, 1.001)
     with pytest.raises(DomainError):
         rf.f3(SYM, -1.001)
-    # f4/f5 extend below -1 down to -rho_bar for asymmetric powers
-    bar = rf.rho_bar(ASYM)
-    assert bar == pytest.approx(1.25, abs=1e-12)
-    rf.f4(ASYM, -bar)
-    with pytest.raises(DomainError):
-        rf.f4(ASYM, -bar - 1e-3)
+    # f4 and f5 share the one domain [-1, 1], also for unequal powers, whose
+    # -rho_bar lies below -1
+    assert rf.rho_bar(ASYM) == pytest.approx(1.25, abs=1e-12)
+    for fn in (rf.f4, rf.f5):
+        assert fn(ASYM, -1.0) > 0.0
+        with pytest.raises(DomainError):
+            fn(ASYM, -1.001)
     with pytest.raises(DomainError):
         rf.f5(SYM, -1.001)
 
@@ -140,17 +141,16 @@ def test_one_bad_element_in_an_array_raises(bad):
         rf.rates(SYM, rho, NAMES)
 
 
-def test_extended_domain_rejects_nan_and_points_below_minus_rho_bar():
-    below = -rf.rho_bar(ASYM) - 1e-6
-    for bad in (math.nan, below):
+def test_f4_and_f5_reject_nan_and_points_below_minus_one():
+    # between -rho_bar and -1, where s(rho) is still positive, f4 and f5 raise
+    # like the other forms, alone or in a request of several names
+    for bad in (math.nan, -1.0 - 1e-6, -1.1, -rf.rho_bar(ASYM)):
         for fn in (rf.f4, rf.f5):
             with pytest.raises(DomainError):
                 fn(ASYM, np.array([0.2, bad]))
-        with pytest.raises(DomainError):
-            rf.rates(ASYM, np.array([0.2, bad]), ("f4", "f5"))
-    # below -1 the unit-interval forms set the domain of the whole request
-    with pytest.raises(DomainError):
-        rf.rates(ASYM, -1.1, ("f1", "f4"))
+        for names in (("f4", "f5"), ("f5",), ("f1", "f4")):
+            with pytest.raises(DomainError):
+                rf.rates(ASYM, np.array([0.2, bad]), names)
 
 
 def test_round_off_band_outside_the_unit_interval_is_clipped():
@@ -163,14 +163,14 @@ def test_round_off_band_outside_the_unit_interval_is_clipped():
         assert np.array_equal(got[name], want[name])
 
 
-def test_minus_rho_bar_is_in_the_domain_of_f4_and_f5_only():
+def test_minus_rho_bar_is_in_the_domain_of_no_form():
     bar = rf.rho_bar(ASYM)
-    for fn in (rf.f4, rf.f5):
-        assert fn(ASYM, -bar) == 0.0
-    assert rf.rates(ASYM, np.array([-bar, 0.0]), ("f4", "f5"))["f4"][0] == 0.0
-    for fn in (rf.f1, rf.f2, rf.f3, rf.f6, rf.f7):
+    for fn in RATES:
+        fn(ASYM, -1.0)
         with pytest.raises(DomainError):
             fn(ASYM, -bar)
+    with pytest.raises(DomainError):
+        rf.rates(ASYM, np.array([-bar, 0.0]), ("f4", "f5"))
 
 
 def test_empty_array_returns_empty():
@@ -198,13 +198,29 @@ def test_rho_bar_symmetric_is_exactly_one():
     assert rf.rho_bar(SYM) == 1.0
 
 
-def test_combined_power_vanishes_at_minus_rho_bar():
-    # the clip at -rho_bar must give exactly zero rate, not a tiny residual
-    assert rf.f4(ASYM, -rf.rho_bar(ASYM)) == 0.0
-    assert rf.f5(ASYM, -rf.rho_bar(ASYM)) == 0.0
-    sym = ChannelParams.symmetric(3.0, 1.0, 0.2)
+@pytest.mark.parametrize("power", [1e-300, 1e-12, 3.0, 1e154, 1e300])
+def test_combined_power_vanishes_at_minus_rho_bar(power):
+    # for equal powers -rho_bar = -1, where s(rho) snaps to exactly 0, not a
+    # tiny residual, also where P1*P2 under- or overflows and sqrt(P1*P2) is
+    # taken as sqrt(P1)*sqrt(P2)
+    sym = ChannelParams.symmetric(power, 1.0, 0.2)
+    assert rf.rho_bar(sym) == 1.0
     assert rf.f4(sym, -1.0) == 0.0
     assert rf.f5(sym, -1.0) == 0.0
+
+
+def test_combined_power_is_never_negative_at_minus_one():
+    # s(-1) = (sqrt(P1) - sqrt(P2))^2 is all round-off for near-equal powers,
+    # where it may come out below 0: f4 and f5 must not read below 0 there
+    rng = np.random.default_rng(17)
+    gaps = (1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+    for power in 10.0 ** rng.uniform(-300.0, 300.0, 400):
+        partners = [power, math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
+        partners += [power * (1.0 + sign * gap) for gap in gaps for sign in (-1.0, 1.0)]
+        for other in partners:
+            for p1, p2 in ((power, other), (other, power)):
+                at = rf.rates(ChannelParams(p1, p2, 1.0, 1.0, 0.5), -1.0, ("f4", "f5"))
+                assert at["f4"] >= 0.0 and at["f5"] >= 0.0, (p1, p2, at)
 
 
 def test_rho_star_values():
@@ -258,8 +274,6 @@ def test_bounds_are_finite_and_ordered_at_extreme_powers(p1, p2, r_prime):
         assert bounds.lower <= bounds.upper.value, bounds
 
 
-@pytest.mark.xfail(strict=True, reason="T1 is solved in rho, and s(rho) carries round-off of ulp(P1 + P2) "
-                                       "that rates snaps to 0 where the T1 optimum lies: ub2 reads 0.0")
 @pytest.mark.parametrize("power", [1e16, 1e18, 1e100, 1e300])
 def test_scenario_two_converse_is_not_under_reported_at_huge_powers(power):
     # from p = 1e12 upwards T1 is m - f5 where f4 = m = 2C = 2, at s = 2^(2m) - 1 = 15:
@@ -286,8 +300,7 @@ def test_rho_star_is_root_of_quadratic():
 
 
 def test_monotonicity_grids():
-    bar = rf.rho_bar(ASYM)
-    rho = np.linspace(-bar, 1.0, 401)
+    rho = np.linspace(-1.0, 1.0, 401)
     for fn in (rf.f4, rf.f5):
         vals = fn(ASYM, rho)
         assert np.all(np.diff(vals) >= -1e-12)

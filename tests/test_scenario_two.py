@@ -54,7 +54,8 @@ def test_upper_bound_left_branch_can_leave_unit_interval():
     s_hat = 2.0 ** (2.0 * (p.c1 + p.c2)) - 1.0
     rho_hat = (s_hat - p.p1 - p.p2) / (2.0 * math.sqrt(p.p1 * p.p2))
     assert ub.rho == pytest.approx(rho_hat, abs=1e-6)
-    assert ub.value == pytest.approx(p.c1 + p.c2 - rf.f5(p, rho_hat), abs=1e-9)
+    # f5 at s_hat, since rho_hat lies outside the domain [-1, 1] of rf.f5
+    assert ub.value == pytest.approx(p.c1 + p.c2 - 0.5 * math.log2(1.0 + p.g * s_hat), abs=1e-9)
 
 
 def test_df_rate_frozen_point():
@@ -163,12 +164,13 @@ def test_bounds_return_at_extreme_power_ratios(deadline, p1, p2):
 
 
 def test_t1_plateau_reports_its_left_end():
-    # g = 0 makes T1 a plateau at f2(0) once f4 reaches it; the closed-form
-    # seed for f4 = f2(0) carries cancellation error here, so the solver has
-    # to bracket the first float on the plateau rather than trust the seed
+    # g = 0 makes T1 a plateau at f2(0) once f4 reaches it, at
+    # s* = 2^(2 f2(0)) - 1: the value is the level exactly, and the reported
+    # rho the left end of the plateau, s(rho) = s*
     p = ChannelParams(0.014902002813909961, 0.024872733699457757, 1.1804134896995921, 0.01362746066604692, 0.0)
     t1 = s2.upper_bound(p).sub_reports["T1"]
     level = rf.f2(p, 0.0)
     assert level < min(rf.f1(p, 0.0), rf.f3(p, 0.0))
     assert t1.value == level
-    assert rf.f4(p, t1.rho) >= level > rf.f4(p, math.nextafter(t1.rho, -math.inf))
+    s_star = 2.0 ** (2.0 * level) - 1.0
+    assert t1.rho == pytest.approx((s_star - p.p1 - p.p2) / (2.0 * math.sqrt(p.p1 * p.p2)), abs=1e-12)
