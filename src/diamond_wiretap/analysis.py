@@ -8,20 +8,24 @@
   scheme starts or stops beating another.  Every scheme rate is
   nondecreasing in C, so its scan evaluates only the grid points whose
   verdict the rates at the points evaluated around them leave open, reading
-  a verdict off them only when it holds with a margin of 1e-12.
+  a verdict off them only when it holds with a margin of 1e-12.  In
+  scenario 1 it reads off one kernel call at rho = 0 where PDF-M equals
+  plain PDF, and it narrows each crossing by ITP steps (Oliveira &
+  Takahashi, ACM TOMS 47(1), 2020), at most one more than bisection.
 * ``no_secrecy_compare``: the same bounds with the eavesdropper removed
   (g = 0), as a reference point.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from . import scenario_one, scenario_two
+from . import scenario_one, scenario_two, schemes
 from . import rate_functions as rf
-from .errors import AsymmetricParams
+from .errors import AsymmetricParams, EmptyFeasibleSet
 from .rate_functions import ChannelParams, RandomnessBudget
 from .scenario_one import ScenarioOneBounds
 from .scenario_two import ScenarioTwoBounds
@@ -153,9 +157,12 @@ def pdf_gap_vs_power(
     for p in powers:
         params = ChannelParams(p1=p, p2=p, c1=c1, c2=c2, g=g)
         ub = scenario_one.upper_bound(params).value
-        pdf = max(0.0, scenario_one.solve(params, "pdfm1", 0.0, 0.0).value)
-        at_zero = rf.rates(params, 0.0, ("f4", "f5"))
-        mac = at_zero["f4"] - at_zero["f5"]
+        # plain PDF is PDF-M at rho = 0: the least of its terms there, one of
+        # which is the MAC term
+        branch, _ = schemes.gaussian(params, "pdfm1")
+        terms = branch([0.0])
+        pdf = max(0.0, min(values[0] for values in terms.values()))
+        mac = terms["f4-f5"][0]
         rows.append(PdfGapRow(power=float(p), upper=ub, pdf=pdf, gap=ub - pdf, mac_term=mac))
     limit = math.inf if g == 0.0 else 0.5 * math.log2(1.0 / g)
     return PdfGapReport(rows=tuple(rows), mac_limit=limit)
@@ -187,7 +194,8 @@ def _scheme_values(scenario: int, params: ChannelParams, budget: RandomnessBudge
     return module.scheme_rates(params, budget)
 
 
-# how far group A must lead group B to count as ahead
+# how far group A must lead group B to count as ahead, so that the flat
+# "equal rates" stretches count as off
 _AHEAD_BY = 1e-9
 
 # Every scheme rate is nondecreasing in C up to round-off, whose largest
@@ -197,24 +205,22 @@ _AHEAD_BY = 1e-9
 _MONOTONE_MARGIN = 1e-12
 
 
-def _ahead(a: float, b: float) -> bool:
-    """Group A strictly ahead of group B, so that the flat "equal rates"
-    stretches count as off."""
-    return a - b > _AHEAD_BY
-
-
-def _scan_flags(cs: Sequence[float], bests) -> list[bool]:
-    """``_ahead(*bests(c))`` for every c of the ascending grid ``cs``, with
-    ``bests`` called only where the values elsewhere leave the flag open.
+def _scan_flags(cs: Sequence[float], bests) -> tuple[list[bool], dict[int, float]]:
+    """Whether group A is ahead of group B at every c of the ascending grid
+    ``cs``, with ``bests`` called only where the values elsewhere leave the
+    flag open; and the lead A(c) - B(c) - ``_AHEAD_BY`` at the points
+    evaluated, by index, which is positive exactly where A is ahead.
 
     ``bests(c)`` returns the best rates A(c) and B(c) of the two groups, both
     nondecreasing in c.  So for grid points i < k < j, the flag at k is off
     when A(c_j) - B(c_i) misses ``_AHEAD_BY`` by the margin, and on when
     A(c_i) - B(c_j) clears it by the margin.  A stretch that neither decides
-    is split at its middle point, which is evaluated.
+    is split at its middle point, which is evaluated.  A stretch that one
+    rule decides has the flag of both its ends, so every change of flag lies
+    between two points evaluated.
     """
     last = len(cs) - 1
-    known = {0: bests(cs[0]), last: bests(cs[last])}
+    known = {k: bests(cs[k]) for k in sorted({0, last})}
     flags = [False] * len(cs)
     stretches = [(0, last)]
     while stretches:
@@ -228,9 +234,73 @@ def _scan_flags(cs: Sequence[float], bests) -> list[bool]:
         k = (i + j) // 2
         known[k] = bests(cs[k])
         stretches += [(i, k), (k, j)]
-    for k, (a, b) in known.items():
-        flags[k] = _ahead(a, b)
-    return flags
+    leads = {k: a - b - _AHEAD_BY for k, (a, b) in known.items()}
+    for k, lead in leads.items():
+        flags[k] = lead > 0.0
+    return flags, leads
+
+
+def _pdf_ties(p: float, g: float, budget: RandomnessBudget, c_min: float):
+    """A test of C, one kernel call at rho = 0, that holds where scenario 1's
+    PDF-M equals plain PDF bit for bit at P1 = P2 = p, C1 = C2 = C; None
+    where rho = 0 does not fit the budget.
+
+    PDF is PDF-M at rho = 0, and PDF-M maximizes min(f1, f2, f3, f4 - f5)
+    over [0, rho_max], where f1, f2, f3 fall and f4 - f5 rises.  So where
+    f4(0) - f5(0) >= min(f1(0), f2(0), f3(0)), the solver never leaves 0.
+    f1(0), f2(0), f3(0) grow with C and the rest does not depend on it, so
+    the test holds on a prefix of every ascending grid of C.
+    """
+    try:
+        rho_max = rf.f5_inverse(ChannelParams.symmetric(p, c_min, g), budget)
+    except EmptyFeasibleSet:
+        return None
+    if rho_max < 0.0:
+        return None
+
+    def tied(c: float) -> bool:
+        at = rf.rates(ChannelParams.symmetric(p, c, g), 0.0, ("f1", "f2", "f3", "f4", "f5"))
+        return at["f4"] - at["f5"] >= min(at["f1"], at["f2"], at["f3"])
+
+    return tied
+
+
+def _refine(lead, lo: float, hi: float, lead_lo: float, lead_hi: float, width: float) -> tuple[float, float]:
+    """Narrow [lo, hi], where ``lead`` is positive at one end only
+    (``lead_lo`` and ``lead_hi``), to a bracket of its change of sign at
+    most ``width`` wide, or to adjacent floats.
+
+    Each step is one of the ITP method (Oliveira & Takahashi, ACM TOMS
+    47(1), 2020): the regula falsi point, moved toward the midpoint by
+    0.2 w^2 / w0 (w the bracket's width, w0 the first), then projected
+    near enough to the midpoint that at most n + 1 steps are taken, where
+    bisection takes n; rounding may leave the last bracket a few floats
+    wider than ``width``.
+    """
+    width = max(width, math.ulp(lo))  # below the float spacing, adjacent floats end it
+    on_lo = lead_lo > 0.0
+    kappa = 0.2 / (hi - lo)
+    halvings = max(0, math.ceil(math.log2((hi - lo) / width)))
+    reach = math.ldexp(width, halvings)
+    for _ in range(halvings + 1):
+        if hi - lo <= width:
+            break
+        mid = 0.5 * (lo + hi)
+        radius = max(0.0, reach - 0.5 * (hi - lo))
+        reach *= 0.5
+        x = lo + (hi - lo) * lead_lo / (lead_lo - lead_hi)
+        # truncated toward the midpoint, then projected to within radius of it
+        x = mid - math.copysign(min(radius, max(0.0, abs(mid - x) - kappa * (hi - lo) ** 2)), mid - x)
+        if not lo < x < hi:
+            x = mid
+            if not lo < x < hi:  # adjacent floats: the bracket cannot shrink
+                break
+        d = lead(x)
+        if (d > 0.0) == on_lo:
+            lo, lead_lo = x, d
+        else:
+            hi, lead_hi = x, d
+    return lo, hi
 
 
 def detect_thresholds(
@@ -253,10 +323,11 @@ def detect_thresholds(
         max over A of the best scheme rate  -  max over B of the best rate,
 
     and a crossing is a boundary of the strict-advantage region (advantage
-    above 1e-9), bracketed on the coarse grid and bisected to |dC| <= tol.
-    Each crossing lists the schemes within 1e-6 of the common best value
-    there.  Defaults compare the multicoded PDF scheme against the rest of
-    its scenario.
+    above 1e-9), bracketed on the coarse grid and narrowed to a bracket of
+    0.01*tol (or adjacent floats), whose midpoint is reported, so that
+    |dC| <= tol.  Each crossing lists the schemes within 1e-6 of the common
+    best value there.  Defaults compare the multicoded PDF scheme against
+    the rest of its scenario.
 
     The grid is not evaluated point by point.  At fixed p, g and budget every
     scheme rate is nondecreasing in C: each term of ``schemes.TABLE`` has a
@@ -266,9 +337,15 @@ def detect_thresholds(
     nondecreasing, and between grid points c_i < c_j every flag is off when
     A(c_j) - B(c_i) <= 1e-9 - margin and on when A(c_i) - B(c_j) > 1e-9 +
     margin.  The margin, 1e-12, is far above the round-off by which a rate
-    can fall as C grows (4.4e-16 at most, measured), so the flags, and every
-    report, are those of the full scan.  Only the stretches that neither
-    rule decides are split at their middle point, which is evaluated once.
+    can fall as C grows (4.4e-16 at most, measured), so the flags are those
+    of the full scan.  Only the stretches that neither rule decides are
+    split at their middle point, which is evaluated once.
+
+    In scenario 1, with A among PDF and PDF-M and B holding PDF, A cannot
+    lead B where PDF-M equals PDF; one kernel call at rho = 0 finds where
+    (``_pdf_ties``), a prefix of the grid that is off without solving, and
+    a lead of 0, its bound, at narrowing steps inside it.  Each crossing is
+    narrowed by ITP steps (``_refine``) from the leads at its grid points.
     """
     if scenario not in (1, 2):
         raise ValueError(f"scenario must be 1 or 2, got {scenario}")
@@ -289,37 +366,45 @@ def detect_thresholds(
         values = _scheme_values(scenario, ChannelParams.symmetric(p, c, g), budget)
         return max(values[s] for s in schemes_a), max(values[s] for s in schemes_b)
 
-    cs = [c_min + (c_max - c_min) * i / (steps - 1) for i in range(steps)]
-    flags = _scan_flags(cs, bests)
+    tied = None
+    if scenario == 1 and {*schemes_a} <= {"pdf", "pdfm"} and "pdf" in schemes_b:
+        tied = _pdf_ties(p, g, budget, c_min)
 
-    # bisect well below the reporting tolerance so that the scheme rates at
+    def lead(c: float) -> float:
+        if tied is not None and tied(c):
+            return -_AHEAD_BY
+        a, b = bests(c)
+        return a - b - _AHEAD_BY
+
+    cs = [c_min + (c_max - c_min) * i / (steps - 1) for i in range(steps)]
+    # the points where PDF-M ties PDF, a prefix of the grid, are off
+    start = 0 if tied is None else bisect.bisect_left(cs, True, key=lambda c: not tied(c))
+    flags, leads = [False] * start, {start - 1: -_AHEAD_BY} if start else {}
+    if start < len(cs):
+        rest, rest_leads = _scan_flags(cs[start:], bests)
+        flags += rest
+        leads.update((start + k, d) for k, d in rest_leads.items())
+
+    # narrow well below the reporting tolerance so that the scheme rates at
     # the reported point sit within the tie tolerance of each other (the
     # advantage changes with slope up to ~2 in C)
     bracket = 0.01 * tol
     tie_tol = max(1e-6, 4.0 * bracket)
 
     crossings = []
-    for (c_lo, on_lo), (c_hi, on_hi) in zip(zip(cs, flags), zip(cs[1:], flags[1:])):
-        if on_lo == on_hi:
+    for k in range(len(cs) - 1):
+        if flags[k] == flags[k + 1]:
             continue
-        lo, hi = c_lo, c_hi
-        while hi - lo > bracket:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
-                break
-            if _ahead(*bests(mid)) == on_lo:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _refine(lead, cs[k], cs[k + 1], leads[k], leads[k + 1], bracket)
         c_star = 0.5 * (lo + hi)
         params = ChannelParams.symmetric(p, c_star, g)
         values = _scheme_values(scenario, params, budget)
         best = max(values[s] for s in (*schemes_a, *schemes_b))
-        tied = tuple(
+        tied_schemes = tuple(
             s for s in known
             if s in (*schemes_a, *schemes_b) and abs(values[s] - best) <= tie_tol * max(1.0, abs(best))
         )
-        crossings.append(Crossing(c=c_star, schemes=tied))
+        crossings.append(Crossing(c=c_star, schemes=tied_schemes))
 
     return ThresholdReport(
         scenario=scenario,

@@ -16,7 +16,8 @@ produce byte-identical output.  Exit codes: 0 success, 1 invalid input,
 (``passed = false``), after printing its report as usual.
 
 Only ``oracle-check`` and ``dmc`` import numpy, through ``oracles``, and
-only when they run.
+only when they run; likewise only ``thresholds`` and ``capacity`` import
+``analysis``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import sys
 from dataclasses import replace
 
-from .analysis import capacity_condition, detect_thresholds
 from .errors import DiamondWiretapError, ParameterError
 from .rate_functions import ChannelParams, RandomnessBudget
 from . import scenario_one, scenario_two
@@ -250,6 +250,8 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_thresholds(args) -> str:
+    from .analysis import detect_thresholds
+
     schemes_a = tuple(args.schemes_a.split(",")) if args.schemes_a else None
     schemes_b = tuple(args.schemes_b.split(",")) if args.schemes_b else None
     report = detect_thresholds(
@@ -269,6 +271,8 @@ def cmd_thresholds(args) -> str:
 
 
 def cmd_capacity(args) -> str:
+    from .analysis import capacity_condition
+
     params = _params_from(args)
     verdict = capacity_condition(params)
     row: list[tuple[str, object]] = [

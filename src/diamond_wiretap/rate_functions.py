@@ -181,13 +181,17 @@ def rates(params: ChannelParams, rho, names) -> dict:
     """
     scalar = isinstance(rho, (int, float))
     xs = [rho] if scalar else rho
-    if not all(-1.0 - _DOMAIN_TOL <= r <= 1.0 + _DOMAIN_TOL for r in xs):  # NaN fails too
-        raise DomainError(f"correlation must lie in [-1, 1] for {', '.join(names)}, got {rho!r}")
-    if len(xs) and (max(xs) > 1.0 or min(xs) < -1.0):
-        xs = [max(-1.0, min(r, 1.0)) for r in xs]
+    if len(xs):
+        # min and max can step over a NaN, which makes the sum NaN
+        lo, hi = min(xs), max(xs)
+        if not -1.0 - _DOMAIN_TOL <= lo <= hi <= 1.0 + _DOMAIN_TOL or math.isnan(sum(xs)):
+            raise DomainError(f"correlation must lie in [-1, 1] for {', '.join(names)}, got {rho!r}")
+        if hi > 1.0 or lo < -1.0:
+            xs = [max(-1.0, min(r, 1.0)) for r in xs]
     base, k2, snap = params.p1 + params.p2, 2.0 * _k(params), _SNAP * (params.p1 + params.p2)
     qs, ss = [1.0 - r * r for r in xs], [base + k2 * r for r in xs]
-    ss = [s if s >= snap else 0.0 for s in ss]
+    if len(ss) and min(ss) < snap:
+        ss = [s if s >= snap else 0.0 for s in ss]
     values = {name: _FORMS[name](params, qs, ss) for name in names}
     return {name: column[0] for name, column in values.items()} if scalar else values
 

@@ -117,8 +117,12 @@ def maximize_min(
     if not at:
         raise EmptyInterval("a branch needs at least one term")
     objective = _least(list(at.values()), len(cuts))
-    evaluations = [(cuts, at, objective)]  # (points, terms, objective) of every call of the branch
+    # the best point evaluated: (value, rho, terms, index), ties going to the
+    # smaller rho; the points of each evaluation ascend, so its first best
+    # point is its smallest
     top = max(objective)
+    j = objective.index(top)
+    best = (top, cuts[j], at, j)
 
     for i in range(len(cuts) - 1):
         if top not in (objective[i], objective[i + 1]):
@@ -132,22 +136,21 @@ def maximize_min(
             return _least([terms[name] for name in rising], n), _least([terms[name] for name in others], n)
 
         def reached(points):
+            nonlocal best
             terms = branch(points)
             up, down = split(terms, len(points))
-            evaluations.append((points, terms, list(map(min, up, down))))
+            values = list(map(min, up, down))
+            value = max(values)
+            j = values.index(value)
+            if value > best[0] or value == best[0] and points[j] < best[1]:
+                best = (value, points[j], terms, j)
             return [u >= d for u, d in zip(up, down)]
 
         up, down = split(at, len(cuts))
         if up[i + 1] >= down[i + 1] and not up[i] >= down[i]:
             sign_change(reached, a, b, seed(a, b, tuple(rising), tuple(others)))
 
-    value = max(max(objective) for _, _, objective in evaluations)
-    # the points of each evaluation ascend, so its first best point is its smallest
-    rho, terms, j = min(
-        ((points[j], terms, j) for points, terms, objective in evaluations if value in objective
-         for j in (objective.index(value),)),
-        key=lambda candidate: candidate[0],
-    )
+    value, rho, terms, j = best
     return OptimizationResult(rho=rho, value=value, binding=_binding_terms(terms, j, value))
 
 

@@ -113,20 +113,23 @@ def solve_linked(
         levels["indicator"] = math.inf if inside else 0.0
         # each rising term first reaches the others where it meets the
         # first of them, and their minimum where the last of them does
-        return max(min(_meeting(params, levels, up, other) for other in others) for up in rising)
+        return max(min(_meeting(params, levels, peaks, up, other) for other in others) for up in rising)
 
     return maximize_min(branch, ends, peaks, seed), link
 
 
-def _meeting(params: ChannelParams, levels: Mapping, up: str, other: str) -> float:
+def _meeting(params: ChannelParams, levels: Mapping, peaks: Mapping, up: str, other: str) -> float:
     """Where the rising term ``up`` meets the term ``other``, by
     ``rate_functions.crossing``: a rho-free term by its value, any other by
     name, and the leakage f5 that both terms may subtract cancels.  The
     bracket of the Newton steps is where up - other rises: from the peak of
     ``other`` (a rho-free term, less f5 or not, falls everywhere) to that of
-    ``up``."""
-    lo = -1.0 if other in levels or other[:-3] in levels else max(-1.0, rf.peak(params, other))
-    hi = min(1.0, rf.peak(params, up))
+    ``up``, read from the solve's ``peaks`` where they hold them."""
+    if other in levels or other[:-3] in levels:
+        lo = -1.0
+    else:
+        lo = max(-1.0, peaks[other] if other in peaks else rf.peak(params, other))
+    hi = min(1.0, peaks[up])
     if up.endswith("-f5") and other.endswith("-f5"):
         up, other = up[:-3], other[:-3]
     return rf.crossing(params, up, levels.get(other, other), lo, hi)

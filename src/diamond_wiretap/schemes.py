@@ -153,7 +153,10 @@ def gaussian(params: ChannelParams, name: str) -> tuple[Callable, dict]:
 
     def branch(rho):
         r = rf.rates(params, rho, at_rho)
-        terms = entry.terms({**fixed, **{u: _Column(values) for u, values in r.items()}})
+        for u, values in r.items():
+            r[u] = _Column(values)
+        r.update(fixed)
+        terms = entry.terms(r)
         return {term: v if isinstance(v, list) else [v] * len(rho) for term, v in terms.items()}
 
     return branch, fixed

@@ -1,6 +1,7 @@
 """Capacity verdicts, asymptotic gap study, threshold detection, comparisons."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -130,7 +131,8 @@ def test_detect_thresholds_validation():
 def full_scan_thresholds(p, g, scenario, schemes_a=None, schemes_b=None, budget=None,
                          c_min=0.0, c_max=3.0, steps=121, tol=1e-4):
     """Reference: ``detect_thresholds`` as it was before the scan was pruned,
-    evaluating every grid point."""
+    evaluating every grid point, with each crossing bisected to adjacent
+    floats."""
     known = analysis.SCENARIO_ONE_SCHEMES if scenario == 1 else analysis.SCENARIO_TWO_SCHEMES
     if schemes_a is None:
         schemes_a = ("pdfm",) if scenario == 1 else ("pdfpdfm",)
@@ -149,14 +151,13 @@ def full_scan_thresholds(p, g, scenario, schemes_a=None, schemes_b=None, budget=
 
     cs = [c_min + (c_max - c_min) * i / (steps - 1) for i in range(steps)]
     flags = [strictly_ahead(c) for c in cs]
-    bracket = 0.01 * tol
-    tie_tol = max(1e-6, 4.0 * bracket)
+    tie_tol = max(1e-6, 0.04 * tol)
     crossings = []
     for (c_lo, on_lo), (c_hi, on_hi) in zip(zip(cs, flags), zip(cs[1:], flags[1:])):
         if on_lo == on_hi:
             continue
         lo, hi = c_lo, c_hi
-        while hi - lo > bracket:
+        while True:
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
                 break
@@ -193,17 +194,71 @@ def full_scan_thresholds(p, g, scenario, schemes_a=None, schemes_b=None, budget=
     ((1.0, 0.1, 1), {"c_min": 0.3, "c_max": 0.35, "steps": 3}),
 ])
 def test_pruned_scan_reports_what_the_full_scan_reports(args, kwargs):
-    assert analysis.detect_thresholds(*args, **kwargs) == full_scan_thresholds(*args, **kwargs)
+    # the reported point is the midpoint of a bracket of 0.01 * tol around
+    # the crossing, so within 0.005 * tol of it
+    report, reference = analysis.detect_thresholds(*args, **kwargs), full_scan_thresholds(*args, **kwargs)
+    assert replace(report, crossings=()) == replace(reference, crossings=())
+    assert [cr.schemes for cr in report.crossings] == [cr.schemes for cr in reference.crossings]
+    tol = kwargs.get("tol", 1e-4)
+    for cr, ref in zip(report.crossings, reference.crossings):
+        assert abs(cr.c - ref.c) <= 0.005 * tol, (cr, ref)
 
 
 def test_threshold_scan_skips_the_points_monotonicity_decides(monkeypatch):
-    # the full 121-point scan plus bisection made 153 evaluations here
+    # the full 121-point scan plus bisection made 153 evaluations here, and
+    # the pruned scan plus bisection 57
     calls = []
     real = scenario_one.scheme_rates
     monkeypatch.setattr(scenario_one, "scheme_rates", lambda *args: calls.append(args) or real(*args))
     report = analysis.detect_thresholds(1.0, 0.1, 1)
     assert len(report.crossings) == 2
-    assert len(calls) <= 75
+    assert len(calls) <= 32
+
+
+@pytest.mark.parametrize("p, g", [(1.0, 0.1), (0.3, 0.05), (10.0, 0.5), (100.0, 0.9), (0.01, 0.0)])
+@pytest.mark.parametrize("share", [None, 1.5, 0.9, 0.0])
+def test_where_the_pdf_tie_rule_holds_pdfm_equals_pdf(p, g, share):
+    """Wherever ``_pdf_ties`` says PDF-M ties plain PDF, the scheme rates
+    agree bit for bit, on unbounded budgets and on finite ones above, below
+    and at 0 times f5(0); the rule holds on a prefix of the grid.  Below
+    f5(0) rho = 0 is infeasible, so PDF is 0 while PDF-M need not be, and
+    the rule must not apply."""
+    f5_zero = rf.f5(ChannelParams.symmetric(p, 0.0, g), 0.0)
+    budget = RandomnessBudget.unbounded() if share is None else RandomnessBudget(share * f5_zero)
+    tied = analysis._pdf_ties(p, g, budget, 0.0)
+    assert (tied is None) == (rf.f5_inverse(ChannelParams.symmetric(p, 0.0, g), budget) < 0.0)
+    if tied is None:
+        return
+    cs = [3.0 * i / 240 for i in range(241)]
+    holds = [tied(c) for c in cs]
+    assert holds[0] and holds == sorted(holds, reverse=True)
+    for c, rule in zip(cs, holds):
+        if rule:
+            rates = scenario_one.scheme_rates(ChannelParams.symmetric(p, c, g), budget)
+            assert rates["pdfm"] == rates["pdf"], (c, rates)
+
+
+@pytest.mark.parametrize("kink, slope", [(0.3, 1.0), (0.3101, 1e-6), (1.2345678, 2.0), (2.9999, 50.0),
+                                         (0.0001, 1e-3)])
+@pytest.mark.parametrize("tol", [1e-4, 1e-9])
+def test_refinement_takes_at_most_one_step_more_than_bisection(monkeypatch, kink, slope, tol):
+    """On a lead that is flat up to a kink and rises after it, where
+    interpolation does worst, the ITP steps stay within bisection's count
+    plus one, and the crossing within 0.005 * tol of where the lead first
+    exceeds 1e-9."""
+    calls = []
+
+    def rates(params, budget):
+        calls.append(params.c1)
+        return {"df": 0.0, "pdfdfm": 0.0, "pdfpdfm": slope * max(0.0, params.c1 - kink)}
+
+    monkeypatch.setattr(scenario_two, "scheme_rates", rates)
+    report = analysis.detect_thresholds(1.0, 0.1, 2, steps=2, tol=tol)
+    assert len(report.crossings) == 1
+    bisection = math.ceil(math.log2(3.0 / (0.01 * tol)))
+    # two grid points, the refinement, and the tie check at the crossing
+    assert len(calls) - 3 <= bisection + 1
+    assert abs(report.crossings[0].c - (kink + 1e-9 / slope)) <= 0.005 * tol + 1e-15
 
 
 def test_scheme_name_constants():

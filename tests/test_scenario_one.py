@@ -157,7 +157,7 @@ def test_seeds_cover_every_pair_of_a_rising_and_another_term():
         for up in entry.rising:
             for other in terms:
                 if peaks.get(other, -math.inf) < peaks[up]:
-                    seed = s1._meeting(p, {**fixed, "indicator": 0.0}, up, other)
+                    seed = s1._meeting(p, {**fixed, "indicator": 0.0}, peaks, up, other)
                     assert isinstance(seed, float), (name, up, other)
 
 
