@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import scenario_one, scenario_two, schemes
 from . import rate_functions as rf
-from .errors import AsymmetricParams, EmptyFeasibleSet
+from .errors import AsymmetricParams
 from .rate_functions import ChannelParams, RandomnessBudget
 from .scenario_one import ScenarioOneBounds
 from .scenario_two import ScenarioTwoBounds
@@ -251,11 +251,8 @@ def _pdf_ties(p: float, g: float, budget: RandomnessBudget, c_min: float):
     f1(0), f2(0), f3(0) grow with C and the rest does not depend on it, so
     the test holds on a prefix of every ascending grid of C.
     """
-    try:
-        rho_max = rf.f5_inverse(ChannelParams.symmetric(p, c_min, g), budget)
-    except EmptyFeasibleSet:
-        return None
-    if rho_max < 0.0:
+    rho_max = rf.budget_cap(ChannelParams.symmetric(p, c_min, g), budget)
+    if rho_max is None or rho_max < 0.0:
         return None
 
     def tied(c: float) -> bool:

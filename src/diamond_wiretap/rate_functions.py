@@ -54,6 +54,7 @@ __all__ = [
     "peak",
     "crossing",
     "f5_inverse",
+    "budget_cap",
     "link_indicator",
     "link_interval",
 ]
@@ -69,7 +70,8 @@ _DOMAIN_TOL = 1e-12
 class ChannelParams:
     """One channel instance.
 
-    p1, p2: relay power constraints, strictly positive.
+    p1, p2: relay power constraints, strictly positive, with s(1) =
+        p1 + p2 + 2*sqrt(p1*p2) finite.
     c1, c2: source-to-relay link capacities in bits/channel-use, nonnegative.
     g: eavesdropper gain, in [0, 1); g = 0 removes the eavesdropper.
     """
@@ -92,6 +94,9 @@ class ChannelParams:
             raise ParameterError(f"link capacities must be nonnegative, got c1={self.c1}, c2={self.c2}")
         if not 0.0 <= self.g < 1.0:
             raise ParameterError(f"eavesdropper gain must lie in [0, 1), got g={self.g}")
+        if not math.isfinite(self.p1 + self.p2 + 2.0 * _k(self)):
+            raise ParameterError(f"powers too large: s(1) = p1 + p2 + 2*sqrt(p1*p2) overflows, "
+                                 f"got p1={self.p1}, p2={self.p2}")
 
     @classmethod
     def symmetric(cls, p: float, c: float, g: float) -> "ChannelParams":
@@ -170,14 +175,24 @@ def _k(params: ChannelParams) -> float:
     return math.sqrt(params.p1) * math.sqrt(params.p2)
 
 
+def _atoms(params: ChannelParams, xs) -> tuple[list, list]:
+    """1 - rho^2 and s(rho), snapped to 0 below ``_SNAP``, at each rho of
+    ``xs``, all in [-1, 1]."""
+    base, k2, snap = params.p1 + params.p2, 2.0 * _k(params), _SNAP * (params.p1 + params.p2)
+    qs, ss = [1.0 - r * r for r in xs], [base + k2 * r for r in xs]
+    if len(ss) and min(ss) < snap:
+        ss = [s if s >= snap else 0.0 for s in ss]
+    return qs, ss
+
+
 def rates(params: ChannelParams, rho, names) -> dict:
     """The closed forms ``names`` (a subset of f1..f7 and ``indicator``, in
     order) at ``rho``, a float or a sequence of floats.
 
     The kernel behind f1..f7 and the optimizer's branches: rho must lie in
     [-1, 1], and values within round-off outside it are clipped onto it.
-    1 - rho^2 and s(rho) (snapped, see ``_SNAP``) are computed once per
-    point.  Values are floats for a float ``rho``, lists for a sequence.
+    1 - rho^2 and s(rho) (``_atoms``) are computed once per point.  Values
+    are floats for a float ``rho``, lists for a sequence.
     """
     scalar = isinstance(rho, (int, float))
     xs = [rho] if scalar else rho
@@ -188,10 +203,7 @@ def rates(params: ChannelParams, rho, names) -> dict:
             raise DomainError(f"correlation must lie in [-1, 1] for {', '.join(names)}, got {rho!r}")
         if hi > 1.0 or lo < -1.0:
             xs = [max(-1.0, min(r, 1.0)) for r in xs]
-    base, k2, snap = params.p1 + params.p2, 2.0 * _k(params), _SNAP * (params.p1 + params.p2)
-    qs, ss = [1.0 - r * r for r in xs], [base + k2 * r for r in xs]
-    if len(ss) and min(ss) < snap:
-        ss = [s if s >= snap else 0.0 for s in ss]
+    qs, ss = _atoms(params, xs)
     values = {name: _FORMS[name](params, qs, ss) for name in names}
     return {name: column[0] for name, column in values.items()} if scalar else values
 
@@ -403,7 +415,7 @@ def _newton_crossing(params: ChannelParams, term: str, other, a: float, b: float
     k = _k(params)
 
     def rise(r):  # term - other at r, and its slope times ln 2
-        q, s = 1.0 - r * r, params.p1 + params.p2 + 2.0 * k * r
+        (q,), (s,) = _atoms(params, [r])
         v, d = -level, 0.0
         for c, value, slope in forms:
             v, d = v + c * value(params, [q], [s])[0], d + c * slope(params, r, q, k, s)
@@ -458,6 +470,14 @@ def f5_inverse(params: ChannelParams, budget: RandomnessBudget) -> float:
 
     rho_max, _ = sign_change(leaks_more, -1.0, 1.0, crossing(params, "f5", r_prime))
     return rho_max
+
+
+def budget_cap(params: ChannelParams, budget: RandomnessBudget) -> float | None:
+    """``f5_inverse``, or None where no rho fits the budget."""
+    try:
+        return f5_inverse(params, budget)
+    except EmptyFeasibleSet:
+        return None
 
 
 def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, float] | None:

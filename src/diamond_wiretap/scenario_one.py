@@ -24,7 +24,8 @@ in ``schemes.TABLE``, whose docstring also says how each one is solved;
 ``solve`` is the one route from the table to an optimum, for both
 scenarios, and ``solve_linked`` also returns the link interval it splits
 PDF-PDF-M at.  ``scalar_opt.maximize_min`` solves every branch and scheme
-at its crossings; a degenerate interval is one evaluation.
+at its crossings; a degenerate interval is one evaluation.  ``upper_report``
+builds the upper bound of both scenarios from their branch optima.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Mapping
 
 from . import rate_functions as rf
 from . import schemes
-from .errors import EmptyFeasibleSet
 from .rate_functions import ChannelParams, RandomnessBudget, RateValue
 from .scalar_opt import OptimizationResult, maximize_min
 
@@ -44,6 +44,7 @@ __all__ = [
     "ScenarioOneBounds",
     "solve",
     "solve_linked",
+    "upper_report",
     "upper_bound",
     "scheme_rates",
     "bounds",
@@ -147,36 +148,33 @@ def _zero_report(note: str) -> BoundReport:
     return BoundReport(value=0.0, rho=0.0, binding=(), raw_value=0.0, note=note)
 
 
+def upper_report(sub_reports: dict[str, OptimizationResult], branch: str) -> BoundReport:
+    """The upper bound of either scenario: the optimum of ``branch`` among
+    the branch optima ``sub_reports``."""
+    opt = sub_reports[branch]
+    return BoundReport(value=opt.value, rho=opt.rho, binding=opt.binding, raw_value=opt.value,
+                       branch=branch, sub_reports=sub_reports, rho_in_unit_interval=opt.rho >= -1.0)
+
+
 def upper_bound(params: ChannelParams) -> BoundReport:
     """Converse bound on the scenario-1 secrecy capacity."""
     rs = rf.rho_star(params)
-    s1 = solve(params, "S1", 0.0, rs)
-    s2 = solve(params, "S2", rs, 1.0)
-    s3 = solve(params, "S3", 0.0, rs)
-    s4 = solve(params, "S4", rs, 1.0)
-
-    left = ("S1", s1) if s1.value >= s2.value else ("S2", s2)
-    right = ("S3", s3) if s3.value >= s4.value else ("S4", s4)
-    branch, opt = left if left[1].value <= right[1].value else right
-    return BoundReport(
-        value=opt.value,
-        rho=opt.rho,
-        binding=opt.binding,
-        raw_value=opt.value,
-        branch=branch,
-        sub_reports={"S1": s1, "S2": s2, "S3": s3, "S4": s4},
-    )
+    subs = {name: solve(params, name, lo, hi)
+            for name, lo, hi in (("S1", 0.0, rs), ("S2", rs, 1.0), ("S3", 0.0, rs), ("S4", rs, 1.0))}
+    v = {name: opt.value for name, opt in subs.items()}
+    left = "S1" if v["S1"] >= v["S2"] else "S2"
+    right = "S3" if v["S3"] >= v["S4"] else "S4"
+    return upper_report(subs, left if v[left] <= v[right] else right)
 
 
 def _achievability(
     params: ChannelParams, budget: RandomnessBudget,
-) -> tuple[BoundReport, BoundReport, BoundReport, float | None, str | None]:
-    """(df, pdf, pdfm, rho_max, note); zeros with a note when no rho is feasible."""
-    try:
-        rho_max = rf.f5_inverse(params, budget)
-    except EmptyFeasibleSet:
-        zero = _zero_report(_INFEASIBLE)
-        return zero, zero, zero, None, _INFEASIBLE
+) -> tuple[dict[str, BoundReport], float | None]:
+    """The report of each scheme, by its name in ``scheme_rates``, and
+    rho_max; zeros with a note when no rho is feasible."""
+    rho_max = rf.budget_cap(params, budget)
+    if rho_max is None:
+        return dict.fromkeys(("df", "pdf", "pdfm"), _zero_report(_INFEASIBLE)), None
 
     # min(C1, C2, f4 - f5) is nondecreasing in rho, so the cap is optimal
     df = _scheme_report(solve(params, "df1", rho_max, rho_max))
@@ -187,13 +185,12 @@ def _achievability(
         pdf = _scheme_report(solve(params, "pdfm1", 0.0, 0.0))
     else:
         pdf = _zero_report("rho = 0 violates the randomness budget")
-    return df, pdf, pdfm, rho_max, None
+    return {"df": df, "pdf": pdf, "pdfm": pdfm}, rho_max
 
 
 def scheme_rates(params: ChannelParams, budget: RandomnessBudget) -> dict[str, float]:
     """Clamped rate of each achievability scheme, skipping the upper bound."""
-    df, pdf, pdfm, _, _ = _achievability(params, budget)
-    return {"df": df.value, "pdf": pdf.value, "pdfm": pdfm.value}
+    return {name: report.value for name, report in _achievability(params, budget)[0].items()}
 
 
 def bounds(params: ChannelParams, budget: RandomnessBudget) -> ScenarioOneBounds:
@@ -203,9 +200,9 @@ def bounds(params: ChannelParams, budget: RandomnessBudget) -> ScenarioOneBounds
     as 0 with a diagnostic note rather than raising.
     """
     ub = upper_bound(params)
-    df, pdf, pdfm, rho_max, note = _achievability(params, budget)
-    lower = max(0.0, df.value, pdf.value, pdfm.value)
+    lows, rho_max = _achievability(params, budget)
+    lower = max(0.0, *(report.value for report in lows.values()))
     return ScenarioOneBounds(
-        upper=ub, lower_df=df, lower_pdf=pdf, lower_pdf_m=pdfm,
-        lower=lower, rho_max=rho_max, note=note,
+        upper=ub, lower_df=lows["df"], lower_pdf=lows["pdf"], lower_pdf_m=lows["pdfm"],
+        lower=lower, rho_max=rho_max, note=_INFEASIBLE if rho_max is None else None,
     )

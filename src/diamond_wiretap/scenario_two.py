@@ -35,10 +35,9 @@ import math
 from dataclasses import dataclass
 
 from . import rate_functions as rf
-from .errors import EmptyFeasibleSet
 from .rate_functions import ChannelParams, RandomnessBudget, RateValue
 from .scalar_opt import OptimizationResult, _binding_terms
-from .scenario_one import _INFEASIBLE, BoundReport, _scheme_report, _zero_report, solve, solve_linked
+from .scenario_one import _INFEASIBLE, BoundReport, _scheme_report, _zero_report, solve, solve_linked, upper_report
 
 __all__ = [
     "ScenarioTwoBounds",
@@ -80,48 +79,32 @@ def _t1(params: ChannelParams) -> OptimizationResult:
 def upper_bound(params: ChannelParams) -> BoundReport:
     """Converse bound on the scenario-2 secrecy capacity."""
     rs = rf.rho_star(params)
-    t1 = _t1(params)
-    t2 = solve(params, "T2", 0.0, rs)
-    t3 = solve(params, "T3", rs, 1.0)
-
-    branch, opt = max(
-        (("T1", t1), ("T2", t2), ("T3", t3)),
-        key=lambda item: item[1].value,
-    )
+    subs = {"T1": _t1(params)}
+    subs.update((name, solve(params, name, lo, hi)) for name, lo, hi in (("T2", 0.0, rs), ("T3", rs, 1.0)))
     # max() keeps the first of equal values, so ties resolve to the lowest index
-    return BoundReport(
-        value=opt.value,
-        rho=opt.rho,
-        binding=opt.binding,
-        raw_value=opt.value,
-        branch=branch,
-        sub_reports={"T1": t1, "T2": t2, "T3": t3},
-        rho_in_unit_interval=opt.rho >= -1.0,
-    )
+    return upper_report(subs, max(subs, key=lambda name: subs[name].value))
 
 
 def _achievability(
     params: ChannelParams, budget: RandomnessBudget,
-) -> tuple[BoundReport, BoundReport, BoundReport, float | None, bool, str | None]:
-    """(df, pdfdfm, pdfpdfm, rho_max, indicator_ok, note)."""
-    try:
-        rho_max = rf.f5_inverse(params, budget)
-    except EmptyFeasibleSet:
-        zero = _zero_report(_INFEASIBLE)
-        return zero, zero, zero, None, False, _INFEASIBLE
+) -> tuple[dict[str, BoundReport], float | None, bool]:
+    """The report of each scheme, by its name in ``scheme_rates``, rho_max
+    and indicator_ok; zeros with a note when no rho is feasible."""
+    rho_max = rf.budget_cap(params, budget)
+    if rho_max is None:
+        return dict.fromkeys(("df", "pdfdfm", "pdfpdfm"), _zero_report(_INFEASIBLE)), None, False
 
     df = _scheme_report(solve(params, "df2", -1.0, rho_max))
     pdfdfm = _scheme_report(solve(params, "pdfdfm2", -1.0, rho_max))
     opt, link = solve_linked(params, "pdfpdfm2", -1.0, rho_max)
     ind_ok = link is not None and link[0] <= opt.rho <= link[1]
     pdfpdfm = _scheme_report(opt, None if ind_ok else "link conditions C1 > f6, C2 > f7 not met at the optimum")
-    return df, pdfdfm, pdfpdfm, rho_max, ind_ok, None
+    return {"df": df, "pdfdfm": pdfdfm, "pdfpdfm": pdfpdfm}, rho_max, ind_ok
 
 
 def scheme_rates(params: ChannelParams, budget: RandomnessBudget) -> dict[str, float]:
     """Clamped rate of each achievability scheme, skipping the upper bound."""
-    df, pdfdfm, pdfpdfm, _, _, _ = _achievability(params, budget)
-    return {"df": df.value, "pdfdfm": pdfdfm.value, "pdfpdfm": pdfpdfm.value}
+    return {name: report.value for name, report in _achievability(params, budget)[0].items()}
 
 
 def bounds(params: ChannelParams, budget: RandomnessBudget) -> ScenarioTwoBounds:
@@ -131,9 +114,9 @@ def bounds(params: ChannelParams, budget: RandomnessBudget) -> ScenarioTwoBounds
     [-1, rho_max].  An empty feasible set reports 0 with a diagnostic.
     """
     ub = upper_bound(params)
-    df, pdfdfm, pdfpdfm, rho_max, ind_ok, note = _achievability(params, budget)
-    lower = max(0.0, df.value, pdfdfm.value, pdfpdfm.value)
+    lows, rho_max, ind_ok = _achievability(params, budget)
+    lower = max(0.0, *(report.value for report in lows.values()))
     return ScenarioTwoBounds(
-        upper=ub, lower_df=df, lower_pdf_df_m=pdfdfm, lower_pdf_pdf_m=pdfpdfm,
-        lower=lower, rho_max=rho_max, indicator_satisfied=ind_ok, note=note,
+        upper=ub, lower_df=lows["df"], lower_pdf_df_m=lows["pdfdfm"], lower_pdf_pdf_m=lows["pdfpdfm"],
+        lower=lower, rho_max=rho_max, indicator_satisfied=ind_ok, note=_INFEASIBLE if rho_max is None else None,
     )

@@ -53,6 +53,24 @@ def test_capacity_condition_outside_window():
     assert low.upper_value > 0.0 and low.lower_value >= 0.0
 
 
+def test_capacity_condition_inside_the_window_without_an_auxiliary_inequality():
+    # P = 0.1, g = 0.01: C = 0.067 lies in the window [0.0658, 0.0752], where
+    # f1(rho*) - f5(rho*) and f3(0) - f5(rho*) both exceed the candidate
+    verdict = analysis.capacity_condition(ChannelParams.symmetric(0.1, 0.067, 0.01))
+    assert verdict.condition_lower <= 0.067 <= verdict.condition_upper
+    assert not verdict.applies and verdict.capacity is None and verdict.rho_prime is None
+    assert verdict.auxiliary == "none"
+    assert verdict.note == "neither auxiliary inequality holds"
+
+
+def test_capacity_condition_reports_bounds_that_miss_the_candidate():
+    # no difference is at most a negative tolerance
+    verdict = analysis.capacity_condition(ChannelParams.symmetric(10.0, 1.5, 0.1), tol=-1.0)
+    assert not verdict.applies and verdict.capacity is None
+    assert verdict.auxiliary == "f1"
+    assert verdict.note == "bounds failed to meet the candidate 1.49403001 within -1"
+
+
 def test_capacity_condition_rejects_asymmetric():
     with pytest.raises(AsymmetricParams):
         analysis.capacity_condition(ChannelParams(p1=4.0, p2=1.0, c1=1.0, c2=1.0, g=0.1))

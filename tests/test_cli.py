@@ -2,6 +2,9 @@
 
 import json
 import math
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -97,6 +100,35 @@ def test_eval_invalid_parameter(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--p", "10", "--c", "1", "--g", "0.5", "--rprime", "abc"), "--rprime must be a number or 'inf', got 'abc'"),
+    (("--p", "10", "--c", "1"), "missing --g"),
+    (("--p1", "10", "--c", "1", "--g", "0.5"), "missing --p (or both --p1 and --p2)"),
+    (("--p", "4.5e307", "--c", "1", "--g", "0.5"),
+     "powers too large: s(1) = p1 + p2 + 2*sqrt(p1*p2) overflows, got p1=4.5e+307, p2=4.5e+307"),
+])
+def test_eval_rejects_bad_flags_with_their_message(capsys, args, message):
+    rc, out, err = run(capsys, "eval", *args)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_eval_reports_a_budget_that_admits_no_correlation(capsys):
+    rc, out, _ = run(capsys, "eval", "--p1", "10", "--p2", "0.1", "--c", "1", "--g", "0.5", "--rprime", "0")
+    assert rc == 0
+    fields = kv(out)
+    assert fields["rho_max"] == "none" and fields["lb1"] == "0" and fields["lb2"] == "0"
+    assert fields["lb2_indicator_satisfied"] == "false"
+    assert out.endswith("note = randomness budget below the minimum leakage f5(-1): no feasible correlation\n")
+
+
+def test_numerical_failure_exits_2(capsys, monkeypatch):
+    def fail(params, budget):
+        raise ArithmeticError("no optimum")
+    monkeypatch.setattr(cli.scenario_one, "bounds", fail)
+    rc, out, err = run(capsys, "eval", "--p", "10", "--c", "1.5", "--g", "0.1")
+    assert (rc, out, err) == (2, "", "numerical failure: no optimum\n")
+
+
 def test_unknown_flag_and_missing_subcommand(capsys):
     rc, _, err = run(capsys, "eval", "--p", "10", "--c", "1", "--g", "0.1", "--nope")
     assert rc == 1
@@ -160,6 +192,11 @@ def test_sweep_conflicts_and_ranges(capsys):
     assert rc == 1
 
 
+def test_sweep_needs_two_steps(capsys):
+    rc, out, err = run(capsys, "sweep", "--param", "c", "--from", "0", "--to", "1", "--steps", "1", "--p", "1", "--g", "0.1")
+    assert (rc, out, err) == (1, "", "error: --steps must be at least 2\n")
+
+
 def test_thresholds_csv(capsys):
     rc, out, _ = run(
         capsys, "thresholds", "--p", "1", "--g", "0.1", "--scenario", "1",
@@ -196,6 +233,11 @@ def test_thresholds_bad_scheme(capsys):
         "--c-min", "0.1", "--c-max", "0.3", "--steps", "5",
     )
     assert rc == 1 and err != ""
+
+
+def test_thresholds_rejects_an_empty_range(capsys):
+    rc, out, err = run(capsys, "thresholds", "--p", "1", "--g", "0.1", "--c-min", "2", "--c-max", "1")
+    assert (rc, out, err) == (1, "", "error: need c_min < c_max and at least 2 steps\n")
 
 
 def test_capacity_applies(capsys):
@@ -321,3 +363,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "ub1 = " in proc.stdout
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+# an sh block of one documented command, then the block of output it shows
+DOCUMENTED_RUN = re.compile(r"```sh\n(diamond-wiretap (?:eval|thresholds|capacity) [^\n]*)\n```\n\n```\n(.*?)```", re.S)
+DOCUMENTED_RUNS = DOCUMENTED_RUN.findall(README.read_text())
+
+
+def test_readme_shows_output_of_eval_thresholds_and_capacity():
+    assert sorted(command.split()[1] for command, _ in DOCUMENTED_RUNS) == ["capacity", "eval", "thresholds"]
+
+
+@pytest.mark.parametrize("command, shown", DOCUMENTED_RUNS, ids=[c for c, _ in DOCUMENTED_RUNS])
+def test_readme_output_is_what_the_command_prints(capsys, command, shown):
+    rc, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert rc == 0
+    printed = iter(out.splitlines())
+    for line in shown.splitlines():
+        if line != "...":
+            # ``in`` consumes the lines up to the match, so the shown lines must come in order
+            assert line in printed, line

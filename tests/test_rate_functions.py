@@ -8,6 +8,7 @@ digits; tests compare at 1e-9 absolute.
 import dataclasses
 import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +49,11 @@ def test_params_validation():
         ChannelParams(p1=1.0, p2=1.0, c1=1.0, c2=1.0, g=-0.1)
     with pytest.raises(ParameterError):
         ChannelParams(p1=math.nan, p2=1.0, c1=1.0, c2=1.0, g=0.1)
+    # s(1) = P1 + P2 + 2*sqrt(P1*P2), as the kernel forms it, is inf here:
+    # f4 - f5 at rho = 1 would read inf - inf
+    for p1, p2 in ((4.5e307, 4.5e307), (1e308, 1e308), (1.5e308, 1e307)):
+        with pytest.raises(ParameterError, match="overflows"):
+            ChannelParams(p1=p1, p2=p2, c1=1.0, c2=1.0, g=0.5)
     # g = 0 (no eavesdropper) is allowed
     ChannelParams(p1=1.0, p2=1.0, c1=0.0, c2=0.0, g=0.0)
 
@@ -67,6 +73,10 @@ def test_budget_validation():
     assert b.r_prime == 2.0
     with pytest.raises(ParameterError):
         RandomnessBudget(-1.0)
+    with pytest.raises(ParameterError, match="finite budget requires a finite rate, got inf"):
+        RandomnessBudget.finite(math.inf)
+    with pytest.raises(ParameterError, match="r_prime must be a number, got '0.3'"):
+        RandomnessBudget("0.3")
 
 
 def test_frozen_spot_values():
@@ -281,6 +291,49 @@ def test_scenario_two_converse_is_not_under_reported_at_huge_powers(power):
     p = ChannelParams.symmetric(power, 1.0, 0.5)
     t1 = 2.0 - 0.5 * math.log2(8.5)
     assert s2.bounds(p, RandomnessBudget.unbounded()).upper.value == pytest.approx(t1, abs=1e-12)
+
+
+def test_bounds_just_below_the_power_limit_read_as_at_1e300():
+    # s(1) = 1.796e308 is finite at P = 4.49e307, where ub1 and lb1 once read 1
+    # and later calls raised; the bounds there are those at P = 1e300
+    budget = RandomnessBudget.unbounded()
+    for power in (4.49e307, 1e300):
+        p = ChannelParams.symmetric(power, 1.0, 0.5)
+        b1, b2 = s1.bounds(p, budget), s2.bounds(p, budget)
+        assert b1.upper.value == b1.lower == 0.5
+        assert b2.upper.value == pytest.approx(0.4562685793748, abs=1e-13)
+
+
+# near-equal powers where s(-1) forms as -4.0 before the snap of the kernel
+NEWTON_SNAP_CHANNEL = ChannelParams(9197080981995644.0, 9197080981995654.0,
+                                    1.1113047397073321, 0.5771255846900749, 0.8585070489458081)
+
+
+@pytest.mark.parametrize("r_prime", [math.inf, 0.3])
+def test_crossing_seeds_snap_s_as_the_kernel_does(r_prime):
+    # the Newton steps of S3's seeds once formed s(-1) themselves, unsnapped,
+    # and log2(1 + s) raised a math domain error out of scenario_one.bounds
+    budget = RandomnessBudget(r_prime)
+    b1, b2 = s1.bounds(NEWTON_SNAP_CHANNEL, budget), s2.bounds(NEWTON_SNAP_CHANNEL, budget)
+    assert b1.upper.value == pytest.approx(0.1100490575, abs=1e-10)
+    assert b2.upper.value == pytest.approx(0.09869433464, abs=1e-10)
+    assert b1.lower <= b1.upper.value and b2.lower <= b2.upper.value
+
+
+def test_bounds_scan_huge_powers_up_to_the_limit():
+    # symmetric, near-equal and 2:1 powers from 1e10 to the largest whose
+    # s(1) is finite, with drawn links and gains; f4 - f5 carries round-off
+    # of up to 6e-14 there, within the 1e-7 of the acceptance gate
+    rng = np.random.default_rng(19)
+    for ratio in (1.0, 1.0 + 1e-15, 2.0):
+        # s(1) = (sqrt(ratio) + 1)^2 * P2 reaches the largest float at P2 = top
+        top = sys.float_info.max / (math.sqrt(ratio) + 1.0) ** 2 * (1.0 - 1e-12)
+        for power in [*(top * 10.0 ** -rng.uniform(0.0, math.log10(top) - 10.0, 40)), top]:
+            p = ChannelParams(power * ratio, power, float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0)),
+                              float(rng.uniform(0.0, 0.99)))
+            for budget in (RandomnessBudget.unbounded(), RandomnessBudget.finite(0.3)):
+                for bounds in (s1.bounds(p, budget), s2.bounds(p, budget)):
+                    assert bounds.lower <= bounds.upper.value + 1e-7, (p, budget)
 
 
 @pytest.mark.parametrize("p1", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
