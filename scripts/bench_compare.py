@@ -10,12 +10,15 @@ alternating from pair to pair.  Each run is ``perfbench/run.py`` with the
 declared run length and tracing off.  The output file holds, for every
 workload and end-to-end metric, each side's median and quartiles, the pairs
 the head wins (ties counting for neither side), whether its median is worse
-than the base's by more than the declared bound, and whether it is a gain:
+than the base's by more than the declared bound, whether it is a gain:
 better in nine tenths of the pairs, and in the median by more than the
-distance between the base's quartiles.  It also records both shas, the
-Python and numpy versions, ``nproc`` and every run's failed and correct
-flags.  It exits with 2, running nothing, while ``src``, ``perfbench`` or
-``BENCHMARK.json`` hold uncommitted changes, which the export would leave out.
+distance between the base's quartiles, and whether it is unresolved: the
+base's quartile distance exceeds the declared bound relative to its median,
+so that a median within the bound says little, unless every head run beats
+every base run.  It also records both shas, the Python and numpy versions,
+``nproc`` and every run's failed and correct flags.  It exits with 2,
+running nothing, while ``src``, ``perfbench`` or ``BENCHMARK.json`` hold
+uncommitted changes, which the export would leave out.
 """
 
 from __future__ import annotations
@@ -65,11 +68,14 @@ def _summary(metric: dict, base: list[float], head: list[float]) -> dict:
     losses = sum(sign * (h - b) < 0 for b, h in zip(base, head))
     b, h = _spread(base), _spread(head)
     worse_by = sign * (b["median"] - h["median"]) / abs(b["median"]) if b["median"] else 0.0
+    spread_exceeds_bound = b["q3"] - b["q1"] > metric["bound"] * abs(b["median"])
+    head_beats_every_base_run = min(sign * v for v in head) > max(sign * v for v in base)
     return {
         "unit": metric["unit"], "better": metric["better"], "base": b, "head": h,
         "head_wins": wins, "head_losses": losses,
         "head_worse_by": worse_by, "within_bound": worse_by <= metric["bound"],
         "gain": wins >= 0.9 * len(base) and sign * (h["median"] - b["median"]) > b["q3"] - b["q1"],
+        "unresolved": spread_exceeds_bound and not head_beats_every_base_run,
     }
 
 

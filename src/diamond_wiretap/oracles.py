@@ -255,24 +255,25 @@ def load_dmc(path: str) -> tuple[DmcChannel, np.ndarray, float, float]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     for field in ("alphabet_sizes", "transition", "input_pmf", "c1", "c2"):
-        if field not in doc:
-            raise InvalidPmf(f"channel document is missing the field {field!r}")
-    sizes = doc["alphabet_sizes"]
-    if len(sizes) != 4 or any(int(n) != n or n < 1 for n in sizes):
-        raise InvalidPmf(f"alphabet_sizes needs four positive integers, got {sizes!r}")
-    n1, n2, ny, nz = (int(n) for n in sizes)
-    trans = np.asarray(doc["transition"], dtype=float)
+        if not isinstance(doc, dict) or field not in doc:
+            raise InvalidPmf(f"channel document needs to be a JSON object with the field {field!r}")
+    try:  # a null, a list or an object where a number belongs, or an infinite size
+        sizes = doc["alphabet_sizes"]
+        if not isinstance(sizes, list) or len(sizes) != 4 or any(int(n) != n or n < 1 for n in sizes):
+            raise InvalidPmf(f"alphabet_sizes needs four positive integers, got {sizes!r}")
+        n1, n2, ny, nz = (int(n) for n in sizes)
+        trans, pin = (np.asarray(doc[field], dtype=float) for field in ("transition", "input_pmf"))
+        c1, c2 = float(doc["c1"]), float(doc["c2"])
+    except (TypeError, OverflowError) as exc:
+        raise InvalidPmf(f"channel document has a value of the wrong type: {exc}") from exc
     if trans.size != n1 * n2 * ny * nz:
-        raise InvalidPmf(
-            f"transition has {trans.size} entries, expected {n1 * n2 * ny * nz}"
-        )
-    pin = np.asarray(doc["input_pmf"], dtype=float)
+        raise InvalidPmf(f"transition has {trans.size} entries, expected {n1 * n2 * ny * nz}")
     if pin.size != n1 * n2:
         raise InvalidPmf(f"input_pmf has {pin.size} entries, expected {n1 * n2}")
     pin = pin.reshape(n1, n2)
     _check_pmf(pin, "input_pmf")
     channel = DmcChannel(transition=trans.reshape(n1, n2, ny, nz))
-    return channel, pin, float(doc["c1"]), float(doc["c2"])
+    return channel, pin, c1, c2
 
 
 def _gaussian_bins(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:

@@ -152,17 +152,16 @@ def link_indicator(c1: float, c2: float, f6: float, f7: float) -> float:
     return math.inf if c1 > f6 and c2 > f7 else 0.0
 
 
-# Each closed form over lists of the atoms q = 1 - rho^2 and s = s(rho).
+# Each closed form at one point, from the atoms q = 1 - rho^2 and s = s(rho).
 _FORMS = {
-    "f1": lambda p, qs, ss: [p.c1 + 0.5 * _log2(1.0 + q * p.p2) for q in qs],
-    "f2": lambda p, qs, ss: [p.c2 + 0.5 * _log2(1.0 + q * p.p1) for q in qs],
-    "f3": lambda p, qs, ss: [p.c1 + p.c2 + 0.5 * _log2(q) if q > 0.0 else -math.inf for q in qs],
-    "f4": lambda p, qs, ss: [0.5 * _log2(1.0 + s) for s in ss],
-    "f5": lambda p, qs, ss: [0.5 * _log2(1.0 + p.g * s) for s in ss],
-    "f6": lambda p, qs, ss: [0.5 * _log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p2)) for q, s in zip(qs, ss)],
-    "f7": lambda p, qs, ss: [0.5 * _log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p1)) for q, s in zip(qs, ss)],
-    "indicator": lambda p, qs, ss: [link_indicator(p.c1, p.c2, a, b) for a, b in
-                                    zip(_FORMS["f6"](p, qs, ss), _FORMS["f7"](p, qs, ss))],
+    "f1": lambda p, q, s: p.c1 + 0.5 * _log2(1.0 + q * p.p2),
+    "f2": lambda p, q, s: p.c2 + 0.5 * _log2(1.0 + q * p.p1),
+    "f3": lambda p, q, s: p.c1 + p.c2 + 0.5 * _log2(q) if q > 0.0 else -math.inf,
+    "f4": lambda p, q, s: 0.5 * _log2(1.0 + s),
+    "f5": lambda p, q, s: 0.5 * _log2(1.0 + p.g * s),
+    "f6": lambda p, q, s: 0.5 * _log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p2)),
+    "f7": lambda p, q, s: 0.5 * _log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p1)),
+    "indicator": lambda p, q, s: link_indicator(p.c1, p.c2, _FORMS["f6"](p, q, s), _FORMS["f7"](p, q, s)),
 }
 
 
@@ -175,37 +174,37 @@ def _k(params: ChannelParams) -> float:
     return math.sqrt(params.p1) * math.sqrt(params.p2)
 
 
-def _atoms(params: ChannelParams, xs) -> tuple[list, list]:
-    """1 - rho^2 and s(rho), snapped to 0 below ``_SNAP``, at each rho of
-    ``xs``, all in [-1, 1]."""
+def _atoms(params: ChannelParams):
+    """rho in [-1, 1] -> (1 - rho^2, s(rho)), with s snapped to 0 below ``_SNAP`` * (P1 + P2)."""
     base, k2, snap = params.p1 + params.p2, 2.0 * _k(params), _SNAP * (params.p1 + params.p2)
-    qs, ss = [1.0 - r * r for r in xs], [base + k2 * r for r in xs]
-    if len(ss) and min(ss) < snap:
-        ss = [s if s >= snap else 0.0 for s in ss]
-    return qs, ss
+
+    def atoms(r: float) -> tuple[float, float]:
+        s = base + k2 * r
+        return 1.0 - r * r, s if s >= snap else 0.0
+    return atoms
 
 
 def rates(params: ChannelParams, rho, names) -> dict:
     """The closed forms ``names`` (a subset of f1..f7 and ``indicator``, in
-    order) at ``rho``, a float or a sequence of floats.
+    order) at ``rho``: floats for a float ``rho``, lists for a sequence.
 
     The kernel behind f1..f7 and the optimizer's branches: rho must lie in
     [-1, 1], and values within round-off outside it are clipped onto it.
-    1 - rho^2 and s(rho) (``_atoms``) are computed once per point.  Values
-    are floats for a float ``rho``, lists for a sequence.
+    Each scalar form of ``_FORMS`` maps over the atoms of the points (``_atoms``).
     """
     scalar = isinstance(rho, (int, float))
-    xs = [rho] if scalar else rho
-    if len(xs):
-        # min and max can step over a NaN, which makes the sum NaN
-        lo, hi = min(xs), max(xs)
-        if not -1.0 - _DOMAIN_TOL <= lo <= hi <= 1.0 + _DOMAIN_TOL or math.isnan(sum(xs)):
-            raise DomainError(f"correlation must lie in [-1, 1] for {', '.join(names)}, got {rho!r}")
-        if hi > 1.0 or lo < -1.0:
-            xs = [max(-1.0, min(r, 1.0)) for r in xs]
-    qs, ss = _atoms(params, xs)
-    values = {name: _FORMS[name](params, qs, ss) for name in names}
-    return {name: column[0] for name, column in values.items()} if scalar else values
+    xs = (rho,) if scalar else rho
+    # min and max can step over a NaN, which makes the sum NaN
+    lo, hi = min(xs, default=0.0), max(xs, default=0.0)
+    if not -1.0 - _DOMAIN_TOL <= lo <= hi <= 1.0 + _DOMAIN_TOL or math.isnan(sum(xs)):
+        raise DomainError(f"correlation must lie in [-1, 1] for {', '.join(names)}, got {rho!r}")
+    if hi > 1.0 or lo < -1.0:
+        xs = [max(-1.0, min(r, 1.0)) for r in xs]
+    if scalar:
+        q, s = _atoms(params)(xs[0])
+        return {name: _FORMS[name](params, q, s) for name in names}
+    pairs = list(map(_atoms(params), xs))
+    return {name: [_FORMS[name](params, q, s) for q, s in pairs] for name in names}
 
 
 def f1(params: ChannelParams, rho) -> RateValue:
@@ -412,13 +411,13 @@ def _newton_crossing(params: ChannelParams, term: str, other, a: float, b: float
     else:
         level = float(other)
     forms = [(c, _FORMS[name], _SLOPES[name]) for name, c in weights.items() if c != 0.0]
-    k = _k(params)
+    k, atoms = _k(params), _atoms(params)
 
     def rise(r):  # term - other at r, and its slope times ln 2
-        (q,), (s,) = _atoms(params, [r])
+        q, s = atoms(r)
         v, d = -level, 0.0
         for c, value, slope in forms:
-            v, d = v + c * value(params, [q], [s])[0], d + c * slope(params, r, q, k, s)
+            v, d = v + c * value(params, q, s), d + c * slope(params, r, q, k, s)
         return v, d
 
     if rise(a)[0] >= 0.0:

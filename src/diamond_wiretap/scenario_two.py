@@ -68,7 +68,7 @@ def _t1(params: ChannelParams) -> OptimizationResult:
     base = params.p1 + params.p2
     # s* is where f4 reaches m; rounding can put it a few floats past s(0)
     s = min(math.expm1(2.0 * m * math.log(2.0)), base) if at_zero["f4"] > m else base
-    f5 = rf._FORMS["f5"](params, (), [s])[0]
+    f5 = rf._FORMS["f5"](params, math.nan, s)  # f5 reads s alone
     terms = {"f1(0)-f5": [at_zero["f1"] - f5], "f2(0)-f5": [at_zero["f2"] - f5],
              "f3(0)-f5": [at_zero["f3"] - f5], "f4-f5": [min(m, at_zero["f4"]) - f5]}
     value = min(values[0] for values in terms.values())

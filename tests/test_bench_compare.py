@@ -100,3 +100,23 @@ def test_a_clean_tree_gets_past_the_guard(monkeypatch, tmp_path):
     with pytest.raises(Exported):
         bench_compare.main(["--base", "HEAD~1", "--out", str(tmp_path / "BENCH.json")])
     assert calls[0][0] == "status" and calls[1] == ("rev-parse", "HEAD~1")
+
+
+@pytest.mark.parametrize("metric, step, best_base", [(HIGHER, 1.0, 14.0), (LOWER, -1.0, 6.0)])
+def test_a_base_spread_beyond_the_bound_is_unresolved(metric, step, best_base):
+    base = [6.0, 6.0, 8.0, 8.0, 10.0, 10.0, 12.0, 12.0, 14.0, 14.0]  # (q3 - q1)/median = 4/10 > 0.25
+    s = summary(metric, base, base)
+    assert s["within_bound"] and s["unresolved"]
+    s = summary(metric, base, [b + step for b in base])  # wins every pair, but overlaps the base runs
+    assert s["head_wins"] == 10 and s["unresolved"]
+    assert summary(metric, base, [best_base] * 10)["unresolved"]  # ties the best base run
+    assert not summary(metric, base, [best_base + step] * 10)["unresolved"]  # beats every base run
+
+
+@pytest.mark.parametrize("metric", [HIGHER, LOWER])
+def test_a_base_spread_at_the_bound_is_resolved(metric):
+    # five runs put the quartiles on the second and fourth run
+    assert not summary(metric, [6.0, 7.0, 8.0, 9.0, 10.0], [8.0] * 5)["unresolved"]  # 2/8 = 0.25
+    assert summary(metric, [6.0, 7.0, 8.0, 9.5, 10.0], [8.0] * 5)["unresolved"]  # 2.5/8 > 0.25
+    assert summary(metric, [0.0, 0.0, 0.0, 1.0, 1.0], [0.0] * 5)["unresolved"]  # any spread about 0
+    assert not summary(metric, [0.0] * 5, [0.0] * 5)["unresolved"]

@@ -327,6 +327,12 @@ def test_dmc_missing_and_malformed_file(capsys, tmp_path):
     bad.write_text("{not json")
     rc, _, err = run(capsys, "dmc", "--file", str(bad))
     assert rc == 1
+    good = {"alphabet_sizes": [2, 2, 2, 2], "transition": [0.0625] * 16, "input_pmf": [0.25] * 4, "c1": 1.0, "c2": 1.0}
+    # JSON of the wrong type: not an object, sizes not a list, c1 not a number
+    for doc in (5, {**good, "alphabet_sizes": 4}, {**good, "c1": None}, {**good, "c1": [1]}):
+        bad.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "dmc", "--file", str(bad))
+        assert (rc, out) == (1, "") and err.startswith("error:"), (doc, err)
 
 
 def test_dmc_non_finite_capacity_exits_1(capsys, tmp_path):
