@@ -23,9 +23,9 @@ with s(rho) = P1 + P2 + 2*rho*sqrt(P1*P2).  All seven live on [-1, 1],
 where s(rho) >= s(-1) = (sqrt(P1) - sqrt(P2))^2 >= 0.  sqrt(P1*P2) is taken
 as sqrt(P1)*sqrt(P2) wherever P1*P2 would overflow or underflow.
 
-Rate values are plain floats under the IEEE extended-real convention: f3
-returns -inf at |rho| = 1, ``min`` propagates it and ``max`` discards it.
-Everything here is plain Python floats and ``math``: no import of numpy.
+Each rate is one scalar form of q = 1 - rho^2 and s(rho) (``_FORMS``), shared
+by ``rates``, the crossing seeds and scenario 2's T1.  Values are plain floats
+(``math``, no numpy); f3 is -inf at |rho| = 1, which ``min`` keeps and ``max`` drops.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import pytest
 from diamond_wiretap import rate_functions as rf
 from diamond_wiretap import scenario_one as s1
 from diamond_wiretap import scenario_two as s2
+from diamond_wiretap import schemes
 from diamond_wiretap.errors import DomainError, EmptyFeasibleSet, ParameterError
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 from diamond_wiretap.scalar_opt import sign_change
@@ -520,6 +521,52 @@ def test_newton_seeds_near_one():
     for p, gap in ((ChannelParams(1.0, 1.0, 5.0, 5.0, 0.5), 1e-5), (ChannelParams(1.0, 1.0, 12.0, 12.0, 0.5), 1e-13)):
         seed = rf.crossing(p, "f4-f5", "f3")
         assert 1.0 - gap < seed < 1.0
+
+
+def _drawn_channels(n, seed):
+    """n channels with powers in 10^[-3, 6], c in [0, 5] and g in [0, 0.99)."""
+    rng = np.random.default_rng(seed)
+    return [ChannelParams(float(10.0 ** rng.uniform(-3.0, 6.0)), float(10.0 ** rng.uniform(-3.0, 6.0)),
+                          float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 0.99)))
+            for _ in range(n)]
+
+
+def test_newton_terms_sum_the_kernel_rates_as_the_branches_do():
+    """Every term of a ``schemes.TABLE`` branch that ``_WEIGHTS`` names,
+    summed from the kernel's rates as the Newton seeds sum it (from -0.0, in
+    ``_WEIGHTS`` order), is the branch's value to the bit."""
+    rho = [-1.0, -0.99, -0.5, -0.1, 0.0, 0.3, 0.9, 0.99, 1.0]
+    seen = set()
+    for p in _drawn_channels(300, 20):
+        at = rf.rates(p, rho, ("f1", "f2", "f3", "f4", "f5"))
+        for name in schemes.TABLE:
+            branch, _ = schemes.gaussian(p, name)
+            for term, values in branch(rho).items():
+                if term not in rf._WEIGHTS:
+                    continue
+                seen.add(term)
+                for j, value in enumerate(values):
+                    v = -0.0
+                    for rate, c in rf._WEIGHTS[term].items():
+                        v = v + c * at[rate][j]
+                    assert v.hex() == value.hex(), (p, name, term, rho[j], v, value)
+    assert seen == set(rf._WEIGHTS)
+
+
+def test_newton_slopes_match_central_differences_of_the_kernel():
+    """Each ``_SLOPES`` entry, over ln 2, is the slope of its kernel rate to
+    a relative 1e-5, beyond the rounding of the rates over the step."""
+    h = 1e-6
+    for p in _drawn_channels(300, 21):
+        k, atoms = rf._k(p), rf._atoms(p)
+        for r in np.linspace(-0.99, 0.99, 12).tolist():
+            q, s = atoms(r)
+            ends = rf.rates(p, [r - h, r + h], tuple(rf._SLOPES))
+            for name, slope in rf._SLOPES.items():
+                lo, hi = ends[name]
+                exact = slope(p, r, q, k, s) / math.log(2.0)
+                rounding = 4.0 * sys.float_info.epsilon * max(abs(lo), abs(hi)) / h
+                assert abs((hi - lo) / (2.0 * h) - exact) <= 1e-5 * abs(exact) + rounding, (p, name, r)
 
 
 PEAK_CASES = NEWTON_CASES[:5] + [ChannelParams(1e-2, 1e2, 1.0, 0.5, 0.99), ChannelParams(1e2, 1e-2, 0.3, 2.0, 0.6),
