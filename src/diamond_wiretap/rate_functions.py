@@ -41,6 +41,7 @@ __all__ = [
     "RateValue",
     "ChannelParams",
     "RandomnessBudget",
+    "TERMS",
     "f1",
     "f2",
     "f3",
@@ -305,13 +306,16 @@ def peak(params: ChannelParams, term: str) -> float:
     return root if term in ("f1-f5", "f2-f5") else max(root, math.nextafter(-1.0, 0.0))
 
 
-# The terms that ``crossing`` meets by Newton's method, as weights on
-# f1..f5, and the slope times ln 2 of each of f1..f5 (valued by ``_FORMS``)
-# at rho in [-1, 1]: q = 1 - rho^2, k = sqrt(P1*P2), s = s(rho).
-_WEIGHTS = {
-    "f1": {"f1": 1.0}, "f2": {"f2": 1.0}, "f3": {"f3": 1.0},
+# Every term of ``schemes.TABLE``, as weights on the rates it reads (see
+# ``schemes``).  ``crossing`` meets those on f1..f5 by Newton's method, with
+# the slope times ln 2 of each of f1..f5 (valued by ``_FORMS``) at rho in
+# [-1, 1]: q = 1 - rho^2, k = sqrt(P1*P2), s = s(rho).
+TERMS = {
+    "f1": {"f1": 1.0}, "f2": {"f2": 1.0}, "f3": {"f3": 1.0}, "f4": {"f4": 1.0},
+    "C1": {"C1": 1.0}, "C2": {"C2": 1.0}, "f3(0)": {"f3(0)": 1.0}, "indicator": {"indicator": 1.0},
     "f1-f5": {"f1": 1.0, "f5": -1.0}, "f2-f5": {"f2": 1.0, "f5": -1.0}, "f3-f5": {"f3": 1.0, "f5": -1.0},
     "f3-2f5": {"f3": 1.0, "f5": -2.0}, "f4-f5": {"f4": 1.0, "f5": -1.0}, "(f3+f4)/2": {"f3": 0.5, "f4": 0.5},
+    "C1-f5": {"C1": 1.0, "f5": -1.0}, "C2-f5": {"C2": 1.0, "f5": -1.0}, "f3(0)-f5": {"f3(0)": 1.0, "f5": -1.0},
 }
 _SLOPES = {
     "f1": lambda p, r, q, k, s: -r * p.p2 / (1.0 + q * p.p2),
@@ -347,7 +351,7 @@ def _quadratic(params: ChannelParams, w: float, e: float, u: float, v: float):
 
 
 def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Where ``term`` meets ``other``: a rate level or a term of ``_WEIGHTS``.
+    """Where ``term`` meets ``other``: a rate level or a term of ``TERMS``.
 
     For ``term`` "f4" or "f5", and ``other`` a level, "f1", "f2" or "f3",
     the largest root.  With w = 1 for f4 and w = g for f5, each equation
@@ -375,10 +379,10 @@ def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float
     -inf when ``term`` lies at or above ``other`` on the whole range, and
     +inf when it lies below (or when A or a coefficient overflows).
     """
-    if term in _WEIGHTS:
-        return _newton_crossing(params, term, other, lo, hi)
     if term not in ("f4", "f5"):
-        raise ValueError(f"crossing solves for f4, f5 or a term of _WEIGHTS, got {term!r}")
+        if term not in TERMS or not _SLOPES.keys() >= TERMS[term].keys():
+            raise ValueError(f"crossing solves for f4, f5 or a term of TERMS on f1..f5, got {term!r}")
+        return _newton_crossing(params, term, other, lo, hi)
     w = 1.0 if term == "f4" else params.g
     if other == "f1":
         e, u, v = params.c1, 1.0, params.p2
@@ -402,11 +406,11 @@ def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float
 
 
 def _newton_crossing(params: ChannelParams, term: str, other, a: float, b: float) -> float:
-    """``crossing`` for the terms of ``_WEIGHTS``, on [a, b]."""
-    weights = dict(_WEIGHTS[term])
+    """``crossing`` for the terms of ``TERMS`` on f1..f5, on [a, b]."""
+    weights = dict(TERMS[term])
     level = 0.0
     if isinstance(other, str):
-        for name, c in _WEIGHTS[other].items():
+        for name, c in TERMS[other].items():
             weights[name] = weights.get(name, 0.0) - c
     else:
         level = float(other)

@@ -175,17 +175,16 @@ def _achievability(
     rho_max = rf.budget_cap(params, budget)
     if rho_max is None:
         return dict.fromkeys(("df", "pdf", "pdfm"), _zero_report(_INFEASIBLE)), None
-
-    # min(C1, C2, f4 - f5) is nondecreasing in rho, so the cap is optimal
-    df = _scheme_report(solve(params, "df1", rho_max, rho_max))
-    # nonnegative correlations dominate for PDF-M, so search [0, rho_max]
-    # unless the budget forces the whole feasible set below 0
-    pdfm = _scheme_report(solve(params, "pdfm1", 0.0 if rho_max >= 0.0 else rho_max, rho_max))
-    if rho_max >= 0.0:
-        pdf = _scheme_report(solve(params, "pdfm1", 0.0, 0.0))
-    else:
-        pdf = _zero_report("rho = 0 violates the randomness budget")
-    return {"df": df, "pdf": pdf, "pdfm": pdfm}, rho_max
+    lows = dict.fromkeys(("df", "pdf", "pdfm"), _zero_report("rho = 0 violates the randomness budget"))
+    # DF at the cap: min(C1, C2, f4 - f5) is nondecreasing in rho.  PDF-M on
+    # [0, rho_max], where nonnegative correlations dominate, unless the budget
+    # forces the whole feasible set below 0.  PDF is PDF-M at rho = 0.  Each
+    # is solved where its interval fits the budget; only PDF's can miss it.
+    lows.update((report, _scheme_report(solve(params, name, lo, hi)))
+                for report, name, lo, hi in (("df", "df1", rho_max, rho_max),
+                                             ("pdfm", "pdfm1", min(0.0, rho_max), rho_max),
+                                             ("pdf", "pdfm1", 0.0, 0.0)) if hi <= rho_max)
+    return lows, rho_max
 
 
 def scheme_rates(params: ChannelParams, budget: RandomnessBudget) -> dict[str, float]:

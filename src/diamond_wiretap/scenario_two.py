@@ -94,12 +94,12 @@ def _achievability(
     if rho_max is None:
         return dict.fromkeys(("df", "pdfdfm", "pdfpdfm"), _zero_report(_INFEASIBLE)), None, False
 
-    df = _scheme_report(solve(params, "df2", -1.0, rho_max))
-    pdfdfm = _scheme_report(solve(params, "pdfdfm2", -1.0, rho_max))
-    opt, link = solve_linked(params, "pdfpdfm2", -1.0, rho_max)
+    solved = {report: solve_linked(params, name, lo, hi) for report, name, lo, hi in (
+        ("df", "df2", -1.0, rho_max), ("pdfdfm", "pdfdfm2", -1.0, rho_max), ("pdfpdfm", "pdfpdfm2", -1.0, rho_max))}
+    opt, link = solved["pdfpdfm"]
     ind_ok = link is not None and link[0] <= opt.rho <= link[1]
-    pdfpdfm = _scheme_report(opt, None if ind_ok else "link conditions C1 > f6, C2 > f7 not met at the optimum")
-    return {"df": df, "pdfdfm": pdfdfm, "pdfpdfm": pdfpdfm}, rho_max, ind_ok
+    notes = {"pdfpdfm": None if ind_ok else "link conditions C1 > f6, C2 > f7 not met at the optimum"}
+    return {report: _scheme_report(opt, notes.get(report)) for report, (opt, _) in solved.items()}, rho_max, ind_ok
 
 
 def scheme_rates(params: ChannelParams, budget: RandomnessBudget) -> dict[str, float]:

@@ -1,16 +1,17 @@
 """Every converse branch and achievable scheme of the paper, written once.
 
-``TABLE`` maps each name to an ``Entry`` whose ``terms`` turn a mapping of
-rates into the branch's terms, ``{name: value}`` in binding order, by plain
-arithmetic that applies alike to floats and to arrays of them.  A bound or
-rate is the minimum of the terms, maximized over the correlation rho on an
-interval that the scenario modules set.  The rates an entry reads are its
-``uses``: f1..f5 and the ``indicator`` (``rate_functions.link_indicator``:
-+inf where the strict link conditions C1 > f6 and C2 > f7 of pdfpdfm2
-hold, 0 where they fail) at rho, the rho-free f3(0), and the link
-capacities C1, C2.  ``gaussian`` fills them for the Gaussian channel,
-with one ``rate_functions.rates`` call per list of points;
-``oracles.dmc_rates`` fills them for a discrete channel from entropies:
+``TABLE`` maps each name to an ``Entry``: the names of its terms in binding
+order, each a weighted sum of rates written once in ``rate_functions.TERMS``,
+and the terms that rise.  A bound or rate is the minimum of the terms,
+maximized over the correlation rho on an interval that the scenario modules
+set.  ``Entry.terms`` turns the rates an entry reads, its ``uses``, into its
+terms by plain arithmetic that applies alike to floats, to lists of them
+(``_Column``) and to numpy arrays.  The rates are f1..f5 and the
+``indicator`` (``rate_functions.link_indicator``: +inf where the strict link
+conditions C1 > f6 and C2 > f7 of pdfpdfm2 hold, 0 where they fail) at rho,
+the rho-free f3(0), and the link capacities C1, C2.  ``gaussian`` fills them
+for the Gaussian channel, with one ``rate_functions.rates`` call per list of
+points; ``oracles.dmc_rates`` fills them for a discrete channel from entropies:
 
     f1 = C1 + I(X2;Y|X1)    f2 = C2 + I(X1;Y|X2)    f3 = C1 + C2 - I(X1;X2)
     f4 = I(X1,X2;Y)         f5 = I(X1,X2;Z)         f6 = I(X1;Z)    f7 = I(X2;Z)
@@ -64,7 +65,7 @@ budget cap or pdfm1 at rho = 0, is one piece end: one evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from . import rate_functions as rf
@@ -75,52 +76,50 @@ __all__ = ["Entry", "TABLE", "gaussian"]
 
 @dataclass(frozen=True)
 class Entry:
-    """One branch or scheme: the rates it reads, its terms, and the terms
-    that rise (up to their peak, ``rate_functions.peak``)."""
+    """One branch or scheme: its term names in binding order, and those that
+    rise (up to their peak, ``rate_functions.peak``).  The rates it reads,
+    ``uses``, and the sums of its terms come from ``TERMS`` once, here."""
 
-    uses: tuple[str, ...]
-    terms: Callable[[Mapping], dict]
-    rising: tuple[str, ...] = ()
+    names: tuple[str, ...]
+    rising: tuple[str, ...]
+    uses: tuple[str, ...] = field(init=False)
+    _sums: tuple = field(init=False, repr=False, compare=False)  # per term: (name, rate, weight, other pairs)
+
+    def __post_init__(self) -> None:
+        weights = {name: tuple(rf.TERMS[name].items()) for name in self.names}
+        object.__setattr__(self, "_sums", tuple((name, *w[0], w[1:]) for name, w in weights.items()))
+        object.__setattr__(self, "uses", tuple(sorted({rate for w in weights.values() for rate, _ in w})))
 
     @property
     def linked(self) -> bool:
         """Whether the terms include the indicator of the link conditions."""
         return "indicator" in self.uses
 
-
-def _as_is(r: Mapping, *names: str) -> dict:
-    """Each rate under its own name."""
-    return {name: r[name] for name in names}
-
-
-def _less_f5(r: Mapping, *names: str) -> dict:
-    """Each rate less the leakage f5, named ``<rate>-f5``."""
-    return {f"{name}-f5": r[name] - r["f5"] for name in names}
+    def terms(self, r: Mapping) -> dict:
+        """``{name: value}`` in binding order from the rates ``r``: each term
+        the sum of its weights times the rates, to the bits of the sum from
+        -0.0 in ``rate_functions.crossing`` (a weight of 1 or -1 adds or subtracts)."""
+        out = {}
+        for name, rate, c, rest in self._sums:
+            v = r[rate] if c == 1.0 else c * r[rate]
+            for rate, c in rest:
+                v = v - r[rate] if c == -1.0 else v + c * r[rate]
+            out[name] = v
+        return out
 
 
 TABLE: dict[str, Entry] = {
-    "S1": Entry(("f1", "f2", "f3", "f4"), lambda r: _as_is(r, "f1", "f2", "f3", "f4"), rising=("f4",)),
-    "S2": Entry(("f1", "f2", "f4", "f3(0)"), lambda r: _as_is(r, "f1", "f2", "f3(0)", "f4"), rising=("f4",)),
-    "S3": Entry(("f1", "f2", "f3", "f4", "f5", "f3(0)"),
-                lambda r: {**_as_is(r, "f1", "f2", "f3(0)"), "(f3+f4)/2": 0.5 * (r["f3"] + r["f4"]),
-                           "f4-f5": r["f4"] - r["f5"]},
-                rising=("(f3+f4)/2", "f4-f5")),
-    "S4": Entry(("f1", "f2", "f4", "f5", "f3(0)"),
-                lambda r: {**_as_is(r, "f1", "f2", "f3(0)"), "f4-f5": r["f4"] - r["f5"]}, rising=("f4-f5",)),
-    "T2": Entry(("f1", "f2", "f3", "f4", "f5"), lambda r: _less_f5(r, "f1", "f2", "f3", "f4"), rising=("f4-f5",)),
-    "T3": Entry(("f1", "f2", "f4", "f5", "f3(0)"), lambda r: _less_f5(r, "f1", "f2", "f3(0)", "f4"),
-                rising=("f4-f5",)),
-    "df1": Entry(("f4", "f5", "C1", "C2"), lambda r: {**_as_is(r, "C1", "C2"), "f4-f5": r["f4"] - r["f5"]},
-                 rising=("f4-f5",)),
-    "pdfm1": Entry(("f1", "f2", "f3", "f4", "f5"),
-                   lambda r: {**_as_is(r, "f1", "f2", "f3"), "f4-f5": r["f4"] - r["f5"]}, rising=("f4-f5",)),
-    "df2": Entry(("f4", "f5", "C1", "C2"), lambda r: _less_f5(r, "C1", "C2", "f4"), rising=("f4-f5",)),
-    "pdfdfm2": Entry(("f1", "f2", "f3", "f4", "f5"),
-                     lambda r: {**_less_f5(r, "f1", "f2"), "f3-2f5": r["f3"] - 2.0 * r["f5"], **_less_f5(r, "f4")},
-                     rising=("f1-f5", "f2-f5", "f3-2f5", "f4-f5")),
-    "pdfpdfm2": Entry(("f1", "f2", "f3", "f4", "f5", "indicator"),
-                      lambda r: {**_less_f5(r, "f1", "f2", "f3", "f4"), **_as_is(r, "indicator")},
-                      rising=("f1-f5", "f2-f5", "f3-f5", "f4-f5")),
+    "S1": Entry(("f1", "f2", "f3", "f4"), rising=("f4",)),
+    "S2": Entry(("f1", "f2", "f3(0)", "f4"), rising=("f4",)),
+    "S3": Entry(("f1", "f2", "f3(0)", "(f3+f4)/2", "f4-f5"), rising=("(f3+f4)/2", "f4-f5")),
+    "S4": Entry(("f1", "f2", "f3(0)", "f4-f5"), rising=("f4-f5",)),
+    "T2": Entry(("f1-f5", "f2-f5", "f3-f5", "f4-f5"), rising=("f4-f5",)),
+    "T3": Entry(("f1-f5", "f2-f5", "f3(0)-f5", "f4-f5"), rising=("f4-f5",)),
+    "df1": Entry(("C1", "C2", "f4-f5"), rising=("f4-f5",)),
+    "pdfm1": Entry(("f1", "f2", "f3", "f4-f5"), rising=("f4-f5",)),
+    "df2": Entry(("C1-f5", "C2-f5", "f4-f5"), rising=("f4-f5",)),
+    "pdfdfm2": Entry(("f1-f5", "f2-f5", "f3-2f5", "f4-f5"), rising=("f1-f5", "f2-f5", "f3-2f5", "f4-f5")),
+    "pdfpdfm2": Entry(("f1-f5", "f2-f5", "f3-f5", "f4-f5", "indicator"), rising=("f1-f5", "f2-f5", "f3-f5", "f4-f5")),
 }
 
 
@@ -152,11 +151,8 @@ def gaussian(params: ChannelParams, name: str) -> tuple[Callable, dict]:
     at_rho = tuple(u for u in entry.uses if u not in fixed)
 
     def branch(rho):
-        r = rf.rates(params, rho, at_rho)
-        for u, values in r.items():
-            r[u] = _Column(values)
-        r.update(fixed)
-        terms = entry.terms(r)
+        r = {u: _Column(values) for u, values in rf.rates(params, rho, at_rho).items()}
+        terms = entry.terms({**r, **fixed})
         return {term: v if isinstance(v, list) else [v] * len(rho) for term, v in terms.items()}
 
     return branch, fixed

@@ -532,25 +532,25 @@ def _drawn_channels(n, seed):
 
 
 def test_newton_terms_sum_the_kernel_rates_as_the_branches_do():
-    """Every term of a ``schemes.TABLE`` branch that ``_WEIGHTS`` names,
-    summed from the kernel's rates as the Newton seeds sum it (from -0.0, in
-    ``_WEIGHTS`` order), is the branch's value to the bit."""
+    """Every term of a ``schemes.TABLE`` branch, summed from the kernel's
+    rates as the Newton seeds sum it (from -0.0, in ``TERMS`` order), is the
+    branch's value to the bit; every term of ``TERMS`` is a term of some
+    branch."""
     rho = [-1.0, -0.99, -0.5, -0.1, 0.0, 0.3, 0.9, 0.99, 1.0]
     seen = set()
     for p in _drawn_channels(300, 20):
-        at = rf.rates(p, rho, ("f1", "f2", "f3", "f4", "f5"))
+        at = rf.rates(p, rho, ("f1", "f2", "f3", "f4", "f5", "indicator"))
+        at.update((name, [value] * len(rho)) for name, value in (("C1", p.c1), ("C2", p.c2), ("f3(0)", rf.f3(p, 0.0))))
         for name in schemes.TABLE:
             branch, _ = schemes.gaussian(p, name)
             for term, values in branch(rho).items():
-                if term not in rf._WEIGHTS:
-                    continue
                 seen.add(term)
                 for j, value in enumerate(values):
                     v = -0.0
-                    for rate, c in rf._WEIGHTS[term].items():
+                    for rate, c in rf.TERMS[term].items():
                         v = v + c * at[rate][j]
                     assert v.hex() == value.hex(), (p, name, term, rho[j], v, value)
-    assert seen == set(rf._WEIGHTS)
+    assert seen == set(rf.TERMS)
 
 
 def test_newton_slopes_match_central_differences_of_the_kernel():
