@@ -263,6 +263,32 @@ def test_rho_star_does_not_overflow(p1, p2):
     assert abs(rf.rho_star(ChannelParams(p1, p2, 1.0, 1.0, 0.5)) - exact) <= math.ulp(exact)
 
 
+# rho = +-(1 - 2^-k) and 1 - 3*2^-k, each exact in floats, for k = 2..50
+NEAR_ONE = sorted({x for k in range(2, 51) for x in (1.0 - 2.0 ** -k, 2.0 ** -k - 1.0, 1.0 - 3.0 * 2.0 ** -k)})
+
+
+@pytest.mark.xfail(strict=True, reason="q is formed as 1 - rho*rho, off by up to 2.7e-9 in f3; the product form "
+                                       "waits for perfbench/checks.py to form q the same way (ROADMAP item 1)")
+@pytest.mark.parametrize("p1, p2", [(3.0, 0.5), (1e7, 3e8), (1e12, 1e12)])
+def test_f1_and_f3_near_full_correlation_match_50_digits(p1, p2):
+    """f1 and f3 read q = 1 - rho^2 where it is tiny, so q must keep its
+    relative precision: formed as 1 - rho*rho it loses the digits that
+    rho*rho rounds away, formed as (1 - rho)(1 + rho) it rounds once.  The
+    reference evaluates the closed forms at 50 digits."""
+    p = ChannelParams(p1, p2, 1.0, 2.0, 0.5)
+    at = rf.rates(p, NEAR_ONE, ("f1", "f3"))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = decimal.Decimal(2).ln()
+        for j, rho in enumerate(NEAR_ONE):
+            r = decimal.Decimal(rho)
+            q = (1 - r) * (1 + r)
+            f1 = float(1 + (1 + q * decimal.Decimal(p2)).ln() / (2 * ln2))
+            f3 = float(3 + q.ln() / (2 * ln2))
+            assert abs(at["f1"][j] - f1) <= 1e-14, (rho, at["f1"][j], f1)
+            assert abs(at["f3"][j] - f3) <= 1e-14, (rho, at["f3"][j], f3)
+
+
 def _floats_of(report):
     """Every float field of a bounds report, sub-reports included."""
     if dataclasses.is_dataclass(report):

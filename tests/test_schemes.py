@@ -44,12 +44,6 @@ def test_entry_terms_agree_on_floats_columns_and_arrays():
                 assert _bits(array[term]) == expected, (p, name, term)
 
 
-def test_entry_uses_are_the_rates_of_its_terms():
-    for name, entry in schemes.TABLE.items():
-        assert set(entry.uses) == {rate for term in entry.names for rate in rf.TERMS[term]}, name
-        assert set(entry.rising) <= set(entry.names), name
-
-
 @pytest.mark.parametrize("term", ["f9", "C1", "f3(0)-f5", "indicator", "f6"])
 def test_crossing_rejects_a_term_it_cannot_solve(term):
     """``crossing`` solves for f4, f5 and the terms of ``TERMS`` on f1..f5;
