@@ -1,19 +1,22 @@
 """Independent cross-checks for the closed forms.
 
-Two independent evaluation paths:
+``_IDENTITIES`` writes each closed form f1..f7 once as a mutual information
+I(A;B|C) of (X1, X2, Y, Z), net of the link capacities it adds.  Each
+I(A;B|C) = h(AC) + h(BC) - h(C) - h(ABC) comes from a block entropy h on two
+independent paths:
 
-* jointly Gaussian vectors (X1, X2, Y, Z) with the model covariance, where
-  any mutual information reduces to log-determinant ratios; and
+* jointly Gaussian vectors (X1, X2, Y, Z) with the model covariance, where h
+  is half the log-determinant of a principal block; and
 * discrete memoryless channels given by an explicit transition table
-  p(y, z | x1, x2), where the general-distribution secrecy rates are direct
-  sums.  A quantized version of the Gaussian model ties the two together.
+  p(y, z | x1, x2), where h is the entropy of a marginal and the
+  general-distribution secrecy rates are direct sums.
 
 The closed-form rate functions must agree with the Gaussian path to
 round-off; ``validate_closed_forms`` drives that comparison over seeded
 random parameter draws.  The Gaussian path is evaluated as one stack: the
 covariances of all draws form one (n, 4, 4) array, and each principal block
 that a mutual information needs gets its log-determinant for every draw
-from one stacked ``slogdet``.  ``gaussian_mi`` is the one-row case.
+from one stacked ``slogdet``.
 """
 
 from __future__ import annotations
@@ -30,24 +33,53 @@ from .rate_functions import ChannelParams
 from .schemes import TABLE
 
 __all__ = [
-    "GaussianSystem",
-    "gaussian_mi",
     "DmcChannel",
     "DmcRates",
     "dmc_rates",
     "load_dmc",
-    "discretized_gaussian_channel",
     "ValidationReport",
     "validate_closed_forms",
 ]
 
 _LN2 = math.log(2.0)
-_VARS = {"X1": 0, "X2": 1, "Y": 2, "Z": 3}
+_VARIABLES = ("X1", "X2", "Y", "Z")
+_X1, _X2, _Y, _Z = range(4)
+
+# Each closed form f, the link capacities it adds, a sign and the blocks
+# (A, B, C) of indices into (X1, X2, Y, Z) with sign*(f - links) = I(A;B|C).
+# In the order of the failures within a trial of validate_closed_forms; f3 is
+# last, as it is skipped at |rho| = 1
+_IDENTITIES = (
+    ("f1", ("C1",), 1, ((_X2,), (_Y,), (_X1,))),
+    ("f2", ("C2",), 1, ((_X1,), (_Y,), (_X2,))),
+    ("f4", (), 1, ((_X1, _X2), (_Y,), ())),
+    ("f5", (), 1, ((_X1, _X2), (_Z,), ())),
+    ("f6", (), 1, ((_X1,), (_Z,), ())),
+    ("f7", (), 1, ((_X2,), (_Z,), ())),
+    ("f3", ("C1", "C2"), -1, ((_X1,), (_X2,), ())),
+)
+
+
+def _conditional_mi(h, a, b, c):
+    """I(A;B|C) = h(AC) + h(BC) - h(C) - h(ABC) from the entropy ``h`` of a
+    sorted block of indices into (X1, X2, Y, Z); h of no variables is 0."""
+    ac, bc, c, abc = (tuple(sorted(block)) for block in (a + c, b + c, c, a + b + c))
+    return h(ac) + h(bc) - (h(c) if c else 0.0) - h(abc)
+
+
+def _label(a, b, c) -> str:
+    """I(A;B|C) as text in the variable names, such as "I(X1,X2;Y)"."""
+    a, b, c = (",".join(_VARIABLES[i] for i in part) for part in (a, b, c))
+    return f"I({a};{b}|{c})" if c else f"I({a};{b})"
 
 
 def _covariances(p1, p2, rho, g) -> np.ndarray:
     """Covariance of (X1, X2, Y, Z) for each element of the equally shaped
-    arrays (or floats) p1, p2, rho, g: shape p1.shape + (4, 4)."""
+    arrays (or floats) p1, p2, rho, g: shape p1.shape + (4, 4).
+
+    Y = X1 + X2 + N_Y and Z = sqrt(g)*(X1 + X2) + N_Z with independent unit
+    noises, E[X_i^2] = P_i, and E[X1 X2] = rho*sqrt(P1*P2).
+    """
     p1, p2, rho, g = (np.asarray(x, dtype=float) for x in (p1, p2, rho, g))
     q = rho * np.sqrt(p1 * p2)
     s = p1 + p2 + 2.0 * q
@@ -62,85 +94,25 @@ def _covariances(p1, p2, rho, g) -> np.ndarray:
     return np.stack(rows, axis=-1).reshape(p1.shape + (4, 4))
 
 
-@dataclass(frozen=True)
-class GaussianSystem:
-    """Covariance of (X1, X2, Y, Z) for correlated Gaussian inputs.
-
-    Y = X1 + X2 + N_Y and Z = sqrt(g)*(X1 + X2) + N_Z with independent unit
-    noises, E[X_i^2] = P_i, and E[X1 X2] = rho*sqrt(P1*P2).
-    """
-
-    p1: float
-    p2: float
-    rho: float
-    g: float
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return _covariances(self.p1, self.p2, self.rho, self.g)
-
-
-def _parse_mi_spec(spec: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The principal blocks (A+C, B+C, C, A+B+C) of I(A;B|C), each sorted."""
-    s = spec.replace(" ", "")
-    if not (s.startswith("I(") and s.endswith(")")):
-        raise ValueError(f"malformed mutual-information spec {spec!r}")
-    body = s[2:-1]
-    parts = body.split(";")
-    if len(parts) != 2:
-        raise ValueError(f"expected exactly one ';' in {spec!r}")
-    a_part, rest = parts
-    b_part, _, c_part = rest.partition("|")
-
-    def to_idx(chunk: str) -> tuple[int, ...]:
-        if not chunk:
-            return ()
-        idx = []
-        for name in chunk.split(","):
-            if name not in _VARS:
-                raise ValueError(f"unknown variable {name!r} in {spec!r}")
-            idx.append(_VARS[name])
-        return tuple(idx)
-
-    a, b, c = to_idx(a_part), to_idx(b_part), to_idx(c_part)
-    if not a or not b:
-        raise ValueError(f"both sides of ';' need variables in {spec!r}")
-    if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
-        raise ValueError(f"variable groups must be disjoint in {spec!r}")
-    return tuple(tuple(sorted(block)) for block in (a + c, b + c, c, a + b + c))
-
-
-def _mutual_informations(cov: np.ndarray, specs) -> dict[str, np.ndarray]:
+def _mutual_informations(cov: np.ndarray, triples) -> list[np.ndarray]:
     """I(A;B|C) in bits for every covariance of the stack ``cov`` (n, 4, 4),
-    for each of ``specs``: 0.5*log2(det S_AC * det S_BC / (det S_C * det S_ABC)).
+    for each index triple (A, B, C) of ``triples``:
+    0.5*log2(det S_AC * det S_BC / (det S_C * det S_ABC)).
 
     Each distinct principal block gets one stacked ``slogdet`` over all n
-    covariances, shared by the specs that need it.
+    covariances, shared by the triples that need it.
     """
-    logdets = {(): 0.0}
+    half_logdets = {}
 
-    def logdet(idx: tuple[int, ...]):
-        if idx not in logdets:
-            sign, ld = np.linalg.slogdet(cov[:, idx][:, :, idx])
+    def h(block):
+        if block not in half_logdets:
+            sign, ld = np.linalg.slogdet(cov[:, block][:, :, block])
             if not np.all((sign > 0.0) & np.isfinite(ld)):
-                raise SingularCovariance(f"covariance block {idx} is not positive definite")
-            logdets[idx] = ld
-        return logdets[idx]
+                raise SingularCovariance(f"covariance block {block} is not positive definite")
+            half_logdets[block] = 0.5 * ld
+        return half_logdets[block]
 
-    out = {}
-    for spec in specs:
-        ac, bc, c, abc = _parse_mi_spec(spec)
-        out[spec] = 0.5 * (logdet(ac) + logdet(bc) - logdet(c) - logdet(abc)) / _LN2
-    return out
-
-
-def gaussian_mi(system: GaussianSystem, spec: str) -> float:
-    """Mutual information in bits from the log-determinant identity.
-
-    ``spec`` looks like "I(X1,X2;Y)" or "I(X1;Y|X2)" over the variables
-    X1, X2, Y, Z.  I(A;B|C) = 0.5*log2(det S_AC * det S_BC / (det S_C * det S_ABC)).
-    """
-    return float(_mutual_informations(system.covariance[None], (spec,))[spec][0])
+    return [_conditional_mi(h, *triple) / _LN2 for triple in triples]
 
 
 def _check_pmf(p: np.ndarray, what: str, axis=None) -> None:
@@ -213,34 +185,18 @@ def dmc_rates(channel: DmcChannel, input_pmf: np.ndarray, c1: float, c2: float) 
     pxy = pin[:, :, None] * channel.transition.sum(axis=3)  # p(x1, x2, y)
     pxz = pin[:, :, None] * channel.transition.sum(axis=2)  # p(x1, x2, z)
 
-    h_x1x2 = _entropy(pin)
-    h_x1 = _entropy(pin.sum(axis=1))
-    h_x2 = _entropy(pin.sum(axis=0))
-    h_y = _entropy(pxy.sum(axis=(0, 1)))
-    h_z = _entropy(pxz.sum(axis=(0, 1)))
-    h_x1x2y = _entropy(pxy)
-    h_x1x2z = _entropy(pxz)
-    h_x1y = _entropy(pxy.sum(axis=1))
-    h_x2y = _entropy(pxy.sum(axis=0))
-    h_x1z = _entropy(pxz.sum(axis=1))
-    h_x2z = _entropy(pxz.sum(axis=0))
+    def h(block):
+        # the marginal of a block with Z from pxz, with Y from pxy, else from
+        # pin; no block holds both Y and Z
+        joint = pxz if _Z in block else pxy if _Y in block else pin
+        return _entropy(joint.sum(axis=tuple(x for x in (_X1, _X2) if x not in block)))
 
-    mi = {
-        "I(X1,X2;Y)": h_x1x2 + h_y - h_x1x2y,
-        "I(X1,X2;Z)": h_x1x2 + h_z - h_x1x2z,
-        "I(X1;Y|X2)": h_x1x2 + h_x2y - h_x2 - h_x1x2y,
-        "I(X2;Y|X1)": h_x1x2 + h_x1y - h_x1 - h_x1x2y,
-        "I(X1;X2)": h_x1 + h_x2 - h_x1x2,
-        "I(X1;Z)": h_x1 + h_z - h_x1z,
-        "I(X2;Z)": h_x2 + h_z - h_x2z,
-    }
     # the rates of schemes.TABLE, from the mutual informations of this input
-    r = {
-        "C1": c1, "C2": c2,
-        "f1": c1 + mi["I(X2;Y|X1)"], "f2": c2 + mi["I(X1;Y|X2)"], "f3": c1 + c2 - mi["I(X1;X2)"],
-        "f4": mi["I(X1,X2;Y)"], "f5": mi["I(X1,X2;Z)"],
-        "indicator": rf.link_indicator(c1, c2, mi["I(X1;Z)"], mi["I(X2;Z)"]),
-    }
+    mi, r = {}, {"C1": c1, "C2": c2}
+    for name, links, sign, (a, b, c) in _IDENTITIES:
+        mi[_label(a, b, c)] = value = _conditional_mi(h, a, b, c)
+        r[name] = sum(r[link] for link in links) + sign * value
+    r["indicator"] = rf.link_indicator(c1, c2, r["f6"], r["f7"])
     rates = {name: max(0.0, float(min(TABLE[name].terms(r).values())))
              for name in ("df1", "pdfm1", "df2", "pdfdfm2", "pdfpdfm2")}
     return DmcRates(**rates, r_prime=r["f5"], mi=mi)
@@ -254,18 +210,21 @@ def load_dmc(path: str) -> tuple[DmcChannel, np.ndarray, float, float]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    for field in ("alphabet_sizes", "transition", "input_pmf", "c1", "c2"):
+    fields = ("alphabet_sizes", "transition", "input_pmf", "c1", "c2")
+    for field in fields:
         if not isinstance(doc, dict) or field not in doc:
             raise InvalidPmf(f"channel document needs to be a JSON object with the field {field!r}")
-    try:  # a null, a list or an object where a number belongs, or an infinite size
-        sizes = doc["alphabet_sizes"]
-        if not isinstance(sizes, list) or len(sizes) != 4 or any(int(n) != n or n < 1 for n in sizes):
-            raise InvalidPmf(f"alphabet_sizes needs four positive integers, got {sizes!r}")
-        n1, n2, ny, nz = (int(n) for n in sizes)
-        trans, pin = (np.asarray(doc[field], dtype=float) for field in ("transition", "input_pmf"))
-        c1, c2 = float(doc["c1"]), float(doc["c2"])
-    except (TypeError, OverflowError) as exc:
-        raise InvalidPmf(f"channel document has a value of the wrong type: {exc}") from exc
+    try:
+        sizes, trans, pin, c1, c2 = values = [np.asarray(doc[field]) for field in fields]
+    except ValueError as exc:  # lists of unequal lengths
+        raise InvalidPmf(f"channel document has lists of unequal lengths: {exc}") from exc
+    # a string, a null, an object or an integer beyond 64 bits is no number here
+    if any(value.dtype.kind not in "biuf" for value in values) or c1.shape or c2.shape:
+        raise InvalidPmf("channel document needs a number for c1 and for c2, and numbers in the other fields")
+    if sizes.shape != (4,) or not np.all(np.isfinite(sizes) & (sizes >= 1) & (sizes == np.floor(sizes))):
+        raise InvalidPmf(f"alphabet_sizes needs four positive integers, got {doc['alphabet_sizes']!r}")
+    n1, n2, ny, nz = (int(n) for n in sizes)
+    trans, pin, c1, c2 = trans.astype(float), pin.astype(float), float(c1), float(c2)
     if trans.size != n1 * n2 * ny * nz:
         raise InvalidPmf(f"transition has {trans.size} entries, expected {n1 * n2 * ny * nz}")
     if pin.size != n1 * n2:
@@ -274,56 +233,6 @@ def load_dmc(path: str) -> tuple[DmcChannel, np.ndarray, float, float]:
     _check_pmf(pin, "input_pmf")
     channel = DmcChannel(transition=trans.reshape(n1, n2, ny, nz))
     return channel, pin, c1, c2
-
-
-def _gaussian_bins(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.linspace(lo, hi, n + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return edges, centers
-
-
-def _phi(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
-
-
-def _bin_probs(edges: np.ndarray, mean, scale: float) -> np.ndarray:
-    # P(bin) for N(mean, scale^2), renormalized over the covered range
-    z = (edges[None, :] - np.asarray(mean, dtype=float)[:, None]) / scale
-    cdf = _phi(z)
-    p = np.diff(cdf, axis=1)
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def discretized_gaussian_channel(
-    p1: float,
-    p2: float,
-    g: float,
-    n_input: int = 64,
-    n_output: int = 64,
-    span: float = 5.0,
-) -> tuple[DmcChannel, np.ndarray]:
-    """Quantized Gaussian model with independent inputs (rho = 0).
-
-    Inputs are quantized on uniform grids over +/- span standard deviations
-    with ``n_input`` bins each; Y and Z get ``n_output`` bins covering the
-    reachable range plus the same noise margin.  Given the inputs, Y and Z
-    are conditionally independent, so the transition factorizes.
-    """
-    e1, x1 = _gaussian_bins(n_input, -span * math.sqrt(p1), span * math.sqrt(p1))
-    e2, x2 = _gaussian_bins(n_input, -span * math.sqrt(p2), span * math.sqrt(p2))
-    pm1 = np.diff(_phi(e1[None, :] / math.sqrt(p1)), axis=1).ravel()
-    pm2 = np.diff(_phi(e2[None, :] / math.sqrt(p2)), axis=1).ravel()
-    pin = np.outer(pm1 / pm1.sum(), pm2 / pm2.sum())
-
-    sums = (x1[:, None] + x2[None, :]).ravel()
-    ey, _ = _gaussian_bins(n_output, sums.min() - span, sums.max() + span)
-    sg = math.sqrt(g)
-    ez, _ = _gaussian_bins(n_output, sg * sums.min() - span, sg * sums.max() + span)
-
-    py = _bin_probs(ey, sums, 1.0)  # (n_input^2, n_output)
-    pz = _bin_probs(ez, sg * sums, 1.0)
-    trans = (py[:, :, None] * pz[:, None, :]).reshape(n_input, n_input, n_output, n_output)
-    return DmcChannel(transition=trans), pin
 
 
 @dataclass(frozen=True)
@@ -343,12 +252,6 @@ class ValidationReport:
         return not self.failures
 
 
-# Each closed form beside the mutual information it equals, in the order of
-# the failures within a trial; f3 is last, as it is skipped at |rho| = 1
-_IDENTITIES = (
-    ("f1", "I(X2;Y|X1)"), ("f2", "I(X1;Y|X2)"), ("f4", "I(X1,X2;Y)"), ("f5", "I(X1,X2;Z)"),
-    ("f6", "I(X1;Z)"), ("f7", "I(X2;Z)"), ("f3", "I(X1;X2)"),
-)
 # Per trial: P1, P2, C1, C2, g, rho
 _DRAW_BOUNDS = np.array([[1e-3, 100.0], [1e-3, 100.0], [0.0, 5.0], [0.0, 5.0], [0.0, 0.99], [-1.0, 1.0]])
 
@@ -384,19 +287,21 @@ def validate_closed_forms(trials: int = 1000, seed: int = 0, tolerance: float = 
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be a nonnegative number, got {tolerance}")
+    names = [name for name, *_ in _IDENTITIES]
     rng = np.random.default_rng(seed)
     checked = skipped = 0
     max_deviation = 0.0
     failures = []
     for start in range(0, trials, _CHUNK):
         draws = _draws(rng, min(_CHUNK, trials - start))
-        closed = []
-        for p1, p2, c1, c2, g, rho in draws.tolist():
-            r = rf.rates(ChannelParams(p1=p1, p2=p2, c1=c1, c2=c2, g=g), rho, [name for name, _ in _IDENTITIES])
-            closed.append((r["f1"] - c1, r["f2"] - c2, r["f4"], r["f5"], r["f6"], r["f7"], c1 + c2 - r["f3"]))
-        p1, p2, _, _, g, rho = draws.T
-        mi = _mutual_informations(_covariances(p1, p2, rho, g), [spec for _, spec in _IDENTITIES])
-        dev = np.abs(np.array(closed) - np.stack(list(mi.values()), axis=-1))
+        rates = np.array([list(rf.rates(ChannelParams(p1=p1, p2=p2, c1=c1, c2=c2, g=g), rho, names).values())
+                          for p1, p2, c1, c2, g, rho in draws.tolist()])
+        p1, p2, c1, c2, g, rho = draws.T
+        links = {"C1": c1, "C2": c2}
+        closed = np.stack([sign * (rates[:, k] - sum(links[link] for link in added))
+                           for k, (_, added, sign, _) in enumerate(_IDENTITIES)], axis=-1)
+        mi = _mutual_informations(_covariances(p1, p2, rho, g), [triple for *_, triple in _IDENTITIES])
+        dev = np.abs(closed - np.stack(mi, axis=-1))
 
         compared = np.ones(dev.shape, dtype=bool)
         compared[:, -1] = np.abs(rho) != 1.0  # f3 is -inf there; covariance of (X1, X2) is singular

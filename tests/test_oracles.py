@@ -8,12 +8,20 @@ import pytest
 
 from diamond_wiretap import oracles, rate_functions as rf, schemes
 from diamond_wiretap.errors import InvalidPmf, SingularCovariance
-from diamond_wiretap.oracles import DmcChannel, GaussianSystem
+from diamond_wiretap.oracles import DmcChannel
 from diamond_wiretap.rate_functions import ChannelParams
+from quantized_gaussian import discretized_gaussian_channel
+
+X1, X2, Y, Z = range(4)
+
+
+def one_stack_mi(p1, p2, rho, g, triples):
+    """I(A;B|C) of each triple for one covariance, as a stack of one."""
+    cov = oracles._covariances([p1], [p2], [rho], [g])
+    return [float(v[0]) for v in oracles._mutual_informations(cov, triples)]
 
 
 def test_covariance_matrix_entries():
-    sys_ = GaussianSystem(p1=4.0, p2=1.0, rho=0.3, g=0.2)
     q = 0.3 * 2.0
     s = 4.0 + 1.0 + 2.0 * q
     r = math.sqrt(0.2)
@@ -23,44 +31,32 @@ def test_covariance_matrix_entries():
         [4.0 + q, 1.0 + q, s + 1.0, r * s],
         [r * (4.0 + q), r * (1.0 + q), r * s, 0.2 * s + 1.0],
     ])
-    assert np.array_equal(sys_.covariance, expected)
+    assert np.array_equal(oracles._covariances(4.0, 1.0, 0.3, 0.2), expected)
+    assert np.array_equal(oracles._covariances([4.0], [1.0], [0.3], [0.2]), expected[None])
 
 
 def test_mi_identities_match_closed_forms():
     p = ChannelParams(p1=3.0, p2=2.0, c1=0.7, c2=1.1, g=0.25)
     rho = -0.4
-    sys_ = GaussianSystem(p.p1, p.p2, rho, p.g)
     pairs = [
-        (rf.f1(p, rho) - p.c1, "I(X2;Y|X1)"),
-        (rf.f2(p, rho) - p.c2, "I(X1;Y|X2)"),
-        (p.c1 + p.c2 - rf.f3(p, rho), "I(X1;X2)"),
-        (rf.f4(p, rho), "I(X1,X2;Y)"),
-        (rf.f5(p, rho), "I(X1,X2;Z)"),
-        (rf.f6(p, rho), "I(X1;Z)"),
-        (rf.f7(p, rho), "I(X2;Z)"),
+        (rf.f1(p, rho) - p.c1, ((X2,), (Y,), (X1,))),
+        (rf.f2(p, rho) - p.c2, ((X1,), (Y,), (X2,))),
+        (p.c1 + p.c2 - rf.f3(p, rho), ((X1,), (X2,), ())),
+        (rf.f4(p, rho), ((X1, X2), (Y,), ())),
+        (rf.f5(p, rho), ((X1, X2), (Z,), ())),
+        (rf.f6(p, rho), ((X1,), (Z,), ())),
+        (rf.f7(p, rho), ((X2,), (Z,), ())),
     ]
-    for closed, spec in pairs:
-        assert closed == pytest.approx(oracles.gaussian_mi(sys_, spec), abs=1e-12), spec
+    values = one_stack_mi(p.p1, p.p2, rho, p.g, [triple for _, triple in pairs])
+    for (closed, triple), value in zip(pairs, values):
+        assert closed == pytest.approx(value, abs=1e-12), triple
 
 
 def test_mi_chain_rule_and_degradedness():
-    sys_ = GaussianSystem(5.0, 2.0, 0.35, 0.4)
-    joint = oracles.gaussian_mi(sys_, "I(X1,X2;Y)")
-    chained = oracles.gaussian_mi(sys_, "I(X1;Y)") + oracles.gaussian_mi(sys_, "I(X2;Y|X1)")
-    assert joint == pytest.approx(chained, abs=1e-12)
-    assert oracles.gaussian_mi(sys_, "I(X1,X2;Z)") <= joint + 1e-12
-
-
-def test_mi_spec_parse_errors():
-    sys_ = GaussianSystem(1.0, 1.0, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        oracles.gaussian_mi(sys_, "I(X1,Y)")
-    with pytest.raises(ValueError):
-        oracles.gaussian_mi(sys_, "I(X1;X1)")
-    with pytest.raises(ValueError):
-        oracles.gaussian_mi(sys_, "I(X1;Y|X1)")
-    with pytest.raises(ValueError):
-        oracles.gaussian_mi(sys_, "I(W;Y)")
+    joint, x1_y, x2_y_given_x1, leak = one_stack_mi(
+        5.0, 2.0, 0.35, 0.4, [((X1, X2), (Y,), ()), ((X1,), (Y,), ()), ((X2,), (Y,), (X1,)), ((X1, X2), (Z,), ())])
+    assert joint == pytest.approx(x1_y + x2_y_given_x1, abs=1e-12)
+    assert leak <= joint + 1e-12
 
 
 def test_closed_form_validation_sweep():
@@ -71,11 +67,10 @@ def test_closed_form_validation_sweep():
     assert rep.max_deviation <= 1e-9
 
 
-def _reference_logdet_mi(system, spec):
-    """I(A;B|C) of one system from four scalar ``slogdet`` calls on its 4x4 covariance."""
-    cov = system.covariance
+def _reference_logdet_mi(cov, a, b, c):
+    """I(A;B|C) of one 4x4 covariance from four scalar ``slogdet`` calls."""
     lds = []
-    for idx in oracles._parse_mi_spec(spec):
+    for idx in (tuple(sorted(a + c)), tuple(sorted(b + c)), tuple(sorted(c)), tuple(sorted(a + b + c))):
         if not idx:
             lds.append(0.0)
             continue
@@ -101,21 +96,21 @@ def reference_validation(trials, seed, tolerance=1e-9):
         g = 0.0 if i % 25 == 0 else float(rng.uniform(0.0, 0.99))
         rho = float(rng.uniform(-1.0, 1.0))
         params = ChannelParams(p1=p1, p2=p2, c1=c1, c2=c2, g=g)
-        system = GaussianSystem(p1=p1, p2=p2, rho=rho, g=g)
+        cov = oracles._covariances(p1, p2, rho, g)
         pairs = [
-            ("f1", rf.f1(params, rho) - c1, "I(X2;Y|X1)"),
-            ("f2", rf.f2(params, rho) - c2, "I(X1;Y|X2)"),
-            ("f4", rf.f4(params, rho), "I(X1,X2;Y)"),
-            ("f5", rf.f5(params, rho), "I(X1,X2;Z)"),
-            ("f6", rf.f6(params, rho), "I(X1;Z)"),
-            ("f7", rf.f7(params, rho), "I(X2;Z)"),
+            ("f1", rf.f1(params, rho) - c1, ((X2,), (Y,), (X1,))),
+            ("f2", rf.f2(params, rho) - c2, ((X1,), (Y,), (X2,))),
+            ("f4", rf.f4(params, rho), ((X1, X2), (Y,), ())),
+            ("f5", rf.f5(params, rho), ((X1, X2), (Z,), ())),
+            ("f6", rf.f6(params, rho), ((X1,), (Z,), ())),
+            ("f7", rf.f7(params, rho), ((X2,), (Z,), ())),
         ]
         if abs(rho) == 1.0:
             skipped += 1
         else:
-            pairs.append(("f3", c1 + c2 - rf.f3(params, rho), "I(X1;X2)"))
-        for name, closed, spec in pairs:
-            dev = abs(closed - _reference_logdet_mi(system, spec))
+            pairs.append(("f3", c1 + c2 - rf.f3(params, rho), ((X1,), (X2,), ())))
+        for name, closed, triple in pairs:
+            dev = abs(closed - _reference_logdet_mi(cov, *triple))
             checked += 1
             max_dev = max(max_dev, dev)
             if not dev <= tolerance:
@@ -167,21 +162,24 @@ def test_validation_rejects_negative_trials_and_bad_tolerances(trials, tolerance
         oracles.validate_closed_forms(trials=trials, seed=0, tolerance=tolerance)
 
 
-def test_gaussian_mi_is_its_row_of_a_stack():
+def test_a_stack_row_is_the_scalar_reference():
     rng = np.random.default_rng(11)
     p1 = np.append(rng.uniform(1e-3, 100.0, 3), 5.0)
     p2 = np.append(rng.uniform(1e-3, 100.0, 3), 2.0)
     rho = np.append(rng.uniform(-1.0, 1.0, 3), 0.35)
     g = np.append(rng.uniform(0.0, 0.99, 3), 0.0)
-    specs = [spec for _, spec in oracles._IDENTITIES] + ["I(X1;Y)", "I(X2;Z|Y)", "I(Y;Z|X1,X2)"]
-    stacked = oracles._mutual_informations(oracles._covariances(p1, p2, rho, g), specs)
+    triples = [
+        ((X2,), (Y,), (X1,)), ((X1,), (Y,), (X2,)), ((X1, X2), (Y,), ()), ((X1, X2), (Z,), ()),
+        ((X1,), (Z,), ()), ((X2,), (Z,), ()), ((X1,), (X2,), ()),
+        ((X1,), (Y,), ()), ((X2,), (Z,), (Y,)), ((Y,), (Z,), (X1, X2)),
+    ]
+    cov = oracles._covariances(p1, p2, rho, g)
+    stacked = oracles._mutual_informations(cov, triples)
     for k in range(len(p1)):
-        system = GaussianSystem(float(p1[k]), float(p2[k]), float(rho[k]), float(g[k]))
-        for spec in specs:
-            value = oracles.gaussian_mi(system, spec)
-            assert type(value) is float
-            assert value == stacked[spec][k], (k, spec)
-            assert value == _reference_logdet_mi(system, spec), (k, spec)
+        one_row = oracles._mutual_informations(cov[k:k + 1], triples)
+        for triple, column, row in zip(triples, stacked, one_row):
+            assert row[0] == column[k], (k, triple)
+            assert column[k] == _reference_logdet_mi(cov[k], *triple), (k, triple)
 
 
 def identity_y_channel():
@@ -317,11 +315,61 @@ def test_load_dmc_structural_errors(tmp_path):
     )
     with pytest.raises(InvalidPmf):
         oracles.load_dmc(str(path))
+    # a NaN size, and strings where numbers belong, numeric or not
+    good = {"alphabet_sizes": [2, 2, 4, 1], "transition": chan.transition.reshape(-1).tolist(),
+            "input_pmf": UNIFORM.reshape(-1).tolist(), "c1": 1.0, "c2": 1.0}
+    for bad in ({"alphabet_sizes": [2, 2, math.nan, 1]}, {"alphabet_sizes": [2, "2", 4, 1]},
+                {"c1": "abc"}, {"c2": "3.0"}, {"transition": ["abc"] * 16},
+                {"transition": [str(x) for x in good["transition"]]}, {"input_pmf": ["0.25"] * 4}):
+        path.write_text(json.dumps({**good, **bad}))
+        with pytest.raises(InvalidPmf):
+            oracles.load_dmc(str(path))
+
+
+def _brute_force_mi(joint, a, b, c):
+    """I(A;B|C) in bits from the full joint p(x1, x2, y, z)."""
+    def h(block):
+        p = joint.sum(axis=tuple(k for k in range(4) if k not in block))
+        p = p[p > 0.0]
+        return float(-np.sum(p * np.log2(p)))
+    return h(a + c) + h(b + c) - (h(c) if c else 0.0) - h(a + b + c)
+
+
+def test_dmc_mutual_informations_equal_brute_force_on_random_channels():
+    # the seven labels of DmcRates.mi and their blocks, written out here
+    triples = {
+        "I(X2;Y|X1)": ((X2,), (Y,), (X1,)), "I(X1;Y|X2)": ((X1,), (Y,), (X2,)),
+        "I(X1,X2;Y)": ((X1, X2), (Y,), ()), "I(X1,X2;Z)": ((X1, X2), (Z,), ()),
+        "I(X1;Z)": ((X1,), (Z,), ()), "I(X2;Z)": ((X2,), (Z,), ()), "I(X1;X2)": ((X1,), (X2,), ()),
+    }
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        sizes = tuple(int(n) for n in rng.integers(1, 5, 4))
+        trans = rng.exponential(size=sizes) * (rng.random(sizes) < 0.8)
+        trans[..., 0, 0] += 1e-3  # every row keeps some mass
+        trans /= trans.sum(axis=(2, 3), keepdims=True)
+        pin = rng.exponential(size=sizes[:2])
+        pin /= pin.sum()
+        c1, c2 = rng.uniform(0.0, 3.0, 2)
+        rates = oracles.dmc_rates(DmcChannel(trans), pin, c1, c2)
+        joint = pin[:, :, None, None] * trans
+        mi = {label: _brute_force_mi(joint, *triple) for label, triple in triples.items()}
+        assert rates.mi.keys() == mi.keys()
+        for label, value in mi.items():
+            assert rates.mi[label] == pytest.approx(value, abs=1e-12), (sizes, label)
+        # the rates read the closed forms f1..f7 as these informations net of the links
+        r = {"C1": c1, "C2": c2, "f1": c1 + mi["I(X2;Y|X1)"], "f2": c2 + mi["I(X1;Y|X2)"],
+             "f3": c1 + c2 - mi["I(X1;X2)"], "f4": mi["I(X1,X2;Y)"], "f5": mi["I(X1,X2;Z)"],
+             "indicator": rf.link_indicator(c1, c2, mi["I(X1;Z)"], mi["I(X2;Z)"])}
+        for name in ("df1", "pdfm1", "df2", "pdfdfm2", "pdfpdfm2"):
+            expected = max(0.0, min(schemes.TABLE[name].terms(r).values()))
+            assert getattr(rates, name) == pytest.approx(expected, abs=1e-12), (sizes, name)
+        assert rates.r_prime == pytest.approx(mi["I(X1,X2;Z)"], abs=1e-12)
 
 
 def test_discretized_gaussian_tracks_closed_forms():
     p = ChannelParams.symmetric(1.0, 5.0, 0.2)
-    chan, pmf = oracles.discretized_gaussian_channel(1.0, 1.0, 0.2, n_input=40, n_output=60)
+    chan, pmf = discretized_gaussian_channel(1.0, 1.0, 0.2, n_input=40, n_output=60)
     rates = oracles.dmc_rates(chan, pmf, c1=5.0, c2=5.0)
     # independent inputs correspond to rho = 0
     assert rates.mi["I(X1,X2;Y)"] == pytest.approx(rf.f4(p, 0.0), abs=0.02)
@@ -341,7 +389,7 @@ def test_discretized_gaussian_converges_to_the_table(p1, p2, g, c1, c2):
         at_zero[name] = max(0.0, min(values[0] for values in branch([0.0]).values()))
     errors = []
     for n in (8, 16, 32):
-        chan, pmf = oracles.discretized_gaussian_channel(p1, p2, g, n_input=n, n_output=3 * n // 2)
+        chan, pmf = discretized_gaussian_channel(p1, p2, g, n_input=n, n_output=3 * n // 2)
         rates = oracles.dmc_rates(chan, pmf, c1=c1, c2=c2)
         errors.append([abs(getattr(rates, name) - at_zero[name]) for name in names])
     for coarse, fine in zip(errors, errors[1:]):
@@ -350,13 +398,12 @@ def test_discretized_gaussian_converges_to_the_table(p1, p2, g, c1, c2):
 
 
 def test_singular_covariance_detected():
-    sys_ = GaussianSystem(1.0, 1.0, 1.0, 0.1)
     with pytest.raises(SingularCovariance):
-        oracles.gaussian_mi(sys_, "I(X1;X2)")
+        one_stack_mi(1.0, 1.0, 1.0, 0.1, [((X1,), (X2,), ())])
 
 
 def test_one_singular_row_of_a_stack_raises():
     cov = oracles._covariances([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.2, 1.0, -0.5], [0.1, 0.1, 0.1])
-    oracles._mutual_informations(cov[[0, 2]], ["I(X1;X2)"])
+    oracles._mutual_informations(cov[[0, 2]], [((X1,), (X2,), ())])
     with pytest.raises(SingularCovariance):
-        oracles._mutual_informations(cov, ["I(X1;X2)"])
+        oracles._mutual_informations(cov, [((X1,), (X2,), ())])
