@@ -126,41 +126,21 @@ def _budget_from(args) -> RandomnessBudget:
     return RandomnessBudget(value)
 
 
-def _binding_str(binding: tuple[str, ...]) -> str:
-    return ";".join(binding)
+# each scenario's reports as (column stem, field of its bounds): the converse
+# first, then its schemes; ``eval`` and ``sweep`` both print from this list
+_REPORTS = {
+    "1": (("ub1", "upper"), ("lb1_df", "lower_df"), ("lb1_pdf", "lower_pdf"),
+          ("lb1_pdfm", "lower_pdf_m")),
+    "2": (("ub2", "upper"), ("lb2_df", "lower_df"), ("lb2_pdfdfm", "lower_pdf_df_m"),
+          ("lb2_pdfpdfm", "lower_pdf_pdf_m")),
+}
+_MODULES = {"1": scenario_one, "2": scenario_two}
+# the fields a swept parameter sets on every row
+_SWEPT = {"c": ("c1", "c2"), "p": ("p1", "p2"), "g": ("g",)}
 
 
-def _scenario_one_fields(b) -> list[tuple[str, object]]:
-    return [
-        ("ub1", b.upper.value),
-        ("ub1_rho", b.upper.rho),
-        ("ub1_branch", b.upper.branch),
-        ("ub1_binding", _binding_str(b.upper.binding)),
-        ("lb1_df", b.lower_df.value),
-        ("lb1_df_rho", b.lower_df.rho),
-        ("lb1_pdf", b.lower_pdf.value),
-        ("lb1_pdfm", b.lower_pdf_m.value),
-        ("lb1_pdfm_rho", b.lower_pdf_m.rho),
-        ("lb1", b.lower),
-    ]
-
-
-def _scenario_two_fields(b) -> list[tuple[str, object]]:
-    return [
-        ("ub2", b.upper.value),
-        ("ub2_rho", b.upper.rho),
-        ("ub2_branch", b.upper.branch),
-        ("ub2_binding", _binding_str(b.upper.binding)),
-        ("ub2_rho_in_unit_interval", b.upper.rho_in_unit_interval),
-        ("lb2_df", b.lower_df.value),
-        ("lb2_df_rho", b.lower_df.rho),
-        ("lb2_pdfdfm", b.lower_pdf_df_m.value),
-        ("lb2_pdfdfm_rho", b.lower_pdf_df_m.rho),
-        ("lb2_pdfpdfm", b.lower_pdf_pdf_m.value),
-        ("lb2_pdfpdfm_rho", b.lower_pdf_pdf_m.rho),
-        ("lb2_indicator_satisfied", b.indicator_satisfied),
-        ("lb2", b.lower),
-    ]
+def _scenarios(args) -> tuple[str, ...]:
+    return ("1", "2") if args.scenario == "both" else (args.scenario,)
 
 
 def cmd_eval(args) -> str:
@@ -173,27 +153,32 @@ def cmd_eval(args) -> str:
     ]
     rho_max: object = None
     note = None
-    if args.scenario in ("1", "both"):
-        b1 = scenario_one.bounds(params, budget)
-        row.extend(_scenario_one_fields(b1))
-        rho_max, note = b1.rho_max, b1.note
-    if args.scenario in ("2", "both"):
-        b2 = scenario_two.bounds(params, budget)
-        row.extend(_scenario_two_fields(b2))
-        rho_max, note = b2.rho_max, b2.note or note
+    for scenario in _scenarios(args):
+        b = _MODULES[scenario].bounds(params, budget)
+        for stem, field in _REPORTS[scenario]:
+            report = getattr(b, field)
+            row.append((stem, report.value))
+            # PDF is plain PDF, whose rho is 0 by definition: no rho column
+            if stem != "lb1_pdf":
+                row.append((f"{stem}_rho", report.rho))
+            if field == "upper":
+                row += [(f"{stem}_branch", report.branch), (f"{stem}_binding", ";".join(report.binding))]
+            # T1 may reach its optimum outside [-1, 1]: scenario 2 says whether it did
+            if stem == "ub2":
+                row.append(("ub2_rho_in_unit_interval", report.rho_in_unit_interval))
+        if scenario == "2":
+            row.append(("lb2_indicator_satisfied", b.indicator_satisfied))
+        row.append((f"lb{scenario}", b.lower))
+        rho_max, note = b.rho_max, b.note or note
     row.append(("rho_max", "none" if rho_max is None else rho_max))
     if note:
         row.append(("note", note))
     return _render([row], args.format)
 
 
-_SWEEPABLE = ("c", "p", "g")
-
-
 def cmd_sweep(args) -> str:
-    if args.param not in _SWEEPABLE:
-        raise ParameterError(f"--param must be one of {_SWEEPABLE}")
-    for flag in {"c": ("c", "c1", "c2"), "p": ("p", "p1", "p2"), "g": ("g",)}[args.param]:
+    # the shorthand flag, then the fields it sets (--g is both)
+    for flag in (args.param, *_SWEPT[args.param]):
         if getattr(args, flag) is not None:
             raise ParameterError(f"--{flag} conflicts with sweeping '{args.param}'")
     if args.steps < 2:
@@ -206,44 +191,21 @@ def cmd_sweep(args) -> str:
     # the no-eavesdropper channel of a gain sweep is the same on every row,
     # and that of a row with g = 0 is the row's own channel
     bounds_one = functools.cache(lambda params: scenario_one.bounds(params, budget))
+    bounds = {"1": bounds_one, "2": lambda params: scenario_two.bounds(params, budget)}
 
     # the points of numpy.linspace, bit for bit: start + i*step, and stop last
     step = (args.to - args.from_) / (args.steps - 1)
     rows = []
     for v in [args.from_ + i * step for i in range(args.steps - 1)] + [args.to]:
-        if args.param == "c":
-            params = ChannelParams(base.p1, base.p2, v, v, base.g)
-        elif args.param == "p":
-            params = ChannelParams(v, v, base.c1, base.c2, base.g)
-        else:
-            params = ChannelParams(base.p1, base.p2, base.c1, base.c2, v)
-        b1 = bounds_one(params) if args.scenario in ("1", "both") else None
-        b2 = scenario_two.bounds(params, budget) if args.scenario in ("2", "both") else None
+        params = replace(base, **dict.fromkeys(_SWEPT[args.param], v))
+        found = [(scenario, bounds[scenario](params)) for scenario in _scenarios(args)]
         ns = bounds_one(replace(params, g=0.0))
         row: list[tuple[str, object]] = [("swept_value", v)]
-        if b1 is not None:
-            row += [
-                ("ub1", b1.upper.value), ("lb1_df", b1.lower_df.value),
-                ("lb1_pdf", b1.lower_pdf.value), ("lb1_pdfm", b1.lower_pdf_m.value),
-                ("lb1", b1.lower),
-            ]
-        if b2 is not None:
-            row += [
-                ("ub2", b2.upper.value), ("lb2_df", b2.lower_df.value),
-                ("lb2_pdfdfm", b2.lower_pdf_df_m.value),
-                ("lb2_pdfpdfm", b2.lower_pdf_pdf_m.value), ("lb2", b2.lower),
-            ]
-        if b1 is not None:
-            row += [
-                ("rho_ub1", b1.upper.rho), ("rho_lb1_df", b1.lower_df.rho),
-                ("rho_lb1_pdf", b1.lower_pdf.rho), ("rho_lb1_pdfm", b1.lower_pdf_m.rho),
-            ]
-        if b2 is not None:
-            row += [
-                ("rho_ub2", b2.upper.rho), ("rho_lb2_df", b2.lower_df.rho),
-                ("rho_lb2_pdfdfm", b2.lower_pdf_df_m.rho),
-                ("rho_lb2_pdfpdfm", b2.lower_pdf_pdf_m.rho),
-            ]
+        for scenario, b in found:
+            row += [(stem, getattr(b, field).value) for stem, field in _REPORTS[scenario]]
+            row.append((f"lb{scenario}", b.lower))
+        for scenario, b in found:
+            row += [(f"rho_{stem}", getattr(b, field).rho) for stem, field in _REPORTS[scenario]]
         row += [("nosecrecy_ub", ns.upper.value), ("nosecrecy_lb", ns.lower)]
         rows.append(row)
     return _render(rows, args.format)
@@ -252,8 +214,8 @@ def cmd_sweep(args) -> str:
 def cmd_thresholds(args) -> str:
     from .analysis import detect_thresholds
 
-    schemes_a = tuple(args.schemes_a.split(",")) if args.schemes_a else None
-    schemes_b = tuple(args.schemes_b.split(",")) if args.schemes_b else None
+    schemes_a = None if args.schemes_a is None else tuple(args.schemes_a.split(","))
+    schemes_b = None if args.schemes_b is None else tuple(args.schemes_b.split(","))
     report = detect_thresholds(
         p=args.p, g=args.g, scenario=int(args.scenario),
         schemes_a=schemes_a, schemes_b=schemes_b,
@@ -336,7 +298,7 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="bounds along a swept parameter")
     _add_channel_flags(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=_SWEEPABLE)
+    p_sweep.add_argument("--param", required=True, choices=tuple(_SWEPT))
     p_sweep.add_argument("--from", dest="from_", type=float, required=True)
     p_sweep.add_argument("--to", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)

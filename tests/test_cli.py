@@ -179,6 +179,31 @@ def test_sweep_scenario_columns_match_both(capsys):
         assert out == expected
 
 
+EVAL_HEADER = {
+    "1": "ub1,ub1_rho,ub1_branch,ub1_binding,lb1_df,lb1_df_rho,lb1_pdf,lb1_pdfm,lb1_pdfm_rho,lb1",
+    "2": "ub2,ub2_rho,ub2_branch,ub2_binding,ub2_rho_in_unit_interval,lb2_df,lb2_df_rho,"
+         "lb2_pdfdfm,lb2_pdfdfm_rho,lb2_pdfpdfm,lb2_pdfpdfm_rho,lb2_indicator_satisfied,lb2",
+}
+SWEEP_VALUES = {"1": "ub1,lb1_df,lb1_pdf,lb1_pdfm,lb1", "2": "ub2,lb2_df,lb2_pdfdfm,lb2_pdfpdfm,lb2"}
+SWEEP_RHOS = {
+    "1": "rho_ub1,rho_lb1_df,rho_lb1_pdf,rho_lb1_pdfm",
+    "2": "rho_ub2,rho_lb2_df,rho_lb2_pdfdfm,rho_lb2_pdfpdfm",
+}
+
+
+@pytest.mark.parametrize("scenario, parts", [("1", ("1",)), ("2", ("2",)), ("both", ("1", "2"))])
+def test_eval_and_sweep_print_their_columns_in_order(capsys, scenario, parts):
+    # the full csv headers, written out so that no column is renamed or moved unnoticed
+    rc, out, _ = run(capsys, "eval", "--p", "10", "--c", "1.5", "--g", "0.1", "--scenario", scenario, "--format", "csv")
+    assert rc == 0
+    assert out.splitlines()[0] == ",".join(["p1,p2,c1,c2,g,rprime", *(EVAL_HEADER[s] for s in parts), "rho_max"])
+    rc, out, _ = run(capsys, "sweep", "--param", "c", "--from", "0.2", "--to", "0.4", "--steps", "2",
+                     "--p", "1", "--g", "0.1", "--scenario", scenario)
+    assert rc == 0
+    assert out.splitlines()[0] == ",".join(["swept_value", *(SWEEP_VALUES[s] for s in parts),
+                                            *(SWEEP_RHOS[s] for s in parts), "nosecrecy_ub,nosecrecy_lb"])
+
+
 def test_sweep_conflicts_and_ranges(capsys):
     rc, _, err = run(
         capsys, "sweep", "--param", "c", "--c", "1.0", "--from", "0.2", "--to", "0.4",
@@ -233,6 +258,14 @@ def test_thresholds_bad_scheme(capsys):
         "--c-min", "0.1", "--c-max", "0.3", "--steps", "5",
     )
     assert rc == 1 and err != ""
+
+
+@pytest.mark.parametrize("flag", ["--schemes-a", "--schemes-b"])
+def test_thresholds_rejects_an_empty_scheme_list(capsys, flag):
+    # an empty list is a list with the one scheme '', not the default groups
+    rc, out, err = run(capsys, "thresholds", "--p", "10", "--g", "0.1", flag, "")
+    assert (rc, out) == (1, "")
+    assert err == "error: unknown scheme '' for scenario 1; pick from ('df', 'pdf', 'pdfm')\n"
 
 
 def test_thresholds_rejects_an_empty_range(capsys):
@@ -328,8 +361,10 @@ def test_dmc_missing_and_malformed_file(capsys, tmp_path):
     rc, _, err = run(capsys, "dmc", "--file", str(bad))
     assert rc == 1
     good = {"alphabet_sizes": [2, 2, 2, 2], "transition": [0.0625] * 16, "input_pmf": [0.25] * 4, "c1": 1.0, "c2": 1.0}
-    # JSON of the wrong type: not an object, sizes not a list, c1 not a number
-    for doc in (5, {**good, "alphabet_sizes": 4}, {**good, "c1": None}, {**good, "c1": [1]}):
+    # JSON of the wrong type: not an object, sizes not a list, c1 not a number;
+    # then ragged lists and an input pmf of the wrong size
+    for doc in (5, {**good, "alphabet_sizes": 4}, {**good, "c1": None}, {**good, "c1": [1]},
+                {**good, "transition": [[1.0], [0.0, 1.0]]}, {**good, "input_pmf": [0.5, 0.5]}):
         bad.write_text(json.dumps(doc))
         rc, out, err = run(capsys, "dmc", "--file", str(bad))
         assert (rc, out) == (1, "") and err.startswith("error:"), (doc, err)

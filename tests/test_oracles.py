@@ -326,6 +326,24 @@ def test_load_dmc_structural_errors(tmp_path):
             oracles.load_dmc(str(path))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"transition": [[1.0], [0.0, 1.0]]}, "lists of unequal lengths"),
+    ({"input_pmf": [0.5, 0.5]}, "input_pmf has 2 entries, expected 4"),
+], ids=["ragged", "short-pmf"])
+def test_load_dmc_rejects_ragged_lists_and_a_pmf_of_the_wrong_size(tmp_path, bad, message):
+    path = tmp_path / "bad.json"
+    good = {"alphabet_sizes": [2, 2, 4, 1], "transition": identity_y_channel().transition.reshape(-1).tolist(),
+            "input_pmf": UNIFORM.reshape(-1).tolist(), "c1": 1.0, "c2": 1.0}
+    path.write_text(json.dumps({**good, **bad}))
+    with pytest.raises(InvalidPmf, match=message):
+        oracles.load_dmc(str(path))
+
+
+def test_dmc_rates_rejects_an_input_pmf_of_another_shape():
+    with pytest.raises(InvalidPmf, match=r"input pmf shape \(4,\) does not match alphabets \(2, 2\)"):
+        oracles.dmc_rates(identity_y_channel(), UNIFORM.reshape(-1), c1=1.0, c2=1.0)
+
+
 def _brute_force_mi(joint, a, b, c):
     """I(A;B|C) in bits from the full joint p(x1, x2, y, z)."""
     def h(block):

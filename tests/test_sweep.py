@@ -1,8 +1,10 @@
-"""The sweep command's no-eavesdropper columns: the bounds of the row's
-channel with g = 0, computed once for all the rows of a gain sweep."""
+"""The sweep command's rows: each is what ``eval`` prints for the row's
+channel, and its no-eavesdropper columns are the bounds of that channel with
+g = 0, computed once for all the rows of a gain sweep."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from diamond_wiretap import cli, scenario_one
@@ -38,3 +40,38 @@ def test_no_eavesdropper_columns_are_the_bounds_at_g_zero(param, values, channel
     # no channel is bounded twice: the rows of a gain sweep share one
     # no-eavesdropper channel, that of its first row (g = 0)
     assert len(calls) == len(set(calls)) == {"g": 4, "c": 8}[param]
+
+
+
+def _eval(capsys, flags, *extra):
+    argv = ["eval", *(token for flag in flags.items() for token in flag), *extra, "--format", "kv"]
+    assert cli.main(argv) == 0
+    return _blocks(capsys.readouterr().out)[0]
+
+
+@pytest.mark.parametrize("param, fixed, span", [
+    ("c", {"--p1": "4", "--p2": "1", "--g": "0.3", "--rprime": "0.6"}, (0.0, 2.2, 5)),
+    ("p", {"--c1": "0.5", "--c2": "0.8", "--g": "0.2", "--rprime": "0.6"}, (0.5, 20.0, 4)),
+    ("g", {"--p": "3", "--c": "1.2", "--rprime": "0.5"}, (0.0, 0.9, 4)),
+])
+def test_each_sweep_row_is_what_eval_prints_for_its_channel(param, fixed, span, capsys):
+    start, stop, steps = span
+    argv = ["sweep", "--param", param, "--from", str(start), "--to", str(stop), "--steps", str(steps),
+            "--scenario", "both", "--format", "kv", *(token for flag in fixed.items() for token in flag)]
+    assert cli.main(argv) == 0
+    rows = _blocks(capsys.readouterr().out)
+    assert len(rows) == steps
+    # the sweep's points are those of numpy.linspace, bit for bit
+    for row, value in zip(rows, np.linspace(start, stop, steps)):
+        channel = {**fixed, f"--{param}": repr(float(value))}
+        point = _eval(capsys, channel)
+        no_eavesdropper = _eval(capsys, {**channel, "--g": "0"}, "--scenario", "1")
+        assert row.pop("swept_value") == point[param if param == "g" else f"{param}1"]
+        assert row.pop("nosecrecy_ub") == no_eavesdropper["ub1"]
+        assert row.pop("nosecrecy_lb") == no_eavesdropper["lb1"]
+        # PDF is plain PDF: eval prints no rho for it, and the sweep's is 0
+        assert row.pop("rho_lb1_pdf") == "0"
+        rhos = {name: row.pop(name) for name in list(row) if name.startswith("rho_")}
+        assert rhos == {f"rho_{name[:-4]}": point[name] for name in point if name.endswith("_rho")}
+        assert row == {name: point[name] for name in row}
+        assert len(row) == 10
