@@ -42,10 +42,12 @@ def test_no_eavesdropper_columns_are_the_bounds_at_g_zero(param, values, channel
     assert len(calls) == len(set(calls)) == {"g": 4, "c": 8}[param]
 
 
+def _flags(settings):
+    return [token for flag in settings.items() for token in flag]
 
-def _eval(capsys, flags, *extra):
-    argv = ["eval", *(token for flag in flags.items() for token in flag), *extra, "--format", "kv"]
-    assert cli.main(argv) == 0
+
+def _eval(capsys, settings, *extra):
+    assert cli.main(["eval", *_flags(settings), *extra, "--format", "kv"]) == 0
     return _blocks(capsys.readouterr().out)[0]
 
 
@@ -57,7 +59,7 @@ def _eval(capsys, flags, *extra):
 def test_each_sweep_row_is_what_eval_prints_for_its_channel(param, fixed, span, capsys):
     start, stop, steps = span
     argv = ["sweep", "--param", param, "--from", str(start), "--to", str(stop), "--steps", str(steps),
-            "--scenario", "both", "--format", "kv", *(token for flag in fixed.items() for token in flag)]
+            "--scenario", "both", "--format", "kv", *_flags(fixed)]
     assert cli.main(argv) == 0
     rows = _blocks(capsys.readouterr().out)
     assert len(rows) == steps
@@ -72,6 +74,7 @@ def test_each_sweep_row_is_what_eval_prints_for_its_channel(param, fixed, span, 
         # PDF is plain PDF: eval prints no rho for it, and the sweep's is 0
         assert row.pop("rho_lb1_pdf") == "0"
         rhos = {name: row.pop(name) for name in list(row) if name.startswith("rho_")}
-        assert rhos == {f"rho_{name[:-4]}": point[name] for name in point if name.endswith("_rho")}
-        assert row == {name: point[name] for name in row}
+        assert rhos == {f"rho_{name[:-len('_rho')]}": point[name] for name in point if name.endswith("_rho")}
+        # what is left are the ten value columns, ub1 to lb2
         assert len(row) == 10
+        assert row == {name: point[name] for name in row}
