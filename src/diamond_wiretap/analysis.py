@@ -168,8 +168,8 @@ def pdf_gap_vs_power(
     return PdfGapReport(rows=tuple(rows), mac_limit=limit)
 
 
-SCENARIO_ONE_SCHEMES = ("df", "pdf", "pdfm")
-SCENARIO_TWO_SCHEMES = ("df", "pdfdfm", "pdfpdfm")
+SCENARIO_ONE_SCHEMES = tuple(report for report, *_ in scenario_one.TABLE.schemes)
+SCENARIO_TWO_SCHEMES = tuple(report for report, *_ in scenario_two.TABLE.schemes)
 
 
 @dataclass(frozen=True)

@@ -126,15 +126,12 @@ def _budget_from(args) -> RandomnessBudget:
     return RandomnessBudget(value)
 
 
-# each scenario's reports as (column stem, field of its bounds): the converse
-# first, then its schemes; ``eval`` and ``sweep`` both print from this list
-_REPORTS = {
-    "1": (("ub1", "upper"), ("lb1_df", "lower_df"), ("lb1_pdf", "lower_pdf"),
-          ("lb1_pdfm", "lower_pdf_m")),
-    "2": (("ub2", "upper"), ("lb2_df", "lower_df"), ("lb2_pdfdfm", "lower_pdf_df_m"),
-          ("lb2_pdfpdfm", "lower_pdf_pdf_m")),
-}
 _MODULES = {"1": scenario_one, "2": scenario_two}
+# each scenario's reports as (column stem, field of its bounds): the converse
+# first, then its table's schemes; ``eval`` and ``sweep`` both print from it
+_REPORTS = {scenario: ((f"ub{scenario}", "upper"),
+                       *((f"lb{scenario}_{report}", attr) for report, *_, attr in module.TABLE.schemes))
+            for scenario, module in _MODULES.items()}
 # the fields a swept parameter sets on every row
 _SWEPT = {"c": ("c1", "c2"), "p": ("p1", "p2"), "g": ("g",)}
 
@@ -163,11 +160,11 @@ def cmd_eval(args) -> str:
                 row.append((f"{stem}_rho", report.rho))
             if field == "upper":
                 row += [(f"{stem}_branch", report.branch), (f"{stem}_binding", ";".join(report.binding))]
-            # T1 may reach its optimum outside [-1, 1]: scenario 2 says whether it did
-            if stem == "ub2":
-                row.append(("ub2_rho_in_unit_interval", report.rho_in_unit_interval))
-        if scenario == "2":
-            row.append(("lb2_indicator_satisfied", b.indicator_satisfied))
+            # a closed-form branch (T1) may reach its optimum outside [-1, 1]: say whether it did
+            if field == "upper" and _MODULES[scenario].TABLE.closed:
+                row.append((f"{stem}_rho_in_unit_interval", report.rho_in_unit_interval))
+        if _MODULES[scenario].TABLE.linked:
+            row.append((f"lb{scenario}_indicator_satisfied", b.indicator_satisfied))
         row.append((f"lb{scenario}", b.lower))
         rho_max, note = b.rho_max, b.note or note
     row.append(("rho_max", "none" if rho_max is None else rho_max))
@@ -195,6 +192,8 @@ def cmd_sweep(args) -> str:
 
     # the points of numpy.linspace, bit for bit: start + i*step, and stop last
     step = (args.to - args.from_) / (args.steps - 1)
+    if not all(map(math.isfinite, (args.from_, args.to, step))):
+        raise ParameterError("--from, --to and the step (--to - --from)/(--steps - 1) must be finite")
     rows = []
     for v in [args.from_ + i * step for i in range(args.steps - 1)] + [args.to]:
         params = replace(base, **dict.fromkeys(_SWEPT[args.param], v))

@@ -50,7 +50,6 @@ __all__ = [
     "f6",
     "f7",
     "rho_star",
-    "rho_bar",
     "rho_h",
     "peak",
     "crossing",
@@ -253,16 +252,6 @@ def rho_star(params: ChannelParams) -> float:
     """
     k = math.sqrt(params.p1) * math.sqrt(params.p2)
     return 2.0 * k / (1.0 + math.hypot(1.0, 2.0 * k))
-
-
-def rho_bar(params: ChannelParams) -> float:
-    """Anticorrelation at which the combined transmit power vanishes.
-
-    rho_bar = (P1+P2)/(2*sqrt(P1*P2)) >= 1, with equality iff P1 = P2.
-    """
-    if params.p1 == params.p2:
-        return 1.0
-    return (params.p1 + params.p2) / (2.0 * _k(params))
 
 
 def rho_h(params: ChannelParams) -> float:

@@ -17,22 +17,19 @@ S3, S4 add the leakage-corrected terms:
 Achievability comes from decode-and-forward (DF) and partial decode-and-
 forward with multicoding (PDF-M); plain PDF is PDF-M pinned at rho = 0.
 Every achievable rate requires the randomness budget to cover the leakage,
-R' >= f5(rho), which caps rho at rho_max.  DF is taken at the cap, PDF-M
-over [0, rho_max] (at the cap alone when it is negative), and PDF only
-where rho = 0 fits the budget.  The terms of every branch and scheme live
-in ``schemes.TABLE``, whose docstring also says how each one is solved;
-``solve`` is the one route from the table to an optimum, for both
-scenarios, and ``solve_linked`` also returns the link interval it splits
-PDF-PDF-M at.  ``scalar_opt.maximize_min`` solves every branch and scheme
-at its crossings; a degenerate interval is one evaluation.  ``upper_report``
-builds the upper bound of both scenarios from their branch optima.
+R' >= f5(rho), which caps rho at rho_max.
+
+``TABLE`` writes this scenario once, and ``upper`` and ``lower`` walk it
+and ``scenario_two.TABLE`` alike.  The terms of every branch and scheme live
+in ``schemes.TABLE``, whose docstring says how ``solve``, the one route from
+a table to an optimum, solves each (``solve_linked`` adds the link interval).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import rate_functions as rf
 from . import schemes
@@ -42,9 +39,12 @@ from .scalar_opt import OptimizationResult, maximize_min
 __all__ = [
     "BoundReport",
     "ScenarioOneBounds",
+    "Table",
+    "TABLE",
     "solve",
     "solve_linked",
-    "upper_report",
+    "upper",
+    "lower",
     "upper_bound",
     "scheme_rates",
     "bounds",
@@ -136,72 +136,90 @@ def _meeting(params: ChannelParams, levels: Mapping, peaks: Mapping, up: str, ot
     return rf.crossing(params, up, levels.get(other, other), lo, hi)
 
 
-def _scheme_report(opt: OptimizationResult, note: str | None = None) -> BoundReport:
-    """An achievable rate: the optimum of a scheme, clamped at 0."""
-    return BoundReport(value=max(0.0, opt.value), rho=opt.rho, binding=opt.binding, raw_value=opt.value, note=note)
+@dataclass(frozen=True)
+class Table:
+    """One scenario, for ``upper`` and ``lower`` to walk.  ``converse``:
+    groups of (entry, lo, hi), a ``schemes.TABLE`` entry on [lo, hi] with ends
+    among "0", "rho*" and "1", or the closed form ``closed[entry]`` where the
+    ends are None; the upper bound is the least group best, the first of
+    equal values winning both ways.  ``schemes``: (report, entry, lo, hi,
+    field), the key in ``scheme_rates``, the entry on [lo, hi] with ends among
+    "-1", "0", "cap" (rho_max) and "min(0, cap)", solved where ``hi`` fits the
+    cap, and its field of the bounds.  ``linked``: a scheme reads the link
+    indicator, and the bounds report ``indicator_satisfied``."""
 
+    converse: tuple[tuple[tuple[str, str | None, str | None], ...], ...]
+    closed: Mapping[str, Callable[[ChannelParams], OptimizationResult]]
+    schemes: tuple[tuple[str, str, str, str, str], ...]
+    linked: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "linked", any(schemes.TABLE[entry].linked for _, entry, *_ in self.schemes))
+
+
+TABLE = Table(
+    converse=((("S1", "0", "rho*"), ("S2", "rho*", "1")), (("S3", "0", "rho*"), ("S4", "rho*", "1"))),
+    closed={},
+    # DF at the cap, as min(C1, C2, f4 - f5) is nondecreasing in rho; PDF is
+    # PDF-M at rho = 0, which the budget may exclude; PDF-M where nonnegative
+    # correlations dominate, or at the cap when the budget keeps it below 0
+    schemes=(("df", "df1", "cap", "cap", "lower_df"),
+             ("pdf", "pdfm1", "0", "0", "lower_pdf"),
+             ("pdfm", "pdfm1", "min(0, cap)", "cap", "lower_pdf_m")),
+)
 
 _INFEASIBLE = "randomness budget below the minimum leakage f5(-1): no feasible correlation"
 
 
-def _zero_report(note: str) -> BoundReport:
-    return BoundReport(value=0.0, rho=0.0, binding=(), raw_value=0.0, note=note)
-
-
-def upper_report(sub_reports: dict[str, OptimizationResult], branch: str) -> BoundReport:
-    """The upper bound of either scenario: the optimum of ``branch`` among
-    the branch optima ``sub_reports``."""
-    opt = sub_reports[branch]
+def upper(params: ChannelParams, table: Table) -> BoundReport:
+    """The upper bound of ``table``'s scenario, every branch in ``sub_reports``."""
+    at = {"0": 0.0, "rho*": rf.rho_star(params), "1": 1.0}
+    subs = {name: table.closed[name](params) if lo is None else solve(params, name, at[lo], at[hi])
+            for group in table.converse for name, lo, hi in group}
+    value = {name: opt.value for name, opt in subs.items()}
+    # max() and min() keep the first of equal values
+    branch = min((max((name for name, _, _ in group), key=value.get) for group in table.converse), key=value.get)
+    opt = subs[branch]
     return BoundReport(value=opt.value, rho=opt.rho, binding=opt.binding, raw_value=opt.value,
-                       branch=branch, sub_reports=sub_reports, rho_in_unit_interval=opt.rho >= -1.0)
+                       branch=branch, sub_reports=subs, rho_in_unit_interval=opt.rho >= -1.0)
+
+
+def lower(params: ChannelParams, budget: RandomnessBudget, table: Table) -> dict:
+    """The fields of ``table``'s bounds but the upper: each scheme's optimum
+    clamped at 0, ``lower``, ``rho_max``, the note and, if linked,
+    ``indicator_satisfied``; zeros with a note where no rho fits the budget."""
+    rho_max = rf.budget_cap(params, budget)
+    at = {} if rho_max is None else {"-1": -1.0, "0": 0.0, "cap": rho_max, "min(0, cap)": min(0.0, rho_max)}
+    out = {"indicator_satisfied": False} if table.linked else {}
+    for _, name, lo, hi, attr in table.schemes:
+        if rho_max is None or at[hi] > rho_max:
+            note = _INFEASIBLE if rho_max is None else f"rho = {hi} violates the randomness budget"
+            out[attr] = BoundReport(value=0.0, rho=0.0, binding=(), raw_value=0.0, note=note)
+            continue
+        opt, link = solve_linked(params, name, at[lo], at[hi])
+        note = None
+        if schemes.TABLE[name].linked:
+            out["indicator_satisfied"] = link is not None and link[0] <= opt.rho <= link[1]
+            note = None if out["indicator_satisfied"] else "link conditions C1 > f6, C2 > f7 not met at the optimum"
+        out[attr] = BoundReport(value=max(0.0, opt.value), rho=opt.rho, binding=opt.binding, raw_value=opt.value,
+                                 note=note)
+    out.update(lower=max(0.0, *(out[attr].value for *_, attr in table.schemes)), rho_max=rho_max,
+               note=_INFEASIBLE if rho_max is None else None)
+    return out
 
 
 def upper_bound(params: ChannelParams) -> BoundReport:
     """Converse bound on the scenario-1 secrecy capacity."""
-    rs = rf.rho_star(params)
-    subs = {name: solve(params, name, lo, hi)
-            for name, lo, hi in (("S1", 0.0, rs), ("S2", rs, 1.0), ("S3", 0.0, rs), ("S4", rs, 1.0))}
-    v = {name: opt.value for name, opt in subs.items()}
-    left = "S1" if v["S1"] >= v["S2"] else "S2"
-    right = "S3" if v["S3"] >= v["S4"] else "S4"
-    return upper_report(subs, left if v[left] <= v[right] else right)
-
-
-def _achievability(
-    params: ChannelParams, budget: RandomnessBudget,
-) -> tuple[dict[str, BoundReport], float | None]:
-    """The report of each scheme, by its name in ``scheme_rates``, and
-    rho_max; zeros with a note when no rho is feasible."""
-    rho_max = rf.budget_cap(params, budget)
-    if rho_max is None:
-        return dict.fromkeys(("df", "pdf", "pdfm"), _zero_report(_INFEASIBLE)), None
-    lows = dict.fromkeys(("df", "pdf", "pdfm"), _zero_report("rho = 0 violates the randomness budget"))
-    # DF at the cap: min(C1, C2, f4 - f5) is nondecreasing in rho.  PDF-M on
-    # [0, rho_max], where nonnegative correlations dominate, unless the budget
-    # forces the whole feasible set below 0.  PDF is PDF-M at rho = 0.  Each
-    # is solved where its interval fits the budget; only PDF's can miss it.
-    lows.update((report, _scheme_report(solve(params, name, lo, hi)))
-                for report, name, lo, hi in (("df", "df1", rho_max, rho_max),
-                                             ("pdfm", "pdfm1", min(0.0, rho_max), rho_max),
-                                             ("pdf", "pdfm1", 0.0, 0.0)) if hi <= rho_max)
-    return lows, rho_max
+    return upper(params, TABLE)
 
 
 def scheme_rates(params: ChannelParams, budget: RandomnessBudget) -> dict[str, float]:
     """Clamped rate of each achievability scheme, skipping the upper bound."""
-    return {name: report.value for name, report in _achievability(params, budget)[0].items()}
+    lows = lower(params, budget, TABLE)
+    return {report: lows[attr].value for report, *_, attr in TABLE.schemes}
 
 
 def bounds(params: ChannelParams, budget: RandomnessBudget) -> ScenarioOneBounds:
-    """Upper bound plus the best achievable rate over all scenario-1 schemes.
-
-    When no correlation satisfies the budget the lower bounds are reported
-    as 0 with a diagnostic note rather than raising.
-    """
-    ub = upper_bound(params)
-    lows, rho_max = _achievability(params, budget)
-    lower = max(0.0, *(report.value for report in lows.values()))
-    return ScenarioOneBounds(
-        upper=ub, lower_df=lows["df"], lower_pdf=lows["pdf"], lower_pdf_m=lows["pdfm"],
-        lower=lower, rho_max=rho_max, note=_INFEASIBLE if rho_max is None else None,
-    )
+    """Upper bound plus the best achievable rate over the schemes of
+    ``TABLE``; zeros with a note, not an error, where no rho fits the budget."""
+    return ScenarioOneBounds(upper=upper_bound(params), **lower(params, budget, TABLE))

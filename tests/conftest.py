@@ -6,6 +6,8 @@ import signal
 import numpy as np
 import pytest
 
+from diamond_wiretap import rate_functions as rf
+
 
 @contextlib.contextmanager
 def _deadline(seconds):
@@ -26,6 +28,15 @@ def deadline():
     """Context manager that raises TimeoutError once its wall-clock limit passes,
     so that a call that never returns fails the test instead of blocking the run."""
     return _deadline
+
+
+def rho_bar(p):
+    """The anticorrelation at which the combined power s(rho) vanishes:
+    (P1 + P2)/(2*sqrt(P1*P2)) >= 1, exactly 1 where P1 = P2.  T1 of scenario
+    2 is a maximum over [-rho_bar, 0]."""
+    if p.p1 == p.p2:
+        return 1.0
+    return (p.p1 + p.p2) / (2.0 * rf._k(p))
 
 
 def reference_rates(p, rho, names):

@@ -18,7 +18,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import tracing  # noqa: E402
 import workloads  # noqa: E402
+from diamond_wiretap import scenario_two  # noqa: E402
+from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget  # noqa: E402
 
 SEEDS = range(1, 31)
 
@@ -45,3 +48,20 @@ def test_a_full_points_round_runs_clean(deadline):
         ops = workloads.build("points", 101, 1)
         bad = [(workloads.describe(op), msgs) for op in ops for msgs in [_problems(op)] if msgs]
     assert bad == []
+
+
+def test_the_tracer_sees_scenario_two_reach_its_converse_and_the_solver():
+    """The benchmark's tracer wraps names where their callers look them up.
+    One ``scenario_two.bounds`` call must then record one
+    ``scenario_two.upper_bound`` span and at least one
+    ``scalar_opt.maximize_min`` span.  A ``bounds`` that reached its converse
+    through a reference captured at import would read 0 upper-bound calls,
+    and ``scenario_two.useful_ratio`` would fall back to its default of 1.0."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        scenario_two.bounds(ChannelParams.symmetric(10.0, 1.5, 0.1), RandomnessBudget.unbounded())
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["scenario_two.upper_bound"][0] == 1
+    assert tracer.stats["scalar_opt.maximize_min"][0] >= 1

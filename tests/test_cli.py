@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, flag validation."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -11,7 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from diamond_wiretap import cli
+from diamond_wiretap import analysis, cli, scenario_one, scenario_two
+from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 
 
 def run(capsys, *args):
@@ -202,6 +204,39 @@ def test_eval_and_sweep_print_their_columns_in_order(capsys, scenario, parts):
     assert rc == 0
     assert out.splitlines()[0] == ",".join(["swept_value", *(SWEEP_VALUES[s] for s in parts),
                                             *(SWEEP_RHOS[s] for s in parts), "nosecrecy_ub,nosecrecy_lb"])
+
+
+@pytest.mark.parametrize("scenario", ["1", "2"])
+def test_each_list_of_schemes_is_the_rows_of_its_scenario_table(capsys, scenario):
+    """The keys of ``scheme_rates``, ``analysis.SCENARIO_*_SCHEMES``, the
+    ``lb<n>_<key>`` columns of ``eval --format csv`` and the ``lower_*``
+    fields of the bounds follow the rows of the scenario's ``TABLE``, in
+    order, and each field holds the rate of its row's key."""
+    module = {"1": scenario_one, "2": scenario_two}[scenario]
+    keys = [report for report, *_ in module.TABLE.schemes]
+    fields = [field for *_, field in module.TABLE.schemes]
+    params, budget = ChannelParams(3.0, 0.5, 1.0, 1.1, 0.3), RandomnessBudget(0.6)
+    rates = module.scheme_rates(params, budget)
+    assert list(rates) == keys
+    assert list({"1": analysis.SCENARIO_ONE_SCHEMES, "2": analysis.SCENARIO_TWO_SCHEMES}[scenario]) == keys
+    rc, out, _ = run(capsys, "eval", "--p1", "3", "--p2", "0.5", "--c1", "1", "--c2", "1.1", "--g", "0.3",
+                     "--rprime", "0.6", "--scenario", scenario, "--format", "csv")
+    assert rc == 0
+    columns = [m[1] for name in out.splitlines()[0].split(",") if (m := re.fullmatch(f"lb{scenario}_([a-z]+)", name))]
+    assert columns == keys
+    b = module.bounds(params, budget)
+    assert [f.name for f in dataclasses.fields(b) if f.name.startswith("lower_")] == fields
+    assert [getattr(b, field).value for field in fields] == [rates[key] for key in keys]
+
+
+@pytest.mark.parametrize("ends", [("--from", "1", "--to", "inf"), ("--from", "nan", "--to", "1"),
+                                  ("--from=-1e308", "--to", "1e308")])
+@pytest.mark.parametrize("param, fixed", [("c", ("--p", "1")), ("p", ("--c", "1"))])
+def test_sweep_rejects_a_range_or_step_that_is_not_finite(capsys, param, fixed, ends):
+    # the rows start + i*step would hold a nan or inf that the user never typed
+    rc, out, err = run(capsys, "sweep", "--param", param, *ends, "--steps", "2", *fixed, "--g", "0.1")
+    assert (rc, out) == (1, "")
+    assert err == "error: --from, --to and the step (--to - --from)/(--steps - 1) must be finite\n"
 
 
 def test_sweep_conflicts_and_ranges(capsys):

@@ -28,7 +28,7 @@ from diamond_wiretap import schemes
 from diamond_wiretap.errors import EmptyFeasibleSet
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 
-from conftest import reference_rates
+from conftest import reference_rates, rho_bar
 
 FINE_POINTS = 2**16 + 1
 DRAWS = 30
@@ -78,7 +78,7 @@ def branch_objectives(p):
     """Branch name -> (objective of a mapping of rate arrays, the rates it
     reads, lo, hi)."""
     f10, f20, f30 = rf.f1(p, 0.0), rf.f2(p, 0.0), rf.f3(p, 0.0)
-    rs, rb = rf.rho_star(p), rf.rho_bar(p)
+    rs, rb = rf.rho_star(p), rho_bar(p)
     least = np.minimum.reduce
     cuts = ("f1", "f2", "f3", "f4")
     return {
@@ -196,7 +196,7 @@ def test_t1_and_ub2_match_a_50_digit_reference():
         ub = s2.upper_bound(p)
         t1 = ub.sub_reports["T1"]
         value, rho, binding = decimal_t1(p)
-        bar = rf.rho_bar(p)
+        bar = rho_bar(p)
         assert abs(t1.value - value) <= 1e-15 and t1.binding == binding, (i, p, t1, value, binding)
         assert -bar <= t1.rho <= 0.0 and abs(t1.rho - rho) <= 1e-12 * bar, (i, p, t1, rho)
         assert ub.value == max(sub.value for sub in ub.sub_reports.values()), (i, p, ub)
@@ -293,17 +293,18 @@ BUDGETS = [RandomnessBudget.unbounded(), RandomnessBudget.finite(0.3), Randomnes
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_scenario_one_solves_the_intervals_of_its_docstring(budget, monkeypatch):
     """Every scenario-1 solve is on the interval the ``scenario_one``
-    docstring gives it: S1, S3 on [0, rho*], S2, S4 on [rho*, 1], DF at the
-    budget cap, PDF-M on [0, rho_max] (at the cap alone when it is
-    negative), and PDF at rho = 0 where that fits the budget; no scheme
-    where no rho does."""
+    docstring and ``TABLE`` give it, in the table's order: S1, S3 on
+    [0, rho*], S2, S4 on [rho*, 1], DF at the budget cap, PDF at rho = 0
+    where that fits the budget, and PDF-M on [0, rho_max] (at the cap alone
+    when it is negative); no scheme where no rho fits."""
     solves = _solves(monkeypatch)
     for p in criterion_08_draws(DRAWS):
         rs, cap = rf.rho_star(p), _rho_max(p, budget)
         expected = [("S1", 0.0, rs), ("S2", rs, 1.0), ("S3", 0.0, rs), ("S4", rs, 1.0)]
         if cap is not None:
-            expected += [("df1", cap, cap), ("pdfm1", 0.0 if cap >= 0.0 else cap, cap)]
+            expected += [("df1", cap, cap)]
             expected += [("pdfm1", 0.0, 0.0)] if cap >= 0.0 else []
+            expected += [("pdfm1", 0.0 if cap >= 0.0 else cap, cap)]
         assert solves(s1.bounds, p, budget) == expected, p
 
 

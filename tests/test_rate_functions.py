@@ -21,7 +21,7 @@ from diamond_wiretap.errors import DomainError, EmptyFeasibleSet, ParameterError
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 from diamond_wiretap.scalar_opt import sign_change
 
-from conftest import reference_rates
+from conftest import reference_rates, rho_bar
 
 SYM = ChannelParams.symmetric(10.0, 1.5, 0.1)
 ASYM = ChannelParams(p1=4.0, p2=1.0, c1=1.0, c2=1.0, g=0.1)
@@ -129,7 +129,7 @@ def test_domain_errors():
         rf.f3(SYM, -1.001)
     # f4 and f5 share the one domain [-1, 1], also for unequal powers, whose
     # -rho_bar lies below -1
-    assert rf.rho_bar(ASYM) == pytest.approx(1.25, abs=1e-12)
+    assert rho_bar(ASYM) == pytest.approx(1.25, abs=1e-12)
     for fn in (rf.f4, rf.f5):
         assert fn(ASYM, -1.0) > 0.0
         with pytest.raises(DomainError):
@@ -155,7 +155,7 @@ def test_one_bad_element_in_an_array_raises(bad):
 def test_f4_and_f5_reject_nan_and_points_below_minus_one():
     # between -rho_bar and -1, where s(rho) is still positive, f4 and f5 raise
     # like the other forms, alone or in a request of several names
-    for bad in (math.nan, -1.0 - 1e-6, -1.1, -rf.rho_bar(ASYM)):
+    for bad in (math.nan, -1.0 - 1e-6, -1.1, -rho_bar(ASYM)):
         for fn in (rf.f4, rf.f5):
             with pytest.raises(DomainError):
                 fn(ASYM, np.array([0.2, bad]))
@@ -175,7 +175,7 @@ def test_round_off_band_outside_the_unit_interval_is_clipped():
 
 
 def test_minus_rho_bar_is_in_the_domain_of_no_form():
-    bar = rf.rho_bar(ASYM)
+    bar = rho_bar(ASYM)
     for fn in RATES:
         fn(ASYM, -1.0)
         with pytest.raises(DomainError):
@@ -206,7 +206,7 @@ def test_kernel_matches_the_public_forms():
 
 
 def test_rho_bar_symmetric_is_exactly_one():
-    assert rf.rho_bar(SYM) == 1.0
+    assert rho_bar(SYM) == 1.0
 
 
 @pytest.mark.parametrize("power", [1e-300, 1e-12, 3.0, 1e154, 1e300])
@@ -215,7 +215,7 @@ def test_combined_power_vanishes_at_minus_rho_bar(power):
     # tiny residual, also where P1*P2 under- or overflows and sqrt(P1*P2) is
     # taken as sqrt(P1)*sqrt(P2)
     sym = ChannelParams.symmetric(power, 1.0, 0.2)
-    assert rf.rho_bar(sym) == 1.0
+    assert rho_bar(sym) == 1.0
     assert rf.f4(sym, -1.0) == 0.0
     assert rf.f5(sym, -1.0) == 0.0
 

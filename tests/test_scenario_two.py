@@ -11,6 +11,8 @@ from diamond_wiretap import scenario_two as s2
 from diamond_wiretap import schemes
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 
+from conftest import rho_bar
+
 UNBOUNDED = RandomnessBudget.unbounded()
 
 # frozen with an independent high-precision evaluation
@@ -160,7 +162,7 @@ def test_bounds_return_at_extreme_power_ratios(deadline, p1, p2):
     assert math.isfinite(b.upper.value)
     assert b.lower <= b.upper.value + 1e-7
     t1 = b.upper.sub_reports["T1"]
-    assert -rf.rho_bar(p) <= t1.rho <= 0.0
+    assert -rho_bar(p) <= t1.rho <= 0.0
 
 
 def test_t1_plateau_reports_its_left_end():
