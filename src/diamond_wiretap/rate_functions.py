@@ -268,16 +268,36 @@ def rho_h(params: ChannelParams) -> float:
 
 
 def peak(params: ChannelParams, term: str) -> float:
-    """Where ``term`` stops rising and starts to fall on [-1, 1] (+inf for
-    f4 and f4 - f5, which rise throughout; 0 for f1, f2, f3).
+    """Where the term ``term`` of ``TERMS`` stops rising and starts to fall
+    on [-1, 1]:
 
-    The slope of f1 - f5, f2 - f5, f3 - f5 and f3 - 2 f5 has the sign of
-    -(a*rho^2 + b*rho + c) with a, b, c >= 0 (``schemes`` derives them), so
-    their peak is the root nearest 0, -2c/(b + sqrt(b^2 - 4ac)); it may lie
-    below -1 for f1 - f5 and f2 - f5.  a and c are divided by b > 0, so that
-    no product of two powers is formed.  The peaks of f3 - f5 and f3 - 2 f5
-    lie above -1, where f3 is -inf; huge powers would round them to -1.
+    - -inf for a term with no positive weight on a rate of rho, which never
+      rises: C1, C2, f3(0) and the indicator, less f5 or not (f5 rises);
+    - +inf for f4 and f4 - f5, which rise throughout: s(rho) rises, and
+      f4 - f5 is 0.5*log2((1 + s)/(1 + g*s)), which rises with s as g < 1;
+    - 0 for f1, f2 and f3, which are even and fall for rho >= 0;
+    - ``rho_h`` for the concave (f3+f4)/2;
+    - for f1 - f5, f2 - f5, f3 - f5 and f3 - 2 f5, the root of their
+      slope nearest 0.  With k = sqrt(P1*P2) and
+      G = 1 + g*(P1 + P2), the slope of f1 - f5 times 2 ln 2 is
+      -2*rho*P2/(1 + q*P2) - 2gk/(1 + g*s), q = 1 - rho^2; over its
+      positive denominator its sign is that of
+      -(g*k*P2*rho^2 + P2*G*rho + g*k*(1 + P2)).  In the same way f2 - f5
+      gives P1 for P2, f3 - f5 gives -(g*k*rho^2 + G*rho + g*k), and
+      f3 - 2 f5 gives -(G*rho + 2gk).  Divided by P2*G, P1*G, G and G,
+      they read -(a*rho^2 + rho + c) with a, c >= 0, and no product of two
+      powers is formed.  For g > 0 both roots (if real) are negative, their
+      product, c/a, is (1 + P2)/P2 > 1, (1 + P1)/P1 or 1: the root nearest
+      0, -2c/(1 + sqrt(1 - 4ac)), is the only one that can lie in (-1, 0],
+      and g = 0 puts it at 0.  It may lie below -1 for f1 - f5 and f2 - f5,
+      which then fall on all of [-1, 1]; for f3 - f5 and f3 - 2 f5 it lies
+      above -1, where f3 is -inf, and huge powers would round it to -1.
+
+    The indicator is constant between the ends of its link interval
+    (``link_interval``), at which ``scenario_one.solve_linked`` splits.
     """
+    if not any(c > 0.0 for rate, c in TERMS[term].items() if rate in _SLOPES):
+        return -math.inf
     if term in ("f4", "f4-f5"):
         return math.inf
     if term in ("f1", "f2", "f3"):

@@ -103,7 +103,7 @@ def solve_linked(
     branch, fixed = schemes.gaussian(params, name)
     entry = schemes.TABLE[name]
     link = rf.link_interval(params, lo, hi) if entry.linked else None
-    peaks = {term: rf.peak(params, term) for term in entry.rising}
+    peaks = {term: rf.peak(params, term) for term in entry.names}
     edges = () if link is None else (
         math.nextafter(link[0], -math.inf), link[0], link[1], math.nextafter(link[1], math.inf))
     ends = [lo, *(x for x in edges if lo < x < hi), hi]
@@ -124,13 +124,8 @@ def _meeting(params: ChannelParams, levels: Mapping, peaks: Mapping, up: str, ot
     ``rate_functions.crossing``: a rho-free term by its value, any other by
     name, and the leakage f5 that both terms may subtract cancels.  The
     bracket of the Newton steps is where up - other rises: from the peak of
-    ``other`` (a rho-free term, less f5 or not, falls everywhere) to that of
-    ``up``, read from the solve's ``peaks`` where they hold them."""
-    if other in levels or other[:-3] in levels:
-        lo = -1.0
-    else:
-        lo = max(-1.0, peaks[other] if other in peaks else rf.peak(params, other))
-    hi = min(1.0, peaks[up])
+    ``other`` to that of ``up``, both read from the solve's ``peaks``."""
+    lo, hi = max(-1.0, peaks[other]), min(1.0, peaks[up])
     if up.endswith("-f5") and other.endswith("-f5"):
         up, other = up[:-3], other[:-3]
     return rf.crossing(params, up, levels.get(other, other), lo, hi)

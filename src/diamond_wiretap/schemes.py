@@ -1,17 +1,17 @@
 """Every converse branch and achievable scheme of the paper, written once.
 
 ``TABLE`` maps each name to an ``Entry``: the names of its terms in binding
-order, each a weighted sum of rates written once in ``rate_functions.TERMS``,
-and the terms that rise.  A bound or rate is the minimum of the terms,
-maximized over the correlation rho on an interval that the scenario modules
-set.  ``Entry.terms`` turns the rates an entry reads, its ``uses``, into its
-terms by plain arithmetic that applies alike to floats, to lists of them
-(``_Column``) and to numpy arrays.  The rates are f1..f5 and the
-``indicator`` (``rate_functions.link_indicator``: +inf where the strict link
-conditions C1 > f6 and C2 > f7 of pdfpdfm2 hold, 0 where they fail) at rho,
-the rho-free f3(0), and the link capacities C1, C2.  ``gaussian`` fills them
-for the Gaussian channel, with one ``rate_functions.rates`` call per list of
-points; ``oracles.dmc_rates`` fills them for a discrete channel from entropies:
+order, each a weighted sum of rates written once in ``rate_functions.TERMS``.
+A bound or rate is the minimum of the terms, maximized over the correlation
+rho on an interval that the scenario modules set.  ``Entry.terms`` turns the
+rates an entry reads, its ``uses``, into its terms by plain arithmetic that
+applies alike to floats, to lists of them (``_Column``) and to numpy arrays.
+The rates are f1..f5 and the ``indicator`` (``rate_functions.link_indicator``:
++inf where the strict link conditions C1 > f6 and C2 > f7 of pdfpdfm2 hold,
+0 where they fail) at rho, the rho-free f3(0), and the link capacities C1,
+C2.  ``gaussian`` fills them for the Gaussian channel, with one
+``rate_functions.rates`` call per list of points; ``oracles.dmc_rates``
+fills them for a discrete channel from entropies:
 
     f1 = C1 + I(X2;Y|X1)    f2 = C2 + I(X1;Y|X2)    f3 = C1 + C2 - I(X1;X2)
     f4 = I(X1,X2;Y)         f5 = I(X1,X2;Z)         f6 = I(X1;Z)    f7 = I(X2;Z)
@@ -19,37 +19,19 @@ points; ``oracles.dmc_rates`` fills them for a discrete channel from entropies:
 Converse branches S1..S4 (scenario 1) and T2, T3 (scenario 2, T1 has a closed
 form); schemes df1, pdfm1 (scenario 1) and df2, pdfdfm2, pdfpdfm2 (scenario 2).
 
-Solver choice.  Every entry names its ``rising`` terms.  Each rises up to
-its peak ``rate_functions.peak`` and falls after it, and every other term
-is constant or nonincreasing on the intervals the scenario modules give
-the entry, so the minimum of the terms is quasi-concave there:
-
-- f4 and f4 - f5 rise everywhere: s(rho) rises, and f4 - f5 is
-  0.5*log2((1 + s)/(1 + g*s)), which rises with s because g < 1;
-- f1, f2 and f3 fall for rho >= 0, and a constant less f5 falls;
-- (f3+f4)/2 is concave and peaks at ``rate_functions.rho_h``, inside
-  (0, rho*), which splits S3 into a piece on [0, rho_h] with both (f3+f4)/2
-  and f4 - f5 rising and one on [rho_h, rho*];
-- f1 - f5, f2 - f5, f3 - f5 and f3 - 2 f5 each rise up to one peak and
-  fall after it on [-1, 1].  With k = sqrt(P1*P2) and G = 1 + g*(P1 + P2),
-  the slope of f1 - f5 times 2 ln 2 is -2*rho*P2/(1 + q*P2) - 2gk/(1 + g*s),
-  q = 1 - rho^2; over its positive denominator its sign is that of
-  -(g*k*P2*rho^2 + P2*G*rho + g*k*(1 + P2)).  In the same way f2 - f5
-  gives P1 for P2, f3 - f5 gives -(g*k*rho^2 + G*rho + g*k), and f3 - 2 f5
-  gives -(G*rho + 2gk).  With g > 0 each quadratic has positive
-  coefficients, so both roots are negative, and their product is
-  (1 + P2)/P2 > 1, (1 + P1)/P1 or 1: the root nearest 0 is the only one
-  that can lie in (-1, 0]; g = 0 puts it at 0.  The term
-  rises below it and falls above it: f3 - 2 f5 peaks at -2gk/G, f3 - f5 in
-  (-1, 0], and f1 - f5, f2 - f5 below -1 when the root lies there, in
-  which case they fall on all of [-1, 1].  These peaks split pdfdfm2 and
-  pdfpdfm2 into up to four pieces;
-- the indicator of pdfpdfm2 is constant between the ends of the one
-  interval where its link conditions hold: C1 > f6 reads
-  1 + g*s < 2^(2 C1)*(1 + g*q*P2), a quadratic in rho with a positive
-  leading coefficient, which holds between its roots, and C2 > f7 is the
-  same with P1 for P2 (``rate_functions.link_interval``).  Its ends split
-  each ``linked`` entry, the one that reads the indicator, further.
+Solver choice.  Each term rises up to its peak, ``rate_functions.peak``,
+which derives them all, and falls after it: a term that never rises peaks
+at -inf, one that rises throughout at +inf.  So the minimum of the terms is
+quasi-concave, and the peaks inside an entry's interval split it into
+pieces on which every term is monotone: rho_h splits S3, and the peaks of
+f1 - f5, f2 - f5, f3 - f5 and f3 - 2 f5 split pdfdfm2 and pdfpdfm2 into up
+to four pieces.  The indicator of pdfpdfm2, which ``peak`` counts as never
+rising, is constant between the ends of the one interval where its link
+conditions hold: C1 > f6 reads 1 + g*s < 2^(2 C1)*(1 + g*q*P2), a
+quadratic in rho with a positive leading coefficient, which holds between
+its roots, and C2 > f7 is the same with P1 for P2
+(``rate_functions.link_interval``).  Its ends split each ``linked`` entry,
+the one that reads the indicator, further.
 
 ``scalar_opt.maximize_min`` evaluates every piece end in one call and
 searches only the pieces beside the best end, where the maximum lies at an
@@ -76,12 +58,10 @@ __all__ = ["Entry", "TABLE", "gaussian"]
 
 @dataclass(frozen=True)
 class Entry:
-    """One branch or scheme: its term names in binding order, and those that
-    rise (up to their peak, ``rate_functions.peak``).  The rates it reads,
-    ``uses``, and the sums of its terms come from ``TERMS`` once, here."""
+    """One branch or scheme: its term names in binding order.  The rates it
+    reads, ``uses``, and the sums of its terms come from ``TERMS`` once, here."""
 
     names: tuple[str, ...]
-    rising: tuple[str, ...]
     uses: tuple[str, ...] = field(init=False)
     _sums: tuple = field(init=False, repr=False, compare=False)  # per term: (name, rate, weight, other pairs)
 
@@ -109,17 +89,17 @@ class Entry:
 
 
 TABLE: dict[str, Entry] = {
-    "S1": Entry(("f1", "f2", "f3", "f4"), rising=("f4",)),
-    "S2": Entry(("f1", "f2", "f3(0)", "f4"), rising=("f4",)),
-    "S3": Entry(("f1", "f2", "f3(0)", "(f3+f4)/2", "f4-f5"), rising=("(f3+f4)/2", "f4-f5")),
-    "S4": Entry(("f1", "f2", "f3(0)", "f4-f5"), rising=("f4-f5",)),
-    "T2": Entry(("f1-f5", "f2-f5", "f3-f5", "f4-f5"), rising=("f4-f5",)),
-    "T3": Entry(("f1-f5", "f2-f5", "f3(0)-f5", "f4-f5"), rising=("f4-f5",)),
-    "df1": Entry(("C1", "C2", "f4-f5"), rising=("f4-f5",)),
-    "pdfm1": Entry(("f1", "f2", "f3", "f4-f5"), rising=("f4-f5",)),
-    "df2": Entry(("C1-f5", "C2-f5", "f4-f5"), rising=("f4-f5",)),
-    "pdfdfm2": Entry(("f1-f5", "f2-f5", "f3-2f5", "f4-f5"), rising=("f1-f5", "f2-f5", "f3-2f5", "f4-f5")),
-    "pdfpdfm2": Entry(("f1-f5", "f2-f5", "f3-f5", "f4-f5", "indicator"), rising=("f1-f5", "f2-f5", "f3-f5", "f4-f5")),
+    "S1": Entry(("f1", "f2", "f3", "f4")),
+    "S2": Entry(("f1", "f2", "f3(0)", "f4")),
+    "S3": Entry(("f1", "f2", "f3(0)", "(f3+f4)/2", "f4-f5")),
+    "S4": Entry(("f1", "f2", "f3(0)", "f4-f5")),
+    "T2": Entry(("f1-f5", "f2-f5", "f3-f5", "f4-f5")),
+    "T3": Entry(("f1-f5", "f2-f5", "f3(0)-f5", "f4-f5")),
+    "df1": Entry(("C1", "C2", "f4-f5")),
+    "pdfm1": Entry(("f1", "f2", "f3", "f4-f5")),
+    "df2": Entry(("C1-f5", "C2-f5", "f4-f5")),
+    "pdfdfm2": Entry(("f1-f5", "f2-f5", "f3-2f5", "f4-f5")),
+    "pdfpdfm2": Entry(("f1-f5", "f2-f5", "f3-f5", "f4-f5", "indicator")),
 }
 
 

@@ -622,6 +622,32 @@ def test_peaks_are_where_the_slopes_change_sign(p, term):
         assert at(peak - h) < at(peak) > at(peak + h)
 
 
+def test_every_term_rises_up_to_its_peak_and_falls_after_it():
+    """``peak`` answers for every term of ``TERMS``, and on the peak cases
+    and on drawn channels each term is nondecreasing on a grid of [-1, 1]
+    up to its peak and nonincreasing after it, to a relative 1e-12: a term
+    at -inf, which never rises, is nonincreasing on all of [-1, 1].  The
+    indicator is left out: it is constant between the ends of its link
+    interval, which split every solve that reads it."""
+    grid = np.linspace(-1.0, 1.0, 201).tolist()
+    for p in PEAK_CASES + _drawn_channels(100, 22):
+        at = rf.rates(p, grid, ("f1", "f2", "f3", "f4", "f5"))
+        at.update((name, [value] * len(grid)) for name, value in (("C1", p.c1), ("C2", p.c2), ("f3(0)", rf.f3(p, 0.0))))
+        for term, weights in rf.TERMS.items():
+            peak = rf.peak(p, term)
+            assert isinstance(peak, float) and not math.isnan(peak), (p, term)
+            if term == "indicator":
+                continue
+            values = [sum(c * at[rate][j] for rate, c in weights.items()) for j in range(len(grid))]
+            for j in range(len(grid) - 1):
+                x, y = values[j], values[j + 1]
+                tol = 1e-12 * max(1.0, *(abs(v) for v in (x, y) if math.isfinite(v)))
+                if grid[j + 1] <= peak:
+                    assert y >= x - tol, (p, term, grid[j], peak)
+                elif grid[j] >= peak:
+                    assert y <= x + tol, (p, term, grid[j], peak)
+
+
 # Criterion-08 draws 3, 23, 544 and 27, whose link conditions hold on part of
 # [-1, 1], and three channels where they hold nowhere or everywhere.
 LINK_CASES = [

@@ -145,18 +145,19 @@ def test_lower_never_exceeds_upper_random_sweep():
 
 
 def test_seeds_cover_every_pair_of_a_rising_and_another_term():
-    """The crossing seeds cover every meeting point: on each entry the rising
-    terms are terms of the branch, and each has a seed against every term
-    that can fall while it rises, one that peaks before it or never rises."""
+    """The crossing seeds cover every meeting point: each entry has terms
+    that rise, those whose peak lies above -1, and each has a seed against
+    every term that can fall while it rises, one that peaks before it."""
     p = ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3)
-    for name, entry in schemes.TABLE.items():
+    for name in schemes.TABLE:
         branch, fixed = schemes.gaussian(p, name)
         terms = set(branch([0.5]))
-        assert entry.rising and set(entry.rising) <= terms, name
-        peaks = {term: rf.peak(p, term) for term in entry.rising}
-        for up in entry.rising:
+        peaks = {term: rf.peak(p, term) for term in terms}
+        rising = [term for term in terms if peaks[term] > -1.0]
+        assert rising, name
+        for up in rising:
             for other in terms:
-                if peaks.get(other, -math.inf) < peaks[up]:
+                if peaks[other] < peaks[up]:
                     seed = s1._meeting(p, {**fixed, "indicator": 0.0}, peaks, up, other)
                     assert isinstance(seed, float), (name, up, other)
 
@@ -185,7 +186,7 @@ def test_a_degenerate_interval_is_one_evaluation_of_the_branch():
                           float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 0.99)))
         for name, entry in schemes.TABLE.items():
             branch, _ = schemes.gaussian(p, name)
-            peaks = {term: rf.peak(p, term) for term in entry.rising}
+            peaks = {term: rf.peak(p, term) for term in entry.names}
             for x in (-1.0, 0.0, 1.0, float(rng.uniform(-1.0, 1.0))):
                 terms = {term: values[0] for term, values in branch([x]).items()}
                 value = min(terms.values())
