@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import scenario_one, scenario_two, schemes
 from . import rate_functions as rf
-from .errors import AsymmetricParams
+from .errors import AsymmetricParams, ParameterError
 from .rate_functions import ChannelParams, RandomnessBudget
 from .scenario_one import ScenarioOneBounds
 from .scenario_two import ScenarioTwoBounds
@@ -358,6 +358,9 @@ def detect_thresholds(
         budget = RandomnessBudget.unbounded()
     if steps < 2 or c_min >= c_max:
         raise ValueError("need c_min < c_max and at least 2 steps")
+    if not all(map(math.isfinite, (c_min, c_max, (c_max - c_min) * (steps - 1)))):
+        raise ParameterError(f"c_min, c_max and (c_max - c_min)*(steps - 1) must be finite, "
+                             f"got c_min={c_min}, c_max={c_max}, steps={steps}")
 
     def bests(c: float) -> tuple[float, float]:
         values = _scheme_values(scenario, ChannelParams.symmetric(p, c, g), budget)

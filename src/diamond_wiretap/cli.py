@@ -35,7 +35,30 @@ from . import scenario_one, scenario_two
 __all__ = ["main"]
 
 
+def _is_negative_number(token: str) -> bool:
+    """Whether ``token`` reads as a float with a leading minus, "-inf" included."""
+    if not token.startswith("-"):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes "-1e-3" or "-inf" after an option for another
+        # option; joined to it, "--from=-1e-3", it is that option's value
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            option = joined[-1] if joined else ""
+            if option.startswith("--") and "=" not in option and option != "--" and _is_negative_number(token):
+                joined[-1] = f"{option}={token}"
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
     # argparse exits with 2 on usage errors by default; 2 is reserved for
     # numerical failures here, so remap to the validation exit code
     def error(self, message):
@@ -132,6 +155,9 @@ _MODULES = {"1": scenario_one, "2": scenario_two}
 _REPORTS = {scenario: ((f"ub{scenario}", "upper"),
                        *((f"lb{scenario}_{report}", attr) for report, *_, attr in module.TABLE.schemes))
             for scenario, module in _MODULES.items()}
+# a scheme pinned at rho = 0, plain PDF, gets no rho column in ``eval``
+_PINNED = {f"lb{scenario}_{report}" for scenario, module in _MODULES.items()
+           for report, _, lo, hi, _ in module.TABLE.schemes if lo == hi == "0"}
 # the fields a swept parameter sets on every row
 _SWEPT = {"c": ("c1", "c2"), "p": ("p1", "p2"), "g": ("g",)}
 
@@ -155,8 +181,7 @@ def cmd_eval(args) -> str:
         for stem, field in _REPORTS[scenario]:
             report = getattr(b, field)
             row.append((stem, report.value))
-            # PDF is plain PDF, whose rho is 0 by definition: no rho column
-            if stem != "lb1_pdf":
+            if stem not in _PINNED:
                 row.append((f"{stem}_rho", report.rho))
             if field == "upper":
                 row += [(f"{stem}_branch", report.branch), (f"{stem}_binding", ";".join(report.binding))]
@@ -271,16 +296,11 @@ def cmd_oracle_check(args) -> str:
 
 
 def cmd_dmc(args) -> str:
-    from .oracles import dmc_rates, load_dmc
+    from .oracles import DMC_SCHEMES, dmc_rates, load_dmc
 
     channel, pin, c1, c2 = load_dmc(args.file)
     rates = dmc_rates(channel, pin, c1, c2)
-    row = [
-        ("c1", c1), ("c2", c2),
-        ("df1", rates.df1), ("pdfm1", rates.pdfm1),
-        ("df2", rates.df2), ("pdfdfm2", rates.pdfdfm2), ("pdfpdfm2", rates.pdfpdfm2),
-        ("rprime", rates.r_prime),
-    ]
+    row = [("c1", c1), ("c2", c2), *((name, getattr(rates, name)) for name in DMC_SCHEMES), ("rprime", rates.r_prime)]
     return _render([row], args.format)
 
 

@@ -28,11 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rate_functions as rf
+from . import scenario_one, scenario_two
 from .errors import InvalidPmf, SingularCovariance
 from .rate_functions import ChannelParams
 from .schemes import TABLE
 
 __all__ = [
+    "DMC_SCHEMES",
     "DmcChannel",
     "DmcRates",
     "dmc_rates",
@@ -149,6 +151,12 @@ def _entropy(p: np.ndarray) -> float:
     return float(-np.sum(q * np.log2(q)))
 
 
+# each entry of the scenario tables' schemes once, in order: the rate fields
+# of ``DmcRates`` and the scheme columns of the ``dmc`` report
+DMC_SCHEMES = tuple(dict.fromkeys(entry for module in (scenario_one, scenario_two)
+                                  for _, entry, *_ in module.TABLE.schemes))
+
+
 @dataclass(frozen=True)
 class DmcRates:
     """The five secrecy rates of a discrete channel plus their ingredients.
@@ -198,7 +206,7 @@ def dmc_rates(channel: DmcChannel, input_pmf: np.ndarray, c1: float, c2: float) 
         r[name] = sum(r[link] for link in links) + sign * value
     r["indicator"] = rf.link_indicator(c1, c2, r["f6"], r["f7"])
     rates = {name: max(0.0, float(min(TABLE[name].terms(r).values())))
-             for name in ("df1", "pdfm1", "df2", "pdfdfm2", "pdfpdfm2")}
+             for name in DMC_SCHEMES}
     return DmcRates(**rates, r_prime=r["f5"], mi=mi)
 
 

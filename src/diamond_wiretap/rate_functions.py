@@ -64,6 +64,8 @@ RateValue = float
 
 # Slack for correlation domain checks at interval endpoints.
 _DOMAIN_TOL = 1e-12
+# The float after -1, where the peaks of f3 - f5 and f3 - 2 f5 stop.
+_ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -296,7 +298,7 @@ def peak(params: ChannelParams, term: str) -> float:
     The indicator is constant between the ends of its link interval
     (``link_interval``), at which ``scenario_one.solve_linked`` splits.
     """
-    if not any(c > 0.0 for rate, c in TERMS[term].items() if rate in _SLOPES):
+    if term in _NEVER_RISES:
         return -math.inf
     if term in ("f4", "f4-f5"):
         return math.inf
@@ -305,14 +307,12 @@ def peak(params: ChannelParams, term: str) -> float:
     if term == "(f3+f4)/2":
         return rho_h(params)
     u = params.g * _k(params) / (1.0 + params.g * (params.p1 + params.p2))  # gk/G
-    a, c = {
-        "f1-f5": (u, u * (1.0 + 1.0 / params.p2)),
-        "f2-f5": (u, u * (1.0 + 1.0 / params.p1)),
-        "f3-f5": (u, u),
-        "f3-2f5": (0.0, 2.0 * u),
-    }[term]
-    root = -2.0 * c / (1.0 + math.sqrt(max(1.0 - 4.0 * a * c, 0.0)))
-    return root if term in ("f1-f5", "f2-f5") else max(root, math.nextafter(-1.0, 0.0))
+    if term == "f3-2f5":  # a = 0, c = 2u
+        return max(-2.0 * u, _ABOVE_MINUS_ONE)
+    # a = u, and c = u for f3 - f5, else u*(1 + P2)/P2 or u*(1 + P1)/P1
+    c = u if term == "f3-f5" else u * (1.0 + 1.0 / (params.p2 if term == "f1-f5" else params.p1))
+    root = -2.0 * c / (1.0 + math.sqrt(max(1.0 - 4.0 * u * c, 0.0)))
+    return max(root, _ABOVE_MINUS_ONE) if term == "f3-f5" else root
 
 
 # Every term of ``schemes.TABLE``, as weights on the rates it reads (see
@@ -333,6 +333,9 @@ _SLOPES = {
     "f4": lambda p, r, q, k, s: k / (1.0 + s),
     "f5": lambda p, r, q, k, s: p.g * k / (1.0 + p.g * s),
 }
+# the terms with no positive weight on a rate of rho, which never rise (``peak``)
+_NEVER_RISES = frozenset(term for term, weights in TERMS.items()
+                         if not any(c > 0.0 for rate, c in weights.items() if rate in _SLOPES))
 _LN2 = math.log(2.0)
 # Newton's method takes at most _NEWTON_STEPS steps and stops at a step of
 # _SEED_FLOATS floats or fewer; it converges quadratically, so that step

@@ -239,6 +239,23 @@ def test_sweep_rejects_a_range_or_step_that_is_not_finite(capsys, param, fixed, 
     assert err == "error: --from, --to and the step (--to - --from)/(--steps - 1) must be finite\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (("sweep", "--param", "c", "--from", "-1e-3", "--to", "1", "--steps", "2", "--p", "1", "--g", "0.1"),
+     "link capacities must be nonnegative, got c1=-0.001, c2=-0.001"),
+    (("eval", "--p", "1", "--c", "1", "--g", "0.1", "--rprime", "-1e-3"), "r_prime must be nonnegative, got -0.001"),
+    (("eval", "--p", "1", "--c", "-1e-3", "--g", "0.1"),
+     "link capacities must be nonnegative, got c1=-0.001, c2=-0.001"),
+    (("thresholds", "--p", "1", "--g", "0.1", "--c-min", "-1e-3"),
+     "link capacities must be nonnegative, got c1=-0.001, c2=-0.001"),
+    (("sweep", "--param", "p", "--from", "-inf", "--to", "1", "--steps", "2", "--c", "1", "--g", "0.1"),
+     "--from, --to and the step (--to - --from)/(--steps - 1) must be finite"),
+])
+def test_a_negative_number_with_an_exponent_or_inf_is_an_option_value(capsys, args, message):
+    # argparse alone reads "-1e-3" and "-inf" as options, not as values
+    rc, out, err = run(capsys, *args)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_sweep_conflicts_and_ranges(capsys):
     rc, _, err = run(
         capsys, "sweep", "--param", "c", "--c", "1.0", "--from", "0.2", "--to", "0.4",
@@ -306,6 +323,16 @@ def test_thresholds_rejects_an_empty_scheme_list(capsys, flag):
 def test_thresholds_rejects_an_empty_range(capsys):
     rc, out, err = run(capsys, "thresholds", "--p", "1", "--g", "0.1", "--c-min", "2", "--c-max", "1")
     assert (rc, out, err) == (1, "", "error: need c_min < c_max and at least 2 steps\n")
+
+
+@pytest.mark.parametrize("ends", [("--c-max", "nan"), ("--c-max", "inf"), ("--c-min", "-inf"),
+                                  ("--c-max", "1e308", "--steps", "3")])
+def test_thresholds_rejects_a_range_or_grid_that_is_not_finite(capsys, ends):
+    # the grid c_min + (c_max - c_min)*i/(steps - 1) would hold a nan or inf
+    # that the user never typed
+    rc, out, err = run(capsys, "thresholds", "--p", "1", "--g", "0.1", *ends)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: c_min, c_max and (c_max - c_min)*(steps - 1) must be finite, got ")
 
 
 def test_capacity_applies(capsys):

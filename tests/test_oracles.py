@@ -1,12 +1,13 @@
 """Independent cross-checks: Gaussian log-det identities and DMC rate evaluation."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from diamond_wiretap import oracles, rate_functions as rf, schemes
+from diamond_wiretap import oracles, rate_functions as rf, scenario_one, scenario_two, schemes
 from diamond_wiretap.errors import InvalidPmf, SingularCovariance
 from diamond_wiretap.oracles import DmcChannel
 from diamond_wiretap.rate_functions import ChannelParams
@@ -215,6 +216,14 @@ def test_dmc_identity_channel_rates():
     # small links become the bottleneck
     capped = oracles.dmc_rates(identity_y_channel(), UNIFORM, c1=0.5, c2=3.0)
     assert capped.df1 == pytest.approx(0.5, abs=1e-12)
+
+
+def test_dmc_rate_fields_are_the_scheme_entries_of_both_scenario_tables():
+    """``DmcRates`` has one rate field per entry that the scenario tables'
+    schemes solve, each once, in the tables' order, then r_prime and mi."""
+    entries = [entry for module in (scenario_one, scenario_two) for _, entry, *_ in module.TABLE.schemes]
+    assert oracles.DMC_SCHEMES == tuple(dict.fromkeys(entries)) == ("df1", "pdfm1", "df2", "pdfdfm2", "pdfpdfm2")
+    assert [f.name for f in dataclasses.fields(oracles.DmcRates)] == [*oracles.DMC_SCHEMES, "r_prime", "mi"]
 
 
 def test_dmc_full_leakage_kills_secrecy():
