@@ -1,13 +1,13 @@
 """In-process A/B timing of the package at a base revision against the working tree.
 
-    python3 scripts/ab_compare.py --base <rev> --workload {points,sweep,analysis} [--seed N] [--ops N]
+    python3 scripts/ab_compare.py --base <rev> --workload {points,sweep,analysis}
 
 Run from the root of a git checkout.  The committed files of ``--base`` are
 exported (``git archive``) into a temporary directory, and the package of
 its ``src`` and that of the working tree's ``src`` are imported into this one
 process under distinct names, ``ab_base`` and ``ab_new``.  The workload's
-operations are built by ``perfbench/workloads.build`` from one round of a
-fixed seed, and each runs once on each version, the version that runs first
+operations are built by ``perfbench/workloads.build`` from one round of
+seed 1, and each runs once on each version, the version that runs first
 alternating from operation to operation; a sweep runs through ``cli.main``.
 Every call is timed in CPU time (``time.process_time``), after one untimed
 call of the first operation on each side.  One process sees the host's speed
@@ -36,6 +36,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# one fixed list of operations, so that runs on different days compare
+SEED = 1
 _SUBMODULES = ("scenario_one", "scenario_two", "analysis", "oracles", "cli")
 
 
@@ -83,10 +85,10 @@ def _call(pkg, op: dict):
     raise ValueError(f"unknown operation {kind!r}")
 
 
-def compare(packages: dict, workload: str, seed: int, ops: int | None = None) -> dict:
-    """Time the operations of ``workload`` on ``packages["base"]`` and
-    ``packages["new"]``, alternating call by call; the report of the module
-    docstring."""
+def compare(packages: dict, workload: str, ops: int | None) -> dict:
+    """Time the first ``ops`` operations of ``workload`` (None: all) on
+    ``packages["base"]`` and ``packages["new"]``, alternating call by call;
+    the report of the module docstring."""
     # workloads imports its checker and builds the operations with the
     # working tree's package, imported under its own name
     paths = [str(ROOT / "perfbench"), str(ROOT / "src")]
@@ -95,7 +97,7 @@ def compare(packages: dict, workload: str, seed: int, ops: int | None = None) ->
         import workloads
     finally:
         del sys.path[:len(paths)]
-    todo = workloads.build(workload, seed, 1)[:ops]
+    todo = workloads.build(workload, SEED, 1)[:ops]
     for side in ("base", "new"):
         _call(packages[side], todo[0])
     times = {"base": [], "new": []}
@@ -108,8 +110,8 @@ def compare(packages: dict, workload: str, seed: int, ops: int | None = None) ->
             times[side].append(time.process_time() - start)
         differ += repr(outs["base"]) != repr(outs["new"])
     ratios = [new / base for base, new in zip(times["base"], times["new"])]
-    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
-    return {"workload": workload, "seed": seed, "ops": len(todo),
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {"workload": workload, "seed": SEED, "ops": len(todo),
             "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
             "new_wins": sum(new < base for base, new in zip(times["base"], times["new"])),
             "base_cpu_s": sum(times["base"]), "new_cpu_s": sum(times["new"]), "outputs_differ": differ}
@@ -119,14 +121,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="revision to compare the working tree against")
     ap.add_argument("--workload", required=True, choices=("points", "sweep", "analysis"))
-    ap.add_argument("--seed", type=int, default=1, help="seed of the operations (default 1)")
-    ap.add_argument("--ops", type=int, help="time only the first N operations of the round")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="ab_compare_") as scratch:
         sha = _export(args.base, scratch)
         packages = {"base": load(Path(scratch, "src"), "ab_base"), "new": load(ROOT / "src", "ab_new")}
-        report = compare(packages, args.workload, args.seed, args.ops)
+        report = compare(packages, args.workload, None)
     print(json.dumps({"base": {"rev": args.base, "sha": sha}, **report}))
     return 0
 

@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
         joined = []
         for token in sys.argv[1:] if args is None else args:
             option = joined[-1] if joined else ""
-            if option.startswith("--") and "=" not in option and option != "--" and _is_negative_number(token):
+            if option.startswith("--") and "=" not in option and _is_negative_number(token):
                 joined[-1] = f"{option}={token}"
             else:
                 joined.append(token)

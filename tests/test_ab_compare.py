@@ -16,7 +16,7 @@ def test_the_working_tree_against_itself_on_two_points():
     assert packages["base"] is not packages["new"]
     assert packages["base"].scenario_one is not packages["new"].scenario_one
     assert packages["base"].ChannelParams is not packages["new"].ChannelParams
-    report = ab_compare.compare(packages, "points", seed=1, ops=2)
+    report = ab_compare.compare(packages, "points", ops=2)
     assert set(report) == {"workload", "seed", "ops", "ratio_median", "ratio_q1", "ratio_q3", "new_wins",
                            "base_cpu_s", "new_cpu_s", "outputs_differ"}
     assert (report["workload"], report["seed"], report["ops"], report["outputs_differ"]) == ("points", 1, 2, 0)
