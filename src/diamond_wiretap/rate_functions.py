@@ -150,8 +150,11 @@ _log2 = math.log2
 
 def link_indicator(c1: float, c2: float, f6: float, f7: float) -> float:
     """The indicator of the strict link conditions of PDF-PDF-M: +inf where
-    C1 > f6 and C2 > f7 both hold, 0 where either fails."""
-    return math.inf if c1 > f6 and c2 > f7 else 0.0
+    C1 > f6 and C2 > f7 both hold, 0 where either fails.  f6 and f7 are
+    never negative (s - q*P2 = (sqrt(P1) + rho*sqrt(P2))^2, and likewise with
+    P1 and P2 swapped), so each capacity is compared with max(f, 0): a value
+    rounded below 0 does not let a zero capacity pass."""
+    return math.inf if c1 > max(f6, 0.0) and c2 > max(f7, 0.0) else 0.0
 
 
 # Each closed form at one point, from the atoms q = 1 - rho^2 and s = s(rho).
@@ -505,8 +508,11 @@ def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, f
     ends carry rounding, so the kernel's own test decides: it checks lo and
     hi wherever the closed form puts an end at or past them, and
     ``scalar_opt.sign_change``, seeded by the closed form, closes each end
-    inside on adjacent floats.
+    inside on adjacent floats.  A zero capacity meets its condition nowhere
+    (``link_indicator``).
     """
+    if not (params.c1 > 0.0 and params.c2 > 0.0):
+        return None
     left, right = -math.inf, math.inf
     for cap, p_other in ((params.c1, params.p2), (params.c2, params.p1)):
         quadratic = _quadratic(params, params.g, cap, 1.0, params.g * p_other)

@@ -133,6 +133,25 @@ def test_indicator_off_reported():
     assert b.lower_pdf_df_m.value > 0.0
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_a_zero_link_capacity_fails_where_its_leakage_rounds_below_zero(swap):
+    # f7 = 0.5*log2((1 + g*s)/(1 + g*q*P1)) is 0 at rho = -sqrt(P2/P1) =
+    # -0.20889..., where s - q*P1 = (sqrt(P2) + rho*sqrt(P1))^2 vanishes; the
+    # kernel reads it as -1.6e-16 at this float near there, which a zero C2
+    # must not out-rate
+    p1, p2, c1, g = 5.1491672479123425, 0.22469191544347272, 1.5497896580156438, 0.8105143758259531
+    p = ChannelParams(p2, p1, 0.0, c1, g) if swap else ChannelParams(p1, p2, c1, 0.0, g)
+    rho = -0.2088936430847277
+    leak = rf.rates(p, rho, ("f6", "f7"))["f6" if swap else "f7"]
+    assert leak < 0.0  # the rounding the strict test must see through
+    assert rf.rates(p, rho, ("indicator",))["indicator"] == 0.0
+    assert rf.link_interval(p, -1.0, 1.0) is None
+    b = s2.bounds(p, UNBOUNDED)
+    assert not b.indicator_satisfied
+    assert b.lower_pdf_pdf_m.value == 0.0
+    assert b.lower == max(b.lower_df.value, b.lower_pdf_df_m.value) == 0.0
+
+
 def test_scenario_two_never_beats_scenario_one():
     rng = np.random.default_rng(11)
     for _ in range(20):
