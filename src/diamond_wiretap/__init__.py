@@ -13,7 +13,6 @@ from .errors import (
     AsymmetricParams,
     DiamondWiretapError,
     DomainError,
-    EmptyFeasibleSet,
     EmptyInterval,
     InvalidPmf,
     ParameterError,
@@ -29,7 +28,6 @@ __all__ = [
     "DiamondWiretapError",
     "ParameterError",
     "DomainError",
-    "EmptyFeasibleSet",
     "EmptyInterval",
     "SingularCovariance",
     "InvalidPmf",

@@ -251,7 +251,7 @@ def _pdf_ties(p: float, g: float, budget: RandomnessBudget, c_min: float):
     f1(0), f2(0), f3(0) grow with C and the rest does not depend on it, so
     the test holds on a prefix of every ascending grid of C.
     """
-    rho_max = rf.budget_cap(ChannelParams.symmetric(p, c_min, g), budget)
+    rho_max = rf.f5_inverse(ChannelParams.symmetric(p, c_min, g), budget)
     if rho_max is None or rho_max < 0.0:
         return None
 

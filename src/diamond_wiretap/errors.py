@@ -2,14 +2,15 @@
 
 Every failure mode that callers are expected to handle gets its own class so
 that the CLI can map validation problems and numerical problems to distinct
-exit codes without string matching.
+exit codes without string matching.  A randomness budget that no correlation
+fits is not an error: ``rate_functions.f5_inverse`` returns None, and the
+bounds report zeros with a note.
 """
 
 __all__ = [
     "DiamondWiretapError",
     "ParameterError",
     "DomainError",
-    "EmptyFeasibleSet",
     "EmptyInterval",
     "SingularCovariance",
     "InvalidPmf",
@@ -27,10 +28,6 @@ class ParameterError(DiamondWiretapError, ValueError):
 
 class DomainError(DiamondWiretapError, ValueError):
     """A correlation coefficient outside the domain of a rate function."""
-
-
-class EmptyFeasibleSet(DiamondWiretapError):
-    """No correlation satisfies the randomness-budget constraint."""
 
 
 class EmptyInterval(DiamondWiretapError, ValueError):

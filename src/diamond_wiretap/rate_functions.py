@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, EmptyFeasibleSet, ParameterError
+from .errors import DomainError, ParameterError
 from .scalar_opt import sign_change
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "peak",
     "crossing",
     "f5_inverse",
-    "budget_cap",
     "link_indicator",
     "link_interval",
 ]
@@ -349,37 +348,42 @@ _NEWTON_STEPS = 40
 _SEED_FLOATS = 16
 
 
-def _quadratic(params: ChannelParams, w: float, e: float, u: float, v: float):
-    """(a, b, c) with 1 + w*s(rho) - 2^(2e)*(u + v*(1 - rho^2)) equal to
-    a*rho^2 + 2*b*rho + c times a power of two that brings the largest into
-    [1/2, 1), so that b*b - a*c neither overflows nor underflows; None when
-    2^(2e) or a coefficient overflows."""
+def _below(params: ChannelParams, w: float, e: float, u: float, v: float) -> tuple[float, float]:
+    """The ends, in closed form, of the interval of rho on which
+    1 + w*s(rho) < 2^(2e)*(u + v*(1 - rho^2)); for w, u, v >= 0 the left
+    side less the right is a*rho^2 + 2*b*rho + c with a, b >= 0.  The
+    coefficients are scaled by a power of two that brings the largest into
+    [1/2, 1), so that b*b - a*c neither overflows nor underflows.  (-inf,
+    inf) where 2^(2e) or a coefficient overflows, (-inf, -inf) where the
+    inequality holds nowhere; the ends carry rounding (``_edges``)."""
     if 2.0 * e >= 1024.0:
-        return None
+        return -math.inf, math.inf
     big = 2.0 ** (2.0 * e)
     a, b, c = big * v, w * _k(params), 1.0 + w * (params.p1 + params.p2) - big * (u + v)
     top = max(abs(a), abs(b), abs(c))
     if not top < math.inf:
-        return None
+        return -math.inf, math.inf
     shift = -math.frexp(top)[1]
-    return math.ldexp(a, shift), math.ldexp(b, shift), math.ldexp(c, shift)
+    a, b, c = math.ldexp(a, shift), math.ldexp(b, shift), math.ldexp(c, shift)
+    disc = b * b - a * c
+    if disc < 0.0:
+        return -math.inf, -math.inf
+    den = b + math.sqrt(disc)  # both roots without cancellation, as b >= 0
+    if den > 0.0:
+        return -den / a if a > 0.0 else -math.inf, -c / den
+    return (-math.inf, math.inf) if c < 0.0 else (-math.inf, -math.inf)
 
 
 def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float = 1.0) -> float:
     """Where ``term`` meets ``other``: a rate level or a term of ``TERMS``.
 
     For ``term`` "f4" or "f5", and ``other`` a level, "f1", "f2" or "f3",
-    the largest root.  With w = 1 for f4 and w = g for f5, each equation
-    reads
-
-        1 + w*s(rho) = A*(u + v*(1 - rho^2))
-
-    with (A, u, v) = (2^(2L), 1, 0) for a level L, (2^(2 C1), 1, P2) for f1,
-    (2^(2 C2), 1, P1) for f2 and (2^(2 (C1+C2)), 0, 1) for f3: linear in rho
-    for a level, a quadratic otherwise.  Cancellation in
-    1 + w*(P1+P2) - A*(u+v) can put this root hundreds of floats from the
-    float where the two rates meet, and near rho = 0, where floats are
-    dense, far more.
+    the right end of the interval where 1 + w*s(rho), w = 1 for f4 and g for
+    f5, lies below 2^(2e)*(u + v*(1 - rho^2)) (``_below``), with (e, u, v) =
+    (L, 1, 0) for a level L, (C1, 1, P2) for f1, (C2, 1, P1) for f2 and
+    (C1 + C2, 0, 1) for f3.  Cancellation in its coefficients can put this
+    root hundreds of floats from the float where the two rates meet, and
+    near rho = 0, where floats are dense, far more.
 
     For any other ``term``, the root on [lo, hi], where term - other must
     rise: ``peak`` says where each term rises and falls.  These equations
@@ -392,7 +396,7 @@ def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float
     The result is a seed, not a final answer: callers that need the float
     where the rates meet bracket it (``scalar_opt.sign_change``).  Returns
     -inf when ``term`` lies at or above ``other`` on the whole range, and
-    +inf when it lies below (or when A or a coefficient overflows).
+    +inf when it lies below (or when 2^(2e) or a coefficient overflows).
     """
     if term not in ("f4", "f5"):
         if term not in TERMS or not _SLOPES.keys() >= TERMS[term].keys():
@@ -407,17 +411,7 @@ def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float
         e, u, v = params.c1 + params.c2, 0.0, 1.0
     else:
         e, u, v = float(other), 1.0, 0.0
-    quadratic = _quadratic(params, w, e, u, v)
-    if quadratic is None:
-        return math.inf
-    a, b, c = quadratic
-    disc = b * b - a * c
-    if disc < 0.0:
-        return -math.inf
-    den = b + math.sqrt(disc)  # the larger root, without cancellation
-    if den > 0.0:
-        return -c / den
-    return math.inf if c < 0.0 else -math.inf
+    return _below(params, w, e, u, v)[1]
 
 
 def _newton_crossing(params: ChannelParams, term: str, other, a: float, b: float) -> float:
@@ -463,39 +457,25 @@ def _newton_crossing(params: ChannelParams, term: str, other, a: float, b: float
     return x
 
 
-def f5_inverse(params: ChannelParams, budget: RandomnessBudget) -> float:
-    """Largest rho in [-1, 1] whose leakage f5(rho) stays within the budget.
+def f5_inverse(params: ChannelParams, budget: RandomnessBudget) -> float | None:
+    """Largest rho in [-1, 1] whose leakage f5(rho) stays within the budget;
+    None where no rho does.
 
     f5 is increasing on [-1, 1] (for g > 0), so the feasible set
-    {rho : f5(rho) <= r_prime} is [-1, rho_max].  The linear root of
-    f5 = r_prime seeds a bracket that closes on adjacent floats, so that
-    f5(rho_max) <= r_prime < f5(nextafter(rho_max, 1)).
-    One kernel call probes f5(1) and f5(-1).  Returns 1.0 when the budget
-    is unbounded or g = 0; raises EmptyFeasibleSet when even full
-    anticorrelation leaks too much, which can only happen for unequal powers.
+    {rho : f5(rho) <= r_prime} is [-1, rho_max], and ``_edges`` closes
+    rho_max on adjacent floats: f5(rho_max) <= r_prime <
+    f5(nextafter(rho_max, 1)).  1.0 when the budget is unbounded or g = 0;
+    None, for unequal powers only, when even f5(-1) exceeds the budget.
     """
     if budget.is_unbounded or params.g == 0.0:
         return 1.0
     r_prime = budget.r_prime
-    most, least = rates(params, [1.0, -1.0], ("f5",))["f5"]
-    if most <= r_prime:
-        return 1.0
-    if least > r_prime:
-        raise EmptyFeasibleSet(f"minimum leakage f5(-1) = {least:.6g} exceeds the budget {r_prime:.6g}")
 
-    def leaks_more(xs):
-        return [v > r_prime for v in rates(params, xs, ("f5",))["f5"]]
+    def fits(xs):
+        return [v <= r_prime for v in rates(params, xs, ("f5",))["f5"]]
 
-    rho_max, _ = sign_change(leaks_more, -1.0, 1.0, crossing(params, "f5", r_prime))
-    return rho_max
-
-
-def budget_cap(params: ChannelParams, budget: RandomnessBudget) -> float | None:
-    """``f5_inverse``, or None where no rho fits the budget."""
-    try:
-        return f5_inverse(params, budget)
-    except EmptyFeasibleSet:
-        return None
+    edges = _edges(fits, -1.0, 1.0, *_below(params, params.g, r_prime, 1.0, 0.0))
+    return None if edges is None else edges[1]
 
 
 def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, float] | None:
@@ -503,37 +483,37 @@ def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, f
     conditions of PDF-PDF-M, C1 > f6(rho) and C2 > f7(rho), hold; None
     where they hold at none.
 
-    Each holds between the roots of a quadratic in the form of ``crossing``
-    (``schemes`` derives it), so both hold on one interval.  Its closed-form
-    ends carry rounding, so the kernel's own test decides: it checks lo and
-    hi wherever the closed form puts an end at or past them, and
-    ``scalar_opt.sign_change``, seeded by the closed form, closes each end
-    inside on adjacent floats.  A zero capacity meets its condition nowhere
-    (``link_indicator``).
+    C1 > f6 reads 1 + g*s < 2^(2 C1)*(1 + g*q*P2) (``schemes`` derives it),
+    and C2 > f7 the same with P1 for P2: each holds on one interval
+    (``_below``), so both do, and ``_edges`` closes its ends.  A zero
+    capacity meets its condition nowhere (``link_indicator``).
     """
     if not (params.c1 > 0.0 and params.c2 > 0.0):
         return None
-    left, right = -math.inf, math.inf
-    for cap, p_other in ((params.c1, params.p2), (params.c2, params.p1)):
-        quadratic = _quadratic(params, params.g, cap, 1.0, params.g * p_other)
-        if quadratic is None:
-            continue  # 2^(2C) overflows: the condition holds everywhere
-        a, b, c = quadratic
-        if a > 0.0:
-            disc = b * b - a * c
-            if disc <= 0.0:
-                return None
-            root = math.sqrt(disc)
-            left, right = max(left, -(b + root) / a), min(right, -c / (b + root))
-        elif c >= 0.0:  # g = 0, so f6 = f7 = 0: the condition is C > 0
-            return None
+    (left1, right1), (left2, right2) = (_below(params, params.g, cap, 1.0, params.g * p_other)
+                                        for cap, p_other in ((params.c1, params.p2), (params.c2, params.p1)))
+    left, right = max(left1, left2), min(right1, right2)
     if not left < right:
         return None
 
+    def holds(xs):
+        return [v > 0.0 for v in rates(params, xs, ("indicator",))["indicator"]]
+
+    return _edges(holds, lo, hi, left, right)
+
+
+def _edges(test, lo: float, hi: float, left: float, right: float) -> tuple[float, float] | None:
+    """The first and last floats of [lo, hi] at which ``test`` (a list of
+    points to a list of booleans) holds on the one interval where it holds,
+    whose ends the closed form puts at ``left`` and ``right`` up to rounding
+    (``_below``); None where it holds at none.  The test decides: it checks
+    lo and hi wherever the closed form puts an end at or past them, and
+    ``scalar_opt.sign_change``, seeded by the closed form, closes each end
+    inside on adjacent floats."""
     seen = {}
 
     def holds(xs):
-        ok = [v > 0.0 for v in rates(params, xs, ("indicator",))["indicator"]]
+        ok = test(xs)
         seen.update(zip(xs, ok))
         return ok
 

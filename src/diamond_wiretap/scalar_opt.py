@@ -29,11 +29,11 @@ found the optimum.  No randomness anywhere, so equal inputs give
 bitwise-equal results.
 
 ``sign_change`` locates, to adjacent floats, where a monotone predicate
-first turns true; ``maximize_min``, ``rate_functions.f5_inverse`` and
-``rate_functions.link_interval`` use it.  Their seeds mostly lie within a
-float of the change, so its first pass covers only the seed and two floats
-either side: one call of at most 5 points, and a few more for a seed that
-misses.
+first turns true; ``maximize_min`` and ``rate_functions._edges``, which
+closes the budget cap and the link interval, use it.  Their seeds mostly
+lie within a float of the change, so its first pass covers only the seed
+and two floats either side: one call of at most 5 points, and a few more
+for a seed that misses.
 """
 
 from __future__ import annotations

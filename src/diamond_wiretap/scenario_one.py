@@ -183,7 +183,7 @@ def lower(params: ChannelParams, budget: RandomnessBudget, table: Table) -> dict
     """The fields of ``table``'s bounds but the upper: each scheme's optimum
     clamped at 0, ``lower``, ``rho_max``, the note and, if linked,
     ``indicator_satisfied``; zeros with a note where no rho fits the budget."""
-    rho_max = rf.budget_cap(params, budget)
+    rho_max = rf.f5_inverse(params, budget)
     at = {} if rho_max is None else {"-1": -1.0, "0": 0.0, "cap": rho_max, "min(0, cap)": min(0.0, rho_max)}
     out = {"indicator_satisfied": False} if table.linked else {}
     for _, name, lo, hi, attr in table.schemes:

@@ -25,7 +25,6 @@ from diamond_wiretap import rate_functions as rf
 from diamond_wiretap import scenario_one as s1
 from diamond_wiretap import scenario_two as s2
 from diamond_wiretap import schemes
-from diamond_wiretap.errors import EmptyFeasibleSet
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 
 from conftest import reference_rates, rho_bar
@@ -281,10 +280,7 @@ def _solves(monkeypatch):
 
 
 def _rho_max(p, budget):
-    try:
-        return rf.f5_inverse(p, budget)
-    except EmptyFeasibleSet:
-        return None
+    return rf.f5_inverse(p, budget)
 
 
 BUDGETS = [RandomnessBudget.unbounded(), RandomnessBudget.finite(0.3), RandomnessBudget.finite(0.02)]

@@ -5,8 +5,9 @@ below its upper bound, randomness at the source only never beats randomness
 shared by all three nodes, and without an eavesdropper the two scenarios
 coincide.  Every bound grows with the link capacities and shrinks with the
 eavesdropper's gain, and every lower bound grows with the budget.  A binding
-budget caps rho at the last float whose leakage fits, and each scheme is
-achieved at a rho whose leakage fits the budget.
+budget caps rho at the last float whose leakage fits, a budget below f5(-1)
+leaves none, and each scheme is achieved at a rho whose leakage fits the
+budget.
 """
 
 import math
@@ -119,12 +120,21 @@ def test_every_scheme_is_achieved_within_the_budget(p1, p2, c1, c2, g, r_prime):
 
 
 @PROPERTY
-@given(p1=powers, p2=powers, g=gains.filter(lambda g: g > 0.0), t=fractions)
+@given(p1=powers, p2=powers, g=gains.filter(lambda g: g > 0.0), t=st.floats(-1.0, 1.0, exclude_max=True))
 def test_budget_cap_is_the_last_float_within_the_budget(p1, p2, g, t):
     p = ChannelParams(p1, p2, 1.0, 1.0, g)
     least, most = rf.f5(p, -1.0), rf.f5(p, 1.0)
-    r_prime = least + t * (most - least)
-    assume(r_prime < most)  # finite and binding: f5(-1) <= r' < f5(1)
-    rho_max = rf.f5_inverse(p, RandomnessBudget.finite(r_prime))
+    # t < 0 puts the budget below f5(-1), which is positive for unequal powers
+    r_prime = least + t * (most - least) if t >= 0.0 else least * (1.0 + t)
+    assume(r_prime < most)  # finite and binding: r' < f5(1)
+    budget = RandomnessBudget.finite(r_prime)
+    rho_max = rf.f5_inverse(p, budget)
+    assert (rho_max is None) == (r_prime < least)  # no rho fits exactly there
+    if rho_max is None:
+        for table in (s1.TABLE, s2.TABLE):
+            lows = s1.lower(p, budget, table)
+            assert lows["rho_max"] is None and lows["lower"] == 0.0
+            assert lows["note"] == "randomness budget below the minimum leakage f5(-1): no feasible correlation"
+        return
     assert -1.0 <= rho_max < 1.0
     assert rf.f5(p, rho_max) <= r_prime < rf.f5(p, math.nextafter(rho_max, 1.0))
