@@ -12,8 +12,10 @@ Subcommands:
 Two output styles: ``kv`` ("key = value" lines, 10 significant digits) and
 ``csv`` (header plus rows, 6 significant digits).  Identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 invalid input,
-2 numerical failure.  ``oracle-check`` also exits 2 when its check fails
-(``passed = false``), after printing its report as usual.
+2 numerical failure, 3 internal error (a defect in the package: any other
+exception, whose traceback goes to stderr).  ``oracle-check`` also exits 2
+when its check fails (``passed = false``), after printing its report as
+usual.
 
 Only ``oracle-check`` and ``dmc`` import numpy, through ``oracles``, and
 only when they run; likewise only ``thresholds`` and ``capacity`` import
@@ -26,6 +28,7 @@ import argparse
 import functools
 import math
 import sys
+import traceback
 from dataclasses import replace
 
 from .errors import DiamondWiretapError, ParameterError
@@ -369,6 +372,10 @@ def main(argv=None) -> int:
     except (DiamondWiretapError, ArithmeticError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return 3
     sys.stdout.write(out)
     return args.exit_code
 

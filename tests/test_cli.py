@@ -378,6 +378,19 @@ def test_oracle_check_exits_2_on_a_failed_check(capsys):
     assert int(fields["checked"]) == 350
 
 
+def test_a_defect_exits_3_with_its_traceback(capsys, monkeypatch):
+    # an exception outside the input and numerical families is a defect, not
+    # invalid input: exit 1 would blame the caller
+    def broken(args):
+        return undefined_name  # noqa: F821
+
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    rc, out, err = run(capsys, "eval", "--p", "10", "--c", "1.5", "--g", "0.1")
+    assert rc == 3 and out == ""
+    assert "NameError" in err and "Traceback" in err
+    assert err.endswith("internal error\n")
+
+
 @pytest.mark.parametrize("flags", [("--trials", "-3"), ("--tol", "nan"), ("--tol=-1e-9",)])
 def test_oracle_check_rejects_negative_trials_and_bad_tolerances(capsys, flags):
     rc, out, err = run(capsys, "oracle-check", *flags)
