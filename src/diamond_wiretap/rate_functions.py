@@ -370,7 +370,7 @@ def _below(params: ChannelParams, w: float, e: float, u: float, v: float) -> tup
         return -math.inf, -math.inf
     den = b + math.sqrt(disc)  # both roots without cancellation, as b >= 0
     if den > 0.0:
-        return -den / a if a > 0.0 else -math.inf, -c / den
+        return (-den / a if a > 0.0 else -math.inf), -c / den
     return (-math.inf, math.inf) if c < 0.0 else (-math.inf, -math.inf)
 
 
@@ -503,13 +503,13 @@ def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, f
 
 
 def _edges(test, lo: float, hi: float, left: float, right: float) -> tuple[float, float] | None:
-    """The first and last floats of [lo, hi] at which ``test`` (a list of
-    points to a list of booleans) holds on the one interval where it holds,
-    whose ends the closed form puts at ``left`` and ``right`` up to rounding
-    (``_below``); None where it holds at none.  The test decides: it checks
-    lo and hi wherever the closed form puts an end at or past them, and
-    ``scalar_opt.sign_change``, seeded by the closed form, closes each end
-    inside on adjacent floats."""
+    """The first and last floats of [lo, hi] at which ``test``, a map from a
+    list of points to a list of booleans, holds; None where it holds at none.
+    It holds on one interval, whose ends the closed form puts at ``left``
+    and ``right`` up to rounding (``_below``), so the test decides: it
+    checks lo and hi wherever the closed form puts an end at or past them,
+    and ``scalar_opt.sign_change``, seeded by the closed form, closes each
+    end inside on adjacent floats."""
     seen = {}
 
     def holds(xs):

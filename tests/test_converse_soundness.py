@@ -279,10 +279,6 @@ def _solves(monkeypatch):
     return run
 
 
-def _rho_max(p, budget):
-    return rf.f5_inverse(p, budget)
-
-
 BUDGETS = [RandomnessBudget.unbounded(), RandomnessBudget.finite(0.3), RandomnessBudget.finite(0.02)]
 
 
@@ -295,7 +291,7 @@ def test_scenario_one_solves_the_intervals_of_its_docstring(budget, monkeypatch)
     when it is negative); no scheme where no rho fits."""
     solves = _solves(monkeypatch)
     for p in criterion_08_draws(DRAWS):
-        rs, cap = rf.rho_star(p), _rho_max(p, budget)
+        rs, cap = rf.rho_star(p), rf.f5_inverse(p, budget)
         expected = [("S1", 0.0, rs), ("S2", rs, 1.0), ("S3", 0.0, rs), ("S4", rs, 1.0)]
         if cap is not None:
             expected += [("df1", cap, cap)]
@@ -312,7 +308,7 @@ def test_scenario_two_solves_the_intervals_of_its_docstring(budget, monkeypatch)
     closed form, and no solve."""
     solves = _solves(monkeypatch)
     for p in criterion_08_draws(DRAWS):
-        rs, cap = rf.rho_star(p), _rho_max(p, budget)
+        rs, cap = rf.rho_star(p), rf.f5_inverse(p, budget)
         expected = [("T2", 0.0, rs), ("T3", rs, 1.0)]
         if cap is not None:
             expected += [(name, -1.0, cap) for name in ("df2", "pdfdfm2", "pdfpdfm2")]
