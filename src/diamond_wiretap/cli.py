@@ -28,7 +28,6 @@ import argparse
 import functools
 import math
 import sys
-import traceback
 from dataclasses import replace
 
 from .errors import DiamondWiretapError, ParameterError
@@ -373,6 +372,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback  # only on a defect: it adds milliseconds to every start
+
         traceback.print_exc()
         print("internal error", file=sys.stderr)
         return 3
