@@ -55,9 +55,9 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="revision to compare the working tree against")
     args = ap.parse_args(argv)
 
-    with tempfile.TemporaryDirectory(prefix="same_outputs_") as scratch:
-        sha = _export(args.base, scratch)
-        packages = {"base": load(Path(scratch, "src"), "same_base"), "new": load(ROOT / "src", "same_new")}
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as exported:
+        sha = _export(args.base, exported)
+        packages = {"base": load(Path(exported, "src"), "same_base"), "new": load(ROOT / "src", "same_new")}
         report = compare(packages, None)
     print(json.dumps({"base": {"rev": args.base, "sha": sha}, **report}))
     return 0
