@@ -299,7 +299,7 @@ def peak(params: ChannelParams, term: str) -> float:
       above -1, where f3 is -inf, and huge powers would round it to -1.
 
     The indicator is constant between the ends of its link interval
-    (``link_interval``), at which ``scenario_one.solve_linked`` splits.
+    (``link_interval``), at which ``scenario_one.solve`` splits.
     """
     if term in _NEVER_RISES:
         return -math.inf

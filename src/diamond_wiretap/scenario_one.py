@@ -22,7 +22,7 @@ R' >= f5(rho), which caps rho at rho_max.
 ``TABLE`` writes this scenario once, and ``upper`` and ``lower`` walk it
 and ``scenario_two.TABLE`` alike.  The terms of every branch and scheme live
 in ``schemes.TABLE``, whose docstring says how ``solve``, the one route from
-a table to an optimum, solves each (``solve_linked`` adds the link interval).
+a table to an optimum, solves each; it also returns the link interval.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "Table",
     "TABLE",
     "solve",
-    "solve_linked",
     "upper",
     "lower",
     "upper_bound",
@@ -86,20 +85,15 @@ class ScenarioOneBounds:
     note: str | None = None
 
 
-def solve(params: ChannelParams, name: str, lo: float, hi: float) -> OptimizationResult:
-    """Maximize ``schemes.TABLE[name]`` on the Gaussian channel over [lo, hi],
-    with the solver its structure fixes (see ``schemes``)."""
-    return solve_linked(params, name, lo, hi)[0]
-
-
-def solve_linked(
+def solve(
     params: ChannelParams, name: str, lo: float, hi: float,
 ) -> tuple[OptimizationResult, tuple[float, float] | None]:
-    """``solve``, and for an entry with link conditions (``linked``) the
-    first and last float of [lo, hi] where they hold
-    (``rate_functions.link_interval``), None where they hold at none and for
-    every other entry.  The indicator is constant between the floats either
-    side of each end, so those floats split the solve."""
+    """Maximize ``schemes.TABLE[name]`` on the Gaussian channel over [lo, hi],
+    with the solver its structure fixes (see ``schemes``); and for an entry
+    with link conditions (``linked``) the first and last float of [lo, hi]
+    where they hold (``rate_functions.link_interval``), None where they hold
+    at none and for every other entry.  The indicator is constant between the
+    floats either side of each end, so those floats split the solve."""
     branch, fixed = schemes.gaussian(params, name)
     entry = schemes.TABLE[name]
     link = rf.link_interval(params, lo, hi) if entry.linked else None
@@ -169,7 +163,7 @@ _INFEASIBLE = "randomness budget below the minimum leakage f5(-1): no feasible c
 def upper(params: ChannelParams, table: Table) -> BoundReport:
     """The upper bound of ``table``'s scenario, every branch in ``sub_reports``."""
     at = {"0": 0.0, "rho*": rf.rho_star(params), "1": 1.0}
-    subs = {name: table.closed[name](params) if lo is None else solve(params, name, at[lo], at[hi])
+    subs = {name: table.closed[name](params) if lo is None else solve(params, name, at[lo], at[hi])[0]
             for group in table.converse for name, lo, hi in group}
     value = {name: opt.value for name, opt in subs.items()}
     # max() and min() keep the first of equal values
@@ -191,7 +185,7 @@ def lower(params: ChannelParams, budget: RandomnessBudget, table: Table) -> dict
             note = _INFEASIBLE if rho_max is None else f"rho = {hi} violates the randomness budget"
             out[attr] = BoundReport(value=0.0, rho=0.0, binding=(), raw_value=0.0, note=note)
             continue
-        opt, link = solve_linked(params, name, at[lo], at[hi])
+        opt, link = solve(params, name, at[lo], at[hi])
         note = None
         if schemes.TABLE[name].linked:
             out["indicator_satisfied"] = link is not None and link[0] <= opt.rho <= link[1]

@@ -194,7 +194,7 @@ def test_a_degenerate_interval_is_one_evaluation_of_the_branch():
                 binding = tuple(term for term, v in terms.items() if v == value or v <= value + tol)
                 res = maximize_min(branch, (x, x), peaks, never)
                 assert (res.rho, res.value, res.binding) == (x, value, binding), (p, name, x)
-                assert s1.solve(p, name, x, x) == res, (p, name, x)
+                assert s1.solve(p, name, x, x)[0] == res, (p, name, x)
     with pytest.raises(EmptyInterval):
         maximize_min(lambda xs: {}, (0.5, 0.5), {}, never)
 
