@@ -378,13 +378,13 @@ def _below(params: ChannelParams, w: float, e: float, u: float, v: float) -> tup
 def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float = 1.0) -> float:
     """Where ``term`` meets ``other``: a rate level or a term of ``TERMS``.
 
-    For ``term`` "f4" or "f5", and ``other`` a level, "f1", "f2" or "f3",
-    the right end of the interval where 1 + w*s(rho), w = 1 for f4 and g for
-    f5, lies below 2^(2e)*(u + v*(1 - rho^2)) (``_below``), with (e, u, v) =
-    (L, 1, 0) for a level L, (C1, 1, P2) for f1, (C2, 1, P1) for f2 and
-    (C1 + C2, 0, 1) for f3.  Cancellation in its coefficients can put this
-    root hundreds of floats from the float where the two rates meet, and
-    near rho = 0, where floats are dense, far more.
+    For ``term`` "f4", and ``other`` a level, "f1", "f2" or "f3", the right
+    end of the interval where 1 + s(rho) lies below
+    2^(2e)*(u + v*(1 - rho^2)) (``_below``), with (e, u, v) = (L, 1, 0) for
+    a level L, (C1, 1, P2) for f1, (C2, 1, P1) for f2 and (C1 + C2, 0, 1)
+    for f3.  Cancellation in its coefficients can put this root hundreds of
+    floats from the float where the two rates meet, and near rho = 0, where
+    floats are dense, far more.
 
     For any other ``term``, the root on [lo, hi], where term - other must
     rise: ``peak`` says where each term rises and falls.  These equations
@@ -399,11 +399,10 @@ def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float
     -inf when ``term`` lies at or above ``other`` on the whole range, and
     +inf when it lies below (or when 2^(2e) or a coefficient overflows).
     """
-    if term not in ("f4", "f5"):
+    if term != "f4":
         if term not in TERMS or not _SLOPES.keys() >= TERMS[term].keys():
-            raise ValueError(f"crossing solves for f4, f5 or a term of TERMS on f1..f5, got {term!r}")
+            raise ValueError(f"crossing solves for f4 or a term of TERMS on f1..f5, got {term!r}")
         return _newton_crossing(params, term, other, lo, hi)
-    w = 1.0 if term == "f4" else params.g
     if other == "f1":
         e, u, v = params.c1, 1.0, params.p2
     elif other == "f2":
@@ -412,7 +411,7 @@ def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float
         e, u, v = params.c1 + params.c2, 0.0, 1.0
     else:
         e, u, v = float(other), 1.0, 0.0
-    return _below(params, w, e, u, v)[1]
+    return _below(params, 1.0, e, u, v)[1]
 
 
 def _newton_crossing(params: ChannelParams, term: str, other, a: float, b: float) -> float:

@@ -450,7 +450,8 @@ def test_crossing_solves_its_equation():
         assert rf.f4(p, rho) == pytest.approx(getattr(rf, other)(p, rho), abs=1e-12), other
     rho = rf.crossing(p, "f4", 1.0)
     assert rf.f4(p, rho) == pytest.approx(1.0, abs=1e-12)
-    rho = rf.crossing(p, "f5", 0.25)
+    # the leakage equation f5 = r' is the budget cap's
+    rho = rf.f5_inverse(p, RandomnessBudget(0.25))
     assert rf.f5(p, rho) == pytest.approx(0.25, abs=1e-12)
 
 

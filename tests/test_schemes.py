@@ -44,10 +44,11 @@ def test_entry_terms_agree_on_floats_columns_and_arrays():
                 assert _bits(array[term]) == expected, (p, name, term)
 
 
-@pytest.mark.parametrize("term", ["f9", "C1", "f3(0)-f5", "indicator", "f6"])
+@pytest.mark.parametrize("term", ["f9", "C1", "f3(0)-f5", "indicator", "f6", "f5"])
 def test_crossing_rejects_a_term_it_cannot_solve(term):
-    """``crossing`` solves for f4, f5 and the terms of ``TERMS`` on f1..f5;
-    an unknown name, or a term on a rho-free rate or the indicator, raises."""
+    """``crossing`` solves for f4 and the terms of ``TERMS`` on f1..f5; a
+    name outside ``TERMS`` (f5 and f6 among them), or a term on a rho-free
+    rate or the indicator, raises."""
     p = ChannelParams(3.0, 0.5, 0.8, 1.1, 0.3)
     with pytest.raises(ValueError, match="crossing solves for"):
         rf.crossing(p, term, "f1", -1.0, 1.0)
