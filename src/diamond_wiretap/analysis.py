@@ -170,6 +170,7 @@ def pdf_gap_vs_power(
 
 SCENARIO_ONE_SCHEMES = tuple(report for report, *_ in scenario_one.TABLE.schemes)
 SCENARIO_TWO_SCHEMES = tuple(report for report, *_ in scenario_two.TABLE.schemes)
+_SCENARIOS = {1: scenario_one, 2: scenario_two}
 
 
 @dataclass(frozen=True)
@@ -187,11 +188,6 @@ class ThresholdReport:
     c_min: float
     c_max: float
     steps: int
-
-
-def _scheme_values(scenario: int, params: ChannelParams, budget: RandomnessBudget) -> dict[str, float]:
-    module = scenario_one if scenario == 1 else scenario_two
-    return module.scheme_rates(params, budget)
 
 
 # how far group A must lead group B to count as ahead, so that the flat
@@ -346,7 +342,8 @@ def detect_thresholds(
     """
     if scenario not in (1, 2):
         raise ValueError(f"scenario must be 1 or 2, got {scenario}")
-    known = SCENARIO_ONE_SCHEMES if scenario == 1 else SCENARIO_TWO_SCHEMES
+    module = _SCENARIOS[scenario]
+    known = tuple(report for report, *_ in module.TABLE.schemes)
     if schemes_a is None:
         schemes_a = ("pdfm",) if scenario == 1 else ("pdfpdfm",)
     if schemes_b is None:
@@ -363,7 +360,7 @@ def detect_thresholds(
                              f"got c_min={c_min}, c_max={c_max}, steps={steps}")
 
     def bests(c: float) -> tuple[float, float]:
-        values = _scheme_values(scenario, ChannelParams.symmetric(p, c, g), budget)
+        values = module.scheme_rates(ChannelParams.symmetric(p, c, g), budget)
         return max(values[s] for s in schemes_a), max(values[s] for s in schemes_b)
 
     tied = None
@@ -398,7 +395,7 @@ def detect_thresholds(
         lo, hi = _refine(lead, cs[k], cs[k + 1], leads[k], leads[k + 1], bracket)
         c_star = 0.5 * (lo + hi)
         params = ChannelParams.symmetric(p, c_star, g)
-        values = _scheme_values(scenario, params, budget)
+        values = module.scheme_rates(params, budget)
         best = max(values[s] for s in (*schemes_a, *schemes_b))
         tied_schemes = tuple(
             s for s in known
