@@ -141,13 +141,10 @@ def _params_from(args, *, skip: str | None = None) -> ChannelParams:
 
 
 def _budget_from(args) -> RandomnessBudget:
-    token = args.rprime
-    if isinstance(token, str) and token.strip().lower() == "inf":
-        return RandomnessBudget.unbounded()
     try:
-        value = float(token)
+        value = float(args.rprime)
     except ValueError:
-        raise ParameterError(f"--rprime must be a number or 'inf', got {token!r}")
+        raise ParameterError(f"--rprime must be a number or 'inf', got {args.rprime!r}")
     return RandomnessBudget(value)
 
 

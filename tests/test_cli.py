@@ -104,6 +104,7 @@ def test_eval_invalid_parameter(capsys):
 
 @pytest.mark.parametrize("args, message", [
     (("--p", "10", "--c", "1", "--g", "0.5", "--rprime", "abc"), "--rprime must be a number or 'inf', got 'abc'"),
+    (("--p", "10", "--c", "1", "--g", "0.5", "--rprime", "nan"), "r_prime must be a number, got nan"),
     (("--p", "10", "--c", "1"), "missing --g"),
     (("--p1", "10", "--c", "1", "--g", "0.5"), "missing --p (or both --p1 and --p2)"),
     (("--p", "4.5e307", "--c", "1", "--g", "0.5"),
@@ -112,6 +113,14 @@ def test_eval_invalid_parameter(capsys):
 def test_eval_rejects_bad_flags_with_their_message(capsys, args, message):
     rc, out, err = run(capsys, "eval", *args)
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("token", ["INF", " inf ", "Infinity"])
+def test_eval_reads_any_spelling_of_inf_as_the_default_budget(capsys, token):
+    args = ("eval", "--p", "10", "--c", "1.5", "--g", "0.1")
+    default = run(capsys, *args)
+    assert default[0] == 0
+    assert run(capsys, *args, "--rprime", token) == default
 
 
 def test_eval_reports_a_budget_that_admits_no_correlation(capsys):
