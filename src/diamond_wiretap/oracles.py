@@ -140,10 +140,6 @@ class DmcChannel:
         _check_pmf(t, "transition p(y,z|x1,x2)", axis=(2, 3))
         object.__setattr__(self, "transition", t)
 
-    @property
-    def alphabet_sizes(self) -> tuple[int, int, int, int]:
-        return self.transition.shape
-
 
 def _entropy(p: np.ndarray) -> float:
     # 0*log(0) = 0 by convention
@@ -183,7 +179,7 @@ def dmc_rates(channel: DmcChannel, input_pmf: np.ndarray, c1: float, c2: float) 
     conditions C1 > I(X1;Z) and C2 > I(X2;Z).
     """
     pin = np.asarray(input_pmf, dtype=float)
-    n1, n2, _, _ = channel.alphabet_sizes
+    n1, n2, _, _ = channel.transition.shape
     if pin.shape != (n1, n2):
         raise InvalidPmf(f"input pmf shape {pin.shape} does not match alphabets ({n1}, {n2})")
     _check_pmf(pin, "input pmf")
