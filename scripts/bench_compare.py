@@ -34,18 +34,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from ab_compare import _export  # noqa: E402
+
 # pair i runs seed _FIRST_SEED + i on both sides
 _FIRST_SEED = 101
 
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], check=True, capture_output=True, text=True).stdout.strip()
-
-
-def _export(rev: str, into: str) -> None:
-    """The files committed at ``rev``, without a .git of their own."""
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
 
 
 def _run(root: str, command: list[str], workload: str, seed: int, seconds: float) -> dict:
