@@ -10,13 +10,19 @@ Every operation of the ``points``, ``analysis`` and ``sweep`` workloads of
 101 to 105, runs once on each version; a sweep runs through ``cli.main``.
 Then the six invocations of the README run through ``cli.main`` on each
 version, ``dmc`` on the README's channel document in a temporary directory.
+Last, both ``bounds`` run on a fixed corpus of 3,000 channels that the
+workloads never draw (``corpus``): powers in 10^[-12, 15], every 9th pair
+of them at a ratio of 1 + 1e-7, every 11th C1, every 13th C2 and every 7th
+g zero, on budgets that cycle through inf, 0.3, 0.02, 0 and one drawn in
+[0, 2].
 
 The last line of standard output is one JSON object: the operations
 compared, how many of them differ in the ``repr`` of their outputs (a
 sweep's: its exit code and standard output; a README invocation's: its exit
 code, standard output and standard error), and the first few that differ,
 each as its workload, seed and index in that seed's list; a README
-invocation as "readme", None and its index in ``README``.
+invocation as "readme", None and its index in ``README``, and a channel of
+the corpus as "corpus", None and its index in it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import argparse
 import contextlib
 import io
 import json
+import math
+import random
 import sys
 import tempfile
 from functools import partial
@@ -56,6 +64,25 @@ CHANNEL = {
 }
 # differing operations listed in the report
 _SHOWN = 10
+# the channels of the corpus, and the seed of their draw
+CORPUS = 3000
+CORPUS_SEED = 7919
+
+
+def corpus(channel) -> list[dict]:
+    """The corpus of the module docstring, as ``point`` operations of
+    ``perfbench/workloads`` on ``channel``, a ``ChannelParams`` class."""
+    rng = random.Random(CORPUS_SEED)
+    ops = []
+    for i in range(CORPUS):
+        p1 = 10.0 ** rng.uniform(-12.0, 15.0)
+        p2 = p1 * (1.0 + 1e-7) if i % 9 == 0 else 10.0 ** rng.uniform(-12.0, 15.0)
+        c1 = 0.0 if i % 11 == 0 else rng.uniform(0.0, 4.0)
+        c2 = 0.0 if i % 13 == 0 else rng.uniform(0.0, 4.0)
+        g = 0.0 if i % 7 == 0 else rng.uniform(0.0, 0.99)
+        r_prime = (math.inf, 0.3, 0.02, 0.0)[i % 5] if i % 5 < 4 else rng.uniform(0.0, 2.0)
+        ops.append({"kind": "point", "params": channel(p1, p2, c1, c2, g), "r_prime": r_prime})
+    return ops
 
 
 def _cli(pkg, argv: tuple[str, ...]) -> tuple[int, str, str]:
@@ -85,6 +112,8 @@ def compare(packages: dict, ops: int | None) -> dict:
         todo += [({"workload": "readme", "seed": None, "index": i},
                   partial(_cli, argv=tuple(arg.format(channel=channel) for arg in argv)))
                  for i, argv in enumerate(README)]
+        todo += [({"workload": "corpus", "seed": None, "index": i}, partial(_call, op=op))
+                 for i, op in enumerate(corpus(packages["new"].ChannelParams))]
         todo = todo[:ops]
         differ = [where for where, run in todo if repr(run(packages["base"])) != repr(run(packages["new"]))]
     return {"compared": len(todo), "differ": len(differ), "first_differing": differ[:_SHOWN]}

@@ -23,9 +23,12 @@ with s(rho) = P1 + P2 + 2*rho*sqrt(P1*P2).  All seven live on [-1, 1],
 where s(rho) >= s(-1) = (sqrt(P1) - sqrt(P2))^2 >= 0.  sqrt(P1*P2) is taken
 as sqrt(P1)*sqrt(P2) wherever P1*P2 would overflow or underflow.
 
-Each rate is one scalar form of q = 1 - rho^2 and s(rho) (``_FORMS``), shared
-by ``rates``, the crossing seeds and scenario 2's T1.  Values are plain floats
-(``math``, no numpy); f3 is -inf at |rho| = 1, which ``min`` keeps and ``max`` drops.
+Each rate is written once, as the text of one expression in q = 1 - rho^2
+and s(rho) (``_TEXT``).  That text is compiled twice: here into the scalar
+forms ``_FORMS``, which ``rates``, the crossing seeds and scenario 2's T1
+call, and in ``schemes`` into one loop per table entry.  Values are plain
+floats (``math``, no numpy); f3 is -inf at |rho| = 1, which ``min`` keeps and
+``max`` drops.
 """
 
 from __future__ import annotations
@@ -144,7 +147,6 @@ class RandomnessBudget:
 # s(rho) carries round-off of a few ulps of P1 + P2, and snaps to 0 below this
 # many: f4 and f5 are never negative, and vanish at rho = -1 for P1 = P2.
 _SNAP = 32.0 * sys.float_info.epsilon
-_log2 = math.log2
 
 
 def link_indicator(c1: float, c2: float, f6: float, f7: float) -> float:
@@ -157,17 +159,18 @@ def link_indicator(c1: float, c2: float, f6: float, f7: float) -> float:
     return math.inf if c1 > f6 and c2 > f7 and c1 > 0.0 and c2 > 0.0 else 0.0
 
 
-# Each closed form at one point, from the atoms q = 1 - rho^2 and s = s(rho).
-_FORMS = {
-    "f1": lambda p, q, s: p.c1 + 0.5 * _log2(1.0 + q * p.p2),
-    "f2": lambda p, q, s: p.c2 + 0.5 * _log2(1.0 + q * p.p1),
-    "f3": lambda p, q, s: p.c1 + p.c2 + 0.5 * _log2(q) if q > 0.0 else -math.inf,
-    "f4": lambda p, q, s: 0.5 * _log2(1.0 + s),
-    "f5": lambda p, q, s: 0.5 * _log2(1.0 + p.g * s),
-    "f6": lambda p, q, s: 0.5 * _log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p2)),
-    "f7": lambda p, q, s: 0.5 * _log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p1)),
-    "indicator": lambda p, q, s: link_indicator(p.c1, p.c2, _FORMS["f6"](p, q, s), _FORMS["f7"](p, q, s)),
+# Each closed form at one point, as an expression in the channel p and the
+# atoms q = 1 - rho^2 and s = s(rho) (see the module docstring).
+_TEXT = {
+    "f1": "p.c1 + 0.5 * log2(1.0 + q * p.p2)",
+    "f2": "p.c2 + 0.5 * log2(1.0 + q * p.p1)",
+    "f3": "p.c1 + p.c2 + 0.5 * log2(q) if q > 0.0 else -inf",
+    "f4": "0.5 * log2(1.0 + s)",
+    "f5": "0.5 * log2(1.0 + p.g * s)",
+    "f6": "0.5 * log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p2))",
+    "f7": "0.5 * log2((1.0 + p.g * s) / (1.0 + p.g * q * p.p1))",
 }
+_TEXT["indicator"] = f"link_indicator(p.c1, p.c2, {_TEXT['f6']}, {_TEXT['f7']})"
 
 
 def _k(params: ChannelParams) -> float:
@@ -189,23 +192,43 @@ def _atoms(params: ChannelParams):
     return atoms
 
 
-def rates(params: ChannelParams, rho, names) -> dict:
-    """The closed forms ``names`` (a subset of f1..f7 and ``indicator``, in
-    order) at ``rho``: floats for a float ``rho``, lists for a sequence.
-
-    The kernel behind f1..f7 and the optimizer's branches: rho must lie in
-    [-1, 1], and values within round-off outside it are clipped onto it.
-    Each scalar form of ``_FORMS`` maps over the atoms of the points (``_atoms``).
-    """
-    scalar = isinstance(rho, (int, float))
-    xs = (rho,) if scalar else rho
+def _points(rho, names):
+    """The points of ``rho``, a float or a sequence, as a sequence: values
+    within round-off outside [-1, 1] are clipped onto it, and any further
+    out, or NaN, raise ``DomainError`` for the forms ``names``."""
+    xs = (rho,) if isinstance(rho, (int, float)) else rho
     # min and max can step over a NaN, which makes the sum NaN
     lo, hi = min(xs, default=0.0), max(xs, default=0.0)
     if not -1.0 - _DOMAIN_TOL <= lo <= hi <= 1.0 + _DOMAIN_TOL or math.isnan(sum(xs)):
         raise DomainError(f"correlation must lie in [-1, 1] for {', '.join(names)}, got {rho!r}")
     if hi > 1.0 or lo < -1.0:
         xs = [max(-1.0, min(r, 1.0)) for r in xs]
-    if scalar:
+    return xs
+
+
+def _compiled(source: str, filename: str) -> dict:
+    """The names defined by ``source``, code that this package writes from
+    ``_TEXT`` (no input reaches it), run with the names the forms and
+    ``_points`` read; ``filename`` names it in tracebacks."""
+    namespace = {"log2": math.log2, "inf": math.inf, "link_indicator": link_indicator, "points": _points}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+_FORMS = {name: _compiled(f"def {name}(p, q, s):\n    return {text}\n", f"<rate_functions:{name}>")[name]
+          for name, text in _TEXT.items()}
+
+
+def rates(params: ChannelParams, rho, names) -> dict:
+    """The closed forms ``names`` (a subset of f1..f7 and ``indicator``, in
+    order) at ``rho``: floats for a float ``rho``, lists for a sequence.
+
+    The kernel behind f1..f7: rho must lie in [-1, 1], and values within
+    round-off outside it are clipped onto it (``_points``).  Each scalar
+    form of ``_FORMS`` maps over the atoms of the points (``_atoms``).
+    """
+    xs = _points(rho, names)
+    if isinstance(rho, (int, float)):
         q, s = _atoms(params)(xs[0])
         return {name: _FORMS[name](params, q, s) for name in names}
     pairs = list(map(_atoms(params), xs))

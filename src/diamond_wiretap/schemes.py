@@ -5,13 +5,15 @@ order, each a weighted sum of rates written once in ``rate_functions.TERMS``.
 A bound or rate is the minimum of the terms, maximized over the correlation
 rho on an interval that the scenario modules set.  ``Entry.terms`` turns the
 rates an entry reads, its ``uses``, into its terms by plain arithmetic that
-applies alike to floats, to lists of them (``_Column``) and to numpy arrays.
-The rates are f1..f5 and the ``indicator`` (``rate_functions.link_indicator``:
-+inf where the strict link conditions C1 > f6 and C2 > f7 of pdfpdfm2 hold,
-0 where they fail) at rho, the rho-free f3(0), and the link capacities C1,
-C2.  ``gaussian`` fills them for the Gaussian channel, with one
-``rate_functions.rates`` call per list of points; ``oracles.dmc_rates``
-fills them for a discrete channel from entropies:
+applies alike to floats and to numpy arrays.  The rates are f1..f5 and the
+``indicator`` (``rate_functions.link_indicator``: +inf where the strict link
+conditions C1 > f6 and C2 > f7 of pdfpdfm2 hold, 0 where they fail) at rho,
+the rho-free f3(0), and the link capacities C1, C2.  ``gaussian`` evaluates
+an entry on the Gaussian channel by one loop over the points, compiled on
+the entry's first solve from the text of the forms in ``rate_functions``
+(``_loop``): per point it computes each rate once and appends each term, to
+the bits of ``Entry.terms`` over ``rate_functions.rates``.
+``oracles.dmc_rates`` fills the rates for a discrete channel from entropies:
 
     f1 = C1 + I(X2;Y|X1)    f2 = C2 + I(X1;Y|X2)    f3 = C1 + C2 - I(X1;X2)
     f4 = I(X1,X2;Y)         f5 = I(X1,X2;Z)         f6 = I(X1;Z)    f7 = I(X2;Z)
@@ -47,6 +49,7 @@ budget cap or pdfm1 at rho = 0, is one piece end: one evaluation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -103,36 +106,43 @@ TABLE: dict[str, Entry] = {
 }
 
 
-class _Column(list):
-    """Rates at a list of points, with the pointwise arithmetic of ``TABLE``."""
-
-    def __add__(self, other):
-        return _Column([a + b for a, b in zip(self, other)])
-
-    def __sub__(self, other):
-        return _Column([a - b for a, b in zip(self, other)])
-
-    def __rsub__(self, level):
-        return _Column([level - a for a in self])
-
-    def __rmul__(self, factor):
-        return _Column([factor * a for a in self])
-
-
 def gaussian(params: ChannelParams, name: str) -> tuple[Callable, dict]:
     """``TABLE[name]`` on the Gaussian channel ``params``: the branch, which
     maps a list of points to ``{term: values}``, and the rho-free rates it
-    was given."""
+    was given.  The branch is the entry's loop (``_loop``) bound to them."""
     entry = TABLE[name]
     fixed = {"C1": params.c1, "C2": params.c2}
     # f3(0) by the public f3, a call the benchmark tracer sees in scenario 1
     if "f3(0)" in entry.uses:
         fixed["f3(0)"] = rf.f3(params, 0.0)
-    at_rho = tuple(u for u in entry.uses if u not in fixed)
+    return _loop(name)(params, fixed, rf._atoms(params)), fixed
 
-    def branch(rho):
-        r = {u: _Column(values) for u, values in rf.rates(params, rho, at_rho).items()}
-        terms = entry.terms({**r, **fixed})
-        return {term: v if isinstance(v, list) else [v] * len(rho) for term, v in terms.items()}
 
-    return branch, fixed
+@functools.cache
+def _loop(name: str) -> Callable:
+    """The loop of ``TABLE[name]``, compiled from ``rate_functions._TEXT``
+    on the entry's first solve: ``bind(p, fixed, atoms)`` returns a branch
+    that checks and clips its points as ``rate_functions.rates`` does, then
+    at each point takes its atoms, each rate of rho the entry uses once, and
+    appends each term as ``Entry.terms`` sums it, to the same bits."""
+    entry = TABLE[name]
+    at_rho = tuple(u for u in entry.uses if u in rf._TEXT)
+    var = {u: u.replace("(0)", "_0") for u in entry.uses}  # f3(0) is no name
+    sums = []
+    for _, rate, c, rest in entry._sums:
+        text = var[rate] if c == 1.0 else f"{c!r} * {var[rate]}"
+        for rate, c in rest:
+            text += f" - {var[rate]}" if c == -1.0 else f" + {c!r} * {var[rate]}"
+        sums.append(text)
+    lines = [
+        "def bind(p, fixed, atoms):",
+        *(f"    {var[u]} = fixed[{u!r}]" for u in entry.uses if u not in rf._TEXT),
+        "    def branch(rho):",
+        *(f"        t{i} = []" for i in range(len(sums))),
+        f"        for q, s in map(atoms, points(rho, {at_rho!r})):",
+        *(f"            {u} = {rf._TEXT[u]}" for u in at_rho),
+        *(f"            t{i}.append({text})" for i, text in enumerate(sums)),
+        "        return {" + ", ".join(f"{term!r}: t{i}" for i, term in enumerate(entry.names)) + "}",
+        "    return branch",
+    ]
+    return rf._compiled("\n".join(lines) + "\n", f"<schemes:{name}>")["bind"]

@@ -1,15 +1,20 @@
-"""The term table: ``schemes.Entry.terms`` and ``rate_functions.TERMS``.
+"""The term table: ``schemes.Entry.terms``, the compiled loops of
+``schemes.gaussian`` and ``rate_functions.TERMS``.
 
-One ``Entry.terms`` serves the Gaussian branches (lists of points, as a
-``_Column``), the discrete oracle (floats) and the numpy references of the
-soundness tests (arrays), so it must give the same bits on each.
+One ``Entry.terms`` serves the discrete oracle (floats) and the numpy
+references of the soundness tests (arrays), so it must give the same bits on
+each; the loop that ``schemes.gaussian`` compiles for each entry must give
+the bits of ``Entry.terms`` over ``rate_functions.rates``.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from diamond_wiretap import rate_functions as rf
 from diamond_wiretap import schemes
+from diamond_wiretap.errors import DomainError
 from diamond_wiretap.rate_functions import ChannelParams
 
 RHO = [-1.0, -0.999, -0.6, -0.1, 0.0, 0.25, 0.7, 0.999, 1.0]
@@ -26,22 +31,62 @@ def _bits(values):
     return [float(v).hex() for v in np.broadcast_to(values, (len(RHO),))]
 
 
-def test_entry_terms_agree_on_floats_columns_and_arrays():
+def test_entry_terms_agree_on_floats_and_arrays():
     """For every ``TABLE`` entry, its terms from the same rates are the same
-    bits point by point on floats, on one ``_Column`` of all the points, and
-    on numpy arrays; the terms come in the entry's binding order."""
+    bits point by point on floats and on numpy arrays; the terms come in the
+    entry's binding order."""
     for p in _channels(100, 22):
         at = rf.rates(p, RHO, ("f1", "f2", "f3", "f4", "f5", "indicator"))
         fixed = {"C1": p.c1, "C2": p.c2, "f3(0)": rf.f3(p, 0.0)}
         for name, entry in schemes.TABLE.items():
-            column = entry.terms({**{u: schemes._Column(v) for u, v in at.items()}, **fixed})
             array = entry.terms({**{u: np.array(v) for u, v in at.items()}, **fixed})
             points = [entry.terms({**{u: v[j] for u, v in at.items()}, **fixed}) for j in range(len(RHO))]
-            assert list(column) == list(array) == list(entry.names), name
+            assert list(array) == list(entry.names), name
             for term in entry.names:
-                expected = [point[term].hex() for point in points]
-                assert _bits(column[term]) == expected, (p, name, term)
-                assert _bits(array[term]) == expected, (p, name, term)
+                assert _bits(array[term]) == [point[term].hex() for point in points], (p, name, term)
+
+
+# the ends, 0, points inside and the floats just past the ends, which are clipped
+EDGES = [-1.0 - 1e-13, -1.0, -0.999, -0.3, 0.0, 0.4, 0.999, 1.0, 1.0 + 1e-13]
+
+
+def _extreme_channels():
+    """Powers in 10^[-12, 15], every third pair near-equal (ratio
+    1 + 1e-7), and zero C1, zero C2 and zero g in turn."""
+    rng = np.random.default_rng(32)
+    out = []
+    for i in range(60):
+        p1 = float(10.0 ** rng.uniform(-12.0, 15.0))
+        p2 = p1 * (1.0 + 1e-7) if i % 3 == 0 else float(10.0 ** rng.uniform(-12.0, 15.0))
+        c1, c2, g = float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 0.99))
+        c1, c2, g = (0.0 if i % 4 == 1 else c1), (0.0 if i % 4 == 2 else c2), (0.0 if i % 4 == 3 else g)
+        out.append(ChannelParams(p1, p2, c1, c2, g))
+    return out
+
+
+@pytest.mark.parametrize("p", _extreme_channels())
+def test_compiled_loops_give_the_bits_of_entry_terms_over_rates(p):
+    """Each entry's compiled loop, bound by ``schemes.gaussian``, gives at
+    every point the bits of ``Entry.terms`` over the rates of ``rates``,
+    clipping the floats just past -1 and 1 as ``rates`` does; a NaN or a
+    point beyond round-off raises the ``DomainError`` that ``rates`` raises."""
+    for name, entry in schemes.TABLE.items():
+        branch, fixed = schemes.gaussian(p, name)
+        at_rho = tuple(u for u in entry.uses if u not in fixed)
+        at = rf.rates(p, EDGES, at_rho)
+        got = branch(EDGES)
+        assert list(got) == list(entry.names), name
+        for j, rho in enumerate(EDGES):
+            want = entry.terms({**{u: v[j] for u, v in at.items()}, **fixed})
+            assert [got[term][j].hex() for term in entry.names] == [want[term].hex() for term in entry.names], \
+                (p, name, rho)
+        for bad in ([0.2, math.nan], [1.1]):
+            with pytest.raises(DomainError) as raised:
+                branch(bad)
+            with pytest.raises(DomainError) as expected:
+                rf.rates(p, bad, at_rho)
+            assert str(raised.value) == str(expected.value)
+        assert all(values == [] for values in branch([]).values())
 
 
 @pytest.mark.parametrize("term", ["f9", "C1", "f3(0)-f5", "indicator", "f6", "f5"])
