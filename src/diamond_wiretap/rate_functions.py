@@ -208,8 +208,9 @@ def _points(rho, names):
 
 def _compiled(source: str, filename: str) -> dict:
     """The names defined by ``source``, code that this package writes from
-    ``_TEXT`` (no input reaches it), run with the names the forms and
-    ``_points`` read; ``filename`` names it in tracebacks."""
+    ``_TEXT`` (no input reaches it), run beside what the forms read
+    (``log2``, ``inf``, ``link_indicator``) and ``_points`` as ``points``;
+    ``filename`` names it in tracebacks."""
     namespace = {"log2": math.log2, "inf": math.inf, "link_indicator": link_indicator, "points": _points}
     exec(compile(source, filename, "exec"), namespace)
     return namespace
