@@ -6,12 +6,12 @@
   PDF rate along a power grid; the gap vanishes as the power grows.
 * ``detect_thresholds``: locates the link capacities where one achievable
   scheme starts or stops beating another.  Every scheme rate is
-  nondecreasing in C, so its scan evaluates only the grid points whose
-  verdict the rates at the points evaluated around them leave open, reading
-  a verdict off them only when it holds with a margin of 1e-12.  In
-  scenario 1 it reads off one kernel call at rho = 0 where PDF-M equals
-  plain PDF, and it narrows each crossing by ITP steps (Oliveira &
-  Takahashi, ACM TOMS 47(1), 2020), at most one more than bisection.
+  nondecreasing in C, so its scan never builds the grid and evaluates only
+  the points whose verdict those evaluated around them leave open (by a
+  margin of 1e-12).  In scenario 1 it reads off one kernel call at rho = 0
+  where PDF-M equals plain PDF, and it narrows each crossing by ITP steps
+  (Oliveira & Takahashi, ACM TOMS 47(1), 2020), at most one more than
+  bisection.
 * ``no_secrecy_compare``: the same bounds with the eavesdropper removed
   (g = 0), as a reference point.
 """
@@ -85,6 +85,8 @@ def capacity_condition(params: ChannelParams, tol: float = 1e-6) -> CapacityVerd
         raise AsymmetricParams(
             f"capacity condition needs p1 == p2 and c1 == c2, got {params}"
         )
+    if not math.isfinite(tol):
+        raise ParameterError(f"tol must be finite, got {tol}")
     p, c, g = params.p1, params.c1, params.g
     rs = rf.rho_star(params)
     cond_lower = 0.25 * math.log2(1.0 + 2.0 * p)
@@ -195,45 +197,37 @@ class ThresholdReport:
 _AHEAD_BY = 1e-9
 
 # Every scheme rate is nondecreasing in C up to round-off, whose largest
-# measured decrease is 4.4e-16.  A flag is read off the ends of a stretch of
-# the scan only when the lead misses or clears _AHEAD_BY there by this
+# measured decrease is 4.4e-16.  A verdict is read off the ends of a stretch
+# of the scan only when the lead misses or clears _AHEAD_BY there by this
 # margin, which is far above that round-off and far below _AHEAD_BY.
 _MONOTONE_MARGIN = 1e-12
 
 
-def _scan_flags(cs: Sequence[float], bests) -> tuple[list[bool], dict[int, float]]:
-    """Whether group A is ahead of group B at every c of the ascending grid
-    ``cs``, with ``bests`` called only where the values elsewhere leave the
-    flag open; and the lead A(c) - B(c) - ``_AHEAD_BY`` at the points
-    evaluated, by index, which is positive exactly where A is ahead.
+def _scan(first: int, last: int, c_at, bests) -> dict[int, float]:
+    """The lead A(c) - B(c) - ``_AHEAD_BY`` by index k, ``first`` <= k <=
+    ``last``, at the grid points ``c_at(k)`` that the scan evaluates; it is
+    positive exactly where group A is ahead.
 
     ``bests(c)`` returns the best rates A(c) and B(c) of the two groups, both
-    nondecreasing in c.  So for grid points i < k < j, the flag at k is off
-    when A(c_j) - B(c_i) misses ``_AHEAD_BY`` by the margin, and on when
-    A(c_i) - B(c_j) clears it by the margin.  A stretch that neither decides
-    is split at its middle point, which is evaluated.  A stretch that one
-    rule decides has the flag of both its ends, so every change of flag lies
-    between two points evaluated.
+    nondecreasing in c, and is called only where the values elsewhere leave
+    the sign of the lead open: for grid points i < k < j, the lead at k is
+    not positive when A(c_j) - B(c_i) misses ``_AHEAD_BY`` by the margin, and
+    positive when A(c_i) - B(c_j) clears it by the margin.  A stretch that
+    neither decides is split at its middle point, which is evaluated.  A
+    stretch that one rule decides has the sign of both its ends, so every
+    change of sign lies between two adjacent points evaluated.
     """
-    last = len(cs) - 1
-    known = {k: bests(cs[k]) for k in sorted({0, last})}
-    flags = [False] * len(cs)
-    stretches = [(0, last)]
+    known = {k: bests(c_at(k)) for k in sorted({first, last})}
+    stretches = [(first, last)]
     while stretches:
         i, j = stretches.pop()
         (a_i, b_i), (a_j, b_j) = known[i], known[j]
-        if j - i < 2 or a_j - b_i <= _AHEAD_BY - _MONOTONE_MARGIN:
-            continue
-        if a_i - b_j > _AHEAD_BY + _MONOTONE_MARGIN:
-            flags[i + 1:j] = [True] * (j - i - 1)
+        if j - i < 2 or a_j - b_i <= _AHEAD_BY - _MONOTONE_MARGIN or a_i - b_j > _AHEAD_BY + _MONOTONE_MARGIN:
             continue
         k = (i + j) // 2
-        known[k] = bests(cs[k])
+        known[k] = bests(c_at(k))
         stretches += [(i, k), (k, j)]
-    leads = {k: a - b - _AHEAD_BY for k, (a, b) in known.items()}
-    for k, lead in leads.items():
-        flags[k] = lead > 0.0
-    return flags, leads
+    return {k: a - b - _AHEAD_BY for k, (a, b) in known.items()}
 
 
 def _pdf_ties(p: float, g: float, budget: RandomnessBudget, c_min: float):
@@ -322,17 +316,19 @@ def detect_thresholds(
     best value there.  Defaults compare the multicoded PDF scheme against
     the rest of its scenario.
 
-    The grid is not evaluated point by point.  At fixed p, g and budget every
-    scheme rate is nondecreasing in C: each term of ``schemes.TABLE`` has a
-    C-slope of 0, 1 or 2, the PDF-PDF-M link indicator (C1 > f6 and C2 > f7)
-    can only switch on as C grows, and neither the budget cap rho_max nor
-    plain PDF's rho = 0 depends on C.  So the group bests A(C) and B(C) are
-    nondecreasing, and between grid points c_i < c_j every flag is off when
-    A(c_j) - B(c_i) <= 1e-9 - margin and on when A(c_i) - B(c_j) > 1e-9 +
-    margin.  The margin, 1e-12, is far above the round-off by which a rate
-    can fall as C grows (4.4e-16 at most, measured), so the flags are those
-    of the full scan.  Only the stretches that neither rule decides are
-    split at their middle point, which is evaluated once.
+    The grid is neither built nor evaluated point by point: point i is
+    c_min + (c_max - c_min)*i/(steps - 1), computed where needed.  At fixed
+    p, g and budget every scheme rate is nondecreasing in C: each term of
+    ``schemes.TABLE`` has a C-slope of 0, 1 or 2, the PDF-PDF-M link
+    indicator (C1 > f6 and C2 > f7) can only switch on as C grows, and
+    neither the budget cap rho_max nor plain PDF's rho = 0 depends on C.  So
+    the group bests A(C) and B(C) are nondecreasing, and between grid points
+    c_i < c_j A is behind everywhere when A(c_j) - B(c_i) <= 1e-9 - margin
+    and ahead when A(c_i) - B(c_j) > 1e-9 + margin.  The margin, 1e-12, is
+    far above the round-off by which a rate can fall as C grows (4.4e-16 at
+    most, measured), so the verdicts are those of the full scan.  Only the
+    stretches that neither rule decides are split at their middle point,
+    which is evaluated once.
 
     In scenario 1, with A among PDF and PDF-M and B holding PDF, A cannot
     lead B where PDF-M equals PDF; one kernel call at rho = 0 finds where
@@ -353,6 +349,8 @@ def detect_thresholds(
             raise ValueError(f"unknown scheme {s!r} for scenario {scenario}; pick from {known}")
     if budget is None:
         budget = RandomnessBudget.unbounded()
+    if not isinstance(steps, int) or not math.isfinite(tol):
+        raise ParameterError(f"steps must be an int and tol finite, got steps={steps!r}, tol={tol!r}")
     if steps < 2 or c_min >= c_max:
         raise ValueError("need c_min < c_max and at least 2 steps")
     if not all(map(math.isfinite, (c_min, c_max, (c_max - c_min) * (steps - 1)))):
@@ -373,14 +371,14 @@ def detect_thresholds(
         a, b = bests(c)
         return a - b - _AHEAD_BY
 
-    cs = [c_min + (c_max - c_min) * i / (steps - 1) for i in range(steps)]
+    def c_at(i: int) -> float:
+        return c_min + (c_max - c_min) * i / (steps - 1)
+
     # the points where PDF-M ties PDF, a prefix of the grid, are off
-    start = 0 if tied is None else bisect.bisect_left(cs, True, key=lambda c: not tied(c))
-    flags, leads = [False] * start, {start - 1: -_AHEAD_BY} if start else {}
-    if start < len(cs):
-        rest, rest_leads = _scan_flags(cs[start:], bests)
-        flags += rest
-        leads.update((start + k, d) for k, d in rest_leads.items())
+    start = 0 if tied is None else bisect.bisect_left(range(steps), True, key=lambda i: not tied(c_at(i)))
+    leads = {start - 1: -_AHEAD_BY} if start else {}
+    if start < steps:
+        leads.update(_scan(start, steps - 1, c_at, bests))
 
     # narrow well below the reporting tolerance so that the scheme rates at
     # the reported point sit within the tie tolerance of each other (the
@@ -389,10 +387,11 @@ def detect_thresholds(
     tie_tol = max(1e-6, 4.0 * bracket)
 
     crossings = []
-    for k in range(len(cs) - 1):
-        if flags[k] == flags[k + 1]:
+    ends = sorted(leads)
+    for k, m in zip(ends, ends[1:]):
+        if (leads[k] > 0.0) == (leads[m] > 0.0):
             continue
-        lo, hi = _refine(lead, cs[k], cs[k + 1], leads[k], leads[k + 1], bracket)
+        lo, hi = _refine(lead, c_at(k), c_at(m), leads[k], leads[m], bracket)
         c_star = 0.5 * (lo + hi)
         params = ChannelParams.symmetric(p, c_star, g)
         values = module.scheme_rates(params, budget)

@@ -1,6 +1,8 @@
 """Capacity verdicts, asymptotic gap study, threshold detection, comparisons."""
 
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -71,6 +73,13 @@ def test_capacity_condition_reports_bounds_that_miss_the_candidate():
     assert verdict.note == "bounds failed to meet the candidate 1.49403001 within -1"
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_capacity_condition_rejects_a_tolerance_that_is_not_finite(tol):
+    # a nan tolerance rejected every window, an infinite one accepted any
+    with pytest.raises(ParameterError, match=f"^tol must be finite, got {tol}$"):
+        analysis.capacity_condition(ChannelParams.symmetric(10.0, 1.5, 0.1), tol=tol)
+
+
 def test_capacity_condition_rejects_asymmetric():
     with pytest.raises(AsymmetricParams):
         analysis.capacity_condition(ChannelParams(p1=4.0, p2=1.0, c1=1.0, c2=1.0, g=0.1))
@@ -132,6 +141,9 @@ def test_detect_thresholds_ends_where_float_spacing_exceeds_tol(deadline):
         fine = analysis.detect_thresholds(1.0, 0.1, 1, steps=21, tol=1e-20)
     coarse = analysis.detect_thresholds(1.0, 0.1, 1, steps=21)
     assert len(fine.crossings) == len(coarse.crossings) == 2
+    # a tolerance of 0 or below also narrows to adjacent floats
+    for tol in (0.0, -1.0):
+        assert analysis.detect_thresholds(1.0, 0.1, 1, steps=21, tol=tol) == fine
     for a, b in zip(fine.crossings, coarse.crossings):
         assert a.c == pytest.approx(b.c, abs=1e-4)
         assert a.schemes == b.schemes
@@ -144,6 +156,30 @@ def test_detect_thresholds_validation():
         analysis.detect_thresholds(1.0, 0.1, 1, schemes_a=("nope",))
     with pytest.raises(ParameterError):
         analysis.detect_thresholds(1.0, 0.1, 1, c_min=-0.5)
+    # a fractional grid size once raised a bare TypeError, a nan or infinite
+    # tolerance a ValueError of float arithmetic
+    for kwargs in ({"steps": 2.5}, {"steps": 3.0}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -math.inf}):
+        (name, value), = kwargs.items()
+        with pytest.raises(ParameterError, match=re.escape(f"{name}={value!r}")):
+            analysis.detect_thresholds(1.0, 0.1, 1, **kwargs)
+
+
+def test_detect_thresholds_on_a_grid_too_large_to_build(deadline):
+    # as a list, 10**12 grid points would take terabytes; the scan reads each
+    # point it solves off its index, so its memory follows those points only
+    readme = analysis.detect_thresholds(1.0, 0.1, 1)
+    tracemalloc.start()
+    try:
+        with deadline(20.0):
+            report = analysis.detect_thresholds(1.0, 0.1, 1, steps=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert [cr.schemes for cr in report.crossings] == [cr.schemes for cr in readme.crossings]
+    assert len(report.crossings) == 2
+    for cr, ref in zip(report.crossings, readme.crossings):
+        assert abs(cr.c - ref.c) <= 0.01 * 1e-4, (cr, ref)
 
 
 def full_scan_thresholds(p, g, scenario, schemes_a=None, schemes_b=None, budget=None,
