@@ -14,15 +14,20 @@ Last, both ``bounds`` run on a fixed corpus of 3,000 channels that the
 workloads never draw (``corpus``): powers in 10^[-12, 15], every 9th pair
 of them at a ratio of 1 + 1e-7, every 11th C1, every 13th C2 and every 7th
 g zero, on budgets that cycle through inf, 0.3, 0.02, 0 and one drawn in
-[0, 2].
+[0, 2].  Then ``detect_thresholds`` runs on a fixed corpus of 60 calls
+(``thresholds_corpus``): powers in 10^[-2, 2], g in [0, 0.95], both
+scenarios, the default scheme groups on two calls in five and a drawn split
+of the scenario's schemes on the rest, budgets that cycle through inf, 0
+and one drawn in [0, 2], and grids of 2, 3, 121 and 2001 points in turn.
 
 The last line of standard output is one JSON object: the operations
 compared, how many of them differ in the ``repr`` of their outputs (a
 sweep's: its exit code and standard output; a README invocation's: its exit
 code, standard output and standard error), and the first few that differ,
 each as its workload, seed and index in that seed's list; a README
-invocation as "readme", None and its index in ``README``, and a channel of
-the corpus as "corpus", None and its index in it.
+invocation as "readme", None and its index in ``README``, a channel of the
+corpus as "corpus", None and its index in it, and a call of the thresholds
+corpus as "thresholds", None and its index in it.
 """
 
 from __future__ import annotations
@@ -67,6 +72,9 @@ _SHOWN = 10
 # the channels of the corpus, and the seed of their draw
 CORPUS = 3000
 CORPUS_SEED = 7919
+# the calls of the thresholds corpus, and the seed of their draw
+THRESHOLDS = 60
+THRESHOLDS_SEED = 7927
 
 
 def corpus(channel) -> list[dict]:
@@ -83,6 +91,29 @@ def corpus(channel) -> list[dict]:
         r_prime = (math.inf, 0.3, 0.02, 0.0)[i % 5] if i % 5 < 4 else rng.uniform(0.0, 2.0)
         ops.append({"kind": "point", "params": channel(p1, p2, c1, c2, g), "r_prime": r_prime})
     return ops
+
+
+def thresholds_corpus() -> list[dict]:
+    """The thresholds corpus of the module docstring, as keyword arguments of
+    ``detect_thresholds``, with the budget as its ``r_prime``."""
+    rng = random.Random(THRESHOLDS_SEED)
+    calls = []
+    for i in range(THRESHOLDS):
+        scenario = 1 + i % 2
+        call = {"p": 10.0 ** rng.uniform(-2.0, 2.0), "g": rng.uniform(0.0, 0.95), "scenario": scenario,
+                "r_prime": (math.inf, 0.0, rng.uniform(0.0, 2.0))[i % 3], "steps": (2, 3, 121, 2001)[i // 2 % 4]}
+        if i % 5 >= 2:
+            names = rng.sample(("df", "pdf", "pdfm") if scenario == 1 else ("df", "pdfdfm", "pdfpdfm"), 3)
+            split = rng.randint(1, 2)
+            call.update(schemes_a=tuple(names[:split]), schemes_b=tuple(names[split:]))
+        calls.append(call)
+    return calls
+
+
+def _thresholds(pkg, call: dict):
+    """``detect_thresholds`` of the package ``pkg`` on one call of ``thresholds_corpus``."""
+    kwargs = dict(call)
+    return pkg.analysis.detect_thresholds(budget=pkg.RandomnessBudget(kwargs.pop("r_prime")), **kwargs)
 
 
 def _cli(pkg, argv: tuple[str, ...]) -> tuple[int, str, str]:
@@ -114,6 +145,8 @@ def compare(packages: dict, ops: int | None) -> dict:
                  for i, argv in enumerate(README)]
         todo += [({"workload": "corpus", "seed": None, "index": i}, partial(_call, op=op))
                  for i, op in enumerate(corpus(packages["new"].ChannelParams))]
+        todo += [({"workload": "thresholds", "seed": None, "index": i}, partial(_thresholds, call=call))
+                 for i, call in enumerate(thresholds_corpus())]
         todo = todo[:ops]
         differ = [where for where, run in todo if repr(run(packages["base"])) != repr(run(packages["new"]))]
     return {"compared": len(todo), "differ": len(differ), "first_differing": differ[:_SHOWN]}
