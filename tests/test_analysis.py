@@ -75,7 +75,7 @@ def test_capacity_condition_reports_bounds_that_miss_the_candidate():
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
 def test_capacity_condition_rejects_a_tolerance_that_is_not_finite(tol):
-    # a nan tolerance rejected every window, an infinite one accepted any
+    # a nan tolerance would reject every window, an infinite one accept any
     with pytest.raises(ParameterError, match=f"^tol must be finite, got {tol}$"):
         analysis.capacity_condition(ChannelParams.symmetric(10.0, 1.5, 0.1), tol=tol)
 
@@ -156,8 +156,8 @@ def test_detect_thresholds_validation():
         analysis.detect_thresholds(1.0, 0.1, 1, schemes_a=("nope",))
     with pytest.raises(ParameterError):
         analysis.detect_thresholds(1.0, 0.1, 1, c_min=-0.5)
-    # a fractional grid size once raised a bare TypeError, a nan or infinite
-    # tolerance a ValueError of float arithmetic
+    # a grid size that is not an int and a tolerance that is not finite are
+    # named, not left to fail inside the float arithmetic
     for kwargs in ({"steps": 2.5}, {"steps": 3.0}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -math.inf}):
         (name, value), = kwargs.items()
         with pytest.raises(ParameterError, match=re.escape(f"{name}={value!r}")):
