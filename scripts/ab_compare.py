@@ -61,6 +61,26 @@ def load(src: Path, name: str):
     return module
 
 
+def _workloads():
+    """``perfbench/workloads``, which imports its checker and builds the
+    operations with the working tree's package, imported under its own name."""
+    paths = [str(ROOT / "perfbench"), str(ROOT / "src")]
+    sys.path[:0] = paths
+    try:
+        import workloads
+    finally:
+        del sys.path[:len(paths)]
+    return workloads
+
+
+def _cli(pkg, argv) -> tuple[int, str, str]:
+    """The exit code, standard output and standard error of ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = pkg.cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def _call(pkg, op: dict):
     """One operation of ``perfbench/workloads`` on the package ``pkg``."""
     kind = op["kind"]
@@ -69,10 +89,7 @@ def _call(pkg, op: dict):
         budget = pkg.RandomnessBudget(op["r_prime"])
         return pkg.scenario_one.bounds(params, budget), pkg.scenario_two.bounds(params, budget)
     if kind == "sweep":
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = pkg.cli.main(op["argv"])
-        return code, out.getvalue()
+        return _cli(pkg, op["argv"])[:2]
     if kind == "thresholds":
         return pkg.analysis.detect_thresholds(op["p"], op["g"], op["scenario"],
                                               budget=pkg.RandomnessBudget(op["r_prime"]))
@@ -89,15 +106,7 @@ def compare(packages: dict, workload: str, ops: int | None) -> dict:
     """Time the first ``ops`` operations of ``workload`` (None: all) on
     ``packages["base"]`` and ``packages["new"]``, alternating call by call;
     the report of the module docstring."""
-    # workloads imports its checker and builds the operations with the
-    # working tree's package, imported under its own name
-    paths = [str(ROOT / "perfbench"), str(ROOT / "src")]
-    sys.path[:0] = paths
-    try:
-        import workloads
-    finally:
-        del sys.path[:len(paths)]
-    todo = workloads.build(workload, SEED, 1)[:ops]
+    todo = _workloads().build(workload, SEED, 1)[:ops]
     for side in ("base", "new"):
         _call(packages[side], todo[0])
     times = {"base": [], "new": []}

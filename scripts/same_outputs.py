@@ -33,8 +33,6 @@ corpus as "thresholds", None and its index in it.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import math
 import random
@@ -44,7 +42,7 @@ from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from ab_compare import ROOT, _call, _export, load  # noqa: E402
+from ab_compare import ROOT, _call, _cli, _export, _workloads, load  # noqa: E402
 
 WORKLOADS = ("points", "analysis", "sweep")
 # the seeds of the benchmark's pairs of runs (scripts/bench_compare.py)
@@ -116,24 +114,11 @@ def _thresholds(pkg, call: dict):
     return pkg.analysis.detect_thresholds(budget=pkg.RandomnessBudget(kwargs.pop("r_prime")), **kwargs)
 
 
-def _cli(pkg, argv: tuple[str, ...]) -> tuple[int, str, str]:
-    """The exit code, standard output and standard error of ``cli.main(argv)``."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = pkg.cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 def compare(packages: dict, ops: int | None) -> dict:
     """Run the first ``ops`` operations (None: all), in the order of the
     module docstring, on ``packages["base"]`` and ``packages["new"]``; the
     report of the module docstring."""
-    paths = [str(ROOT / "perfbench"), str(ROOT / "src")]
-    sys.path[:0] = paths
-    try:
-        import workloads
-    finally:
-        del sys.path[:len(paths)]
+    workloads = _workloads()
     with tempfile.TemporaryDirectory(prefix="same_outputs_readme_") as docs:
         channel = Path(docs, "channel.json")
         channel.write_text(json.dumps(CHANNEL))

@@ -172,7 +172,7 @@ def pdf_gap_vs_power(
 
 SCENARIO_ONE_SCHEMES = tuple(report for report, *_ in scenario_one.TABLE.schemes)
 SCENARIO_TWO_SCHEMES = tuple(report for report, *_ in scenario_two.TABLE.schemes)
-_SCENARIOS = {1: scenario_one, 2: scenario_two}
+_SCENARIOS = {1: (scenario_one, SCENARIO_ONE_SCHEMES), 2: (scenario_two, SCENARIO_TWO_SCHEMES)}
 
 
 @dataclass(frozen=True)
@@ -313,8 +313,8 @@ def detect_thresholds(
     above 1e-9), bracketed on the coarse grid and narrowed to a bracket of
     0.01*tol (or adjacent floats), whose midpoint is reported, so that
     |dC| <= tol.  Each crossing lists the schemes within 1e-6 of the common
-    best value there.  Defaults compare the multicoded PDF scheme against
-    the rest of its scenario.
+    best value there.  The default groups come from the scenario's table:
+    its last scheme, the multicoded one, against the others, nearest first.
 
     The grid is neither built nor evaluated point by point: point i is
     c_min + (c_max - c_min)*i/(steps - 1), computed where needed.  At fixed
@@ -336,14 +336,11 @@ def detect_thresholds(
     a lead of 0, its bound, at narrowing steps inside it.  Each crossing is
     narrowed by ITP steps (``_refine``) from the leads at its grid points.
     """
-    if scenario not in (1, 2):
-        raise ValueError(f"scenario must be 1 or 2, got {scenario}")
-    module = _SCENARIOS[scenario]
-    known = tuple(report for report, *_ in module.TABLE.schemes)
-    if schemes_a is None:
-        schemes_a = ("pdfm",) if scenario == 1 else ("pdfpdfm",)
-    if schemes_b is None:
-        schemes_b = ("pdf", "df") if scenario == 1 else ("pdfdfm", "df")
+    if scenario not in _SCENARIOS:
+        raise ValueError(f"scenario must be {' or '.join(map(str, _SCENARIOS))}, got {scenario}")
+    module, known = _SCENARIOS[scenario]
+    schemes_a = known[-1:] if schemes_a is None else schemes_a
+    schemes_b = known[-2::-1] if schemes_b is None else schemes_b
     for s in (*schemes_a, *schemes_b):
         if s not in known:
             raise ValueError(f"unknown scheme {s!r} for scenario {scenario}; pick from {known}")

@@ -162,7 +162,7 @@ _SWEPT = {"c": ("c1", "c2"), "p": ("p1", "p2"), "g": ("g",)}
 
 
 def _scenarios(args) -> tuple[str, ...]:
-    return ("1", "2") if args.scenario == "both" else (args.scenario,)
+    return tuple(_MODULES) if args.scenario == "both" else (args.scenario,)
 
 
 def cmd_eval(args) -> str:
@@ -209,10 +209,10 @@ def cmd_sweep(args) -> str:
 
     base = _params_from(args, skip=args.param)
     budget = _budget_from(args)
-    # the no-eavesdropper channel of a gain sweep is the same on every row,
-    # and that of a row with g = 0 is the row's own channel
-    bounds_one = functools.cache(lambda params: scenario_one.bounds(params, budget))
-    bounds = {"1": bounds_one, "2": lambda params: scenario_two.bounds(params, budget)}
+    # one row's bounds, its no-eavesdropper channel's in the first scenario
+    # among them: the same on every row of a gain sweep, the row's own at g = 0
+    bounds = functools.lru_cache(maxsize=len(_MODULES) + 1)(
+        lambda scenario, params: _MODULES[scenario].bounds(params, budget))
 
     # the points of numpy.linspace, bit for bit: start + i*step, and stop last
     step = (args.to - args.from_) / (args.steps - 1)
@@ -221,8 +221,8 @@ def cmd_sweep(args) -> str:
     rows = []
     for v in [args.from_ + i * step for i in range(args.steps - 1)] + [args.to]:
         params = replace(base, **dict.fromkeys(_SWEPT[args.param], v))
-        found = [(scenario, bounds[scenario](params)) for scenario in _scenarios(args)]
-        ns = bounds_one(replace(params, g=0.0))
+        found = [(scenario, bounds(scenario, params)) for scenario in _scenarios(args)]
+        ns = bounds(next(iter(_MODULES)), replace(params, g=0.0))
         row: list[tuple[str, object]] = [("swept_value", v)]
         for scenario, b in found:
             row += [(stem, getattr(b, field).value) for stem, field in _REPORTS[scenario]]
@@ -310,7 +310,7 @@ def _build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="bounds for one parameter point")
     _add_channel_flags(p_eval)
-    p_eval.add_argument("--scenario", choices=("1", "2", "both"), default="both")
+    p_eval.add_argument("--scenario", choices=(*_MODULES, "both"), default="both")
     p_eval.add_argument("--format", choices=("kv", "csv"), default="kv")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -320,14 +320,14 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--from", dest="from_", type=float, required=True)
     p_sweep.add_argument("--to", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--scenario", choices=("1", "2", "both"), default="both")
+    p_sweep.add_argument("--scenario", choices=(*_MODULES, "both"), default="both")
     p_sweep.add_argument("--format", choices=("csv", "kv"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_thr = sub.add_parser("thresholds", help="scheme-advantage boundaries over C")
     p_thr.add_argument("--p", type=float, required=True)
     p_thr.add_argument("--g", type=float, required=True)
-    p_thr.add_argument("--scenario", choices=("1", "2"), default="1")
+    p_thr.add_argument("--scenario", choices=tuple(_MODULES), default=next(iter(_MODULES)))
     p_thr.add_argument("--schemes-a", dest="schemes_a")
     p_thr.add_argument("--schemes-b", dest="schemes_b")
     p_thr.add_argument("--rprime", default="inf")

@@ -134,8 +134,10 @@ class Table:
     equal values winning both ways.  ``schemes``: (report, entry, lo, hi,
     field), the key in ``scheme_rates``, the entry on [lo, hi] with ends among
     "-1", "0", "cap" (rho_max) and "min(0, cap)", solved where ``hi`` fits the
-    cap, and its field of the bounds.  ``linked``: a scheme reads the link
-    indicator, and the bounds report ``indicator_satisfied``."""
+    cap, and its field of the bounds; the last entry is the multicoded scheme,
+    which ``detect_thresholds`` compares with the others by default.
+    ``linked``: a scheme reads the link indicator, and the bounds report
+    ``indicator_satisfied``."""
 
     converse: tuple[tuple[tuple[str, str | None, str | None], ...], ...]
     closed: Mapping[str, Callable[[ChannelParams], OptimizationResult]]

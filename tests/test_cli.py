@@ -238,6 +238,22 @@ def test_each_list_of_schemes_is_the_rows_of_its_scenario_table(capsys, scenario
     assert [getattr(b, field).value for field in fields] == [rates[key] for key in keys]
 
 
+@pytest.mark.parametrize("command, value, extra", [
+    (("eval", "--p", "10", "--c", "1.5", "--g", "0.1"), "3", ("both",)),
+    (("sweep", "--param", "c", "--from", "0.2", "--to", "0.4", "--steps", "2", "--p", "1", "--g", "0.1"), "3",
+     ("both",)),
+    (("thresholds", "--p", "1", "--g", "0.1"), "3", ()),
+    (("thresholds", "--p", "1", "--g", "0.1"), "both", ()),
+], ids=["eval", "sweep", "thresholds", "thresholds-both"])
+def test_a_scenario_outside_the_tables_is_an_invalid_choice(capsys, command, value, extra):
+    # the choices are the keys of cli._MODULES, plus "both" where every scenario can run
+    rc, out, err = run(capsys, *command, "--scenario", value)
+    assert (rc, out) == (1, "")
+    listed = re.search(rf"argument --scenario: invalid choice: '{value}' \(choose from (.*)\)\n\Z", err)
+    assert listed is not None, err
+    assert [choice.strip("'") for choice in listed[1].split(", ")] == [*cli._MODULES, *extra]
+
+
 @pytest.mark.parametrize("ends", [("--from", "1", "--to", "inf"), ("--from", "nan", "--to", "1"),
                                   ("--from=-1e308", "--to", "1e308")])
 @pytest.mark.parametrize("param, fixed", [("c", ("--p", "1")), ("p", ("--c", "1"))])

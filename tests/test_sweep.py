@@ -2,12 +2,13 @@
 channel, and its no-eavesdropper columns are the bounds of that channel with
 g = 0, computed once for all the rows of a gain sweep."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from diamond_wiretap import cli, scenario_one
+from diamond_wiretap import cli, scenario_one, scenario_two
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
 
 
@@ -40,6 +41,34 @@ def test_no_eavesdropper_columns_are_the_bounds_at_g_zero(param, values, channel
     # no channel is bounded twice: the rows of a gain sweep share one
     # no-eavesdropper channel, that of its first row (g = 0)
     assert len(calls) == len(set(calls)) == {"g": 4, "c": 8}[param]
+
+
+def _most_bounds_alive(monkeypatch, steps):
+    """The most results of either scenario's ``bounds`` alive at once during
+    a sweep of ``steps`` rows along c, where no two rows share a channel."""
+    refs, most = [], 0
+
+    def tracked(bounds):
+        def call(params, budget):
+            nonlocal most
+            result = bounds(params, budget)
+            refs.append(weakref.ref(result))
+            most = max(most, sum(ref() is not None for ref in refs))
+            return result
+        return call
+    for module in (scenario_one, scenario_two):
+        monkeypatch.setattr(module, "bounds", tracked(module.bounds))
+    argv = ["sweep", "--param", "c", "--from", "0.2", "--to", "2.2", "--steps", str(steps),
+            "--p1", "4", "--p2", "1", "--g", "0.3", "--rprime", "0.6"]
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    return most
+
+
+def test_a_sweep_holds_the_bounds_of_one_row_at_a_time(monkeypatch, capsys):
+    # the rows' values are kept for printing, the bounds behind them only while the row is made
+    assert _most_bounds_alive(monkeypatch, 10) == _most_bounds_alive(monkeypatch, 40)
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 10 + 1 + 40
 
 
 def _flags(settings):
