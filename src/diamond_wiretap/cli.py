@@ -11,11 +11,14 @@ Subcommands:
 
 Two output styles: ``kv`` ("key = value" lines, 10 significant digits) and
 ``csv`` (header plus rows, 6 significant digits).  Identical invocations
-produce byte-identical output.  Exit codes: 0 success, 1 invalid input,
-2 numerical failure, 3 internal error (a defect in the package: any other
-exception, whose traceback goes to stderr).  ``oracle-check`` also exits 2
-when its check fails (``passed = false``), after printing its report as
-usual.
+produce byte-identical output.  Each row reaches stdout as it is made, so a
+failure in mid-``sweep`` leaves the rows before it there, and the exit code
+says that the run failed; a stdout that closes (``sweep ... | head``) ends
+the sweep at its next row with exit code 1.  Exit codes: 0 success, 1
+invalid input (or a failed write), 2 numerical failure, 3 internal error (a
+defect in the package: any other exception, whose traceback goes to
+stderr).  ``oracle-check`` also exits 2 when its check fails (``passed =
+false``), after printing its report as usual.
 
 Only ``oracle-check`` and ``dmc`` import numpy, through ``oracles``, and
 only when they run; likewise only ``thresholds`` and ``capacity`` import
@@ -78,23 +81,15 @@ def _fmt(value, digits: int) -> str:
     return str(value)
 
 
-def _render_kv(rows: list[list[tuple[str, object]]]) -> str:
-    blocks = []
-    for row in rows:
-        blocks.append("\n".join(f"{k} = {_fmt(v, 10)}" for k, v in row))
-    return "\n\n".join(blocks) + "\n"
-
-
-def _render_csv(rows: list[list[tuple[str, object]]]) -> str:
-    header = ",".join(k for k, _ in rows[0])
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v, 6) for _, v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _render(rows, fmt: str) -> str:
-    return _render_csv(rows) if fmt == "csv" else _render_kv(rows)
+def _render(rows, fmt: str):
+    """Each row's text as the row comes: csv rows under a header line, kv
+    blocks apart by a blank line."""
+    for i, row in enumerate(rows):
+        if fmt == "csv":
+            header = "" if i else ",".join(k for k, _ in row) + "\n"
+            yield header + ",".join(_fmt(v, 6) for _, v in row) + "\n"
+        else:
+            yield ("\n" if i else "") + "".join(f"{k} = {_fmt(v, 10)}\n" for k, v in row)
 
 
 def _add_channel_flags(p: argparse.ArgumentParser, with_rprime: bool = True) -> None:
@@ -165,7 +160,7 @@ def _scenarios(args) -> tuple[str, ...]:
     return tuple(_MODULES) if args.scenario == "both" else (args.scenario,)
 
 
-def cmd_eval(args) -> str:
+def cmd_eval(args):
     params = _params_from(args)
     budget = _budget_from(args)
     row: list[tuple[str, object]] = [
@@ -197,7 +192,7 @@ def cmd_eval(args) -> str:
     return _render([row], args.format)
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args):
     # the shorthand flag, then the fields it sets (--g is both)
     for flag in (args.param, *_SWEPT[args.param]):
         if getattr(args, flag) is not None:
@@ -218,23 +213,25 @@ def cmd_sweep(args) -> str:
     step = (args.to - args.from_) / (args.steps - 1)
     if not all(map(math.isfinite, (args.from_, args.to, step))):
         raise ParameterError("--from, --to and the step (--to - --from)/(--steps - 1) must be finite")
-    rows = []
-    for v in [args.from_ + i * step for i in range(args.steps - 1)] + [args.to]:
-        params = replace(base, **dict.fromkeys(_SWEPT[args.param], v))
-        found = [(scenario, bounds(scenario, params)) for scenario in _scenarios(args)]
-        ns = bounds(next(iter(_MODULES)), replace(params, g=0.0))
-        row: list[tuple[str, object]] = [("swept_value", v)]
-        for scenario, b in found:
-            row += [(stem, getattr(b, field).value) for stem, field in _REPORTS[scenario]]
-            row.append((f"lb{scenario}", b.lower))
-        for scenario, b in found:
-            row += [(f"rho_{stem}", getattr(b, field).rho) for stem, field in _REPORTS[scenario]]
-        row += [("nosecrecy_ub", ns.upper.value), ("nosecrecy_lb", ns.lower)]
-        rows.append(row)
-    return _render(rows, args.format)
+
+    def rows():
+        for i in range(args.steps):
+            v = args.from_ + i * step if i < args.steps - 1 else args.to
+            params = replace(base, **dict.fromkeys(_SWEPT[args.param], v))
+            found = [(scenario, bounds(scenario, params)) for scenario in _scenarios(args)]
+            ns = bounds(next(iter(_MODULES)), replace(params, g=0.0))
+            row: list[tuple[str, object]] = [("swept_value", v)]
+            for scenario, b in found:
+                row += [(stem, getattr(b, field).value) for stem, field in _REPORTS[scenario]]
+                row.append((f"lb{scenario}", b.lower))
+            for scenario, b in found:
+                row += [(f"rho_{stem}", getattr(b, field).rho) for stem, field in _REPORTS[scenario]]
+            row += [("nosecrecy_ub", ns.upper.value), ("nosecrecy_lb", ns.lower)]
+            yield row
+    return _render(rows(), args.format)
 
 
-def cmd_thresholds(args) -> str:
+def cmd_thresholds(args):
     from .analysis import detect_thresholds
 
     schemes_a = None if args.schemes_a is None else tuple(args.schemes_a.split(","))
@@ -245,17 +242,13 @@ def cmd_thresholds(args) -> str:
         budget=_budget_from(args),
         c_min=args.c_min, c_max=args.c_max, steps=args.steps,
     )
-    rows = [
-        [("c", cr.c), ("schemes", ";".join(cr.schemes))]
-        for cr in report.crossings
-    ]
-    if not rows:
+    if not report.crossings:
         # header only / explicit count so empty results stay machine-readable
-        return "c,schemes\n" if args.format == "csv" else "crossings = 0\n"
-    return _render(rows, args.format)
+        return ["c,schemes\n" if args.format == "csv" else "crossings = 0\n"]
+    return _render(([("c", cr.c), ("schemes", ";".join(cr.schemes))] for cr in report.crossings), args.format)
 
 
-def cmd_capacity(args) -> str:
+def cmd_capacity(args):
     from .analysis import capacity_condition
 
     params = _params_from(args)
@@ -276,7 +269,7 @@ def cmd_capacity(args) -> str:
     return _render([row], args.format)
 
 
-def cmd_oracle_check(args) -> str:
+def cmd_oracle_check(args):
     from .oracles import validate_closed_forms
 
     report = validate_closed_forms(trials=args.trials, seed=args.seed, tolerance=args.tol)
@@ -294,7 +287,7 @@ def cmd_oracle_check(args) -> str:
     return _render([row], args.format)
 
 
-def cmd_dmc(args) -> str:
+def cmd_dmc(args):
     from .oracles import DMC_SCHEMES, dmc_rates, load_dmc
 
     channel, pin, c1, c2 = load_dmc(args.file)
@@ -361,7 +354,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        out = args.func(args)
+        for text in args.func(args):
+            sys.stdout.write(text)
     except (OSError, ValueError) as e:  # first: ParameterError and the other input errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -374,7 +368,6 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print("internal error", file=sys.stderr)
         return 3
-    sys.stdout.write(out)
     return args.exit_code
 
 

@@ -1,7 +1,12 @@
 """The sweep command's rows: each is what ``eval`` prints for the row's
 channel, and its no-eavesdropper columns are the bounds of that channel with
-g = 0, computed once for all the rows of a gain sweep."""
+g = 0, computed once for all the rows of a gain sweep.  Each row is written
+as it is made, so neither a failure nor a closed stdout loses the rows
+before it, and memory does not follow the number of rows."""
 
+import contextlib
+import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -66,9 +71,74 @@ def _most_bounds_alive(monkeypatch, steps):
 
 
 def test_a_sweep_holds_the_bounds_of_one_row_at_a_time(monkeypatch, capsys):
-    # the rows' values are kept for printing, the bounds behind them only while the row is made
+    # a row's bounds live only while the row is made, and the row only until it is written
     assert _most_bounds_alive(monkeypatch, 10) == _most_bounds_alive(monkeypatch, 40)
     assert len(capsys.readouterr().out.splitlines()) == 1 + 10 + 1 + 40
+
+
+class _Stdout:
+    """A stdout that keeps nothing; its ``closes_at``-th write raises what a
+    write to a pipe whose reader has gone raises."""
+
+    def __init__(self, closes_at=None):
+        self.writes, self.closes_at = 0, closes_at
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.closes_at:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+
+def _c_sweep(steps, *extra):
+    return ["sweep", "--param", "c", "--from", "0.2", "--to", "2.2", "--steps", str(steps), *extra,
+            "--p1", "4", "--p2", "1", "--g", "0.3", "--rprime", "0.6"]
+
+
+def test_a_sweep_whose_last_row_fails_leaves_the_rows_before_it(monkeypatch, capsys):
+    assert cli.main(_c_sweep(6)) == 0
+    full = capsys.readouterr().out.splitlines(keepends=True)
+    bounds = scenario_one.bounds
+
+    def failing(params, budget):
+        if params.c1 == 2.2:
+            raise ArithmeticError("no bounds at the last row")
+        return bounds(params, budget)
+    monkeypatch.setattr(scenario_one, "bounds", failing)
+    assert cli.main(_c_sweep(6)) == 2
+    out, err = capsys.readouterr()
+    # the header and the five rows before the failing one, as the full sweep prints them
+    assert len(full) == 1 + 6
+    assert out == "".join(full[:-1])
+    assert err == "numerical failure: no bounds at the last row\n"
+
+
+def test_a_sweep_takes_memory_that_does_not_follow_its_rows():
+    with contextlib.redirect_stdout(_Stdout()):
+        # the warm-up compiles the table's loops, which every later sweep shares
+        assert cli.main(_c_sweep(5, "--scenario", "1")) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(_c_sweep(600, "--scenario", "1")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # holding every row, as printing them all at the end does, peaks at 1.1 MB
+    assert peak < 1_000_000
+
+
+def test_a_stdout_that_closes_stops_the_sweep_at_its_next_write(monkeypatch, capsys):
+    calls, bounds = [], scenario_one.bounds
+
+    def counted(params, budget):
+        calls.append(params)
+        return bounds(params, budget)
+    monkeypatch.setattr(scenario_one, "bounds", counted)
+    with contextlib.redirect_stdout(_Stdout(closes_at=4)):
+        assert cli.main(_c_sweep(50, "--scenario", "1")) == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    # three rows written and a fourth made, each from its channel and that channel at g = 0
+    assert len(calls) == 2 * (3 + 1)
 
 
 def _flags(settings):
