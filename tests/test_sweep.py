@@ -123,7 +123,7 @@ def test_a_sweep_takes_memory_that_does_not_follow_its_rows():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # holding every row, as printing them all at the end does, peaks at 1.1 MB
+    # a sweep that held its rows until the last one would peak at 1.1 MB here
     assert peak < 1_000_000
 
 
