@@ -5,7 +5,6 @@ as it is made, so neither a failure nor a closed stdout loses the rows
 before it, and memory does not follow the number of rows."""
 
 import contextlib
-import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -48,6 +47,11 @@ def test_no_eavesdropper_columns_are_the_bounds_at_g_zero(param, values, channel
     assert len(calls) == len(set(calls)) == {"g": 4, "c": 8}[param]
 
 
+def _c_sweep(steps, *extra):
+    return ["sweep", "--param", "c", "--from", "0.2", "--to", "2.2", "--steps", str(steps), *extra,
+            "--p1", "4", "--p2", "1", "--g", "0.3", "--rprime", "0.6"]
+
+
 def _most_bounds_alive(monkeypatch, steps):
     """The most results of either scenario's ``bounds`` alive at once during
     a sweep of ``steps`` rows along c, where no two rows share a channel."""
@@ -63,9 +67,7 @@ def _most_bounds_alive(monkeypatch, steps):
         return call
     for module in (scenario_one, scenario_two):
         monkeypatch.setattr(module, "bounds", tracked(module.bounds))
-    argv = ["sweep", "--param", "c", "--from", "0.2", "--to", "2.2", "--steps", str(steps),
-            "--p1", "4", "--p2", "1", "--g", "0.3", "--rprime", "0.6"]
-    assert cli.main(argv) == 0
+    assert cli.main(_c_sweep(steps)) == 0
     monkeypatch.undo()
     return most
 
@@ -88,11 +90,6 @@ class _Stdout:
         if self.writes == self.closes_at:
             raise BrokenPipeError(32, "Broken pipe")
         return len(text)
-
-
-def _c_sweep(steps, *extra):
-    return ["sweep", "--param", "c", "--from", "0.2", "--to", "2.2", "--steps", str(steps), *extra,
-            "--p1", "4", "--p2", "1", "--g", "0.3", "--rprime", "0.6"]
 
 
 def test_a_sweep_whose_last_row_fails_leaves_the_rows_before_it(monkeypatch, capsys):
