@@ -67,7 +67,11 @@ class CapacityVerdict:
     note: str | None = None
 
 
-def capacity_condition(params: ChannelParams, tol: float = 1e-6) -> CapacityVerdict:
+# how near the candidate both scenario-2 bounds must come for the capacity to apply
+_CAPACITY_TOL = 1e-6
+
+
+def capacity_condition(params: ChannelParams) -> CapacityVerdict:
     """Check whether the scenario-2 bounds meet, and if so return the capacity.
 
     Requires symmetric parameters (P1 = P2, C1 = C2) and assumes an
@@ -79,14 +83,12 @@ def capacity_condition(params: ChannelParams, tol: float = 1e-6) -> CapacityVerd
     rho' then gives the candidate capacity f3(rho') - f5(rho').  One of two
     auxiliary inequalities must additionally hold.  The verdict re-computes
     both scenario-2 bounds and only claims ``applies`` when they agree with
-    the candidate within ``tol``.
+    the candidate within 1e-6 (``_CAPACITY_TOL``).
     """
     if not params.is_symmetric:
         raise AsymmetricParams(
             f"capacity condition needs p1 == p2 and c1 == c2, got {params}"
         )
-    if not math.isfinite(tol):
-        raise ParameterError(f"tol must be finite, got {tol}")
     p, c, g = params.p1, params.c1, params.g
     rs = rf.rho_star(params)
     cond_lower = 0.25 * math.log2(1.0 + 2.0 * p)
@@ -119,9 +121,9 @@ def capacity_condition(params: ChannelParams, tol: float = 1e-6) -> CapacityVerd
     if not (aux1 or aux2):
         return rejected("neither auxiliary inequality holds", auxiliary)
 
-    coincide = abs(ub - candidate) <= tol and abs(lb - candidate) <= tol
+    coincide = abs(ub - candidate) <= _CAPACITY_TOL and abs(lb - candidate) <= _CAPACITY_TOL
     if not coincide:
-        return rejected(f"bounds failed to meet the candidate {candidate:.9g} within {tol:g}", auxiliary)
+        return rejected(f"bounds failed to meet the candidate {candidate:.9g} within {_CAPACITY_TOL:g}", auxiliary)
     return CapacityVerdict(
         applies=True, capacity=candidate, rho_prime=rho_p,
         condition_lower=cond_lower, condition_upper=cond_upper,
@@ -191,6 +193,9 @@ class ThresholdReport:
     c_max: float
     steps: int
 
+
+# how far a reported crossing may lie from the true one (|dC|)
+_THRESHOLD_TOL = 1e-4
 
 # how far group A must lead group B to count as ahead, so that the flat
 # "equal rates" stretches count as off
@@ -296,11 +301,10 @@ def detect_thresholds(
     scenario: int,
     schemes_a: Sequence[str] | None = None,
     schemes_b: Sequence[str] | None = None,
-    budget: RandomnessBudget | None = None,
+    budget: RandomnessBudget = RandomnessBudget(),
     c_min: float = 0.0,
     c_max: float = 3.0,
     steps: int = 121,
-    tol: float = 1e-4,
 ) -> ThresholdReport:
     """Find the link capacities where scheme group A starts/stops beating group B.
 
@@ -311,10 +315,11 @@ def detect_thresholds(
 
     and a crossing is a boundary of the strict-advantage region (advantage
     above 1e-9), bracketed on the coarse grid and narrowed to a bracket of
-    0.01*tol (or adjacent floats), whose midpoint is reported, so that
-    |dC| <= tol.  Each crossing lists the schemes within 1e-6 of the common
-    best value there.  The default groups come from the scenario's table:
-    its last scheme, the multicoded one, against the others, nearest first.
+    1e-6, 0.01 times ``_THRESHOLD_TOL`` (or adjacent floats), whose midpoint
+    is reported, so that |dC| <= 1e-4.  Each crossing lists the schemes
+    within 1e-6 of the common best value there.  The default groups come
+    from the scenario's table: its last scheme, the multicoded one, against
+    the others, nearest first.
 
     The grid is neither built nor evaluated point by point: point i is
     c_min + (c_max - c_min)*i/(steps - 1), computed where needed.  At fixed
@@ -344,10 +349,8 @@ def detect_thresholds(
     for s in (*schemes_a, *schemes_b):
         if s not in known:
             raise ValueError(f"unknown scheme {s!r} for scenario {scenario}; pick from {known}")
-    if budget is None:
-        budget = RandomnessBudget.unbounded()
-    if not isinstance(steps, int) or not math.isfinite(tol):
-        raise ParameterError(f"steps must be an int and tol finite, got steps={steps!r}, tol={tol!r}")
+    if not isinstance(steps, int):
+        raise ParameterError(f"steps must be an int, got steps={steps!r}")
     if steps < 2 or c_min >= c_max:
         raise ValueError("need c_min < c_max and at least 2 steps")
     if not all(map(math.isfinite, (c_min, c_max, (c_max - c_min) * (steps - 1)))):
@@ -380,7 +383,7 @@ def detect_thresholds(
     # narrow well below the reporting tolerance so that the scheme rates at
     # the reported point sit within the tie tolerance of each other (the
     # advantage changes with slope up to ~2 in C)
-    bracket = 0.01 * tol
+    bracket = 0.01 * _THRESHOLD_TOL
     tie_tol = max(1e-6, 4.0 * bracket)
 
     crossings = []

@@ -64,8 +64,6 @@ __all__ = [
 # Extended-real rate in bits/channel-use; -inf marks an impossible rate.
 RateValue = float
 
-# Slack for correlation domain checks at interval endpoints.
-_DOMAIN_TOL = 1e-12
 # The float after -1, where the peaks of f3 - f5 and f3 - 2 f5 stop.
 _ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
 
@@ -193,16 +191,13 @@ def _atoms(params: ChannelParams):
 
 
 def _points(rho, names):
-    """The points of ``rho``, a float or a sequence, as a sequence: values
-    within round-off outside [-1, 1] are clipped onto it, and any further
-    out, or NaN, raise ``DomainError`` for the forms ``names``."""
+    """The points of ``rho``, a float or a sequence, as a sequence; a point
+    outside [-1, 1], or NaN, raises ``DomainError`` for the forms ``names``."""
     xs = (rho,) if isinstance(rho, (int, float)) else rho
     # min and max can step over a NaN, which makes the sum NaN
     lo, hi = min(xs, default=0.0), max(xs, default=0.0)
-    if not -1.0 - _DOMAIN_TOL <= lo <= hi <= 1.0 + _DOMAIN_TOL or math.isnan(sum(xs)):
+    if not -1.0 <= lo <= hi <= 1.0 or math.isnan(sum(xs)):
         raise DomainError(f"correlation must lie in [-1, 1] for {', '.join(names)}, got {rho!r}")
-    if hi > 1.0 or lo < -1.0:
-        xs = [max(-1.0, min(r, 1.0)) for r in xs]
     return xs
 
 
@@ -224,9 +219,9 @@ def rates(params: ChannelParams, rho, names) -> dict:
     """The closed forms ``names`` (a subset of f1..f7 and ``indicator``, in
     order) at ``rho``: floats for a float ``rho``, lists for a sequence.
 
-    The kernel behind f1..f7: rho must lie in [-1, 1], and values within
-    round-off outside it are clipped onto it (``_points``).  Each scalar
-    form of ``_FORMS`` maps over the atoms of the points (``_atoms``).
+    The kernel behind f1..f7: rho must lie in [-1, 1] (``_points``).  Each
+    scalar form of ``_FORMS`` maps over the atoms of the points
+    (``_atoms``).
     """
     xs = _points(rho, names)
     if isinstance(rho, (int, float)):

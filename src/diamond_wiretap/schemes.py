@@ -122,9 +122,9 @@ def gaussian(params: ChannelParams, name: str) -> tuple[Callable, dict]:
 def _loop(name: str) -> Callable:
     """The loop of ``TABLE[name]``, compiled from ``rate_functions._TEXT``
     on the entry's first solve: ``bind(p, fixed, atoms)`` returns a branch
-    that checks and clips its points as ``rate_functions.rates`` does, then
-    at each point takes its atoms, each rate of rho the entry uses once, and
-    appends each term as ``Entry.terms`` sums it, to the same bits."""
+    that checks its points as ``rate_functions.rates`` does, then at each
+    point takes its atoms, each rate of rho the entry uses once, and appends
+    each term as ``Entry.terms`` sums it, to the same bits."""
     entry = TABLE[name]
     at_rho = tuple(u for u in entry.uses if u in rf._TEXT)
     var = {u: u.replace("(0)", "_0") for u in entry.uses}  # f3(0) is no name

@@ -1,12 +1,25 @@
 """Shared test helpers."""
 
 import contextlib
+import importlib.util
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diamond_wiretap import rate_functions as rf
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``, loaded from its file (``scripts``
+    is no package)."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @contextlib.contextmanager

@@ -1,18 +1,14 @@
 """Smoke test of scripts/ab_compare.py: two imports of the package in one
 process, timed call by call on the operations of a benchmark workload."""
 
-import importlib.util
-from pathlib import Path
+from conftest import ROOT, load_script
 
-_ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location("ab_compare", _ROOT / "scripts" / "ab_compare.py")
-ab_compare = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(ab_compare)
+ab_compare = load_script("ab_compare")
 
 
 def test_the_working_tree_against_itself_on_two_points():
     # no timing assertion: the host's speed decides the ratios
-    packages = {side: ab_compare.load(_ROOT / "src", f"ab_smoke_{side}") for side in ("base", "new")}
+    packages = {side: ab_compare.load(ROOT / "src", f"ab_smoke_{side}") for side in ("base", "new")}
     assert packages["base"] is not packages["new"]
     assert packages["base"].scenario_one is not packages["new"].scenario_one
     assert packages["base"].ChannelParams is not packages["new"].ChannelParams

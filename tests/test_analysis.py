@@ -1,5 +1,6 @@
 """Capacity verdicts, asymptotic gap study, threshold detection, comparisons."""
 
+import inspect
 import math
 import re
 import tracemalloc
@@ -65,19 +66,33 @@ def test_capacity_condition_inside_the_window_without_an_auxiliary_inequality():
     assert verdict.note == "neither auxiliary inequality holds"
 
 
-def test_capacity_condition_reports_bounds_that_miss_the_candidate():
+def test_capacity_condition_reports_bounds_that_miss_the_candidate(monkeypatch):
     # no difference is at most a negative tolerance
-    verdict = analysis.capacity_condition(ChannelParams.symmetric(10.0, 1.5, 0.1), tol=-1.0)
+    monkeypatch.setattr(analysis, "_CAPACITY_TOL", -1.0)
+    verdict = analysis.capacity_condition(ChannelParams.symmetric(10.0, 1.5, 0.1))
     assert not verdict.applies and verdict.capacity is None
     assert verdict.auxiliary == "f1"
     assert verdict.note == "bounds failed to meet the candidate 1.49403001 within -1"
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
-def test_capacity_condition_rejects_a_tolerance_that_is_not_finite(tol):
-    # a nan tolerance would reject every window, an infinite one accept any
-    with pytest.raises(ParameterError, match=f"^tol must be finite, got {tol}$"):
-        analysis.capacity_condition(ChannelParams.symmetric(10.0, 1.5, 0.1), tol=tol)
+@pytest.mark.parametrize("past", [lambda rs: -1e-300, lambda rs: math.nextafter(rs, 2.0)])
+def test_capacity_condition_rejects_a_crossing_outside_zero_to_rho_star(monkeypatch, past):
+    # inside the window f3 - f4 changes sign on [0, rho*]; a crossing that
+    # round-off puts past either end is a rejected verdict, not an exception
+    params = ChannelParams.symmetric(10.0, 1.5, 0.1)
+    real = rf.crossing
+
+    def crossing(p, up, other, *ends):
+        return past(rf.rho_star(p)) if (up, other, ends) == ("f4", "f3", ()) else real(p, up, other, *ends)
+
+    monkeypatch.setattr(rf, "crossing", crossing)
+    verdict = analysis.capacity_condition(params)
+    assert verdict.condition_lower <= params.c1 <= verdict.condition_upper
+    assert not verdict.applies and verdict.capacity is None and verdict.rho_prime is None
+    assert verdict.auxiliary == "none"
+    assert verdict.note == "f3 - f4 did not change sign despite the window condition"
+    b2 = scenario_two.bounds(params, RandomnessBudget())
+    assert (verdict.upper_value, verdict.lower_value) == (b2.upper.value, b2.lower)
 
 
 def test_capacity_condition_rejects_asymmetric():
@@ -134,16 +149,18 @@ def test_detect_thresholds_no_crossing():
     assert rep.crossings == ()
 
 
-def test_detect_thresholds_ends_where_float_spacing_exceeds_tol(deadline):
+def test_detect_thresholds_ends_where_float_spacing_exceeds_tol(monkeypatch, deadline):
     # a tolerance below the float spacing at a crossing once made the
     # bisection loop forever; it now stops at adjacent floats
-    with deadline(20.0):
-        fine = analysis.detect_thresholds(1.0, 0.1, 1, steps=21, tol=1e-20)
     coarse = analysis.detect_thresholds(1.0, 0.1, 1, steps=21)
+    monkeypatch.setattr(analysis, "_THRESHOLD_TOL", 1e-20)
+    with deadline(20.0):
+        fine = analysis.detect_thresholds(1.0, 0.1, 1, steps=21)
     assert len(fine.crossings) == len(coarse.crossings) == 2
     # a tolerance of 0 or below also narrows to adjacent floats
     for tol in (0.0, -1.0):
-        assert analysis.detect_thresholds(1.0, 0.1, 1, steps=21, tol=tol) == fine
+        monkeypatch.setattr(analysis, "_THRESHOLD_TOL", tol)
+        assert analysis.detect_thresholds(1.0, 0.1, 1, steps=21) == fine
     for a, b in zip(fine.crossings, coarse.crossings):
         assert a.c == pytest.approx(b.c, abs=1e-4)
         assert a.schemes == b.schemes
@@ -156,12 +173,11 @@ def test_detect_thresholds_validation():
         analysis.detect_thresholds(1.0, 0.1, 1, schemes_a=("nope",))
     with pytest.raises(ParameterError):
         analysis.detect_thresholds(1.0, 0.1, 1, c_min=-0.5)
-    # a grid size that is not an int and a tolerance that is not finite are
-    # named, not left to fail inside the float arithmetic
-    for kwargs in ({"steps": 2.5}, {"steps": 3.0}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -math.inf}):
-        (name, value), = kwargs.items()
-        with pytest.raises(ParameterError, match=re.escape(f"{name}={value!r}")):
-            analysis.detect_thresholds(1.0, 0.1, 1, **kwargs)
+    # a grid size that is not an int is named, not left to fail inside the
+    # float arithmetic
+    for steps in (2.5, 3.0):
+        with pytest.raises(ParameterError, match=re.escape(f"steps={steps!r}")):
+            analysis.detect_thresholds(1.0, 0.1, 1, steps=steps)
 
 
 def test_detect_thresholds_on_a_grid_too_large_to_build(deadline):
@@ -182,18 +198,16 @@ def test_detect_thresholds_on_a_grid_too_large_to_build(deadline):
         assert abs(cr.c - ref.c) <= 0.01 * 1e-4, (cr, ref)
 
 
-def full_scan_thresholds(p, g, scenario, schemes_a=None, schemes_b=None, budget=None,
-                         c_min=0.0, c_max=3.0, steps=121, tol=1e-4):
+def full_scan_thresholds(p, g, scenario, schemes_a=None, schemes_b=None, budget=RandomnessBudget(),
+                         c_min=0.0, c_max=3.0, steps=121):
     """Reference: ``detect_thresholds`` as it was before the scan was pruned,
     evaluating every grid point, with each crossing bisected to adjacent
-    floats."""
+    floats and its ties read at ``analysis._THRESHOLD_TOL``."""
     known = analysis.SCENARIO_ONE_SCHEMES if scenario == 1 else analysis.SCENARIO_TWO_SCHEMES
     if schemes_a is None:
         schemes_a = ("pdfm",) if scenario == 1 else ("pdfpdfm",)
     if schemes_b is None:
         schemes_b = ("pdf", "df") if scenario == 1 else ("pdfdfm", "df")
-    if budget is None:
-        budget = RandomnessBudget.unbounded()
     module = scenario_one if scenario == 1 else scenario_two
 
     def advantage(c):
@@ -205,7 +219,7 @@ def full_scan_thresholds(p, g, scenario, schemes_a=None, schemes_b=None, budget=
 
     cs = [c_min + (c_max - c_min) * i / (steps - 1) for i in range(steps)]
     flags = [strictly_ahead(c) for c in cs]
-    tie_tol = max(1e-6, 0.04 * tol)
+    tie_tol = max(1e-6, 0.04 * analysis._THRESHOLD_TOL)
     crossings = []
     for (c_lo, on_lo), (c_hi, on_hi) in zip(zip(cs, flags), zip(cs[1:], flags[1:])):
         if on_lo == on_hi:
@@ -253,9 +267,8 @@ def test_pruned_scan_reports_what_the_full_scan_reports(args, kwargs):
     report, reference = analysis.detect_thresholds(*args, **kwargs), full_scan_thresholds(*args, **kwargs)
     assert replace(report, crossings=()) == replace(reference, crossings=())
     assert [cr.schemes for cr in report.crossings] == [cr.schemes for cr in reference.crossings]
-    tol = kwargs.get("tol", 1e-4)
     for cr, ref in zip(report.crossings, reference.crossings):
-        assert abs(cr.c - ref.c) <= 0.005 * tol, (cr, ref)
+        assert abs(cr.c - ref.c) <= 0.005 * analysis._THRESHOLD_TOL, (cr, ref)
 
 
 def test_threshold_scan_skips_the_points_monotonicity_decides(monkeypatch):
@@ -307,12 +320,35 @@ def test_refinement_takes_at_most_one_step_more_than_bisection(monkeypatch, kink
         return {"df": 0.0, "pdfdfm": 0.0, "pdfpdfm": slope * max(0.0, params.c1 - kink)}
 
     monkeypatch.setattr(scenario_two, "scheme_rates", rates)
-    report = analysis.detect_thresholds(1.0, 0.1, 2, steps=2, tol=tol)
+    monkeypatch.setattr(analysis, "_THRESHOLD_TOL", tol)
+    report = analysis.detect_thresholds(1.0, 0.1, 2, steps=2)
     assert len(report.crossings) == 1
     bisection = math.ceil(math.log2(3.0 / (0.01 * tol)))
     # two grid points, the refinement, and the tie check at the crossing
     assert len(calls) - 3 <= bisection + 1
     assert abs(report.crossings[0].c - (kink + 1e-9 / slope)) <= 0.005 * tol + 1e-15
+
+
+def test_refinement_stops_at_adjacent_floats():
+    # the bracket [2, 2 + ulp] cannot shrink: its midpoint is one of its ends,
+    # so the steps end there, before the last of the four bisection allows
+    edge = math.nextafter(2.0, 3.0)
+    calls = []
+
+    def lead(c):
+        calls.append(c)
+        return 1.0 if c < edge else -1.0
+
+    lo, hi = math.nextafter(2.0, 0.0), math.nextafter(edge, 3.0)
+    assert analysis._refine(lead, lo, hi, 1.0, -1.0, 0.0) == (2.0, 2.0000000000000004)
+    assert calls == [2.0000000000000004, 2.0]
+
+
+def test_detect_thresholds_takes_an_unbounded_budget_by_default():
+    default = inspect.signature(analysis.detect_thresholds).parameters["budget"].default
+    assert default == RandomnessBudget() == RandomnessBudget.unbounded()
+    for fn in (analysis.capacity_condition, analysis.detect_thresholds):
+        assert "tol" not in inspect.signature(fn).parameters
 
 
 def test_scheme_name_constants():

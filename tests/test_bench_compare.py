@@ -1,14 +1,10 @@
 """The verdict rule of scripts/bench_compare.py: wins, bound and gain per metric."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_compare", Path(__file__).resolve().parents[1] / "scripts" / "bench_compare.py")
-bench_compare = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_compare)
+from conftest import load_script
+
+bench_compare = load_script("bench_compare")
 
 HIGHER = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
 LOWER = {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}

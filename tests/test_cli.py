@@ -281,6 +281,13 @@ def test_a_negative_number_with_an_exponent_or_inf_is_an_option_value(capsys, ar
     assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_a_dash_token_that_is_no_number_stays_an_option(capsys):
+    # "-x" does not read as a float, so it is not joined to --g as its value
+    rc, out, err = run(capsys, "eval", "--p", "1", "--c", "1", "--g", "-x")
+    assert (rc, out) == (1, "")
+    assert err.endswith("argument --g: expected one argument\n")
+
+
 def test_sweep_conflicts_and_ranges(capsys):
     rc, _, err = run(
         capsys, "sweep", "--param", "c", "--c", "1.0", "--from", "0.2", "--to", "0.4",

@@ -46,8 +46,8 @@ def test_entry_terms_agree_on_floats_and_arrays():
                 assert _bits(array[term]) == [point[term].hex() for point in points], (p, name, term)
 
 
-# the ends, 0, points inside and the floats just past the ends, which are clipped
-EDGES = [-1.0 - 1e-13, -1.0, -0.999, -0.3, 0.0, 0.4, 0.999, 1.0, 1.0 + 1e-13]
+# the ends, 0 and points inside
+EDGES = [-1.0, -0.999, -0.3, 0.0, 0.4, 0.999, 1.0]
 
 
 def _extreme_channels():
@@ -67,9 +67,9 @@ def _extreme_channels():
 @pytest.mark.parametrize("p", _extreme_channels())
 def test_compiled_loops_give_the_bits_of_entry_terms_over_rates(p):
     """Each entry's compiled loop, bound by ``schemes.gaussian``, gives at
-    every point the bits of ``Entry.terms`` over the rates of ``rates``,
-    clipping the floats just past -1 and 1 as ``rates`` does; a NaN or a
-    point beyond round-off raises the ``DomainError`` that ``rates`` raises."""
+    every point the bits of ``Entry.terms`` over the rates of ``rates``; a
+    NaN or a point outside [-1, 1], even by round-off, raises the
+    ``DomainError`` that ``rates`` raises."""
     for name, entry in schemes.TABLE.items():
         branch, fixed = schemes.gaussian(p, name)
         at_rho = tuple(u for u in entry.uses if u not in fixed)
@@ -80,7 +80,7 @@ def test_compiled_loops_give_the_bits_of_entry_terms_over_rates(p):
             want = entry.terms({**{u: v[j] for u, v in at.items()}, **fixed})
             assert [got[term][j].hex() for term in entry.names] == [want[term].hex() for term in entry.names], \
                 (p, name, rho)
-        for bad in ([0.2, math.nan], [1.1]):
+        for bad in ([0.2, math.nan], [1.1], [-1.0 - 1e-13], [0.2, 1.0 + 1e-13]):
             with pytest.raises(DomainError) as raised:
                 branch(bad)
             with pytest.raises(DomainError) as expected:
