@@ -317,9 +317,9 @@ def detect_thresholds(
     above 1e-9), bracketed on the coarse grid and narrowed to a bracket of
     1e-6, 0.01 times ``_THRESHOLD_TOL`` (or adjacent floats), whose midpoint
     is reported, so that |dC| <= 1e-4.  Each crossing lists the schemes
-    within 1e-6 of the common best value there.  The default groups come
-    from the scenario's table: its last scheme, the multicoded one, against
-    the others, nearest first.
+    within 4e-6 of the common best value there (relative to it above 1).
+    The default groups come from the scenario's table: its last scheme, the
+    multicoded one, against the others, nearest first.
 
     The grid is neither built nor evaluated point by point: point i is
     c_min + (c_max - c_min)*i/(steps - 1), computed where needed.  At fixed

@@ -331,7 +331,7 @@ def test_refinement_takes_at_most_one_step_more_than_bisection(monkeypatch, kink
 
 def test_refinement_stops_at_adjacent_floats():
     # the bracket [2, 2 + ulp] cannot shrink: its midpoint is one of its ends,
-    # so the steps end there, before the last of the four bisection allows
+    # so the steps end there, after two of the four they may take
     edge = math.nextafter(2.0, 3.0)
     calls = []
 
