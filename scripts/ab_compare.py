@@ -15,8 +15,11 @@ swings on both sides alike, which separate benchmark processes do not.
 
 The last line of standard output is one JSON object: the median of the
 per-operation ratios new/base and their quartiles, the operations on which
-the new version was faster, both CPU totals, and the operations whose
-outputs differ in ``repr`` (a sweep's: its exit code and standard output).
+the new version was faster, both CPU totals, the operations whose outputs
+differ in ``repr`` (a sweep's: its exit code and standard output), and for
+each kind of operation its count and the median of its ratios: the
+``analysis`` workload mixes kinds whose costs differ about 20-fold, so one
+median hides which kind moved.
 """
 
 from __future__ import annotations
@@ -120,10 +123,14 @@ def compare(packages: dict, workload: str, ops: int | None) -> dict:
         differ += repr(outs["base"]) != repr(outs["new"])
     ratios = [new / base for base, new in zip(times["base"], times["new"])]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    kinds = {}
+    for op, ratio in zip(todo, ratios):
+        kinds.setdefault(op["kind"], []).append(ratio)
     return {"workload": workload, "seed": SEED, "ops": len(todo),
             "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
             "new_wins": sum(new < base for base, new in zip(times["base"], times["new"])),
-            "base_cpu_s": sum(times["base"]), "new_cpu_s": sum(times["new"]), "outputs_differ": differ}
+            "base_cpu_s": sum(times["base"]), "new_cpu_s": sum(times["new"]), "outputs_differ": differ,
+            "kinds": {kind: {"ops": len(of), "ratio_median": statistics.median(of)} for kind, of in kinds.items()}}
 
 
 def main(argv=None) -> int:
