@@ -102,9 +102,11 @@ def maximize_min(
     beside the best end, the terms peaking at b or later rise and the others
     do not; when the minimum of the rising terms starts below the others and
     ends at or above them, ``seed(a, b, rising, others)`` estimates where it
-    first reaches them, and starts a bracket on that float (``sign_change``);
-    the estimate may be off by many floats, or infinite, and is not asked
-    for otherwise.  Returns the best point evaluated, ties going to the
+    first reaches them, and starts a bracket on that float (``sign_change``).
+    ``others`` holds only the terms that minimum has reached at b: one that
+    stays above it there stays above it on the whole piece, since it does
+    not rise.  The estimate may be off by many floats, or infinite, and is
+    not asked for otherwise.  Returns the best point evaluated, ties going to the
     smallest rho: never below the objective at the two floats around each
     meeting point searched, which bound the maximum when the structure
     holds.  A degenerate interval, ``ends = (x, x)``, is one evaluation at x.
@@ -148,7 +150,8 @@ def maximize_min(
 
         up, down = split(at, len(cuts))
         if up[i + 1] >= down[i + 1] and not up[i] >= down[i]:
-            sign_change(reached, a, b, seed(a, b, tuple(rising), tuple(others)))
+            met = tuple(name for name in others if at[name][i + 1] <= up[i + 1])
+            sign_change(reached, a, b, seed(a, b, tuple(rising), met))
 
     value, rho, terms, j = best
     return OptimizationResult(rho=rho, value=value, binding=_binding_terms(terms, j, value))
