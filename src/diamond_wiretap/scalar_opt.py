@@ -14,11 +14,12 @@ which every term is monotone.  On a piece, the minimum rises with the
 minimum of the rising terms until that first meets the minimum of the
 others, and falls with the others afterwards, so its maximum lies at an end
 or at that meeting point.  The solver evaluates the branch at every piece
-end in one call.  The minimum of the terms is quasi-concave on the whole
-interval, since each term is, so the maximum lies on a piece beside the
-best end; only there, when the two minima meet inside the piece, does it
-close a bracket, from a seed for the meeting point, on the two adjacent
-floats where "rising minimum minus the minimum of the others" changes sign.
+end in one call.  It searches every piece on which the rising minimum
+starts below the minimum of the others and ends at or above it, whatever
+its ends read against the best, so an end that rounding puts an ulp low
+cannot hide the maximum: it closes a bracket, from a seed for the meeting
+point, on the two adjacent floats where "rising minimum minus the minimum
+of the others" changes sign.
 A degenerate interval, lo == hi, is the case of one piece end: one
 evaluation at that point.
 
@@ -98,18 +99,18 @@ def maximize_min(
     Each term named in ``peaks`` is nondecreasing up to its peak and
     nonincreasing after it; every other term is constant or nonincreasing.
     The interval is split at ``ends`` and at the peaks inside it, and the
-    branch is evaluated at every piece end in one call.  On a piece [a, b]
-    beside the best end, the terms peaking at b or later rise and the others
-    do not; when the minimum of the rising terms starts below the others and
-    ends at or above them, ``seed(a, b, rising, others)`` estimates where it
-    first reaches them, and starts a bracket on that float (``sign_change``).
-    ``others`` holds only the terms that minimum has reached at b: one that
-    stays above it there stays above it on the whole piece, since it does
-    not rise.  The estimate may be off by many floats, or infinite, and is
-    not asked for otherwise.  Returns the best point evaluated, ties going to the
-    smallest rho: never below the objective at the two floats around each
-    meeting point searched, which bound the maximum when the structure
-    holds.  A degenerate interval, ``ends = (x, x)``, is one evaluation at x.
+    branch is evaluated at every piece end in one call.  On each piece
+    [a, b], the terms peaking at b or later rise and the others do not; when
+    the minimum of the rising terms starts below the others and ends at or
+    above them, ``seed(a, b, rising, others)`` estimates where it first
+    reaches them, and starts a bracket on that float (``sign_change``).
+    ``others`` holds only the terms that minimum has reached at b: one above
+    it there is above it on the whole piece, since it does not rise.  The
+    estimate may be off by many floats, or infinite, and is not asked for
+    otherwise.  Returns the best point evaluated, ties going to the smallest
+    rho: never below the objective at the two floats around each meeting
+    point, which bound the maximum when the structure holds.  A degenerate
+    interval, ``ends = (x, x)``, is one evaluation at x.
     """
     lo, hi = ends[0], ends[-1]
     if lo > hi:
@@ -127,8 +128,6 @@ def maximize_min(
     best = (top, cuts[j], at, j)
 
     for i in range(len(cuts) - 1):
-        if top not in (objective[i], objective[i + 1]):
-            continue  # only the pieces beside a best end can hold the maximum
         a, b = cuts[i], cuts[i + 1]
         rising = [name for name in at if peaks.get(name, -math.inf) >= b]
         others = [name for name in at if name not in rising]

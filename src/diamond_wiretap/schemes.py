@@ -23,9 +23,9 @@ form); schemes df1, pdfm1 (scenario 1) and df2, pdfdfm2, pdfpdfm2 (scenario 2).
 
 Solver choice.  Each term rises up to its peak, ``rate_functions.peak``,
 which derives them all, and falls after it: a term that never rises peaks
-at -inf, one that rises throughout at +inf.  So the minimum of the terms is
-quasi-concave, and the peaks inside an entry's interval split it into
-pieces on which every term is monotone: rho_h splits S3, and the peaks of
+at -inf, one that rises throughout at +inf.  So the peaks inside an entry's
+interval split it into pieces on which every term is monotone, all that the
+solver needs of them: rho_h splits S3, and the peaks of
 f1 - f5, f2 - f5, f3 - f5 and f3 - 2 f5 split pdfdfm2 and pdfpdfm2 into up
 to four pieces.  The indicator of pdfpdfm2, which ``peak`` counts as never
 rising, is constant between the ends of the one interval where its link
@@ -36,8 +36,8 @@ its roots, and C2 > f7 is the same with P1 for P2
 the one that reads the indicator, further.
 
 ``scalar_opt.maximize_min`` evaluates every piece end in one call and
-searches only the pieces beside the best end, where the maximum lies at an
-end or where the minimum of the rising terms first meets the others.
+searches every piece where the minimum of the rising terms meets the others,
+for the meeting point; elsewhere the maximum lies at an end.
 ``scenario_one.solve`` seeds each meeting point without a kernel call, by
 ``rate_functions.crossing``: where both terms subtract f5 it cancels, and f4
 against f1, f2, f3 (a quadratic) or a constant (linear) has a closed form;

@@ -119,6 +119,35 @@ def test_upper_bound_branches_are_sound(i, p):
         assert rep.value == again, (i, name, rep.value, again)
 
 
+# Channels on which f4 - f5 binds S3 at the piece ends 0 and rho_h and,
+# though it rises, reads 1.8e-15 to 3.6e-15 lower at rho_h by rounding, so
+# 0 is the only best end of S3 and its maximum lies on the piece past rho_h.
+# On ROUNDING_DIP that maximum is S3_MAX, from a 60-digit evaluation of its
+# terms; the other three are channels 1448, 1497 and 2220 of the corpus of
+# scripts/same_outputs.py.
+ROUNDING_DIP = ChannelParams(9527.985062014033, 24386520955.45156, 3.4754943712136264, 1.4754943712136266,
+                             0.04523375520315471)
+S3_MAX = 2.2332282091678786
+CORPUS_DIPS = [
+    ChannelParams(1432200880.0033467, 23.76872782045707, 0.08476315073484786, 1.0780368437649988, 0.25545557641786104),
+    ChannelParams(1160258.6536581533, 106304044631.91875, 3.3358828962526217, 0.21910037458402165, 0.5140792634617075),
+    ChannelParams(115407.99969279928, 578894122210.9137, 3.53850673642909, 0.4999538963322476, 0.13281522938716903),
+]
+
+
+def test_a_rounding_dip_at_a_piece_end_does_not_under_report_s3():
+    b = s1.bounds(ROUNDING_DIP, RandomnessBudget.unbounded())
+    assert abs(b.upper.sub_reports["S3"].value - S3_MAX) <= 1e-14, b.upper
+    assert b.lower <= b.upper.value, (b.lower, b.upper)
+
+
+@pytest.mark.parametrize("p", CORPUS_DIPS)
+def test_a_rounding_dip_at_a_piece_end_leaves_lower_below_upper(p):
+    # the unbounded budget lets the schemes reach furthest
+    b = s1.bounds(p, RandomnessBudget.unbounded())
+    assert b.lower <= b.upper.value, (p, b.lower, b.upper)
+
+
 def t1_draws(n):
     """Asymmetric channels for T1: powers in 10^[-3, 15], up to 1e4 apart,
     links in [0, 3] or, for every other draw, in [0, 0.3], where s* is

@@ -62,10 +62,10 @@ def test_constant_ties_break_to_smallest():
     assert (res.rho, res.value) == (-0.7, 2.0)
 
 
-def test_searches_only_the_pieces_beside_the_best_end():
-    # the terms peak at 0.2 and 0.6, and 0.6 is the best end; of the pieces
-    # beside it only [0.2, 0.6] holds a meeting point, where up meets the
-    # falling half of left at 0.45
+def test_searches_only_the_pieces_where_the_rising_minimum_meets_the_others():
+    # the terms peak at 0.2 and 0.6; only on [0.2, 0.6] does the minimum of
+    # the rising terms start below the others and end at or above them:
+    # up meets the falling half of left at 0.45
     calls = []
 
     def left(x):
@@ -84,6 +84,26 @@ def test_searches_only_the_pieces_beside_the_best_end():
     assert res.rho == pytest.approx(0.45, abs=1e-15)
     assert res.value == pytest.approx(0.45, abs=1e-15)
     assert res.binding == ("up", "left")
+
+
+def test_an_end_an_ulp_low_by_rounding_does_not_hide_the_far_piece():
+    # up is declared rising but reads one ulp lower at the cut 0.5 than at 0,
+    # as rounding can make it, so 0 is the only best end; the maximum lies on
+    # the far piece [0.5, 1], where up meets down at 0.725
+    calls = []
+
+    def up(x):
+        return math.nextafter(1.0, 0.0) if x == 0.5 else max(1.0, x + 0.5)
+
+    def seed(a, b, rising, others):
+        calls.append((a, b, rising, others))
+        return 0.725
+
+    res = maximize_min(branch(up=up, down=lin(-1.0, 1.95)), (0.0, 0.5, 1.0), {"up": RISES}, seed)
+    assert calls == [(0.5, 1.0, ("up",), ("down",))]
+    assert res.rho == pytest.approx(0.725, abs=1e-15)
+    assert res.value == pytest.approx(1.225, abs=1e-15)
+    assert res.binding == ("up", "down")
 
 
 def test_degenerate_interval():
