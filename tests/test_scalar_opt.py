@@ -89,7 +89,8 @@ def test_searches_only_the_pieces_where_the_rising_minimum_meets_the_others():
 def test_an_end_an_ulp_low_by_rounding_does_not_hide_the_far_piece():
     # up is declared rising but reads one ulp lower at the cut 0.5 than at 0,
     # as rounding can make it, so 0 is the only best end; the maximum lies on
-    # the far piece [0.5, 1], where up meets down at 0.725
+    # the far piece [0.5, 1], where up meets down at 0.725.  high falls but
+    # stays above up, so the seed is not given it
     calls = []
 
     def up(x):
@@ -99,7 +100,8 @@ def test_an_end_an_ulp_low_by_rounding_does_not_hide_the_far_piece():
         calls.append((a, b, rising, others))
         return 0.725
 
-    res = maximize_min(branch(up=up, down=lin(-1.0, 1.95)), (0.0, 0.5, 1.0), {"up": RISES}, seed)
+    three = branch(up=up, down=lin(-1.0, 1.95), high=lin(-1.0, 3.0))
+    res = maximize_min(three, (0.0, 0.5, 1.0), {"up": RISES}, seed)
     assert calls == [(0.5, 1.0, ("up",), ("down",))]
     assert res.rho == pytest.approx(0.725, abs=1e-15)
     assert res.value == pytest.approx(1.225, abs=1e-15)
