@@ -505,10 +505,14 @@ def link_interval(params: ChannelParams, lo: float, hi: float) -> tuple[float, f
     C1 > f6 reads 1 + g*s < 2^(2 C1)*(1 + g*q*P2) (``schemes`` derives it),
     and C2 > f7 the same with P1 for P2: each holds on one interval
     (``_below``), so both do, and ``_edges`` closes its ends.  A zero
-    capacity meets its condition nowhere (``link_indicator``).
+    capacity meets its condition nowhere (``link_indicator``).  At g = 0,
+    f6 = f7 = 0, so both hold at every rho, however small the capacities
+    (where 2^(2C) rounds to 1, the closed form would say nowhere).
     """
     if not (params.c1 > 0.0 and params.c2 > 0.0):
         return None
+    if params.g == 0.0:
+        return lo, hi
     (left1, right1), (left2, right2) = (_below(params, params.g, cap, 1.0, params.g * p_other)
                                         for cap, p_other in ((params.c1, params.p2), (params.c2, params.p1)))
     left, right = max(left1, left2), min(right1, right2)

@@ -27,8 +27,12 @@ EXTREME_POWERS = ((1e4, 1e-4), (1e-4, 1e4), (1e-2, 1e7), (1e7, 1e-2), (1e5, 1e-5
 # so PDF-PDF-M reaches 0 outside the link interval.
 DRAW_544 = ChannelParams(0.3143957145838717, 0.06275737121706006, 0.03788662365147577, 1.5668421218848678,
                          0.5316619620651701)
+# At g = 0, f6 = f7 = 0, so the link conditions hold for any positive C2,
+# including one so small that 2^(2 C2) rounds to 1 (the second found by
+# hypothesis).
+TINY_LINKS = [ChannelParams(1.0, 1.0, 1.0, c2, 0.0) for c2 in (1e-17, 1.6675286681286486e-223)]
 CHANNELS = (criterion_08_draws(DRAWS) + [ChannelParams(p1, p2, 1.0, 1.0, 0.5) for p1, p2 in EXTREME_POWERS]
-            + [DRAW_544])
+            + [DRAW_544] + TINY_LINKS)
 
 
 def link_conditions(p, r):
