@@ -9,17 +9,21 @@ process under distinct names, ``ab_base`` and ``ab_new``.  The workload's
 operations are built by ``perfbench/workloads.build`` from one round of
 seed 1, and each runs once on each version, the version that runs first
 alternating from operation to operation; a sweep runs through ``cli.main``.
-Every call is timed in CPU time (``time.process_time``), after one untimed
-call of the first operation on each side.  One process sees the host's speed
-swings on both sides alike, which separate benchmark processes do not.
+Then the operations of each kind with fewer than 20 run again, in turn and
+alternating the same way, until that kind has 20 ratios new/base: seed 1 of
+``analysis`` holds one ``validate`` and four ``thresholds`` operations, too
+few for a median to show a change of a few percent.  Every call is timed in
+CPU time (``time.process_time``), after one untimed call of the first
+operation on each side.  One process sees the host's speed swings on both
+sides alike, which separate benchmark processes do not.
 
 The last line of standard output is one JSON object: the median of the
-per-operation ratios new/base and their quartiles, the operations on which
-the new version was faster, both CPU totals, the operations whose outputs
-differ in ``repr`` (a sweep's: its exit code and standard output), and for
-each kind of operation its count and the median of its ratios: the
-``analysis`` workload mixes kinds whose costs differ about 20-fold, so one
-median hides which kind moved.
+per-operation ratios new/base of the first round and their quartiles, the
+operations on which the new version was faster in it, both CPU totals of
+it, the operations whose outputs differ in ``repr`` (a sweep's: its exit
+code and standard output), and for each kind of operation its count, its
+number of ratios and their median: the ``analysis`` workload mixes kinds
+whose costs differ about 20-fold, so one median hides which kind moved.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # one fixed list of operations, so that runs on different days compare
 SEED = 1
+# the fewest ratios new/base taken of each kind of operation
+KIND_RATIOS = 20
 _SUBMODULES = ("scenario_one", "scenario_two", "analysis", "oracles", "cli")
 
 
@@ -110,27 +116,35 @@ def compare(packages: dict, workload: str, ops: int | None) -> dict:
     ``packages["base"]`` and ``packages["new"]``, alternating call by call;
     the report of the module docstring."""
     todo = _workloads().build(workload, SEED, 1)[:ops]
+    kinds = {}
+    for op in todo:
+        kinds.setdefault(op["kind"], []).append(op)
+    # the first round, then the operations of each scarce kind in turn
+    runs = todo + [of[j % len(of)] for of in kinds.values() for j in range(len(of), KIND_RATIOS)]
     for side in ("base", "new"):
         _call(packages[side], todo[0])
     times = {"base": [], "new": []}
     differ = 0
-    for i, op in enumerate(todo):
+    for i, op in enumerate(runs):
         outs = {}
         for side in ("base", "new") if i % 2 == 0 else ("new", "base"):
             start = time.process_time()
             outs[side] = _call(packages[side], op)
             times[side].append(time.process_time() - start)
-        differ += repr(outs["base"]) != repr(outs["new"])
+        differ += i < len(todo) and repr(outs["base"]) != repr(outs["new"])
     ratios = [new / base for base, new in zip(times["base"], times["new"])]
-    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    kinds = {}
-    for op, ratio in zip(todo, ratios):
-        kinds.setdefault(op["kind"], []).append(ratio)
+    first = ratios[:len(todo)]
+    q1, median, q3 = statistics.quantiles(first, n=4, method="inclusive")
+    of_kind = {kind: [] for kind in kinds}
+    for op, ratio in zip(runs, ratios):
+        of_kind[op["kind"]].append(ratio)
     return {"workload": workload, "seed": SEED, "ops": len(todo),
             "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
-            "new_wins": sum(new < base for base, new in zip(times["base"], times["new"])),
-            "base_cpu_s": sum(times["base"]), "new_cpu_s": sum(times["new"]), "outputs_differ": differ,
-            "kinds": {kind: {"ops": len(of), "ratio_median": statistics.median(of)} for kind, of in kinds.items()}}
+            "new_wins": sum(ratio < 1.0 for ratio in first),
+            "base_cpu_s": sum(times["base"][:len(todo)]), "new_cpu_s": sum(times["new"][:len(todo)]),
+            "outputs_differ": differ,
+            "kinds": {kind: {"ops": len(kinds[kind]), "ratios": len(of), "ratio_median": statistics.median(of)}
+                      for kind, of in of_kind.items()}}
 
 
 def main(argv=None) -> int:

@@ -23,21 +23,28 @@ and one drawn in [0, 2], and grids of 2, 3, 121 and 2001 points in turn.
 The last line of standard output is one JSON object: the operations
 compared, how many of them differ in the ``repr`` of their outputs (a
 sweep's: its exit code and standard output; a README invocation's: its exit
-code, standard output and standard error), and the first few that differ,
-each as its workload, seed and index in that seed's list; a README
-invocation as "readme", None and its index in ``README``, a channel of the
-corpus as "corpus", None and its index in it, and a call of the thresholds
-corpus as "thresholds", None and its index in it.
+code, standard output and standard error), those counts per workload, and
+the first few that differ, each as its workload, seed and index in that
+seed's list; a README invocation as "readme", None and its index in
+``README``, a channel of the corpus as "corpus", None and its index in it,
+and a call of the thresholds corpus as "thresholds", None and its index in
+it.  Among the differing operations it also gives the largest absolute
+change of any number in an output and, apart, of any field named ``rho``,
+each with where it occurred and the field's path, and how many operations
+differ only in fields named ``rho`` or ``binding``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import random
 import sys
 import tempfile
+from collections import Counter
+from collections.abc import Mapping
 from functools import partial
 from pathlib import Path
 
@@ -114,6 +121,38 @@ def _thresholds(pkg, call: dict):
     return pkg.analysis.detect_thresholds(budget=pkg.RandomnessBudget(kwargs.pop("r_prime")), **kwargs)
 
 
+def _leaves(out, path=()):
+    """The leaves of an output as (path, value): a dataclass's fields and a
+    mapping's items by name, a sequence's items by index, and a tuple of
+    names, such as a ``binding``, as one leaf."""
+    if dataclasses.is_dataclass(out):
+        for f in dataclasses.fields(out):
+            yield from _leaves(getattr(out, f.name), (*path, f.name))
+    elif isinstance(out, Mapping):
+        for key, value in out.items():
+            yield from _leaves(value, (*path, key))
+    elif isinstance(out, (tuple, list)) and not all(isinstance(x, str) for x in out):
+        for i, value in enumerate(out):
+            yield from _leaves(value, (*path, i))
+    else:
+        yield path, out
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _moves(base, new) -> list:
+    """The leaves in which two outputs of one operation differ, as (path,
+    change): the absolute change of a number, None for any other leaf, and
+    one ((), None) for outputs of different shapes."""
+    old, now = list(_leaves(base)), list(_leaves(new))
+    if [path for path, _ in old] != [path for path, _ in now]:
+        return [((), None)]
+    return [(path, abs(y - x) if _number(x) and _number(y) else None)
+            for (path, x), (_, y) in zip(old, now) if repr(x) != repr(y)]
+
+
 def compare(packages: dict, ops: int | None) -> dict:
     """Run the first ``ops`` operations (None: all), in the order of the
     module docstring, on ``packages["base"]`` and ``packages["new"]``; the
@@ -133,8 +172,22 @@ def compare(packages: dict, ops: int | None) -> dict:
         todo += [({"workload": "thresholds", "seed": None, "index": i}, partial(_thresholds, call=call))
                  for i, call in enumerate(thresholds_corpus())]
         todo = todo[:ops]
-        differ = [where for where, run in todo if repr(run(packages["base"])) != repr(run(packages["new"]))]
-    return {"compared": len(todo), "differ": len(differ), "first_differing": differ[:_SHOWN]}
+        differ, only_rho_or_binding = [], 0
+        largest = {"largest_change": None, "largest_rho_change": None}
+        for where, run in todo:
+            base, new = run(packages["base"]), run(packages["new"])
+            if repr(base) == repr(new):
+                continue
+            differ.append(where)
+            moves = _moves(base, new)
+            only_rho_or_binding += all(path and path[-1] in ("rho", "binding") for path, _ in moves)
+            for path, change in moves:
+                key = "largest_rho_change" if path and path[-1] == "rho" else "largest_change"
+                if change is not None and (largest[key] is None or change > largest[key]["change"]):
+                    largest[key] = {"change": change, **where, "field": ".".join(map(str, path))}
+    return {"compared": len(todo), "differ": len(differ),
+            "differ_by_workload": dict(Counter(where["workload"] for where in differ)),
+            "only_rho_or_binding": only_rho_or_binding, **largest, "first_differing": differ[:_SHOWN]}
 
 
 def main(argv=None) -> int:

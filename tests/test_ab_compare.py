@@ -19,5 +19,14 @@ def test_the_working_tree_against_itself_on_two_points():
     assert report["new_wins"] in (0, 1, 2)
     assert report["ratio_q1"] <= report["ratio_median"] <= report["ratio_q3"]
     assert report["base_cpu_s"] > 0.0 and report["new_cpu_s"] > 0.0
-    assert list(report["kinds"]) == ["point"] and report["kinds"]["point"]["ops"] == 2
+    # two operations of a kind are timed again, in turn, until it has 20 ratios
+    assert list(report["kinds"]) == ["point"]
+    assert (report["kinds"]["point"]["ops"], report["kinds"]["point"]["ratios"]) == (2, 20)
+    assert report["kinds"]["point"]["ratio_median"] > 0.0
+
+
+def test_a_kind_of_twenty_operations_is_timed_once_each():
+    packages = {side: ab_compare.load(ROOT / "src", f"ab_twenty_{side}") for side in ("base", "new")}
+    report = ab_compare.compare(packages, "points", ops=ab_compare.KIND_RATIOS)
+    assert report["ops"] == report["kinds"]["point"]["ops"] == report["kinds"]["point"]["ratios"] == 20
     assert report["kinds"]["point"]["ratio_median"] == report["ratio_median"]
