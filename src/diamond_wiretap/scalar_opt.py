@@ -23,11 +23,14 @@ of the others" changes sign.
 A degenerate interval, lo == hi, is the case of one piece end: one
 evaluation at that point.
 
-It returns the best point it evaluated, and breaks ties toward the smallest
-argmax: on a plateau of the maximum, the first float where the rising terms
-reach the others.  The binding terms are read from the evaluation that
-found the optimum.  No randomness anywhere, so equal inputs give
-bitwise-equal results.
+It returns the best of a fixed set of candidates, the piece ends and, on
+each piece it searches, the two floats around the meeting point, and breaks
+ties toward the smallest argmax: on a plateau of the maximum, the first
+float where the rising terms reach the others.  Each candidate's terms,
+binding ones included, are read from the evaluation already made there.
+No other point a pass probes can decide the result, so where the sign
+change is unique the seed moves only the cost, not the reported numbers.
+No randomness anywhere, so equal inputs give bitwise-equal results.
 
 ``sign_change`` locates, to adjacent floats, where a monotone predicate
 first turns true; ``maximize_min`` and ``rate_functions._edges``, which
@@ -107,10 +110,11 @@ def maximize_min(
     ``others`` holds only the terms that minimum has reached at b: one above
     it there is above it on the whole piece, since it does not rise.  The
     estimate may be off by many floats, or infinite, and is not asked for
-    otherwise.  Returns the best point evaluated, ties going to the smallest
-    rho: never below the objective at the two floats around each meeting
-    point, which bound the maximum when the structure holds.  A degenerate
-    interval, ``ends = (x, x)``, is one evaluation at x.
+    otherwise.  Returns the best of the piece ends and the two floats around
+    each meeting point, which bound the maximum when the structure holds,
+    ties going to the smallest rho, with their terms from the evaluations
+    already made; no other point probed counts.  A degenerate interval,
+    ``ends = (x, x)``, is one evaluation at x.
     """
     lo, hi = ends[0], ends[-1]
     if lo > hi:
@@ -120,9 +124,8 @@ def maximize_min(
     if not at:
         raise EmptyInterval("a branch needs at least one term")
     objective = _least(list(at.values()), len(cuts))
-    # the best point evaluated: (value, rho, terms, index), ties going to the
-    # smaller rho; the points of each evaluation ascend, so its first best
-    # point is its smallest
+    # the best candidate, (value, rho, terms, index), ties going to the
+    # smaller rho: first the best piece end, the first of equal ones
     top = max(objective)
     j = objective.index(top)
     best = (top, cuts[j], at, j)
@@ -137,20 +140,22 @@ def maximize_min(
             return _least([terms[name] for name in rising], n), _least([terms[name] for name in others], n)
 
         def reached(points):
-            nonlocal best
             terms = branch(points)
             up, down = split(terms, len(points))
-            values = list(map(min, up, down))
-            value = max(values)
-            j = values.index(value)
-            if value > best[0] or value == best[0] and points[j] < best[1]:
-                best = (value, points[j], terms, j)
+            log.append((points, terms, up, down))
             return [u >= d for u, d in zip(up, down)]
 
         up, down = split(at, len(cuts))
         if up[i + 1] >= down[i + 1] and not up[i] >= down[i]:
             met = tuple(name for name in others if at[name][i + 1] <= up[i + 1])
-            sign_change(reached, a, b, seed(a, b, tuple(rising), met))
+            # the search's evaluations: their points, terms and two minima
+            log = [(cuts, at, up, down)]
+            for x in sign_change(reached, a, b, seed(a, b, tuple(rising), met)):
+                points, terms, up, down = [e for e in log if x in e[0]][0]
+                j = points.index(x)
+                value = min(up[j], down[j])
+                if value > best[0] or value == best[0] and x < best[1]:
+                    best = (value, x, terms, j)
 
     value, rho, terms, j = best
     return OptimizationResult(rho=rho, value=value, binding=_binding_terms(terms, j, value))

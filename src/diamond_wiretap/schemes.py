@@ -35,9 +35,12 @@ its roots, and C2 > f7 is the same with P1 for P2
 (``rate_functions.link_interval``).  Its ends split each ``linked`` entry,
 the one that reads the indicator, further.
 
-``scalar_opt.maximize_min`` evaluates every piece end in one call and
-searches every piece where the minimum of the rising terms meets the others,
-for the meeting point; elsewhere the maximum lies at an end.
+``scalar_opt.maximize_min`` evaluates every piece end in one call,
+searches every piece where the minimum of the rising terms meets the others
+for the two floats around the meeting point, and reports the best of those
+floats and the piece ends; elsewhere the maximum lies at an end.  Where
+the sign change is unique, a seed decides only how many points the search
+evaluates, not what it reports.
 ``scenario_one.solve`` seeds each meeting point without a kernel call, by
 ``rate_functions.crossing``: where both terms subtract f5 it cancels, and f4
 against f1, f2, f3 (a quadratic) or a constant (linear) has a closed form;

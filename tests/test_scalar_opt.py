@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from diamond_wiretap.errors import EmptyInterval
-from diamond_wiretap.scalar_opt import _floats, _ordinal, maximize_min, sign_change
+from diamond_wiretap.scalar_opt import OptimizationResult, _floats, _ordinal, maximize_min, sign_change
 
 RISES = math.inf  # the peak of a term that rises on the whole interval
 
@@ -106,6 +106,38 @@ def test_an_end_an_ulp_low_by_rounding_does_not_hide_the_far_piece():
     assert res.rho == pytest.approx(0.725, abs=1e-15)
     assert res.value == pytest.approx(1.225, abs=1e-15)
     assert res.binding == ("up", "down")
+
+
+def test_a_probe_past_the_meeting_point_does_not_decide_the_result():
+    # level is constant but reads one ulp high two floats past the meeting
+    # point 0.5, as rounding can make it; the first pass, seeded at 0.5,
+    # probes that float, yet the result is the better of the two floats
+    # around the meeting point
+    past = _floats([_ordinal(0.5) + 2])[0]
+    points = []
+
+    def level(x):
+        points.append(x)
+        return math.nextafter(0.5, 1.0) if x == past else 0.5
+
+    res = maximize_min(branch(up=lin(1.0, 0.0), level=level), (0.0, 1.0), {"up": RISES}, lambda *_: 0.5)
+    assert past in points
+    assert (res.rho, res.value, res.binding) == (0.5, 0.5, ("up", "level"))
+
+
+def test_the_result_does_not_depend_on_the_seed():
+    # level is constant but reads one ulp high at every third float between
+    # the meeting point 0.5 and 0.75, so the floats each seed's passes probe
+    # differ in what they read; the result comes from the two floats around
+    # the meeting point whatever the seed
+    def level(x):
+        return math.nextafter(0.5, 1.0) if 0.5 < x < 0.75 and _ordinal(x) % 3 == 0 else 0.5
+
+    two = branch(up=lin(1.0, 0.0), level=level)
+    k = _ordinal(0.5)
+    seeds = _floats([k + j for j in range(-3, 4)] + [k + 2**20])
+    runs = {maximize_min(two, (0.0, 1.0), {"up": RISES}, lambda *_, s=s: s) for s in seeds}
+    assert runs == {OptimizationResult(rho=0.5, value=0.5, binding=("up", "level"))}
 
 
 def test_degenerate_interval():
