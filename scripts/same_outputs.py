@@ -139,6 +139,7 @@ def _leaves(out, path=()):
 
 
 def _number(x) -> bool:
+    """Whether ``x`` is a number, not a flag."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
