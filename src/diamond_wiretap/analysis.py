@@ -79,9 +79,12 @@ def capacity_condition(params: ChannelParams) -> CapacityVerdict:
 
         (1/4)*log2(1 + 2P)  <=  C  <=  (1/4)*log2(1 + 2(1+rho*)P) + (1/4)*log2(1/(1 - rho*^2))
 
-    which is exactly when f3 - f4 changes sign on [0, rho*]; the crossing
-    rho' then gives the candidate capacity f3(rho') - f5(rho').  One of two
-    auxiliary inequalities must additionally hold.  The verdict re-computes
+    where rho*^2 + rho*/P = 1 gives 1/(1 - rho*^2) = P/rho*, the form the
+    code takes: 1 - rho*^2 cancels as rho* nears 1, and rho* rounds to 1
+    from about P = 1e16.  The window is exactly where f3 - f4 changes sign
+    on [0, rho*]; the crossing rho' then gives the candidate capacity
+    f3(rho') - f5(rho').  One of two auxiliary inequalities must
+    additionally hold.  The verdict re-computes
     both scenario-2 bounds and only claims ``applies`` when they agree with
     the candidate within 1e-6 (``_CAPACITY_TOL``).
     """
@@ -92,7 +95,7 @@ def capacity_condition(params: ChannelParams) -> CapacityVerdict:
     p, c, g = params.p1, params.c1, params.g
     rs = rf.rho_star(params)
     cond_lower = 0.25 * math.log2(1.0 + 2.0 * p)
-    cond_upper = 0.25 * math.log2(1.0 + 2.0 * (1.0 + rs) * p) + 0.25 * math.log2(1.0 / (1.0 - rs * rs))
+    cond_upper = 0.25 * math.log2(1.0 + 2.0 * (1.0 + rs) * p) + 0.25 * math.log2(p / rs)
 
     b2 = scenario_two.bounds(params, RandomnessBudget.unbounded())
     ub, lb = b2.upper.value, b2.lower

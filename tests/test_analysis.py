@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -43,6 +44,32 @@ def test_capacity_window_endpoints():
     assert v100.condition_lower == pytest.approx(WINDOW_P100[0], abs=1e-9)
     assert v100.condition_upper == pytest.approx(WINDOW_P100[1], abs=1e-9)
     assert v100.applies
+
+
+def _window_upper_60_digits(p: float) -> Decimal:
+    """(1/4) log2(1 + 2(1 + rho*)P) + (1/4) log2(1/(1 - rho*^2)) in 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        P = Decimal(p)
+        rs = 2 * P / (1 + (1 + 4 * P * P).sqrt())
+        return ((1 + 2 * (1 + rs) * P).ln() + (1 / (1 - rs * rs)).ln()) / (4 * Decimal(2).ln())
+
+
+@pytest.mark.parametrize("p", [10.0, 1e4, 1e8, 1e12, 1e15])
+def test_capacity_window_upper_end_matches_60_digits_at_high_power(p):
+    # 1 - rho*^2 cancels as rho* nears 1: written so, the end was 3.2e-5 off
+    # at P = 1e12 and 0.038 low at P = 1e15
+    upper = analysis.capacity_condition(ChannelParams.symmetric(p, 1.0, 0.5)).condition_upper
+    assert abs(Decimal(upper) - _window_upper_60_digits(p)) <= Decimal("4e-15")
+
+
+@pytest.mark.parametrize("p", [1e16, 1e300])
+def test_capacity_condition_gives_a_verdict_where_rho_star_rounds_to_one(p):
+    params = ChannelParams.symmetric(p, 1.0, 0.5)
+    assert rf.rho_star(params) == 1.0
+    verdict = analysis.capacity_condition(params)
+    assert verdict.condition_lower < verdict.condition_upper < math.inf
+    assert not verdict.applies and "outside" in verdict.note
 
 
 def test_capacity_condition_outside_window():

@@ -385,6 +385,12 @@ def test_capacity_does_not_apply(capsys):
     assert "note" in fields
 
 
+def test_capacity_gives_a_verdict_where_rho_star_rounds_to_one(capsys):
+    rc, out, _ = run(capsys, "capacity", "--p", "1e16", "--c", "1", "--g", "0.5")
+    assert rc == 0
+    assert kv(out)["applies"] == "false"
+
+
 def test_capacity_rejects_asymmetric(capsys):
     rc, _, err = run(capsys, "capacity", "--p1", "4", "--p2", "1", "--c", "1.5", "--g", "0.1")
     assert rc == 1
