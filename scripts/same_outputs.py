@@ -31,7 +31,13 @@ and a call of the thresholds corpus as "thresholds", None and its index in
 it.  Among the differing operations it also gives the largest absolute
 change of any number in an output and, apart, of any field named ``rho``,
 each with where it occurred and the field's path, and how many operations
-differ only in fields named ``rho`` or ``binding``.
+differ only in fields named ``rho`` or ``binding``.  Over every ``point``
+operation, of the workloads and of the corpus, it gives the largest rise and
+the largest fall, new - base, of the headline bounds ``ub1``, ``ub2``,
+``lb1`` and ``lb2`` (None where none rises or falls), and on each side the
+largest ``lb1 - ub1``, ``lb2 - ub2``, ``ub2 - ub1`` and ``lb2 - lb1``, each
+with where it occurred: a lower bound above its upper bound, or scenario 2
+above scenario 1, breaks an invariant of the bounds.
 """
 
 from __future__ import annotations
@@ -80,6 +86,10 @@ CORPUS_SEED = 7919
 # the calls of the thresholds corpus, and the seed of their draw
 THRESHOLDS = 60
 THRESHOLDS_SEED = 7927
+# the headline bounds of a point operation, and the differences of them
+# whose largest value each side reports
+HEADLINE = ("ub1", "ub2", "lb1", "lb2")
+GAPS = (("lb1", "ub1"), ("lb2", "ub2"), ("ub2", "ub1"), ("lb2", "lb1"))
 
 
 def corpus(channel) -> list[dict]:
@@ -138,6 +148,19 @@ def _leaves(out, path=()):
         yield path, out
 
 
+def _headline(out) -> dict:
+    """The headline bounds of a ``point`` operation's output, the bounds of
+    scenario 1 and of scenario 2."""
+    one, two = out
+    return {"ub1": one.upper.value, "ub2": two.upper.value, "lb1": one.lower, "lb2": two.lower}
+
+
+def _track(record: dict, key, value: float, where: dict, sign: float = 1.0) -> None:
+    """Keep in ``record[key]`` the largest ``sign * value`` seen, with where it occurred."""
+    if not math.isnan(value) and (record[key] is None or sign * value > sign * record[key]["value"]):
+        record[key] = {"value": value, **where}
+
+
 def _number(x) -> bool:
     """Whether ``x`` is a number, not a flag."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -175,8 +198,21 @@ def compare(packages: dict, ops: int | None) -> dict:
         todo = todo[:ops]
         differ, only_rho_or_binding = [], 0
         largest = {"largest_change": None, "largest_rho_change": None}
+        rises, falls = dict.fromkeys(HEADLINE), dict.fromkeys(HEADLINE)
+        gaps = {side: dict.fromkeys(f"{x} - {y}" for x, y in GAPS) for side in ("base", "new")}
         for where, run in todo:
             base, new = run(packages["base"]), run(packages["new"])
+            if run.keywords.get("op", {}).get("kind") == "point":
+                heads = {"base": _headline(base), "new": _headline(new)}
+                for side, head in heads.items():
+                    for x, y in GAPS:
+                        _track(gaps[side], f"{x} - {y}", head[x] - head[y], where)
+                for name, value in heads["new"].items():
+                    change = value - heads["base"][name]
+                    if change > 0.0:
+                        _track(rises, name, change, where)
+                    elif change < 0.0:
+                        _track(falls, name, change, where, -1.0)
             if repr(base) == repr(new):
                 continue
             differ.append(where)
@@ -188,7 +224,8 @@ def compare(packages: dict, ops: int | None) -> dict:
                     largest[key] = {"change": change, **where, "field": ".".join(map(str, path))}
     return {"compared": len(todo), "differ": len(differ),
             "differ_by_workload": dict(Counter(where["workload"] for where in differ)),
-            "only_rho_or_binding": only_rho_or_binding, **largest, "first_differing": differ[:_SHOWN]}
+            "only_rho_or_binding": only_rho_or_binding, **largest, "first_differing": differ[:_SHOWN],
+            "bound_rises": rises, "bound_falls": falls, "largest_gaps": gaps}
 
 
 def main(argv=None) -> int:

@@ -18,9 +18,39 @@ def packages():
 
 def test_the_working_tree_against_itself_on_two_operations(packages):
     assert packages["base"].scenario_one is not packages["new"].scenario_one
-    assert same_outputs.compare(packages, 2) == {
+    report = same_outputs.compare(packages, 2)
+    gaps = report.pop("largest_gaps")
+    assert report == {
         "compared": 2, "differ": 0, "differ_by_workload": {}, "only_rho_or_binding": 0,
-        "largest_change": None, "largest_rho_change": None, "first_differing": []}
+        "largest_change": None, "largest_rho_change": None, "first_differing": [],
+        "bound_rises": dict.fromkeys(("ub1", "ub2", "lb1", "lb2")),
+        "bound_falls": dict.fromkeys(("ub1", "ub2", "lb1", "lb2"))}
+    # the same extremes on both sides, each at one of the two points
+    assert gaps["base"] == gaps["new"]
+    assert list(gaps["new"]) == ["lb1 - ub1", "lb2 - ub2", "ub2 - ub1", "lb2 - lb1"]
+    assert all(gap["workload"] == "points" and gap["index"] in (0, 1) for gap in gaps["new"].values())
+    assert all(gap["value"] <= 1e-12 for gap in gaps["new"].values())
+
+
+def test_an_upper_bound_an_ulp_lower_is_a_fall_of_it(packages, monkeypatch):
+    # the new scenario 1 reports its upper bound one float lower on every point
+    module = packages["new"].scenario_one
+    bounds = module.bounds
+
+    def lowered(params, budget):
+        out = bounds(params, budget)
+        return dataclasses.replace(out, upper=dataclasses.replace(
+            out.upper, value=math.nextafter(out.upper.value, -math.inf)))
+
+    monkeypatch.setattr(module, "bounds", lowered)
+    report = same_outputs.compare(packages, 2)
+    assert report["bound_rises"] == dict.fromkeys(("ub1", "ub2", "lb1", "lb2"))
+    fall = report["bound_falls"].pop("ub1")
+    assert report["bound_falls"] == dict.fromkeys(("ub2", "lb1", "lb2"))
+    assert (fall["workload"], fall["seed"]) == ("points", 101) and fall["index"] in (0, 1)
+    assert -1e-15 < fall["value"] < 0.0
+    # ub2 - ub1 and lb1 - ub1 rise on the new side only
+    assert report["largest_gaps"]["new"]["ub2 - ub1"]["value"] > report["largest_gaps"]["base"]["ub2 - ub1"]["value"]
 
 
 def test_a_moved_rho_and_a_moved_value_are_told_apart(packages, monkeypatch):
