@@ -408,10 +408,10 @@ def crossing(params: ChannelParams, term: str, other, lo: float = 0.0, hi: float
     For any other ``term``, the root on [lo, hi], where term - other must
     rise: ``peak`` says where each term rises and falls.  These equations
     are cubics or quartics in rho.  Newton's method on term - other, in
-    plain floats, steps in t = -ln(1 - rho), where the log singularity of f3
-    at rho = 1 is linear, and falls back on bisection when a step leaves the
-    bracket.  For f4 - f5 against f1, f2, f3 or a level it starts from the
-    root of f4; it stops within a few floats of where the two rates meet.
+    plain floats, starts at the middle of [lo, hi], steps in
+    t = -ln(1 - rho), where the log singularity of f3 at rho = 1 is linear,
+    and falls back on bisection when a step leaves the bracket; it stops
+    within a few floats of where the two rates meet.
 
     The result is a seed, not a final answer: callers that need the float
     where the rates meet bracket it (``scalar_opt.sign_change``).  Returns
@@ -456,10 +456,7 @@ def _newton_crossing(params: ChannelParams, term: str, other, a: float, b: float
         return -math.inf
     if rise(b)[0] < 0.0:
         return math.inf
-    closed = term == "f4-f5" and (other in ("f1", "f2", "f3") or not isinstance(other, str))
-    x = crossing(params, "f4", other) if closed else math.nan
-    if not a < x < b:
-        x = 0.5 * (a + b)
+    x = 0.5 * (a + b)
     for _ in range(_NEWTON_STEPS):
         v, d = rise(x)
         if v < 0.0:

@@ -17,9 +17,12 @@ or at that meeting point.  The solver evaluates the branch at every piece
 end in one call.  It searches every piece on which the rising minimum
 starts below the minimum of the others and ends at or above it, whatever
 its ends read against the best, so an end that rounding puts an ulp low
-cannot hide the maximum: it closes a bracket, from a seed for the meeting
-point, on the two adjacent floats where "rising minimum minus the minimum
-of the others" changes sign.
+cannot hide the maximum.  There it asks the caller's ``meet`` where each
+rising term first reaches each other term that the rising minimum has
+reached at the piece's right end, on that piece alone, starts from the
+latest of the rising terms' first meetings, and closes a bracket from
+that start on the two adjacent floats where "rising minimum minus the
+minimum of the others" changes sign.
 A degenerate interval, lo == hi, is the case of one piece end: one
 evaluation at that point.
 
@@ -34,10 +37,11 @@ No randomness anywhere, so equal inputs give bitwise-equal results.
 
 ``sign_change`` locates, to adjacent floats, where a monotone predicate
 first turns true; ``maximize_min`` and ``rate_functions._edges``, which
-closes the budget cap and the link interval, use it.  Their seeds mostly
-lie within a float of the change, so its first pass covers only the seed
-and two floats either side: one call of at most 5 points, and a few more
-for a seed that misses.
+closes the budget cap and the link interval, use it.  The starts that
+Newton's steps give mostly lie within a float or two of the change, those
+of the closed forms of f4 and of the edges less often, so its first pass
+covers only the seed and two floats either side: one call of at most 5
+points, and a few more for a seed that misses.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ def maximize_min(
     branch: Branch,
     ends: Sequence[float],
     peaks: Mapping[str, float],
-    seed: Callable[[float, float, tuple[str, ...], tuple[str, ...]], float],
+    meet: Callable[[str, str, float, float], float],
 ) -> OptimizationResult:
     """Maximize the minimum of the terms of ``branch`` on [ends[0], ends[-1]].
 
@@ -105,11 +109,14 @@ def maximize_min(
     branch is evaluated at every piece end in one call.  On each piece
     [a, b], the terms peaking at b or later rise and the others do not; when
     the minimum of the rising terms starts below the others and ends at or
-    above them, ``seed(a, b, rising, others)`` estimates where it first
-    reaches them, and starts a bracket on that float (``sign_change``).
-    ``others`` holds only the terms that minimum has reached at b: one above
-    it there is above it on the whole piece, since it does not rise.  The
-    estimate may be off by many floats, or infinite, and is not asked for
+    above them, ``meet(up, other, a, b)`` estimates where the rising term
+    ``up`` first reaches ``other`` on [a, b], for each rising term and each
+    other term that minimum has reached at b: one above it there is above
+    it on the whole piece, since it does not rise.  Each rising term first
+    reaches the others where it meets the first of them, and their minimum
+    where the last of them does, so the bracket (``sign_change``) starts on
+    the largest over the rising terms of the least of their estimates.  An
+    estimate may be off by many floats, or infinite, and none is asked for
     otherwise.  Returns the best of the piece ends and the two floats around
     each meeting point, which bound the maximum when the structure holds,
     ties going to the smallest rho, with their terms from the evaluations
@@ -147,10 +154,11 @@ def maximize_min(
 
         up, down = split(at, len(cuts))
         if up[i + 1] >= down[i + 1] and not up[i] >= down[i]:
-            met = tuple(name for name in others if at[name][i + 1] <= up[i + 1])
+            met = [name for name in others if at[name][i + 1] <= up[i + 1]]
+            start = max(min(meet(term, other, a, b) for other in met) for term in rising)
             # the search's evaluations: their points, terms and two minima
             log = [(cuts, at, up, down)]
-            for x in sign_change(reached, a, b, seed(a, b, tuple(rising), met)):
+            for x in sign_change(reached, a, b, start):
                 points, terms, up, down = [e for e in log if x in e[0]][0]
                 j = points.index(x)
                 value = min(up[j], down[j])

@@ -27,6 +27,7 @@ a table to an optimum, solves each; it also returns the link interval.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -101,28 +102,23 @@ def solve(
     edges = () if link is None else (
         math.nextafter(link[0], -math.inf), link[0], link[1], math.nextafter(link[1], math.inf))
     ends = [lo, *(x for x in edges if lo < x < hi), hi]
-
-    def seed(a, b, rising, others):
-        levels = dict(fixed)
-        inside = link is not None and link[0] <= a and b <= link[1]
-        levels["indicator"] = math.inf if inside else 0.0
-        # each rising term first reaches the others where it meets the
-        # first of them, and their minimum where the last of them does
-        return max(min(_meeting(params, levels, peaks, up, other) for other in others) for up in rising)
-
-    return maximize_min(branch, ends, peaks, seed), link
+    levels = {**fixed, "indicator": 0.0}
+    return maximize_min(branch, ends, peaks, functools.partial(_meeting, params, levels)), link
 
 
-def _meeting(params: ChannelParams, levels: Mapping, peaks: Mapping, up: str, other: str) -> float:
-    """Where the rising term ``up`` meets the term ``other``, by
-    ``rate_functions.crossing``: a rho-free term by its value, any other by
-    name, and the leakage f5 that both terms may subtract cancels.  The
-    bracket of the Newton steps is where up - other rises: from the peak of
-    ``other`` to that of ``up``, both read from the solve's ``peaks``."""
-    lo, hi = max(-1.0, peaks[other]), min(1.0, peaks[up])
+def _meeting(params: ChannelParams, levels: Mapping, up: str, other: str, a: float, b: float) -> float:
+    """Where the rising term ``up`` first reaches the term ``other`` on the
+    piece [a, b], by ``rate_functions.crossing``: a rho-free term by its
+    value in ``levels``, any other by name, and the leakage f5 that both
+    terms may subtract cancels.  On a piece up rises and other does not, as
+    every peak inside the solve's interval is a piece end, so up - other
+    rises on [a, b], the bracket of the Newton steps.  ``levels`` holds the
+    indicator at 0: inside the link interval it is +inf, which no rising
+    term reaches, so the solver asks for it only on a piece that ends
+    outside the interval, where it is 0."""
     if up.endswith("-f5") and other.endswith("-f5"):
         up, other = up[:-3], other[:-3]
-    return rf.crossing(params, up, levels.get(other, other), lo, hi)
+    return rf.crossing(params, up, levels.get(other, other), a, b)
 
 
 @dataclass(frozen=True)

@@ -41,12 +41,13 @@ for the two floats around the meeting point, and reports the best of those
 floats and the piece ends; elsewhere the maximum lies at an end.  Where
 the sign change is unique, a seed decides only how many points the search
 evaluates, not what it reports.
-``scenario_one.solve`` seeds each meeting point without a kernel call, by
-``rate_functions.crossing``: where both terms subtract f5 it cancels, and f4
-against f1, f2, f3 (a quadratic) or a constant (linear) has a closed form;
-every other pair takes a few Newton steps on the bracket where the one term
-rises and the other falls.  On a plateau the solver reports the first float
-where the rising terms reach the others.  A degenerate interval, df1 at the
+``scenario_one.solve`` has the solver ask ``scenario_one._meeting`` where
+one rising term first reaches one other term on the piece being searched,
+which it answers without a kernel call, by ``rate_functions.crossing``:
+where both terms subtract f5 it cancels, and f4 against f1, f2, f3 (a
+quadratic) or a constant (linear) has a closed form; every other pair takes
+a few Newton steps on the piece.  On a plateau the solver reports the first
+float where the rising terms reach the others.  A degenerate interval, df1 at the
 budget cap or pdfm1 at rho = 0, is one piece end: one evaluation.
 """
 

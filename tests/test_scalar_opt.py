@@ -24,7 +24,7 @@ def branch(**terms):
 
 
 def never(*_):
-    """A seed for a solve that must not search for a meeting point."""
+    """A ``meet`` for a solve that must not search for a meeting point."""
     raise AssertionError("no meeting point inside the interval")
 
 
@@ -74,13 +74,13 @@ def test_searches_only_the_pieces_where_the_rising_minimum_meets_the_others():
     def right(x):
         return 2.0 - abs(x - 0.6)
 
-    def seed(a, b, rising, others):
-        calls.append((a, b, rising, others))
+    def meet(up, other, a, b):
+        calls.append((up, other, a, b))
         return 0.55
 
     three = branch(up=lin(1.0, 0.0), left=left, right=right)
-    res = maximize_min(three, (0.0, 1.0), {"up": RISES, "left": 0.2, "right": 0.6}, seed)
-    assert calls == [(0.2, 0.6, ("up", "right"), ("left",))]
+    res = maximize_min(three, (0.0, 1.0), {"up": RISES, "left": 0.2, "right": 0.6}, meet)
+    assert calls == [("up", "left", 0.2, 0.6), ("right", "left", 0.2, 0.6)]
     assert res.rho == pytest.approx(0.45, abs=1e-15)
     assert res.value == pytest.approx(0.45, abs=1e-15)
     assert res.binding == ("up", "left")
@@ -90,19 +90,19 @@ def test_an_end_an_ulp_low_by_rounding_does_not_hide_the_far_piece():
     # up is declared rising but reads one ulp lower at the cut 0.5 than at 0,
     # as rounding can make it, so 0 is the only best end; the maximum lies on
     # the far piece [0.5, 1], where up meets down at 0.725.  high falls but
-    # stays above up, so the seed is not given it
+    # stays above up, so no meeting point with it is asked for
     calls = []
 
     def up(x):
         return math.nextafter(1.0, 0.0) if x == 0.5 else max(1.0, x + 0.5)
 
-    def seed(a, b, rising, others):
-        calls.append((a, b, rising, others))
+    def meet(up, other, a, b):
+        calls.append((up, other, a, b))
         return 0.725
 
     three = branch(up=up, down=lin(-1.0, 1.95), high=lin(-1.0, 3.0))
-    res = maximize_min(three, (0.0, 0.5, 1.0), {"up": RISES}, seed)
-    assert calls == [(0.5, 1.0, ("up",), ("down",))]
+    res = maximize_min(three, (0.0, 0.5, 1.0), {"up": RISES}, meet)
+    assert calls == [("up", "down", 0.5, 1.0)]
     assert res.rho == pytest.approx(0.725, abs=1e-15)
     assert res.value == pytest.approx(1.225, abs=1e-15)
     assert res.binding == ("up", "down")

@@ -7,6 +7,7 @@ import pytest
 
 from diamond_wiretap import rate_functions as rf
 from diamond_wiretap import scenario_one as s1
+from diamond_wiretap import scenario_two as s2
 from diamond_wiretap import schemes
 from diamond_wiretap.errors import EmptyInterval
 from diamond_wiretap.rate_functions import ChannelParams, RandomnessBudget
@@ -158,8 +159,56 @@ def test_seeds_cover_every_pair_of_a_rising_and_another_term():
         for up in rising:
             for other in terms:
                 if peaks[other] < peaks[up]:
-                    seed = s1._meeting(p, {**fixed, "indicator": 0.0}, peaks, up, other)
+                    lo, hi = max(-1.0, peaks[other]), min(1.0, peaks[up])
+                    seed = s1._meeting(p, {**fixed, "indicator": 0.0}, up, other, lo, hi)
                     assert isinstance(seed, float), (name, up, other)
+
+
+def test_each_meeting_point_is_asked_for_on_its_piece_alone(monkeypatch):
+    """Over every entry of both scenarios, on drawn channels with finite and
+    unbounded budgets: each piece the solver hands ``_meeting`` lies inside
+    the solve's interval; one whose other term is the indicator ends outside
+    the link interval, where the indicator is 0, and holds none of it inside;
+    and each finite seed that Newton's steps find lies on its piece."""
+    meeting, solve, newton = s1._meeting, s1.solve, rf._newton_crossing
+    calls, steps, counts = [], [], {"calls": 0, "newton": 0, "indicator": 0}
+
+    def recorded_newton(*args):
+        steps.append(None)
+        return newton(*args)
+
+    def recorded_meeting(params, levels, up, other, a, b):
+        before = len(steps)
+        seed = meeting(params, levels, up, other, a, b)
+        calls.append((up, other, a, b, seed, len(steps) > before))
+        return seed
+
+    def checked_solve(params, name, lo, hi):
+        del calls[:]
+        opt, link = solve(params, name, lo, hi)
+        for up, other, a, b, seed, stepped in calls:
+            where = (params, name, up, other, a, b)
+            assert lo <= a < b <= hi, where
+            if other == "indicator":
+                assert link is None or b < link[0] or link[1] <= a, (where, link)
+            if stepped and math.isfinite(seed):
+                assert a <= seed <= b, (where, seed)
+            counts["calls"] += 1
+            counts["newton"] += stepped
+            counts["indicator"] += other == "indicator"
+        return opt, link
+
+    monkeypatch.setattr(s1, "_meeting", recorded_meeting)
+    monkeypatch.setattr(s1, "solve", checked_solve)
+    monkeypatch.setattr(rf, "_newton_crossing", recorded_newton)
+    rng = np.random.default_rng(43)
+    for i in range(120):
+        p = ChannelParams(float(10.0 ** rng.uniform(-2.0, 4.0)), float(10.0 ** rng.uniform(-2.0, 4.0)),
+                          float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 0.95)))
+        budget = UNBOUNDED if i % 2 else RandomnessBudget.finite(float(rng.uniform(0.0, 2.0)))
+        s1.bounds(p, budget)
+        s2.bounds(p, budget)
+    assert counts["newton"] > 100 and counts["indicator"] > 10 and counts["calls"] > counts["newton"], counts
 
 
 def test_linked_entries_are_those_with_an_indicator():
