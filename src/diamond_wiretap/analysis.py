@@ -84,9 +84,9 @@ def capacity_condition(params: ChannelParams) -> CapacityVerdict:
     from about P = 1e16.  The window is exactly where f3 - f4 changes sign
     on [0, rho*]; the crossing rho' then gives the candidate capacity
     f3(rho') - f5(rho').  One of two auxiliary inequalities must
-    additionally hold.  The verdict re-computes
-    both scenario-2 bounds and only claims ``applies`` when they agree with
-    the candidate within 1e-6 (``_CAPACITY_TOL``).
+    additionally hold.  The verdict re-computes both scenario-2 bounds and
+    only claims ``applies`` when they agree with the candidate within 1e-6
+    (``_CAPACITY_TOL``).
     """
     if not params.is_symmetric:
         raise AsymmetricParams(

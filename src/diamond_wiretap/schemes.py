@@ -47,8 +47,8 @@ which it answers without a kernel call, by ``rate_functions.crossing``:
 where both terms subtract f5 it cancels, and f4 against f1, f2, f3 (a
 quadratic) or a constant (linear) has a closed form; every other pair takes
 a few Newton steps on the piece.  On a plateau the solver reports the first
-float where the rising terms reach the others.  A degenerate interval, df1 at the
-budget cap or pdfm1 at rho = 0, is one piece end: one evaluation.
+float where the rising terms reach the others.  A degenerate interval, df1
+at the budget cap or pdfm1 at rho = 0, is one piece end: one evaluation.
 """
 
 from __future__ import annotations
