@@ -49,7 +49,7 @@ def test_an_upper_bound_an_ulp_lower_is_a_fall_of_it(packages, monkeypatch):
     assert report["bound_falls"] == dict.fromkeys(("ub2", "lb1", "lb2"))
     assert (fall["workload"], fall["seed"]) == ("points", 101) and fall["index"] in (0, 1)
     assert -1e-15 < fall["value"] < 0.0
-    # ub2 - ub1 and lb1 - ub1 rise on the new side only
+    # so ub2 - ub1 is larger on the new side
     assert report["largest_gaps"]["new"]["ub2 - ub1"]["value"] > report["largest_gaps"]["base"]["ub2 - ub1"]["value"]
 
 
