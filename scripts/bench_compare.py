@@ -35,7 +35,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from ab_compare import _export  # noqa: E402
+from same_outputs import _export  # noqa: E402
 
 # pair i runs seed _FIRST_SEED + i on both sides
 _FIRST_SEED = 101

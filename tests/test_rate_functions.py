@@ -238,9 +238,10 @@ def test_rho_star_values():
 @pytest.mark.parametrize("power", [1e-12, 1e-8, 0.01])
 def test_rho_star_is_exact_for_small_powers(power):
     # rho* = (sqrt(1 + 4k^2) - 1)/(2k) with k = P, evaluated to 50 digits
-    decimal.getcontext().prec = 50
-    k = decimal.Decimal(power)
-    exact = float(((1 + 4 * k * k).sqrt() - 1) / (2 * k))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        k = decimal.Decimal(power)
+        exact = float(((1 + 4 * k * k).sqrt() - 1) / (2 * k))
     assert abs(rf.rho_star(ChannelParams.symmetric(power, 1.0, 0.5)) - exact) <= math.ulp(exact)
 
 
@@ -250,9 +251,10 @@ EXTREME_PAIRS = [(1e154, 1e154), (1e300, 1e300), (1e300, 1e-300), (1e-300, 1e-30
 @pytest.mark.parametrize("p1, p2", EXTREME_PAIRS)
 def test_rho_star_does_not_overflow(p1, p2):
     # 4*P1*P2 overflows for P1 = P2 = 1e154, where rho* is 1 to double precision
-    decimal.getcontext().prec = 50
-    k = (decimal.Decimal(p1) * decimal.Decimal(p2)).sqrt()
-    exact = float(2 * k / (1 + (1 + 4 * k * k).sqrt()))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        k = (decimal.Decimal(p1) * decimal.Decimal(p2)).sqrt()
+        exact = float(2 * k / (1 + (1 + 4 * k * k).sqrt()))
     assert abs(rf.rho_star(ChannelParams(p1, p2, 1.0, 1.0, 0.5)) - exact) <= math.ulp(exact)
 
 
