@@ -22,18 +22,19 @@ rising term first reaches each other term that the rising minimum has
 reached at the piece's right end, on that piece alone, starts from the
 latest of the rising terms' first meetings, and closes a bracket from
 that start on the two adjacent floats where "rising minimum minus the
-minimum of the others" changes sign.
-A degenerate interval, lo == hi, is the case of one piece end: one
-evaluation at that point.
+minimum of the others" changes sign.  A degenerate interval, lo == hi, is
+one piece end: one evaluation at that point.
 
-It returns the best of a fixed set of candidates, the piece ends and, on
-each piece it searches, the two floats around the meeting point, and breaks
-ties toward the smallest argmax: on a plateau of the maximum, the first
-float where the rising terms reach the others.  Each candidate's terms,
-binding ones included, are read from the evaluation already made there.
-No other point a pass probes can decide the result, so where the sign
-change is unique the seed moves only the cost, not the reported numbers.
-No randomness anywhere, so equal inputs give bitwise-equal results.
+Each solve keeps one log of its evaluations, the piece ends' first, each
+with its points, its terms and the minimum of all the terms at each point.
+The candidates are the piece ends and, on each piece searched, the two
+floats around the meeting point.  The result is the candidate with the
+largest logged minimum, ties going to the smallest rho (on a plateau of the
+maximum, the first float where the rising terms reach the others), and its
+binding terms come from the same log entry.  No other point a pass probes
+can decide the result, so where the sign change is unique the seed moves
+only the cost, not the reported numbers.  No randomness anywhere, so equal
+inputs give bitwise-equal results.
 
 ``sign_change`` locates, to adjacent floats, where a monotone predicate
 first turns true; ``maximize_min`` and ``rate_functions._edges``, which
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from operator import ge, itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyInterval
@@ -82,17 +84,29 @@ class OptimizationResult:
     binding: tuple[str, ...]
 
 
-def _least(columns, n: int) -> list:
-    """The pointwise minimum of ``columns``, lists of values at n points."""
-    if len(columns) == 1:
-        return columns[0]
-    return [min(values) for values in zip(*columns)] if columns else [math.inf] * n
-
-
 def _binding_terms(terms: Mapping, j: int, value: float) -> tuple[str, ...]:
     """The terms within the binding tolerance of ``value`` at point ``j``."""
     tol = _BINDING_TOL * max(1.0, abs(value)) if math.isfinite(value) else 0.0
     return tuple(name for name, v in terms.items() if v[j] == value or v[j] <= value + tol)
+
+
+def _minima(columns: list) -> list:
+    """The pointwise minimum of one or more lists of values at the same points."""
+    return list(map(min, *columns)) if len(columns) > 1 else columns[0]
+
+
+def _evaluated(branch: Branch, points: list) -> tuple:
+    """A log entry: ``points``, the terms of ``branch`` there and the minimum of all of them."""
+    terms = branch(points)
+    if not terms:
+        raise EmptyInterval("a branch needs at least one term")
+    return points, terms, _minima(list(terms.values()))
+
+
+def _reached(entry: tuple, others: list) -> list:
+    """At each point of a log entry, whether the minimum of the rising terms
+    has reached that of ``others``: whether the minimum of all is theirs."""
+    return list(map(ge, entry[2], _minima([entry[1][name] for name in others])))
 
 
 def maximize_min(
@@ -101,72 +115,53 @@ def maximize_min(
     peaks: Mapping[str, float],
     meet: Callable[[str, str, float, float], float],
 ) -> OptimizationResult:
-    """Maximize the minimum of the terms of ``branch`` on [ends[0], ends[-1]].
+    """Maximize the minimum of the terms of ``branch`` on [ends[0], ends[-1]],
+    split at ``ends`` and at the peaks inside it, as the module docstring sets out.
 
     Each term named in ``peaks`` is nondecreasing up to its peak and
     nonincreasing after it; every other term is constant or nonincreasing.
-    The interval is split at ``ends`` and at the peaks inside it, and the
-    branch is evaluated at every piece end in one call.  On each piece
-    [a, b], the terms peaking at b or later rise and the others do not; when
-    the minimum of the rising terms starts below the others and ends at or
-    above them, ``meet(up, other, a, b)`` estimates where the rising term
-    ``up`` first reaches ``other`` on [a, b], for each rising term and each
-    other term that minimum has reached at b: one above it there is above
-    it on the whole piece, since it does not rise.  Each rising term first
-    reaches the others where it meets the first of them, and their minimum
-    where the last of them does, so the bracket (``sign_change``) starts on
-    the largest over the rising terms of the least of their estimates.  An
-    estimate may be off by many floats, or infinite, and none is asked for
-    otherwise.  Returns the best of the piece ends and the two floats around
-    each meeting point, which bound the maximum when the structure holds,
-    ties going to the smallest rho, with their terms from the evaluations
-    already made; no other point probed counts.  A degenerate interval,
-    ``ends = (x, x)``, is one evaluation at x.
+    On a piece [a, b] the terms peaking at b or later rise.  Where their
+    minimum starts below the others and ends at or above them, ``meet(up,
+    other, a, b)`` estimates where the rising term ``up`` first reaches
+    ``other`` on [a, b], for each rising term and each other term that
+    minimum has reached at b (one above it there is above it on the whole
+    piece, since it does not rise).  The search starts on the largest over
+    the rising terms of the least of their estimates, where the rising
+    minimum first reaches the others.  An estimate may be off by many
+    floats, or infinite, and none is asked for otherwise.  The result is
+    the candidate with the largest logged minimum, ties going to the
+    smallest rho, with its binding terms from the same log entry.
     """
     lo, hi = ends[0], ends[-1]
     if lo > hi:
         raise EmptyInterval(f"empty interval [{lo}, {hi}]")
     cuts = sorted({*ends, *(p for p in peaks.values() if lo < p < hi)})
-    at = branch(cuts)  # the terms at the piece ends
-    if not at:
-        raise EmptyInterval("a branch needs at least one term")
-    objective = _least(list(at.values()), len(cuts))
-    # the best candidate, (value, rho, terms, index), ties going to the
-    # smaller rho: first the best piece end, the first of equal ones
-    top = max(objective)
-    j = objective.index(top)
-    best = (top, cuts[j], at, j)
-
+    log = [_evaluated(branch, cuts)]  # every evaluation: its points, terms and minima
+    _, at, least = log[0]
+    # the candidates in increasing rho, as (minimum, log entry, index): the
+    # first of the largest minima is the result
+    candidates = [(least[0], 0, 0)]
     for i in range(len(cuts) - 1):
         a, b = cuts[i], cuts[i + 1]
         rising = [name for name in at if peaks.get(name, -math.inf) >= b]
         others = [name for name in at if name not in rising]
-
-        def split(terms, n):
-            """The minima of the rising terms and of the others, pointwise."""
-            return _least([terms[name] for name in rising], n), _least([terms[name] for name in others], n)
-
-        def reached(points):
-            terms = branch(points)
-            up, down = split(terms, len(points))
-            log.append((points, terms, up, down))
-            return [u >= d for u, d in zip(up, down)]
-
-        up, down = split(at, len(cuts))
-        if up[i + 1] >= down[i + 1] and not up[i] >= down[i]:
-            met = [name for name in others if at[name][i + 1] <= up[i + 1]]
+        if others and (ended := _reached(log[0], others))[i + 1] and not ended[i]:
+            up = min(at[name][i + 1] for name in rising)
+            met = [name for name in others if at[name][i + 1] <= up]
             start = max(min(meet(term, other, a, b) for other in met) for term in rising)
-            # the search's evaluations: their points, terms and two minima
-            log = [(cuts, at, up, down)]
-            for x in sign_change(reached, a, b, start):
-                points, terms, up, down = [e for e in log if x in e[0]][0]
-                j = points.index(x)
-                value = min(up[j], down[j])
-                if value > best[0] or value == best[0] and x < best[1]:
-                    best = (value, x, terms, j)
 
-    value, rho, terms, j = best
-    return OptimizationResult(rho=rho, value=value, binding=_binding_terms(terms, j, value))
+            def reached(points):
+                log.append(_evaluated(branch, points))
+                return _reached(log[-1], others)
+
+            for x in sign_change(reached, a, b, start):
+                e = next(e for e in range(len(log) - 1, -1, -1) if x in log[e][0])
+                j = log[e][0].index(x)
+                candidates.append((log[e][2][j], e, j))
+        candidates.append((least[i + 1], 0, i + 1))
+
+    value, e, j = max(candidates, key=itemgetter(0))
+    return OptimizationResult(rho=log[e][0][j], value=value, binding=_binding_terms(log[e][1], j, value))
 
 
 def _ordinal(x: float) -> int:

@@ -140,6 +140,29 @@ def test_the_result_does_not_depend_on_the_seed():
     assert runs == {OptimizationResult(rho=0.5, value=0.5, binding=("up", "level"))}
 
 
+def test_a_searched_float_that_ties_a_later_piece_end_wins_with_its_own_binding():
+    # up meets level at 0.5 on the piece [0, 0.75]; the piece ends 0.75 and 1
+    # read the same minimum 0.5, bound by level alone
+    two = branch(up=lin(1.0, 0.0), level=lin(0.0, 0.5))
+    res = maximize_min(two, (0.0, 0.75, 1.0), {"up": RISES}, lambda *_: 0.5)
+    assert res == OptimizationResult(rho=0.5, value=0.5, binding=("up", "level"))
+
+
+def test_a_piece_end_that_ties_a_later_searched_float_wins_with_its_own_binding():
+    # the rising term is flat at 0.5 and meets down at 0.75, so the piece end
+    # 0.25, bound by up alone, and both floats around 0.75 read 0.5
+    two = branch(up=lin(0.0, 0.5), down=lin(-1.0, 1.25))
+    res = maximize_min(two, (0.25, 1.0), {"up": RISES}, lambda *_: 0.75)
+    assert res == OptimizationResult(rho=0.25, value=0.5, binding=("up",))
+
+
+def test_a_searched_float_that_beats_every_piece_end():
+    # up meets down at 0.5, on the second piece; the ends read 0, 0.25 and 0
+    three = branch(up=lin(1.0, 0.0), down=lin(-1.0, 1.0), high=lin(0.0, 2.0))
+    res = maximize_min(three, (0.0, 0.25, 1.0), {"up": RISES}, lambda *_: 0.5)
+    assert res == OptimizationResult(rho=0.5, value=0.5, binding=("up", "down"))
+
+
 def test_degenerate_interval():
     # one piece end and no piece: one evaluation of the branch, at that point
     calls = []
