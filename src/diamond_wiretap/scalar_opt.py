@@ -60,11 +60,13 @@ __all__ = ["OptimizationResult", "maximize_min", "sign_change"]
 # The first pass of sign_change evaluates the seed and the _NEAR floats on
 # either side of it, enough for a seed within a float of the change; in plain
 # floats a point costs about a tenth of the fixed cost of a call of the
-# branch.  A change beyond them gets a pass of points _STRIDE times further
-# apart each (2^2, 2^5, 2^8, ... floats from the seed, on its side), and
-# every later pass splits the bracket with _SPLITS points.
+# branch.  A change beyond them gets one pass at the _STRIDE distances from
+# the seed, on its side: every float out to 6, where most misses lie, then
+# ever wider steps, each of the 2^5, 2^8, ..., 2^20 of a stride of 8 among
+# them, so that no change up to 2^20 floats away costs more calls than under
+# that stride.  Every later pass splits the bracket with _SPLITS points.
 _NEAR = 2
-_STRIDE = 8
+_STRIDE = (3, 4, 5, 6, 8, 11, 16, 32, 256, 2048, 2**14, 2**17, 2**20, 2**40, 2**62)
 _SPLITS = 8
 
 # A term counts as binding when it sits within this distance of the minimum.
@@ -187,31 +189,25 @@ def sign_change(
 
     ``reached`` maps a list of points to a list of booleans.  The first pass
     evaluates the seed and the 2 floats either side of it; a change beyond
-    them gets one pass at 2^2, 2^5, 2^8, ... floats from the seed, on its
-    side, and every later pass splits the bracket with 8 points.  A seed
-    within a float of the change costs one call of at most 5 points, one
-    up to 32 floats away two to four calls more, and every further factor
-    of 9 in its distance about one call of 8 more.
+    them gets one pass at 3, 4, 5, 6, 8, 11, 16, 32, 256, 2048, 2^14, 2^17,
+    2^20, 2^40 and 2^62 floats from the seed, on its side, and every later
+    pass splits the bracket with 8 points.  A seed within two floats of the
+    change costs one call of at most 5 points, one 3 to 6 floats away two
+    calls, one up to 32 away three or four, and every further factor of 9 in
+    its distance about one call of 8 points more.
     """
     a, b = _ordinal(lo), _ordinal(hi)
     k0 = _ordinal(min(max(seed, lo), hi)) if not math.isnan(seed) else a
     ks = list(range(max(k0 - _NEAR, a + 1), min(k0 + _NEAR, b - 1) + 1))
-    first = True
+    steps = _STRIDE  # for the first pass alone
     while ks:
         hits = reached(_floats(ks))
         i = hits.index(True) if True in hits else len(ks)
         a, b = ks[i - 1] if i else a, ks[i] if i < len(ks) else b
-        if b - a <= 1:
-            break
-        ks = []
-        if first and i in (0, len(hits)):
-            # the change lies beyond the first pass: step out from the seed
-            # on its side, _STRIDE times further each point
-            side = 2 * _NEAR if i else -2 * _NEAR
-            ks = sorted(k for k in (k0 + side * _STRIDE ** j for j in range(20)) if a < k < b)
-        first = False
+        # a first pass that misses the change steps out from the seed on its side
+        ks = sorted(k for k in (k0 + d if i else k0 - d for d in steps) if a < k < b) if i in (0, len(ks)) else []
+        steps = ()
         if not ks:
             n = min(b - a - 1, _SPLITS)
             ks = [a + (b - a) * j // (n + 1) for j in range(1, n + 1)]
-    a, b = _floats([a, b])
-    return a, b
+    return tuple(_floats([a, b]))

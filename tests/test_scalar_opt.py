@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from diamond_wiretap.errors import EmptyInterval
+from diamond_wiretap import scalar_opt
 from diamond_wiretap.scalar_opt import OptimizationResult, _floats, _ordinal, maximize_min, sign_change
 
 RISES = math.inf  # the peak of a term that rises on the whole interval
@@ -337,3 +338,39 @@ def test_a_nan_seed_finds_the_floats_of_a_brute_force_scan():
     lo, hi = _floats([ROOT_TWO - 1000, ROOT_TWO + 1000])
     reached, _ = counted(above_root_two)
     assert sign_change(reached, lo, hi, math.nan) == brute_force(above_root_two, ROOT_TWO - 1000, ROOT_TWO + 1000)
+
+
+# the step-out of a stride of 8: 4, 32, 256, ... floats from the seed
+STRIDE_OF_EIGHT = tuple(4 * 8**j for j in range(20))
+
+
+def calls_and_points(k):
+    """The calls and points of ``sign_change`` on [0.25, 0.75] from the seed
+    0.5, for a predicate that turns true k floats past the seed."""
+    change = _floats([_ordinal(0.5) + k])[0]
+    reached, calls = counted(lambda x: x >= change)
+    assert sign_change(reached, 0.25, 0.75, 0.5) == (math.nextafter(change, 0.0), change)
+    return len(calls), sum(calls)
+
+
+def total(ks):
+    """The calls and the points of ``calls_and_points`` summed over ``ks``."""
+    costs = [calls_and_points(k) for k in ks]
+    return sum(c for c, _ in costs), sum(p for _, p in costs)
+
+
+def test_a_seed_three_to_ten_floats_off_costs_at_most_twenty_calls_and_160_points(monkeypatch):
+    calls, points = total(range(3, 11))
+    assert calls <= 20 and points <= 160
+    monkeypatch.setattr(scalar_opt, "_STRIDE", STRIDE_OF_EIGHT)
+    assert total(range(3, 11)) == (30, 238)
+
+
+def test_no_change_up_to_two_to_the_twenty_floats_away_costs_more_calls_than_a_stride_of_eight(monkeypatch):
+    # every distance up to 4096, every one within two floats of a step of
+    # either step-out, and every 1009th beyond
+    steps = [s + d for s in (*scalar_opt._STRIDE, *STRIDE_OF_EIGHT) if s <= 2**20 for d in range(-2, 3)]
+    ks = sorted({*range(3, 4097), *range(4097, 2**20 + 1, 1009), *(k for k in steps if 3 <= k <= 2**20)})
+    now = [calls_and_points(k)[0] for k in ks]
+    monkeypatch.setattr(scalar_opt, "_STRIDE", STRIDE_OF_EIGHT)
+    assert [k for k, calls in zip(ks, now) if calls > calls_and_points(k)[0]] == []
