@@ -70,17 +70,14 @@ class Entry:
 
     names: tuple[str, ...]
     uses: tuple[str, ...] = field(init=False)
+    linked: bool = field(init=False)  # whether a term is the indicator of the link conditions
     _sums: tuple = field(init=False, repr=False, compare=False)  # per term: (name, rate, weight, other pairs)
 
     def __post_init__(self) -> None:
         weights = {name: tuple(rf.TERMS[name].items()) for name in self.names}
         object.__setattr__(self, "_sums", tuple((name, *w[0], w[1:]) for name, w in weights.items()))
         object.__setattr__(self, "uses", tuple(sorted({rate for w in weights.values() for rate, _ in w})))
-
-    @property
-    def linked(self) -> bool:
-        """Whether the terms include the indicator of the link conditions."""
-        return "indicator" in self.uses
+        object.__setattr__(self, "linked", "indicator" in self.uses)
 
     def terms(self, r: Mapping) -> dict:
         """``{name: value}`` in binding order from the rates ``r``: each term
