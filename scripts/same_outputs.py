@@ -52,12 +52,12 @@ largest ``lb1 - ub1``, ``lb2 - ub2``, ``ub2 - ub1`` and ``lb2 - lb1``, each
 with where it occurred: a lower bound above its upper bound, or scenario 2
 above scenario 1, breaks an invariant of the bounds.  Its ``timing`` holds
 one block for each of ``points``, ``analysis``, ``sweep``, ``readme``,
-``corpus`` and ``thresholds``: the median of the first round's ratios
-new/base of that workload and their quartiles, the operations on which the
-new version was faster in it, both CPU totals of it, and for each kind of
-operation its count, its number of ratios and their median: ``analysis``
-mixes kinds whose costs differ about 20-fold, so one median hides which
-kind moved.
+``corpus`` and ``thresholds``: the median of all the ratios new/base that
+workload took, the scarce kinds' repeats included, and their quartiles, the
+operations on which the new version was faster in the first round, both
+CPU totals of that round, and for each kind of operation its count, its
+number of ratios and their median: ``analysis`` mixes kinds whose costs
+differ about 20-fold, so one median hides which kind moved.
 """
 
 from __future__ import annotations
@@ -288,12 +288,12 @@ def _timing(groups: dict, samples: list) -> dict:
     timing = {}
     for workload, kinds in groups.items():
         first = [samples[i][0] for of in kinds.values() for i in of]
-        ratios = [new / base for base, new in first]
-        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
         of_kind = {kind: [new / base for i in of for base, new in samples[i]] for kind, of in kinds.items()}
+        ratios = [ratio for of in of_kind.values() for ratio in of]
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
         timing[workload] = {
             "ops": len(first), "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
-            "new_wins": sum(ratio < 1.0 for ratio in ratios),
+            "new_wins": sum(new < base for base, new in first),
             "base_cpu_s": sum(base for base, _ in first), "new_cpu_s": sum(new for _, new in first),
             "kinds": {kind: {"ops": len(kinds[kind]), "ratios": len(of), "ratio_median": statistics.median(of)}
                       for kind, of in of_kind.items()}}
