@@ -204,8 +204,10 @@ def sign_change(
         hits = reached(_floats(ks))
         i = hits.index(True) if True in hits else len(ks)
         a, b = ks[i - 1] if i else a, ks[i] if i < len(ks) else b
+        if b - a <= 1:
+            break
         # a first pass that misses the change steps out from the seed on its side
-        ks = sorted(k for k in (k0 + d if i else k0 - d for d in steps) if a < k < b) if i in (0, len(ks)) else []
+        ks = sorted(k for k in (k0 + d if i else k0 - d for d in steps) if a < k < b)
         steps = ()
         if not ks:
             n = min(b - a - 1, _SPLITS)
