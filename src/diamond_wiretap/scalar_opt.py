@@ -61,10 +61,10 @@ __all__ = ["OptimizationResult", "maximize_min", "sign_change"]
 # either side of it, enough for a seed within a float of the change; in plain
 # floats a point costs about a tenth of the fixed cost of a call of the
 # branch.  A change beyond them gets one pass at the _STRIDE distances from
-# the seed, on its side: every float out to 6, where most misses lie, then
-# ever wider steps, each of the 2^5, 2^8, ..., 2^20 of a stride of 8 among
-# them, so that no change up to 2^20 floats away costs more calls than under
-# that stride.  Every later pass splits the bracket with _SPLITS points.
+# the seed, on its side: 3 to 6 floats one by one, then 8, 11 and 16, where
+# most misses lie, then ever wider steps that hold the 2^5, 2^8, ..., 2^20 of
+# a stride of 8, so that no change up to 2^20 floats away costs more calls
+# than that stride would.  Every later pass splits the bracket with _SPLITS points.
 _NEAR = 2
 _STRIDE = (3, 4, 5, 6, 8, 11, 16, 32, 256, 2048, 2**14, 2**17, 2**20, 2**40, 2**62)
 _SPLITS = 8
@@ -107,7 +107,7 @@ def _evaluated(branch: Branch, points: list) -> tuple:
 
 def _reached(entry: tuple, others: list) -> list:
     """At each point of a log entry, whether the minimum of the rising terms
-    has reached that of ``others``: whether the minimum of all is theirs."""
+    has reached that of ``others``: whether the minimum of all reaches it."""
     return list(map(ge, entry[2], _minima([entry[1][name] for name in others])))
 
 
@@ -157,7 +157,7 @@ def maximize_min(
                 return _reached(log[-1], others)
 
             for x in sign_change(reached, a, b, start):
-                e = next(e for e in range(len(log) - 1, -1, -1) if x in log[e][0])
+                e = next(e for e, entry in enumerate(log) if x in entry[0])
                 j = log[e][0].index(x)
                 candidates.append((log[e][2][j], e, j))
         candidates.append((least[i + 1], 0, i + 1))
