@@ -19,14 +19,24 @@ runs on a fixed corpus of 60 calls (``thresholds_corpus``): powers in
 10^[-2, 2], g in [0, 0.95], both scenarios, the default scheme groups on
 two calls in five and a drawn split of the scenario's schemes on the rest,
 budgets that cycle through inf, 0 and one drawn in [0, 2], and grids of 2,
-3, 121 and 2001 points in turn.
+3, 121 and 2001 points in turn.  Last, ``link_interval`` and ``f5_inverse``
+run on a fixed corpus of 10,000 channels (``edges``), one operation each,
+whose output is the pair of the link interval on [lo, hi] and the budget
+cap: channels where the float edges of both are rounding noise, which the
+workloads never reach.  Powers lie in 10^[-12, 15], every 5th pair of them
+at a ratio of 1 + 10^[-12, -1]; g is 0.99*10^[-18, 0] on 2 of 3 draws, else
+drawn in [0, 0.99]; C1 and C2 are each 10^[-18, 0.7] on 4 draws of 5, else
+drawn in [0, 5]; [lo, hi] cycles through [-1, 1], [-1, 0], [0, 1] and
+[-1, u] for a u drawn in [-1, 1]; r' is 0, 10^[-18, 1] or drawn in [0, 3],
+each on a third of the draws.
 
 Every call is timed in CPU time (``time.process_time``), after one untimed
 call of the first operation on each side, and the version that runs first
 alternates from operation to operation.  One process sees the host's speed
 swings on both sides alike, which separate benchmark processes do not.  The
 kind of an operation is its ``perfbench/workloads`` kind, "readme" for a
-README invocation and "thresholds" for a call of the thresholds corpus.
+README invocation, "thresholds" for a call of the thresholds corpus and
+"edges" for a channel of the edge corpus.
 After the first round, the operations of each workload's kinds with fewer
 than 20 operations run again, in turn and alternating the same way, until
 that kind has 20 ratios new/base: the five seeds of ``analysis`` hold five
@@ -40,8 +50,8 @@ code, standard output and standard error), those counts per workload, and
 the first few that differ, each as its workload, seed and index in that
 seed's list; a README invocation as "readme", None and its index in
 ``README``, a channel of the corpus as "corpus", None and its index in it,
-and a call of the thresholds corpus as "thresholds", None and its index in
-it.  Among the differing operations it also gives the largest absolute
+a call of the thresholds corpus as "thresholds", None and its index in it,
+and a channel of the edge corpus as "edges", None and its index in it.  Among the differing operations it also gives the largest absolute
 change of any number in an output and, apart, of any field named ``rho``,
 each with where it occurred and the field's path, and how many operations
 differ only in fields named ``rho`` or ``binding``.  Over every ``point``
@@ -52,7 +62,7 @@ largest ``lb1 - ub1``, ``lb2 - ub2``, ``ub2 - ub1`` and ``lb2 - lb1``, each
 with where it occurred: a lower bound above its upper bound, or scenario 2
 above scenario 1, breaks an invariant of the bounds.  Its ``timing`` holds
 one block for each of ``points``, ``analysis``, ``sweep``, ``readme``,
-``corpus`` and ``thresholds``: the median of all the ratios new/base that
+``corpus``, ``thresholds`` and ``edges``: the median of all the ratios new/base that
 workload took, the scarce kinds' repeats included, and their quartiles, the
 operations on which the new version was faster in the first round, both
 CPU totals of that round, and for each kind of operation its count, its
@@ -109,7 +119,7 @@ _SHOWN = 10
 # the fewest ratios new/base taken of each kind of operation of a workload
 KIND_RATIOS = 20
 # the submodules that the operations call
-_SUBMODULES = ("scenario_one", "scenario_two", "analysis", "oracles", "cli")
+_SUBMODULES = ("rate_functions", "scenario_one", "scenario_two", "analysis", "oracles", "cli")
 # the order of the two versions on even turns; odd turns run it reversed
 _SIDES = ("base", "new")
 # the channels of the corpus, and the seed of their draw
@@ -118,6 +128,9 @@ CORPUS_SEED = 7919
 # the calls of the thresholds corpus, and the seed of their draw
 THRESHOLDS = 60
 THRESHOLDS_SEED = 7927
+# the channels of the edge corpus, and the seed of their draw
+EDGES = 10000
+EDGES_SEED = 7933
 # the headline bounds of a point operation, and the differences of them
 # whose largest value each side reports
 HEADLINE = ("ub1", "ub2", "lb1", "lb2")
@@ -224,6 +237,30 @@ def _thresholds(pkg, call: dict):
     return pkg.analysis.detect_thresholds(budget=pkg.RandomnessBudget(kwargs.pop("r_prime")), **kwargs)
 
 
+def edges_corpus() -> list[dict]:
+    """The edge corpus of the module docstring, each channel as its fields
+    in order (``params``), the ends ``lo`` and ``hi`` of its link interval's
+    range and its budget ``r_prime``."""
+    rng = random.Random(EDGES_SEED)
+    calls = []
+    for i in range(EDGES):
+        p1 = 10.0 ** rng.uniform(-12.0, 15.0)
+        p2 = p1 * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0)) if i % 5 == 0 else 10.0 ** rng.uniform(-12.0, 15.0)
+        g = 0.99 * 10.0 ** rng.uniform(-18.0, 0.0) if i % 3 < 2 else rng.uniform(0.0, 0.99)
+        c1, c2 = (10.0 ** rng.uniform(-18.0, 0.7) if rng.random() < 0.8 else rng.uniform(0.0, 5.0) for _ in "12")
+        lo, hi = ((-1.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (-1.0, rng.uniform(-1.0, 1.0)))[i % 4]
+        r_prime = (0.0, 10.0 ** rng.uniform(-18.0, 1.0), rng.uniform(0.0, 3.0))[rng.randrange(3)]
+        calls.append({"params": (p1, p2, c1, c2, g), "lo": lo, "hi": hi, "r_prime": r_prime})
+    return calls
+
+
+def _link_and_cap(pkg, call: dict):
+    """The link interval and the budget cap of the package ``pkg`` on one channel of ``edges_corpus``."""
+    params = pkg.ChannelParams(*call["params"])
+    return (pkg.rate_functions.link_interval(params, call["lo"], call["hi"]),
+            pkg.rate_functions.f5_inverse(params, pkg.RandomnessBudget(call["r_prime"])))
+
+
 def _leaves(out, path=()):
     """The leaves of an output as (path, value): a dataclass's fields and a
     mapping's items by name, a sequence's items by index, and a tuple of
@@ -318,6 +355,8 @@ def compare(packages: dict, ops: int | None) -> dict:
                  for i, op in enumerate(corpus(packages["new"].ChannelParams))]
         todo += [({"workload": "thresholds", "seed": None, "index": i}, "thresholds", partial(_thresholds, call=call))
                  for i, call in enumerate(thresholds_corpus())]
+        todo += [({"workload": "edges", "seed": None, "index": i}, "edges", partial(_link_and_cap, call=call))
+                 for i, call in enumerate(edges_corpus())]
         todo = todo[:ops]
         for side in _SIDES:  # untimed
             todo[0][2](packages[side])

@@ -128,6 +128,24 @@ def test_a_moved_rho_and_a_moved_value_are_told_apart(packages, monkeypatch):
     assert 0.0 < report["largest_rho_change"]["change"] < 1e-15
 
 
+def test_the_edge_corpus_is_a_fixed_draw_of_valid_channels(packages):
+    calls = same_outputs.edges_corpus()
+    assert len(calls) == same_outputs.EDGES == 10_000 and calls == same_outputs.edges_corpus()
+    for i, call in enumerate(calls):
+        p1, p2, c1, c2, g = dataclasses.astuple(packages["new"].ChannelParams(*call["params"]))
+        assert 1e-12 <= p1 <= 1e15 and 0.0 <= g < 0.99 * (1.0 + 1e-15) and max(c1, c2) <= 10.0 ** 0.7
+        assert -1.0 <= call["lo"] <= call["hi"] <= 1.0 and 0.0 <= call["r_prime"] <= 10.0
+        assert i % 5 or 1.0 + 1e-12 * (1.0 - 1e-9) <= p2 / p1 <= 1.1 * (1.0 + 1e-15)
+    assert {(call["lo"], call["hi"]) for call in calls[:3]} == {(-1.0, 1.0), (-1.0, 0.0), (0.0, 1.0)}
+
+
+def test_an_edge_operation_is_a_link_interval_and_a_budget_cap(packages):
+    for call in same_outputs.edges_corpus()[:200]:
+        interval, cap = same_outputs._link_and_cap(packages["new"], call)
+        assert interval is None or call["lo"] <= interval[0] <= interval[1] <= call["hi"]
+        assert cap is None or -1.0 <= cap <= 1.0
+
+
 def test_a_binding_is_one_leaf_and_a_changed_shape_no_number():
     report = same_outputs._moves({"binding": ("f1", "f2"), "rho": 0.5}, {"binding": ("f1",), "rho": 0.25})
     assert report == [(("binding",), None), (("rho",), 0.25)]
