@@ -694,3 +694,41 @@ def _check_link_interval(p, lo, hi):
     assert first == lo or not holds(math.nextafter(first, -math.inf))
     assert last == hi or not holds(math.nextafter(last, math.inf))
     assert np.array_equal(holds(grid), (grid >= first) & (grid <= last))
+
+
+def _up(x, n):
+    """The float ``n`` floats above ``x`` (below for negative ``n``)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+# (lo, hi, a, b, left, right): the test holds on [a, b] and the closed form
+# puts its interval at (left, right), up to rounding or worse
+EDGE_CASES = {
+    "covering lo": (-1.0, 1.0, -2.0, 0.3, -math.inf, _up(0.3, 1)),
+    "covering hi": (-1.0, 1.0, -0.2, 2.0, _up(-0.2, -1), math.inf),
+    "inside": (-1.0, 1.0, -0.25, 0.5, _up(-0.25, 7), _up(0.5, -40)),
+    "nowhere": (-1.0, 1.0, 2.0, 3.0, -math.inf, -math.inf),
+    "beyond hi": (-1.0, 1.0, 1.5, 2.0, 1.5, 2.0),
+    "midpoint misses, lo holds": (-1.0, 1.0, -1.0, -0.9, -math.inf, 0.8),
+    "sliver left of the midpoint": (-1.0, 1.0, -0.5, _up(-0.5, 2), _up(-0.5, 3), _up(-0.5, 5)),
+    "lo == hi, holding": (0.25, 0.25, 0.0, 0.5, 0.2, 0.3),
+    "lo == hi, failing": (0.25, 0.25, 0.3, 0.5, 0.3, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_edges_are_the_first_and_last_floats_where_the_test_holds(case):
+    lo, hi, a, b, left, right = EDGE_CASES[case]
+    calls = []
+
+    def test(xs):
+        calls.append(list(xs))
+        return [a <= x <= b for x in xs]
+
+    edges = rf._edges(test, lo, hi, left, right)
+    first, last = max(a, lo), min(b, hi)
+    assert edges == ((first, last) if first <= last else None)
+    if case == "beyond hi":
+        assert len(calls) == 1  # one probe finds the interval beyond hi
