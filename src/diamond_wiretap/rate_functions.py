@@ -526,31 +526,24 @@ def _edges(test, lo: float, hi: float, left: float, right: float) -> tuple[float
     """The first and last floats of [lo, hi] at which ``test``, a map from a
     list of points to a list of booleans, holds; None where it holds at none.
     It holds on one interval, whose ends the closed form puts at ``left``
-    and ``right`` up to rounding (``_below``), so the test decides: it
-    checks lo and hi wherever the closed form puts an end at or past them,
-    and ``scalar_opt.sign_change``, seeded by the closed form, closes each
-    end inside on adjacent floats."""
-    seen = {}
-
-    def holds(xs):
-        ok = test(xs)
-        seen.update(zip(xs, ok))
-        return ok
-
-    edges = [x for x, past in ((lo, left <= lo), (hi, right >= hi)) if past]
-    if edges:
-        holds(edges)
-    if (right <= lo and not seen[lo]) or (left >= hi and not seen[hi]):
-        return None  # the interval lies beyond lo or hi
-    first, last = lo, hi
-    if not seen.get(lo):
-        # past a point well inside the interval the test counts as met, so
-        # that it turns true once, at the first float of the interval
-        inside = 0.5 * (max(left, lo) + min(right, hi))
-        _, first = sign_change(lambda xs: [ok or x >= inside for ok, x in zip(holds(xs), xs)],
-                               math.nextafter(lo, -math.inf), hi, left)
-        if not seen.get(first):
+    and ``right`` up to rounding (``_below``), so the test decides.  One
+    call reads lo, hi and ``inside``, the middle of the closed form's
+    interval within [lo, hi].  From the first of them that holds,
+    ``scalar_opt.sign_change``, seeded by the closed form, closes each end
+    between floats already read; where none holds, one search from lo finds
+    an interval that ends before ``inside``."""
+    inside = min(max(0.5 * (max(left, lo) + min(right, hi)), lo), hi)
+    at_inside, at_lo, at_hi = test([inside, lo, hi])
+    if at_inside or at_lo or at_hi:
+        anchor = inside if at_inside else lo if at_lo else hi
+        first = lo if at_lo else sign_change(test, lo, anchor, left)[1]
+    elif lo < inside < hi:
+        # past inside the test counts as met, so that it turns true once, at
+        # the first float of an interval before inside, or at inside itself
+        first = anchor = sign_change(lambda xs: [ok or x >= inside for ok, x in zip(test(xs), xs)], lo, inside, left)[1]
+        if first == inside:
             return None
-    if not seen.get(hi):
-        last, _ = sign_change(lambda xs: [not ok for ok in holds(xs)], first, math.nextafter(hi, math.inf), right)
+    else:
+        return None
+    last = hi if at_hi else sign_change(lambda xs: [not ok for ok in test(xs)], anchor, hi, right)[0]
     return first, last
