@@ -206,6 +206,12 @@ def dmc_rates(channel: DmcChannel, input_pmf: np.ndarray, c1: float, c2: float) 
     return DmcRates(**rates, r_prime=r["f5"], mi=mi)
 
 
+def _flags(value) -> bool:
+    """Whether a JSON value holds a true or a false anywhere."""
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return isinstance(value, bool) or any(map(_flags, items))
+
+
 def load_dmc(path: str) -> tuple[DmcChannel, np.ndarray, float, float]:
     """Read a channel document: alphabet_sizes, transition, input_pmf, c1, c2.
 
@@ -222,13 +228,14 @@ def load_dmc(path: str) -> tuple[DmcChannel, np.ndarray, float, float]:
         sizes, trans, pin, c1, c2 = values = [np.asarray(doc[field]) for field in fields]
     except ValueError as exc:  # lists of unequal lengths
         raise InvalidPmf(f"channel document has lists of unequal lengths: {exc}") from exc
-    # a string, a null, an object or an integer beyond 64 bits is no number here
-    if any(value.dtype.kind not in "biuf" for value in values) or c1.shape or c2.shape:
+    # a string, a null, true, false, an object or an integer beyond 64 bits
+    # is no number here; numpy would read a true among numbers as 1
+    if _flags(doc) or any(value.dtype.kind not in "iuf" for value in values) or c1.shape or c2.shape:
         raise InvalidPmf("channel document needs a number for c1 and for c2, and numbers in the other fields")
     if sizes.shape != (4,) or not np.all(np.isfinite(sizes) & (sizes >= 1) & (sizes == np.floor(sizes))):
         raise InvalidPmf(f"alphabet_sizes needs four positive integers, got {doc['alphabet_sizes']!r}")
     n1, n2, ny, nz = (int(n) for n in sizes)
-    trans, pin, c1, c2 = trans.astype(float), pin.astype(float), float(c1), float(c2)
+    trans, pin, c1, c2 = trans.astype(float), pin.astype(float), float(c1) + 0.0, float(c2) + 0.0
     if trans.size != n1 * n2 * ny * nz:
         raise InvalidPmf(f"transition has {trans.size} entries, expected {n1 * n2 * ny * nz}")
     if pin.size != n1 * n2:

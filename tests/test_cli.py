@@ -464,6 +464,9 @@ def test_dmc_command(capsys, tmp_path):
     assert float(fields["pdfm1"]) == pytest.approx(2.0, abs=1e-9)
     assert float(fields["df2"]) == pytest.approx(2.0, abs=1e-9)
     assert float(fields["rprime"]) == pytest.approx(0.0, abs=1e-12)
+    # a capacity of -0 reads as 0
+    path.write_text(json.dumps({**doc, "c1": -0.0}))
+    assert kv(run(capsys, "dmc", "--file", str(path))[1])["c1"] == "0"
 
 
 def test_dmc_missing_and_malformed_file(capsys, tmp_path):
@@ -481,6 +484,26 @@ def test_dmc_missing_and_malformed_file(capsys, tmp_path):
         bad.write_text(json.dumps(doc))
         rc, out, err = run(capsys, "dmc", "--file", str(bad))
         assert (rc, out) == (1, "") and err.startswith("error:"), (doc, err)
+
+
+def test_dmc_rejects_true_and_false_anywhere_in_the_document(capsys, tmp_path):
+    # a valid channel with one input pair; numpy would read each true as 1
+    good = {"alphabet_sizes": [1, 1, 2, 1], "transition": [0.5, 0.5], "input_pmf": [1.0], "c1": 1.0, "c2": 1.0}
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(good))
+    assert run(capsys, "dmc", "--file", str(path))[0] == 0
+    for doc in ({**good, "c1": True}, {**good, "c2": False}, {**good, "alphabet_sizes": [True, 1, 2, 1]},
+                {**good, "input_pmf": [True]}, {**good, "note": {"flags": [1, True]}}):
+        path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "dmc", "--file", str(path))
+        assert (rc, out) == (1, "") and err.startswith("error: channel document needs a number"), doc
+
+
+def test_eval_prints_a_minus_zero_input_as_zero(capsys):
+    rc, out, _ = run(capsys, "eval", "--p", "10", "--c", "-0", "--g", "-0", "--rprime", "-0")
+    fields = kv(out)
+    assert rc == 0 and [fields[name] for name in ("c1", "c2", "g", "rprime")] == ["0"] * 4
+    assert out == run(capsys, "eval", "--p", "10", "--c", "0", "--g", "0", "--rprime", "0")[1]
 
 
 def test_dmc_non_finite_capacity_exits_1(capsys, tmp_path):

@@ -59,6 +59,17 @@ def test_params_validation():
     ChannelParams(p1=1.0, p2=1.0, c1=0.0, c2=0.0, g=0.0)
 
 
+def test_flags_are_no_numbers_and_minus_zero_is_stored_as_zero():
+    with pytest.raises(ParameterError, match="c1 must be a finite number"):
+        ChannelParams(2.0, 2.0, True, 0.0, 0.1)
+    with pytest.raises(ParameterError, match="p1 must be a finite number"):
+        ChannelParams(True, 2, True, 0, False)
+    with pytest.raises(ParameterError, match="r_prime must be a number"):
+        RandomnessBudget(True)
+    p, budget = ChannelParams(1.0, 1.0, -0.0, -0.0, -0.0), RandomnessBudget(-0.0)
+    assert all(math.copysign(1.0, v) == 1.0 for v in (p.c1, p.c2, p.g, budget.r_prime))
+
+
 def test_symmetric_constructor():
     p = ChannelParams.symmetric(10.0, 1.5, 0.1)
     assert p.p1 == p.p2 == 10.0
