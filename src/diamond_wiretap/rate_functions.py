@@ -375,7 +375,8 @@ def _below(params: ChannelParams, w: float, e: float, u: float, v: float) -> tup
     coefficients are scaled by a power of two that brings the largest into
     [1/2, 1), so that b*b - a*c neither overflows nor underflows.  (-inf,
     inf) where 2^(2e) or a coefficient overflows, (-inf, -inf) where the
-    inequality holds nowhere; the ends carry rounding (``_edges``)."""
+    inequality holds nowhere.  The ends carry rounding, so ``_edges`` only
+    probes their middle and seeds its searches with them."""
     if 2.0 * e >= 1024.0:
         return -math.inf, math.inf
     big = 2.0 ** (2.0 * e)

@@ -38,11 +38,12 @@ inputs give bitwise-equal results.
 
 ``sign_change`` locates, to adjacent floats, where a monotone predicate
 first turns true; ``maximize_min`` and ``rate_functions._edges``, which
-closes the budget cap and the link interval, use it.  The starts that
-Newton's steps give mostly lie within a float or two of the change, those
-of the closed forms of f4 and of the edges less often, so its first pass
-covers only the seed and two floats either side: one call of at most 5
-points, and a few more for a seed that misses.
+closes the budget cap and the link interval between floats it has
+evaluated, use it.  The starts that Newton's steps give mostly lie within
+a float or two of the change, those of the closed forms of f4 and of the
+edges less often, so its first pass covers only the seed and two floats
+either side: one call of at most 5 points, and a few more for a seed that
+misses.
 """
 
 from __future__ import annotations
