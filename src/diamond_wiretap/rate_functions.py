@@ -87,7 +87,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "c1", "c2", "g"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            if not isinstance(v, (int, float)) or v is True or v is False or not math.isfinite(v):
                 raise ParameterError(f"{name} must be a finite number, got {v!r}")
             object.__setattr__(self, name, float(v) + 0.0)  # -0.0 as 0.0
         if self.p1 <= 0 or self.p2 <= 0:
@@ -121,7 +121,7 @@ class RandomnessBudget:
 
     def __post_init__(self) -> None:
         v = self.r_prime
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or math.isnan(v):
+        if not isinstance(v, (int, float)) or v is True or v is False or math.isnan(v):
             raise ParameterError(f"r_prime must be a number, got {v!r}")
         if v < 0:
             raise ParameterError(f"r_prime must be nonnegative, got {v}")
