@@ -51,9 +51,10 @@ the first few that differ, each as its workload, seed and index in that
 seed's list; a README invocation as "readme", None and its index in
 ``README``, a channel of the corpus as "corpus", None and its index in it,
 a call of the thresholds corpus as "thresholds", None and its index in it,
-and a channel of the edge corpus as "edges", None and its index in it.  Among the differing operations it also gives the largest absolute
-change of any number in an output and, apart, of any field named ``rho``,
-each with where it occurred and the field's path, and how many operations
+and a channel of the edge corpus as "edges", None and its index in it.
+Among the differing operations it also gives the largest absolute change
+of any number in an output and, apart, of any field named ``rho``, each
+with where it occurred and the field's path, and how many operations
 differ only in fields named ``rho`` or ``binding``.  Over every ``point``
 operation, of the workloads and of the corpus, it gives the largest rise and
 the largest fall, new - base, of the headline bounds ``ub1``, ``ub2``,
@@ -62,12 +63,12 @@ largest ``lb1 - ub1``, ``lb2 - ub2``, ``ub2 - ub1`` and ``lb2 - lb1``, each
 with where it occurred: a lower bound above its upper bound, or scenario 2
 above scenario 1, breaks an invariant of the bounds.  Its ``timing`` holds
 one block for each of ``points``, ``analysis``, ``sweep``, ``readme``,
-``corpus``, ``thresholds`` and ``edges``: the median of all the ratios new/base that
-workload took, the scarce kinds' repeats included, and their quartiles, the
-operations on which the new version was faster in the first round, both
-CPU totals of that round, and for each kind of operation its count, its
-number of ratios and their median: ``analysis`` mixes kinds whose costs
-differ about 20-fold, so one median hides which kind moved.
+``corpus``, ``thresholds`` and ``edges``: the median of all the ratios
+new/base that workload took, the scarce kinds' repeats included, and their
+quartiles, the operations on which the new version was faster in the first
+round, both CPU totals of that round, and for each kind of operation its
+count, its number of ratios and their median: ``analysis`` mixes kinds
+whose costs differ about 20-fold, so one median hides which kind moved.
 """
 
 from __future__ import annotations
