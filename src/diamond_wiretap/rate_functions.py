@@ -24,15 +24,16 @@ where s(rho) >= s(-1) = (sqrt(P1) - sqrt(P2))^2 >= 0.  sqrt(P1*P2) is taken
 as sqrt(P1)*sqrt(P2) wherever P1*P2 would overflow or underflow.
 
 Each rate is written once, as the text of one expression in q = 1 - rho^2
-and s(rho) (``_TEXT``).  That text is compiled twice: here into the scalar
-forms ``_FORMS``, which ``rates``, the crossing seeds and scenario 2's T1
-call, and in ``schemes`` into one loop per table entry.  Values are plain
-floats (``math``, no numpy); f3 is -inf at |rho| = 1, which ``min`` keeps and
-``max`` drops.
+and s(rho) (``_TEXT``), each term as weights (``TERMS``) summed by one rule
+(``_sum``), and only this module compiles them: the scalar forms ``_FORMS``
+at import, and on first use a tuple of terms' sums (``term_sums``) and loop
+over points (``term_loop``).  Values are plain floats (``math``, no numpy);
+f3 is -inf at |rho| = 1, which ``min`` keeps and ``max`` drops.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -45,6 +46,8 @@ __all__ = [
     "ChannelParams",
     "RandomnessBudget",
     "TERMS",
+    "term_sums",
+    "term_loop",
     "f1",
     "f2",
     "f3",
@@ -202,11 +205,11 @@ def _points(rho, names):
 
 
 def _compiled(source: str, filename: str) -> dict:
-    """The names defined by ``source``, code that this package writes from
-    ``_TEXT`` (no input reaches it), run beside what the forms read
-    (``log2``, ``inf``, ``link_indicator``) and ``_points`` as ``points``;
-    ``filename`` names it in tracebacks."""
-    namespace = {"log2": math.log2, "inf": math.inf, "link_indicator": link_indicator, "points": _points}
+    """The names defined by ``source``, code that this module writes from
+    ``_TEXT`` and ``TERMS`` (no input reaches it), run beside what the forms
+    read (``log2``, ``inf``, ``link_indicator``), ``_points`` as ``points``
+    and ``_atoms``; ``filename`` names it in tracebacks."""
+    namespace = dict(log2=math.log2, inf=math.inf, link_indicator=link_indicator, points=_points, _atoms=_atoms)
     exec(compile(source, filename, "exec"), namespace)
     return namespace
 
@@ -229,6 +232,46 @@ def rates(params: ChannelParams, rho, names) -> dict:
         return {name: _FORMS[name](params, q, s) for name in names}
     pairs = list(map(_atoms(params), xs))
     return {name: [_FORMS[name](params, q, s) for q, s in pairs] for name in names}
+
+
+def _sum(weights: dict, read) -> str:
+    """The text of the sum of ``weights`` times the rates, rate u read as
+    ``read(u)``: a weight of 1 or -1 adds or subtracts, any other multiplies."""
+    text = " ".join(f"+ {read(u)}" if c == 1.0 else f"- {read(u)}" if c == -1.0 else f"+ {c!r} * {read(u)}"
+                    for u, c in weights.items())
+    return text.removeprefix("+ ")
+
+
+@functools.cache
+def term_sums(names: tuple[str, ...]):
+    """``terms(r)`` for the terms ``names`` of ``TERMS``, compiled on first
+    use: ``{name: value}`` in that order, from rates as floats or numpy arrays."""
+    body = ", ".join(f"{term!r}: {_sum(TERMS[term], lambda u: f'r[{u!r}]')}" for term in names)
+    return _compiled(f"def terms(r):\n    return {{{body}}}\n", "<rate_functions:terms>")["terms"]
+
+
+@functools.cache
+def term_loop(names: tuple[str, ...]):
+    """``bind(p, fixed)`` for the terms ``names`` of ``TERMS``, compiled on
+    first use: a branch on the channel ``p`` and the rho-free rates ``fixed``
+    that checks its points as ``rates`` does, then per point computes each
+    rate of rho once and appends each term's ``_sum``."""
+    uses = sorted({u for term in names for u in TERMS[term]})
+    at_rho = tuple(u for u in uses if u in _TEXT)
+    var = {u: u.replace("(0)", "_0") for u in uses}  # f3(0) is no name
+    lines = [
+        "def bind(p, fixed):",
+        "    atoms = _atoms(p)",
+        *(f"    {var[u]} = fixed[{u!r}]" for u in uses if u not in _TEXT),
+        "    def branch(rho):",
+        *(f"        t{i} = []" for i in range(len(names))),
+        f"        for q, s in map(atoms, points(rho, {at_rho!r})):",
+        *(f"            {u} = {_TEXT[u]}" for u in at_rho),
+        *(f"            t{i}.append({_sum(TERMS[term], var.get)})" for i, term in enumerate(names)),
+        "        return {" + ", ".join(f"{term!r}: t{i}" for i, term in enumerate(names)) + "}",
+        "    return branch",
+    ]
+    return _compiled("\n".join(lines) + "\n", "<rate_functions:loop>")["bind"]
 
 
 def f1(params: ChannelParams, rho) -> RateValue:
@@ -338,9 +381,9 @@ def peak(params: ChannelParams, term: str) -> float:
 
 
 # Every term of ``schemes.TABLE``, as weights on the rates it reads (see
-# ``schemes``).  ``crossing`` meets those on f1..f5 by Newton's method, with
-# the slope times ln 2 of each of f1..f5 (valued by ``_FORMS``) at rho in
-# [-1, 1]: q = 1 - rho^2, k = sqrt(P1*P2), s = s(rho).
+# ``schemes``), summed by ``_sum``.  ``crossing`` meets those on f1..f5 by
+# Newton's method, with the slope times ln 2 of each of f1..f5 (valued by
+# ``_FORMS``) at rho in [-1, 1]: q = 1 - rho^2, k = sqrt(P1*P2), s = s(rho).
 TERMS = {
     "f1": {"f1": 1.0}, "f2": {"f2": 1.0}, "f3": {"f3": 1.0}, "f4": {"f4": 1.0},
     "C1": {"C1": 1.0}, "C2": {"C2": 1.0}, "f3(0)": {"f3(0)": 1.0}, "indicator": {"indicator": 1.0},

@@ -3,16 +3,12 @@
 ``TABLE`` maps each name to an ``Entry``: the names of its terms in binding
 order, each a weighted sum of rates written once in ``rate_functions.TERMS``.
 A bound or rate is the minimum of the terms, maximized over the correlation
-rho on an interval that the scenario modules set.  ``Entry.terms`` turns the
-rates an entry reads, its ``uses``, into its terms by plain arithmetic that
-applies alike to floats and to numpy arrays.  The rates are f1..f5 and the
-``indicator`` (``rate_functions.link_indicator``: +inf where the strict link
-conditions C1 > f6 and C2 > f7 of pdfpdfm2 hold, 0 where they fail) at rho,
-the rho-free f3(0), and the link capacities C1, C2.  ``gaussian`` evaluates
-an entry on the Gaussian channel by one loop over the points, compiled on
-the entry's first solve from the text of the forms in ``rate_functions``
-(``_loop``): per point it computes each rate once and appends each term, to
-the bits of ``Entry.terms`` over ``rate_functions.rates``.
+rho on an interval that the scenario modules set.  The rates are f1..f5 and
+the ``indicator`` (``rate_functions.link_indicator``: +inf where the strict
+link conditions C1 > f6 and C2 > f7 of pdfpdfm2 hold, 0 where they fail) at
+rho, the rho-free f3(0), and the link capacities C1, C2.  ``rate_functions``
+alone compiles an entry's sums, ``Entry.terms``, and the loop over points
+that ``gaussian`` binds to the Gaussian channel, both from one sum rule.
 ``oracles.dmc_rates`` fills the rates for a discrete channel from entropies:
 
     f1 = C1 + I(X2;Y|X1)    f2 = C2 + I(X1;Y|X2)    f3 = C1 + C2 - I(X1;X2)
@@ -53,7 +49,6 @@ at the budget cap or pdfm1 at rho = 0, is one piece end: one evaluation.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -65,31 +60,21 @@ __all__ = ["Entry", "TABLE", "gaussian"]
 
 @dataclass(frozen=True)
 class Entry:
-    """One branch or scheme: its term names in binding order.  The rates it
-    reads, ``uses``, and the sums of its terms come from ``TERMS`` once, here."""
+    """One branch or scheme: its term names in binding order and the rates
+    they read, ``uses``; ``rate_functions`` compiles its sums and its loop."""
 
     names: tuple[str, ...]
     uses: tuple[str, ...] = field(init=False)
     linked: bool = field(init=False)  # whether a term is the indicator of the link conditions
-    _sums: tuple = field(init=False, repr=False, compare=False)  # per term: (name, rate, weight, other pairs)
 
     def __post_init__(self) -> None:
-        weights = {name: tuple(rf.TERMS[name].items()) for name in self.names}
-        object.__setattr__(self, "_sums", tuple((name, *w[0], w[1:]) for name, w in weights.items()))
-        object.__setattr__(self, "uses", tuple(sorted({rate for w in weights.values() for rate, _ in w})))
+        object.__setattr__(self, "uses", tuple(sorted({rate for name in self.names for rate in rf.TERMS[name]})))
         object.__setattr__(self, "linked", "indicator" in self.uses)
 
     def terms(self, r: Mapping) -> dict:
-        """``{name: value}`` in binding order from the rates ``r``: each term
-        the sum of its weights times the rates, to the bits of the sum from
-        -0.0 in ``rate_functions.crossing`` (a weight of 1 or -1 adds or subtracts)."""
-        out = {}
-        for name, rate, c, rest in self._sums:
-            v = r[rate] if c == 1.0 else c * r[rate]
-            for rate, c in rest:
-                v = v - r[rate] if c == -1.0 else v + c * r[rate]
-            out[name] = v
-        return out
+        """``{name: value}`` in binding order from the rates ``r``, floats or
+        numpy arrays alike (``rate_functions.term_sums``)."""
+        return rf.term_sums(self.names)(r)
 
 
 TABLE: dict[str, Entry] = {
@@ -110,40 +95,11 @@ TABLE: dict[str, Entry] = {
 def gaussian(params: ChannelParams, name: str) -> tuple[Callable, dict]:
     """``TABLE[name]`` on the Gaussian channel ``params``: the branch, which
     maps a list of points to ``{term: values}``, and the rho-free rates it
-    was given.  The branch is the entry's loop (``_loop``) bound to them."""
+    was given.  The branch is the entry's loop, compiled in
+    ``rate_functions`` on its first solve (``term_loop``), bound to them."""
     entry = TABLE[name]
     fixed = {"C1": params.c1, "C2": params.c2}
     # f3(0) by the public f3, a call the benchmark tracer sees in scenario 1
     if "f3(0)" in entry.uses:
         fixed["f3(0)"] = rf.f3(params, 0.0)
-    return _loop(name)(params, fixed, rf._atoms(params)), fixed
-
-
-@functools.cache
-def _loop(name: str) -> Callable:
-    """The loop of ``TABLE[name]``, compiled from ``rate_functions._TEXT``
-    on the entry's first solve: ``bind(p, fixed, atoms)`` returns a branch
-    that checks its points as ``rate_functions.rates`` does, then at each
-    point takes its atoms, each rate of rho the entry uses once, and appends
-    each term as ``Entry.terms`` sums it, to the same bits."""
-    entry = TABLE[name]
-    at_rho = tuple(u for u in entry.uses if u in rf._TEXT)
-    var = {u: u.replace("(0)", "_0") for u in entry.uses}  # f3(0) is no name
-    sums = []
-    for _, rate, c, rest in entry._sums:
-        text = var[rate] if c == 1.0 else f"{c!r} * {var[rate]}"
-        for rate, c in rest:
-            text += f" - {var[rate]}" if c == -1.0 else f" + {c!r} * {var[rate]}"
-        sums.append(text)
-    lines = [
-        "def bind(p, fixed, atoms):",
-        *(f"    {var[u]} = fixed[{u!r}]" for u in entry.uses if u not in rf._TEXT),
-        "    def branch(rho):",
-        *(f"        t{i} = []" for i in range(len(sums))),
-        f"        for q, s in map(atoms, points(rho, {at_rho!r})):",
-        *(f"            {u} = {rf._TEXT[u]}" for u in at_rho),
-        *(f"            t{i}.append({text})" for i, text in enumerate(sums)),
-        "        return {" + ", ".join(f"{term!r}: t{i}" for i, term in enumerate(entry.names)) + "}",
-        "    return branch",
-    ]
-    return rf._compiled("\n".join(lines) + "\n", f"<schemes:{name}>")["bind"]
+    return rf.term_loop(entry.names)(params, fixed), fixed

@@ -1,10 +1,10 @@
-"""The term table: ``schemes.Entry.terms``, the compiled loops of
-``schemes.gaussian`` and ``rate_functions.TERMS``.
+"""The term table: ``schemes.Entry.terms``, the loops that ``schemes.gaussian``
+binds and ``rate_functions.TERMS``.
 
 One ``Entry.terms`` serves the discrete oracle (floats) and the numpy
 references of the soundness tests (arrays), so it must give the same bits on
-each; the loop that ``schemes.gaussian`` compiles for each entry must give
-the bits of ``Entry.terms`` over ``rate_functions.rates``.
+each; the loop that ``rate_functions.term_loop`` compiles for each entry
+must give the bits of ``Entry.terms`` over ``rate_functions.rates``.
 """
 
 import math
@@ -87,6 +87,17 @@ def test_compiled_loops_give_the_bits_of_entry_terms_over_rates(p):
                 rf.rates(p, bad, at_rho)
             assert str(raised.value) == str(expected.value)
         assert all(values == [] for values in branch([]).values())
+
+
+def test_one_sum_rule_writes_every_term():
+    """A weight of 1 or -1 adds or subtracts and any other multiplies, in
+    the sums and the loops alike: both read one text per term."""
+    assert rf._sum({"f1": 1.0, "f5": -1.0}, str) == "f1 - f5"
+    assert rf._sum({"f3": 1.0, "f5": -2.0}, str) == "f3 + -2.0 * f5"
+    assert rf._sum({"f3": 0.5, "f4": 0.5}, str) == "0.5 * f3 + 0.5 * f4"
+    assert rf._sum({"f5": -1.0, "f4": 1.0}, str) == "- f5 + f4"
+    assert rf.term_sums(("f3-2f5", "C1-f5"))({"f3": 1.0, "f5": 0.25, "C1": 2.0}) == {"f3-2f5": 0.5, "C1-f5": 1.75}
+    assert rf.term_sums(("f1",)) is rf.term_sums(("f1",))
 
 
 @pytest.mark.parametrize("term", ["f9", "C1", "f3(0)-f5", "indicator", "f6", "f5"])
