@@ -69,6 +69,15 @@ quartiles, the operations on which the new version was faster in the first
 round, both CPU totals of that round, and for each kind of operation its
 count, its number of ratios and their median: ``analysis`` mixes kinds
 whose costs differ about 20-fold, so one median hides which kind moved.
+
+Apart from those operations, ``main`` times the start of the command line:
+``python -m diamond_wiretap --help`` runs ``STARTS`` times per version, as
+a process of its own with ``PYTHONPATH`` at that version's ``src``, the
+version that runs first alternating from start to start.  Every ``sweep``
+operation pays this start, and where no bytecode is cached, it compiles the
+package from source.  The report's ``startup`` block gives the wall-clock
+milliseconds of each version's starts, their median and quartiles, and the
+ratio new/base of the medians.
 """
 
 from __future__ import annotations
@@ -82,6 +91,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import statistics
 import subprocess
@@ -132,6 +142,8 @@ THRESHOLDS_SEED = 7927
 # the channels of the edge corpus, and the seed of their draw
 EDGES = 10000
 EDGES_SEED = 7933
+# the starts of the command line timed per version
+STARTS = 20
 # the headline bounds of a point operation, and the differences of them
 # whose largest value each side reports
 HEADLINE = ("ub1", "ub2", "lb1", "lb2")
@@ -403,6 +415,24 @@ def compare(packages: dict, ops: int | None) -> dict:
             "bound_rises": rises, "bound_falls": falls, "largest_gaps": gaps, "timing": _timing(groups, samples)}
 
 
+def startup(srcs: dict) -> dict:
+    """The ``startup`` block of the module docstring, for the ``src``
+    directories ``srcs["base"]`` and ``srcs["new"]``."""
+    ms = {side: [] for side in _SIDES}
+    for turn in range(STARTS):
+        for side in _SIDES if turn % 2 == 0 else _SIDES[::-1]:
+            env = dict(os.environ, PYTHONPATH=str(srcs[side]))
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "diamond_wiretap", "--help"], env=env, check=True,
+                           capture_output=True)
+            ms[side].append(1e3 * (time.perf_counter() - start))
+    block = {"starts": STARTS}
+    for side, of in ms.items():
+        q1, median, q3 = statistics.quantiles(of, n=4, method="inclusive")
+        block[side] = {"median_ms": median, "q1_ms": q1, "q3_ms": q3}
+    return {**block, "ratio_median": block["new"]["median_ms"] / block["base"]["median_ms"]}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="revision to compare the working tree against")
@@ -412,6 +442,7 @@ def main(argv=None) -> int:
         sha = _export(args.base, exported)
         packages = {"base": load(Path(exported, "src"), "same_base"), "new": load(ROOT / "src", "same_new")}
         report = compare(packages, None)
+        report["startup"] = startup({"base": Path(exported, "src"), "new": ROOT / "src"})
     print(json.dumps({"base": {"rev": args.base, "sha": sha}, **report}))
     return 0
 

@@ -1,7 +1,9 @@
 """numpy stays off the import path of the numerical commands: ``eval``,
 ``sweep``, ``thresholds`` and ``capacity`` run on plain floats, and only
 ``oracle-check`` and ``dmc`` import numpy, through ``oracles``, when they
-run."""
+run.  The start of the command line imports no more of the package than it
+needs and compiles no entry's sums or loop: every process pays for what
+runs at import."""
 
 import json
 import os
@@ -24,11 +26,26 @@ for argv in json.loads(sys.argv[1]):
     seen.append([argv[0], code, "numpy" in sys.modules])
 print(json.dumps(seen))
 """
+# the package modules that ``python -m diamond_wiretap --help`` imports
+HELP_MODULES = sorted(["diamond_wiretap", *(f"diamond_wiretap.{name}" for name in (
+    "cli", "errors", "rate_functions", "scalar_opt", "schemes", "scenario_one", "scenario_two"))])
+# Prints the sizes of the caches of compiled sums and loops after the help
+# and again after one ``eval``, in one fresh interpreter.
+CACHES = """
+import contextlib, io, json
+from diamond_wiretap import cli, rate_functions as rf
+sizes = []
+for argv in (["--help"], ["eval", "--p", "10", "--c", "1.5", "--g", "0.1"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        cli.main(argv)
+    sizes.append([rf.term_sums.cache_info().currsize, rf.term_loop.cache_info().currsize])
+print(json.dumps(sizes))
+"""
 
 
-def _run(commands):
+def _run(commands, program=PROGRAM):
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", PROGRAM, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", program, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -62,5 +79,11 @@ def test_help_imports_no_numpy():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if "|" in line]
-    assert "diamond_wiretap.cli" in imported
+    assert sorted(name for name in imported if name.split(".")[0] == "diamond_wiretap") == HELP_MODULES
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+def test_no_entry_loop_is_compiled_before_the_first_solve():
+    # the help compiles nothing; the first eval compiles the loops it solves
+    (sums, loops), (_, solved) = _run([], CACHES)
+    assert (sums, loops) == (0, 0) and solved > 0

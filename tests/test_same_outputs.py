@@ -128,6 +128,17 @@ def test_a_moved_rho_and_a_moved_value_are_told_apart(packages, monkeypatch):
     assert 0.0 < report["largest_rho_change"]["change"] < 1e-15
 
 
+def test_the_startup_block_times_each_side_alike(monkeypatch):
+    # no assertion on the ratio's value: the host's speed decides it
+    monkeypatch.setattr(same_outputs, "STARTS", 2)
+    block = same_outputs.startup({"base": ROOT / "src", "new": ROOT / "src"})
+    assert list(block) == ["starts", "base", "new", "ratio_median"] and block["starts"] == 2
+    for side in ("base", "new"):
+        assert set(block[side]) == {"median_ms", "q1_ms", "q3_ms"}
+        assert 0.0 < block[side]["q1_ms"] <= block[side]["median_ms"] <= block[side]["q3_ms"]
+    assert block["ratio_median"] == block["new"]["median_ms"] / block["base"]["median_ms"]
+
+
 def test_the_edge_corpus_is_a_fixed_draw_of_valid_channels(packages):
     calls = same_outputs.edges_corpus()
     assert len(calls) == same_outputs.EDGES == 10_000 and calls == same_outputs.edges_corpus()
