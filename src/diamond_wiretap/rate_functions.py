@@ -356,7 +356,7 @@ def peak(params: ChannelParams, term: str) -> float:
       powers is formed.  For g > 0 both roots (if real) are negative, their
       product, c/a, is (1 + P2)/P2 > 1, (1 + P1)/P1 or 1: the root nearest
       0, -2c/(1 + sqrt(1 - 4ac)), is the only one that can lie in (-1, 0],
-      and g = 0 puts it at 0.  It may lie below -1 for f1 - f5 and f2 - f5,
+      and g = 0 puts it at 0 (never -0.0).  It may lie below -1 for f1 - f5 and f2 - f5,
       which then fall on all of [-1, 1]; for f3 - f5 and f3 - 2 f5 it lies
       above -1, where f3 is -inf, and huge powers would round it to -1.
 
@@ -372,11 +372,11 @@ def peak(params: ChannelParams, term: str) -> float:
     if term == "(f3+f4)/2":
         return rho_h(params)
     u = params.g * _k(params) / (1.0 + params.g * (params.p1 + params.p2))  # gk/G
-    if term == "f3-2f5":  # a = 0, c = 2u
-        return max(-2.0 * u, _ABOVE_MINUS_ONE)
+    if term == "f3-2f5":  # a = 0, c = 2u; + 0.0 takes -0.0 at g = 0 to 0.0
+        return max(-2.0 * u + 0.0, _ABOVE_MINUS_ONE)
     # a = u, and c = u for f3 - f5, else u*(1 + P2)/P2 or u*(1 + P1)/P1
     c = u if term == "f3-f5" else u * (1.0 + 1.0 / (params.p2 if term == "f1-f5" else params.p1))
-    root = -2.0 * c / (1.0 + math.sqrt(max(1.0 - 4.0 * u * c, 0.0)))
+    root = -2.0 * c / (1.0 + math.sqrt(max(1.0 - 4.0 * u * c, 0.0))) + 0.0
     return max(root, _ABOVE_MINUS_ONE) if term == "f3-f5" else root
 
 

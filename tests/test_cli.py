@@ -506,6 +506,14 @@ def test_eval_prints_a_minus_zero_input_as_zero(capsys):
     assert out == run(capsys, "eval", "--p", "10", "--c", "0", "--g", "0", "--rprime", "0")[1]
 
 
+def test_eval_prints_no_minus_zero_rho(capsys):
+    # at g = 0 the peaks of f1 - f5, f2 - f5, f3 - f5 and f3 - 2 f5 lie at 0
+    rc, out, _ = run(capsys, "eval", "--p", "10", "--c", "0", "--g", "0", "--rprime", "0")
+    fields = kv(out)
+    assert rc == 0 and fields["lb2_pdfdfm_rho"] == "0"
+    assert not [name for name, value in fields.items() if value.startswith("-0") and float(value) == 0.0]
+
+
 def test_dmc_non_finite_capacity_exits_1(capsys, tmp_path):
     t = np.full((2, 2, 2, 2), 0.25)
     doc = {

@@ -628,6 +628,14 @@ def test_peaks_are_where_the_slopes_change_sign(p, term):
         assert at(peak - h) < at(peak) > at(peak + h)
 
 
+def test_the_peaks_at_zero_gain_are_a_positive_zero():
+    """At g = 0 the four peaked terms peak at 0.0, not at -0.0, which the
+    solver would keep as a piece end and report as a rho."""
+    for p in (ChannelParams(10.0, 10.0, 0.0, 0.0, 0.0), ChannelParams(1e-3, 1e6, 1.0, 2.0, 0.0)):
+        assert [math.copysign(1.0, rf.peak(p, term)) for term in sorted(PEAKED)] == [1.0] * 4
+        assert [rf.peak(p, term) for term in sorted(PEAKED)] == [0.0] * 4
+
+
 def test_every_term_rises_up_to_its_peak_and_falls_after_it():
     """``peak`` answers for every term of ``TERMS``, and on the peak cases
     and on drawn channels each term is nondecreasing on a grid of [-1, 1]
